@@ -63,8 +63,8 @@ def _number(value, path: str, minimum: float | None = None,
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     out = float(value)
-    if math.isnan(out):
-        raise ConfigError(f"{path}: must not be NaN")
+    if not math.isfinite(out):
+        raise ConfigError(f"{path}: must be a finite number, got {out}")
     if minimum is not None:
         if strict_min and not out > minimum:
             raise ConfigError(f"{path}: must be greater than {minimum}, got {out}")

@@ -26,11 +26,11 @@ from scipy.integrate import quad
 from .org import (
     FlexPlan,
     IllPosedError,
-    LevelSpec,
     OrgSpec,
     min_permanent_share,
     promotion_demands,
-    steady_promotable_pool,
+    stationary_pools,
+    steady_promotable_pool,  # noqa: F401  (perfbench wraps costs.* names)
 )
 
 __all__ = [
@@ -79,7 +79,7 @@ class CostBreakdown:
 
     @property
     def total(self) -> float:
-        return float(np.sum(self.per_level))
+        return float(self.per_level.sum())
 
 
 def _check_growth(mu: float, r: float, level: int) -> None:
@@ -89,23 +89,23 @@ def _check_growth(mu: float, r: float, level: int) -> None:
         )
 
 
-def _permanent_wage_bill(mu: float, tau: float, r: float, w0: float,
-                         perm_mass: float, c_next: float) -> float:
-    """Closed-form stationary wage bill of one level's permanent staff.
+def _permanent_wage_bill(mu, tau, r, w0, perm_mass, c_next):
+    """Closed-form stationary wage bill of permanent staff, broadcasting
+    over levels and any leading axis (business units).
 
-    With inflow G = mu * N p + C_next, the profile G e^{-mu s - B (s-tau)_+}
+    With inflow G = mu N p + C_next, the profile G e^{-mu s - B (s-tau)_+}
     integrated against w0 e^{rs} equals
 
-        (w0 G / (mu - r)) * (1 - mu C_next e^{r tau} / D),
-        D = (mu - r) G + r C_next e^{mu tau};
+        (w0 G / (mu - r)) * (1 - mu C_next e^{(r - mu) tau} / D),
+        D = (mu - r) G e^{-mu tau} + r C_next,
 
-    for C_next = 0 the bracket is 1 and the bill is w0 mu N p / (mu - r).
+    a bracket scaled by e^{-mu tau} so that no exponential overflows. Where
+    C_next = 0 the bracket is 1, not the 0/0 of an underflowed e^{-mu tau}.
     """
     inflow = mu * perm_mass + c_next
-    if inflow <= 0.0:
-        return 0.0
-    denom = (mu - r) * inflow + r * c_next * math.exp(mu * tau)
-    bracket = 1.0 - mu * c_next * math.exp(r * tau) / denom
+    denom = (mu - r) * inflow * np.exp(-mu * tau) + r * c_next
+    bracket = 1.0 - (mu * c_next * np.exp((r - mu) * tau)
+                     / np.where(c_next > 0.0, denom, 1.0))
     return w0 * inflow / (mu - r) * bracket
 
 
@@ -119,22 +119,20 @@ def _temporary_bill(spec: OrgSpec, plan: FlexPlan, j: int) -> float:
 def level_cost(spec: OrgSpec, plan: FlexPlan, level: int) -> float:
     """Hourly cost of one level: temporary staff plus the permanent bill.
 
-    Requires r < mu_j and, below the top level, a positive stationary
-    promotable pool (the permanent profile must exist). Depends only on
-    the plan entries at this level and above, never below.
+    Requires r < mu_j and a well-posed level (the permanent profile must
+    exist). Depends only on the plan entries at this level and above,
+    never below.
     """
     j = level - 1
     if not 1 <= level <= spec.size:
         raise ValueError(f"level {level} outside 1..{spec.size}")
     _check_growth(spec.mu[j], spec.wage_growth, level)
-    c = promotion_demands(spec, plan)
-    if level < spec.size and c[j + 1] > 0.0:
-        pool = steady_promotable_pool(spec, plan, level)
-        if pool <= 0.0:
-            raise IllPosedError([level], [pool])
+    c, pools, ill = stationary_pools(spec, plan)
+    if ill[j]:
+        raise IllPosedError([level], [pools[j]])
     perm = _permanent_wage_bill(spec.mu[j], spec.tau[j], spec.wage_growth,
                                 spec.w0[j], spec.n[j] * plan.p[j], c[j + 1])
-    return _temporary_bill(spec, plan, j) + perm
+    return _temporary_bill(spec, plan, j) + float(perm)
 
 
 def cost_quadrature_oracle(spec: OrgSpec, plan: FlexPlan, level: int) -> float:
@@ -150,18 +148,14 @@ def cost_quadrature_oracle(spec: OrgSpec, plan: FlexPlan, level: int) -> float:
         raise ValueError(f"level {level} outside 1..{spec.size}")
     mu, tau, r, w0 = spec.mu[j], spec.tau[j], spec.wage_growth, spec.w0[j]
     _check_growth(mu, r, level)
-    c = promotion_demands(spec, plan)
+    c, pools, ill = stationary_pools(spec, plan)
     perm_mass = spec.n[j] * plan.p[j]
     inflow = mu * perm_mass + c[j + 1]
     if inflow <= 0.0:
         return _temporary_bill(spec, plan, j)
-    if level < spec.size and c[j + 1] > 0.0:
-        pool = steady_promotable_pool(spec, plan, level)
-        if pool <= 0.0:
-            raise IllPosedError([level], [pool])
-        extra_decay = c[j + 1] / pool
-    else:
-        extra_decay = 0.0
+    if ill[j]:
+        raise IllPosedError([level], [pools[j]])
+    extra_decay = c[j + 1] / pools[j] if c[j + 1] > 0.0 else 0.0
 
     def integrand(s: np.ndarray, shift: float) -> np.ndarray:
         return inflow * np.exp((r - mu) * s - extra_decay * (s - shift)) * w0
@@ -193,25 +187,18 @@ def org_cost(spec: OrgSpec, plan: FlexPlan | None = None) -> CostBreakdown:
     """Hourly cost of the whole organization, split by worker type.
 
     Sum of level_cost over levels; fails with IllPosedError listing every
-    level whose stationary pool is non-positive. Floater costs are zero
-    here; they enter through business_unit_cost.
+    ill-posed level (see stationary_pools). Floater costs are zero here;
+    they enter through business_unit_cost.
     """
     if plan is None:
         plan = FlexPlan.all_internal(spec.size)
     plan.check(spec)
     for j in range(spec.size):
         _check_growth(spec.mu[j], spec.wage_growth, j + 1)
-    pools = steady_promotable_pool(spec, plan)
-    c = promotion_demands(spec, plan)
-    bad = [j for j in range(spec.size - 1)
-           if pools[j] <= 0.0 and c[j + 1] > 0.0]
-    if bad:
-        raise IllPosedError([j + 1 for j in bad], [pools[j] for j in bad])
-    perm = np.array([
-        _permanent_wage_bill(spec.mu[j], spec.tau[j], spec.wage_growth,
-                             spec.w0[j], spec.n[j] * plan.p[j], c[j + 1])
-        for j in range(spec.size)
-    ])
+    c, pools, ill = stationary_pools(spec, plan)
+    IllPosedError.check(pools, ill)
+    perm = _permanent_wage_bill(spec.mu, spec.tau, spec.wage_growth, spec.w0,
+                                spec.n * plan.p, c[1:])
     temp = np.array([_temporary_bill(spec, plan, j) for j in range(spec.size)])
     return CostBreakdown(permanent=perm, temporary=temp,
                          floater=np.zeros(spec.size))
@@ -379,16 +366,6 @@ class BusinessUnitPlan:
                          for j in range(spec.size)])
 
 
-def _unit_spec(spec: OrgSpec, headrow: np.ndarray) -> OrgSpec:
-    levels = [
-        LevelSpec(headcount=float(headrow[j]), attrition=lv.attrition,
-                  eligibility_age=lv.eligibility_age, base_wage=lv.base_wage,
-                  temp_wage=lv.temp_wage, floater_wage=lv.floater_wage)
-        for j, lv in enumerate(spec.levels)
-    ]
-    return OrgSpec(levels=levels, wage_growth=spec.wage_growth)
-
-
 def business_unit_cost(spec: OrgSpec, bu_plan: BusinessUnitPlan) -> CostBreakdown:
     """Hourly cost of a K-unit organization with floaters.
 
@@ -396,33 +373,24 @@ def business_unit_cost(spec: OrgSpec, bu_plan: BusinessUnitPlan) -> CostBreakdow
     at the level's seniority-discounted wage integral, and the permanent
     wage bill of the unit's own stationary profile (units promote
     internally, so each is costed as an independent organization whose
-    permanent mass is N_j^k p_j^k).
+    permanent mass is N_j^k p_j^k). Fails with IllPosedError when any
+    unit is ill posed.
     """
     bu_plan.check(spec)
     wt = bu_plan.resolved_temp_wage(spec)
     # wage curves are only needed where floaters are actually deployed
     wfa = (bu_plan.resolved_floater_cost(spec)
            if np.any(bu_plan.floater_share > 0.0) else np.zeros(spec.size))
-    perm = np.zeros(spec.size)
-    temp = np.zeros(spec.size)
-    flt = np.zeros(spec.size)
-    for k in range(bu_plan.units):
-        unit = _unit_spec(spec, bu_plan.headcounts[k])
-        plan = FlexPlan(alpha=np.ones(spec.size - 1), p=bu_plan.permanent_share[k])
-        c = promotion_demands(unit, plan)
-        pools = steady_promotable_pool(unit, plan)
-        bad = [j for j in range(spec.size - 1)
-               if pools[j] <= 0.0 and c[j + 1] > 0.0]
-        if bad:
-            raise IllPosedError([j + 1 for j in bad], [pools[j] for j in bad])
-        for j in range(spec.size):
-            perm[j] += _permanent_wage_bill(
-                unit.mu[j], unit.tau[j], unit.wage_growth, unit.w0[j],
-                unit.n[j] * plan.p[j], c[j + 1])
-            share_t = 1.0 - bu_plan.permanent_share[k, j] - bu_plan.floater_share[k, j]
-            temp[j] += unit.n[j] * max(share_t, 0.0) * wt[k, j]
-            flt[j] += unit.n[j] * bu_plan.floater_share[k, j] * wfa[j]
-    return CostBreakdown(permanent=perm, temporary=temp, floater=flt)
+    heads, p, g = (bu_plan.headcounts, bu_plan.permanent_share,
+                   bu_plan.floater_share)
+    internal = FlexPlan(alpha=np.ones(spec.size - 1), p=p)
+    c, pools, ill = stationary_pools(spec, internal, heads)
+    IllPosedError.check(pools, ill)
+    perm = _permanent_wage_bill(spec.mu, spec.tau, spec.wage_growth, spec.w0,
+                                heads * p, c[:, 1:])
+    temp = heads * np.maximum(1.0 - p - g, 0.0) * wt
+    return CostBreakdown(permanent=perm.sum(axis=0), temporary=temp.sum(axis=0),
+                         floater=(heads * g * wfa).sum(axis=0))
 
 
 @dataclass
@@ -432,25 +400,20 @@ class FloaterReduction:
     The flexible part of each (unit, level) cell goes entirely to whichever
     of the temporary wage and the discounted floater wage is cheaper, so
     the mixed problem collapses to independent temporary-only unit
-    problems priced at the effective wage min(w^t, w^{fa}).
+    problems priced at the effective wage min(w^t, w^{fa}). units holds
+    that temporary-only plan; floater_share the optimal floater shares.
     """
 
-    unit_specs: list[OrgSpec]
-    unit_plans: list[FlexPlan]
-    effective_temp_wage: np.ndarray
+    spec: OrgSpec
+    units: BusinessUnitPlan
     floater_share: np.ndarray
 
+    @property
+    def effective_temp_wage(self) -> np.ndarray:
+        return self.units.temp_wage
+
     def total_cost(self) -> float:
-        total = 0.0
-        for k, (unit, plan) in enumerate(zip(self.unit_specs, self.unit_plans)):
-            c = promotion_demands(unit, plan)
-            for j in range(unit.size):
-                total += _permanent_wage_bill(
-                    unit.mu[j], unit.tau[j], unit.wage_growth, unit.w0[j],
-                    unit.n[j] * plan.p[j], c[j + 1])
-                total += (unit.n[j] * (1.0 - plan.p[j])
-                          * self.effective_temp_wage[k, j])
-        return total
+        return business_unit_cost(self.spec, self.units).total
 
 
 def reduce_floaters(spec: OrgSpec, bu_plan: BusinessUnitPlan) -> FloaterReduction:
@@ -460,25 +423,20 @@ def reduce_floaters(spec: OrgSpec, bu_plan: BusinessUnitPlan) -> FloaterReductio
     g_j^k on [0, 1 - p_j^k], so the optimum sits at an endpoint: all
     flexible staff become floaters where the discounted floater wage
     undercuts the temporary wage, and none otherwise. Returns the
-    equivalent temporary-only problems, one per unit.
+    equivalent temporary-only problem.
     """
     bu_plan.check(spec)
     wt = bu_plan.resolved_temp_wage(spec)
     wfa = bu_plan.resolved_floater_cost(spec)
-    effective = np.minimum(wt, wfa[np.newaxis, :])
     flexible = 1.0 - bu_plan.permanent_share
-    g_opt = np.where(wfa[np.newaxis, :] < wt, flexible, 0.0)
-    unit_specs = []
-    unit_plans = []
-    for k in range(bu_plan.units):
-        unit = _unit_spec(spec, bu_plan.headcounts[k])
-        for j, lv in enumerate(unit.levels):
-            lv.temp_wage = float(effective[k, j])
-        unit_specs.append(unit)
-        unit_plans.append(FlexPlan(alpha=np.ones(spec.size - 1),
-                                   p=bu_plan.permanent_share[k].copy()))
-    return FloaterReduction(unit_specs=unit_specs, unit_plans=unit_plans,
-                            effective_temp_wage=effective, floater_share=g_opt)
+    units = BusinessUnitPlan(
+        headcounts=bu_plan.headcounts.copy(),
+        permanent_share=bu_plan.permanent_share.copy(),
+        floater_share=np.zeros_like(flexible),
+        temp_wage=np.minimum(wt, wfa[np.newaxis, :]))
+    return FloaterReduction(
+        spec=spec, units=units,
+        floater_share=np.where(wfa[np.newaxis, :] < wt, flexible, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +469,9 @@ def _case1_pieces(spec: OrgSpec, plan: FlexPlan):
     c2 = c[1]
     # alpha_1 C_1 = mu_1 N_1 p_1 + C_2 regardless of the level-1 convention
     inflow = mu * n1 * plan.p[0] + c2
-    denom = (mu - r) * inflow + r * c2 * math.exp(mu * tau)
+    # D = (mu - r) G + r C_2 e^{mu tau}, scaled by e^{-mu tau} as in the
+    # wage bill so that no exponential overflows
+    denom = (mu - r) * inflow * math.exp(-mu * tau) + r * c2
     return mu, tau, r, n1, w0, c2, inflow, denom
 
 
@@ -520,8 +480,8 @@ def case1_diagnostics(spec: OrgSpec, plan: FlexPlan) -> Case1Diagnostics:
 
     Requires p_2..p_L = 1. The first derivative is
 
-        N_1 (-w^t + (w0 mu / (mu - r)) (1 - r mu C_2^2 e^{(r+mu) tau} / D^2)),
-        D = (mu - r)(mu N_1 p_1 + C_2) + r C_2 e^{mu tau},
+        N_1 (-w^t + (w0 mu / (mu - r)) (1 - r mu C_2^2 e^{(r-mu) tau} / D^2)),
+        D = (mu - r)(mu N_1 p_1 + C_2) e^{-mu tau} + r C_2,
 
     strictly increasing in p_1, so Cost_1 is strictly convex and the root
     of the derivative (clamped to [p_min, 1]) is the unique minimizer;
@@ -533,17 +493,20 @@ def case1_diagnostics(spec: OrgSpec, plan: FlexPlan) -> Case1Diagnostics:
     _check_growth(spec.mu[0], spec.wage_growth, 1)
     mu, tau, r, n1, w0, c2, inflow, denom = _case1_pieces(spec, plan)
     wt1 = spec.wt[0]
-    boost = math.exp((r + mu) * tau)
-    first = n1 * (-wt1 + w0 * mu / (mu - r)
-                  * (1.0 - r * mu * c2 * c2 * boost / denom ** 2))
-    second = 2.0 * n1 * w0 * r * mu * mu * c2 * c2 * boost / denom ** 3
+    decay = math.exp(-mu * tau)
+    boost = math.exp((r - mu) * tau)
     p_min = min_permanent_share(spec, plan, 1) if spec.size > 1 else 0.0
 
     def slack(p1: float) -> float:
-        # r mu C2^2 e^{(r+mu)tau} / D(p1)^2, decreasing in p1
-        d = (mu - r) * (mu * n1 * p1 + c2) + r * c2 * math.exp(mu * tau)
-        return r * mu * c2 * c2 * boost / d ** 2
+        # r mu C2^2 e^{(r-mu)tau} / D(p1)^2, decreasing in p1; 0, not 0/0,
+        # without demand from level 2
+        d = (mu - r) * (mu * n1 * p1 + c2) * decay + r * c2
+        return r * mu * c2 * c2 * boost / d ** 2 if c2 > 0.0 else 0.0
 
+    first = n1 * (-wt1 + w0 * mu / (mu - r) * (1.0 - slack(plan.p[0])))
+    # d slack / d p_1 = -2 slack (mu - r) mu N_1 e^{-mu tau} / D
+    second = (2.0 * n1 * n1 * w0 * mu * mu * decay * slack(plan.p[0]) / denom
+              if c2 > 0.0 else 0.0)
     critical = 1.0 - (mu - r) * wt1 / (w0 * mu)
     if c2 == 0.0 or r == 0.0:
         # derivative is constant in p_1: sign decides an endpoint optimum
@@ -555,7 +518,7 @@ def case1_diagnostics(spec: OrgSpec, plan: FlexPlan) -> Case1Diagnostics:
         p_opt, regime = 1.0, "all-permanent"
     else:
         d_star = math.sqrt(r * mu * c2 * c2 * boost / critical)
-        p_opt = ((d_star - r * c2 * math.exp(mu * tau)) / (mu - r) - c2) / (mu * n1)
+        p_opt = ((d_star - r * c2) / ((mu - r) * decay) - c2) / (mu * n1)
         regime = "interior"
     return Case1Diagnostics(first_derivative=first, second_derivative=second,
                             p_opt=p_opt, regime=regime, p_min=p_min)
@@ -579,7 +542,7 @@ def case2_residuals(spec: OrgSpec, plan: FlexPlan) -> tuple[float, float]:
     for j in (0, 1):
         _check_growth(spec.mu[j], spec.wage_growth, j + 1)
     mu, tau, r, n1, w0, c2, inflow1, denom1 = _case1_pieces(spec, plan)
-    boost1 = math.exp((r + mu) * tau)
+    boost1 = math.exp((r - mu) * tau)
     lhs1 = (mu - r) * n1 * spec.wt[0]
     rhs1 = w0 * mu * n1 * (1.0 - r * mu * c2 * c2 * boost1 / denom1 ** 2)
     r1 = (lhs1 - rhs1) / max(abs(lhs1), abs(rhs1))
@@ -592,14 +555,16 @@ def case2_residuals(spec: OrgSpec, plan: FlexPlan) -> tuple[float, float]:
     c = promotion_demands(spec, plan)
     c3 = c[2]
     level1 = (w0 / (mu - r)) * (
-        -mu * inflow1 * math.exp(r * tau) / denom1
-        + inflow1 * mu * c2 * math.exp(r * tau) * r * math.exp(mu * tau)
-        / denom1 ** 2
+        -mu * inflow1 * boost1 / denom1
+        + inflow1 * mu * c2 * boost1 * r / denom1 ** 2
     )
     if c3 > 0.0:
-        denom2 = (mu2 - r) * alpha2 * c[1] + r * c3 * math.exp(mu2 * tau2)
-        bracket2 = (1.0 - mu2 * c3 * math.exp(r * tau2) / denom2
-                    + alpha2 * c[1] * (mu2 - r) * mu2 * c3 * math.exp(r * tau2)
+        # scaled by e^{-mu_2 tau_2} like the level-1 denominator
+        decay2 = math.exp(-mu2 * tau2)
+        boost2 = math.exp((r - mu2) * tau2)
+        denom2 = (mu2 - r) * alpha2 * c[1] * decay2 + r * c3
+        bracket2 = (1.0 - mu2 * c3 * boost2 / denom2
+                    + alpha2 * c[1] * (mu2 - r) * mu2 * c3 * boost2 * decay2
                     / denom2 ** 2)
     else:
         # no demand from above the second level: only the direct wage term

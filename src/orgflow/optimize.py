@@ -2,9 +2,9 @@
 descent baseline.
 
 The decision vector collects the hiring ratios alpha_2..alpha_L and the
-permanent shares p_1..p_L. Plans whose stationary promotable pools would
-go non-positive are priced by a penalty that provably dominates every
-feasible cost, so the search never needs explicit constraint repair. The
+permanent shares p_1..p_L. Ill-posed plans (see penalized_cost) are
+priced by a penalty that provably dominates every feasible cost, so the
+search never needs explicit constraint repair. The
 cost has an ascending structure (level j's cost depends only on genes at
 level j and above), which the coordinate-descent baseline exploits by
 sweeping genes in descending level order.
@@ -24,7 +24,8 @@ from .org import (
     FlexPlan,
     MissingWageError,
     OrgSpec,
-    steady_promotable_pool,
+    stationary_pools,
+    steady_promotable_pool,  # noqa: F401  (perfbench wraps optimize.* names)
 )
 
 __all__ = [
@@ -197,17 +198,17 @@ def feasible_cost_ceiling(spec: OrgSpec) -> float:
 
 
 def penalized_cost(spec: OrgSpec, plan: FlexPlan) -> float:
-    """org_cost total for feasible plans; a dominating penalty otherwise.
+    """org_cost total for well-posed plans; a dominating penalty otherwise.
 
-    Infeasibility is any non-positive stationary promotable pool below the
-    top level. The penalty starts at the feasible cost ceiling and grows
-    with the total pool deficit, so it exceeds every feasible cost and
-    stays monotone in the violation magnitude.
+    Ill-posed, as in org_cost, means a pool A_j <= 0 while the flux C_{j+1}
+    demanded from it is positive. The penalty starts at the feasible cost
+    ceiling and grows with the total pool deficit, so it exceeds every
+    feasible cost and stays monotone in the violation magnitude.
     """
-    pools = steady_promotable_pool(spec, plan)
-    deficit = np.maximum(0.0, -pools[:-1]) / spec.n[:-1]
-    if np.all(pools[:-1] > 0.0):
+    _, pools, ill = stationary_pools(spec, plan)
+    if not ill.any():
         return org_cost(spec, plan).total
+    deficit = np.maximum(0.0, -pools) / spec.n
     return feasible_cost_ceiling(spec) * (1.0 + float(np.sum(deficit)))
 
 
@@ -272,8 +273,7 @@ class PlanObjective:
         return penalized_cost(self.spec, self.decode(genes))
 
     def is_feasible(self, genes: np.ndarray) -> bool:
-        pools = steady_promotable_pool(self.spec, self.decode(genes))
-        return bool(np.all(pools[:-1] > 0.0))
+        return not stationary_pools(self.spec, self.decode(genes))[2].any()
 
     @property
     def descending_order(self) -> list[int]:

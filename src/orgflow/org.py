@@ -15,6 +15,10 @@ Everything here is closed form: cumulative promotion fluxes, stationary
 seniority profiles and the promotable pools they imply, and the feasibility
 bounds (minimal permanent shares, minimal external hiring ratios) that keep
 those pools positive.
+
+One well-posedness rule (ill_posed) serves every stationary caller: level j
+is ill posed when its pool A_j <= 0 while the flux C_{j+1} demanded from it
+is positive, so a level nobody promotes from may be empty.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ __all__ = [
     "promotion_demands",
     "promotion_demand",
     "steady_promotable_pool",
+    "stationary_pools",
+    "ill_posed",
     "min_permanent_share",
     "min_external_ratios",
     "stationary_state",
@@ -74,6 +80,13 @@ class IllPosedError(ValueError):
             "no stationary profile with positive promotable pools; "
             "raise external hiring or permanent shares (" + detail + ")"
         )
+
+    @classmethod
+    def check(cls, pools: np.ndarray, ill: np.ndarray) -> None:
+        """Raise for every level flagged in ill, across any leading axes."""
+        if ill.any():
+            raise cls([int(j) + 1 for j in np.nonzero(ill)[-1]],
+                      [float(a) for a in pools[ill]])
 
 
 class MassMismatchError(ValueError):
@@ -189,9 +202,9 @@ class FlexPlan:
             raise ValueError(
                 f"plan has {self.alpha.size} hiring ratios, expected {spec.size - 1}"
             )
-        if np.any(self.alpha < 1.0):
+        if (self.alpha < 1.0).any():
             raise ValueError("hiring ratios must satisfy alpha_j >= 1")
-        if np.any((self.p < 0.0) | (self.p > 1.0)):
+        if ((self.p < 0.0) | (self.p > 1.0)).any():
             raise ValueError("permanent shares must lie in [0, 1]")
         return self
 
@@ -266,11 +279,7 @@ def promotion_demands(spec: OrgSpec, plan: FlexPlan | None = None) -> np.ndarray
     """
     if plan is None:
         plan = FlexPlan.all_internal(spec.size)
-    alpha = plan.alpha_full
-    c = np.zeros(spec.size + 1)
-    for j in range(spec.size - 1, -1, -1):
-        c[j] = (spec.mu[j] * spec.n[j] * plan.p[j] + c[j + 1]) / alpha[j]
-    return c
+    return stationary_pools(spec, plan)[0]
 
 
 def promotion_demand(spec: OrgSpec, plan: FlexPlan, level: int) -> float:
@@ -279,25 +288,42 @@ def promotion_demand(spec: OrgSpec, plan: FlexPlan, level: int) -> float:
     return float(promotion_demands(spec, plan)[j])
 
 
-def steady_promotable_pool(spec: OrgSpec, plan: FlexPlan | None = None,
-                           level: int | None = None):
-    """Stationary promotable mass A_j beyond the eligibility age.
+def stationary_pools(spec: OrgSpec, plan: FlexPlan,
+                     heads: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Demands C_1..C_{L+1}, pools A_1..A_L and their ill_posed mask, at once.
 
-    For j < L:  A_j = (mu_j N_j p_j e^{-mu_j tau_j}
-                       - (1 - e^{-mu_j tau_j}) C_{j+1}) / mu_j.
-    A positive value is exactly the well-posedness condition for the
-    stationary profile. The top level faces no promotion demand and its
-    pool is the plain exponential tail N_L p_L e^{-mu_L tau_L}.
-
-    With level=None, returns the full vector A_1..A_L.
+    C solves the recursion of promotion_demands, and
+    A_j = (mu_j N_j p_j e^{-mu_j tau_j} - (1 - e^{-mu_j tau_j}) C_{j+1}) / mu_j,
+    the plain exponential tail at the top, where C_{L+1} = 0. heads (say,
+    the (K, L) rows of K business units) replaces N_j, and plan.p may carry
+    the same leading axes: each row is then an organization of its own.
     """
-    if plan is None:
-        plan = FlexPlan.all_internal(spec.size)
-    c = promotion_demands(spec, plan)
+    heads = spec.n if heads is None else heads
+    alpha = plan.alpha_full
+    outflow = spec.mu * heads * plan.p
+    c = np.zeros(outflow.shape[:-1] + (spec.size + 1,))
+    rows, demand = outflow.T, c.T  # level first, so one org indexes scalars
+    for j in range(spec.size - 1, -1, -1):
+        demand[j] = (rows[j] + demand[j + 1]) / alpha[j]
     decay = np.exp(-spec.mu * spec.tau)
     filled = -np.expm1(-spec.mu * spec.tau)  # 1 - e^{-mu tau}
-    pools = (spec.mu * spec.n * plan.p * decay - filled * c[1:]) / spec.mu
-    pools[-1] = spec.n[-1] * plan.p[-1] * decay[-1]
+    pools = (outflow * decay - filled * c[..., 1:]) / spec.mu
+    return c, pools, ill_posed(pools, c)
+
+
+def ill_posed(pools: np.ndarray, demands: np.ndarray) -> np.ndarray:
+    """The well-posedness rule, per level: A_j <= 0 while C_{j+1} > 0."""
+    return (pools <= 0.0) & (demands[..., 1:] > 0.0)
+
+
+def steady_promotable_pool(spec: OrgSpec, plan: FlexPlan | None = None,
+                           level: int | None = None):
+    """Stationary promotable mass A_j beyond the eligibility age (see
+    stationary_pools); with level=None, the full vector A_1..A_L."""
+    if plan is None:
+        plan = FlexPlan.all_internal(spec.size)
+    pools = stationary_pools(spec, plan)[1]
     if level is None:
         return pools
     return float(pools[_level_index(spec, level)])
@@ -354,7 +380,7 @@ class SteadyState:
     """Closed-form stationary profile of every level under a plan.
 
     pool            promotable masses A_j (top level: exponential tail)
-    promotion_rate  P_j = C_{j+1} / A_j, zero at the top
+    promotion_rate  P_j = C_{j+1} / A_j, zero where C_{j+1} = 0 (the top)
     tail_decay      extra decay rate beyond tau_j (equals P_j here)
     inflow          boundary density rho_j(0) = mu_j N_j p_j + C_{j+1}
     """
@@ -387,20 +413,17 @@ class SteadyState:
 def stationary_state(spec: OrgSpec, plan: FlexPlan | None = None) -> SteadyState:
     """Assemble the stationary profile, or raise IllPosedError.
 
-    Ill-posedness means some level below the top cannot hold a positive
-    promotable pool against the promotion flux demanded from above; the
-    exception lists every such level.
+    Ill-posed means a pool A_j <= 0 while the flux C_{j+1} demanded from it
+    is positive; the exception lists every such level. A level facing no
+    demand gets P_j = 0, whatever its pool.
     """
     if plan is None:
         plan = FlexPlan.all_internal(spec.size)
     plan.check(spec)
-    c = promotion_demands(spec, plan)
-    pools = steady_promotable_pool(spec, plan)
-    bad = [j for j in range(spec.size - 1) if pools[j] <= 0.0]
-    if bad:
-        raise IllPosedError([j + 1 for j in bad], [pools[j] for j in bad])
+    c, pools, ill = stationary_pools(spec, plan)
+    IllPosedError.check(pools, ill)
     rate = np.zeros(spec.size)
-    rate[:-1] = c[1:-1] / pools[:-1]
+    np.divide(c[1:], pools, out=rate, where=c[1:] > 0.0)
     inflow = spec.mu * spec.n * plan.p + c[1:]
     return SteadyState(
         spec=spec,

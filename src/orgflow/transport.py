@@ -42,6 +42,7 @@ from .org import (
     FlexPlan,
     IllPosedError,
     OrgSpec,
+    ill_posed,
     promotion_demands,
     stationary_state,
 )
@@ -273,28 +274,15 @@ def discrete_stationary_density(spec: OrgSpec, plan: FlexPlan,
     """
     masses = spec.n * plan.p
     c = promotion_demands(spec, plan)
-    density = np.zeros((spec.size, grid.n_nodes))
+    cuts = [grid.eligibility_index(t) for t in spec.tau]
+    decay_pre = (1.0 + spec.mu * grid.ds) ** -np.array(cuts)
+    pools = ((spec.mu * masses + c[1:]) * decay_pre - c[1:]) / spec.mu
+    IllPosedError.check(pools, ill_posed(pools, c))
     rates = np.zeros(spec.size)
-    bad_levels = []
-    bad_pools = []
-    for j in range(spec.size):
-        m_j = masses[j]
-        demand = c[j + 1]
-        if m_j <= 0.0:
-            if demand > 0.0:
-                bad_levels.append(j + 1)
-                bad_pools.append(0.0)
-            continue
-        mu = spec.mu[j]
-        n_tau = grid.eligibility_index(spec.tau[j])
-        decay_pre = (1.0 + mu * grid.ds) ** (-n_tau)
-        if demand > 0.0:
-            pool = ((mu * m_j + demand) * decay_pre - demand) / mu
-            if pool <= 0.0:
-                bad_levels.append(j + 1)
-                bad_pools.append(pool)
-                continue
-            rates[j] = demand / pool
+    np.divide(c[1:], pools, out=rates, where=c[1:] > 0.0)
+    density = np.zeros((spec.size, grid.n_nodes))
+    for j in np.flatnonzero(masses > 0.0):
+        mu, m_j, demand, n_tau = spec.mu[j], masses[j], c[j + 1], cuts[j]
         inflow = mu * m_j + demand
         a = 1.0 / (1.0 + mu * grid.ds)
         b = 1.0 / (1.0 + (mu + rates[j]) * grid.ds)
@@ -313,8 +301,6 @@ def discrete_stationary_density(spec: OrgSpec, plan: FlexPlan,
         else:
             profile *= m_j / held
         density[j] = profile
-    if bad_levels:
-        raise IllPosedError(bad_levels, bad_pools)
     return density, rates
 
 
@@ -368,9 +354,8 @@ def make_initial_density(spec: OrgSpec, plan: FlexPlan | None,
             "uniform, or truncated-exponential"
         )
     pools = discrete_pools(density, spec, grid, masses)
-    c = promotion_demands(spec, plan)
-    starved = [j + 1 for j in range(spec.size)
-               if pools[j] <= 0.0 and c[j + 1] > 0.0]
+    starved = [int(j) + 1 for j in np.flatnonzero(
+        ill_posed(pools, promotion_demands(spec, plan)))]
     if starved:
         raise InfeasibleInitialDataError(
             "initial data leaves no promotable staff at level"

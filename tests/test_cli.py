@@ -200,6 +200,50 @@ def test_dump_config_round_trip(tmp_path, capsys):
     assert parse_config(json.loads(first)).normalized() == json.loads(first)
 
 
+def test_steady_accepts_empty_level_without_promotion_demand(tmp_path, capsys):
+    levels = [{"headcount": n, "attrition": mu, "eligibility_age": 4.0}
+              for n, mu in zip([8000, 4000, 2500, 1000, 500],
+                               [0.16, 0.16, 0.16, 0.16, 0.5])]
+    path = base_scenario(tmp_path, org={"levels": levels},
+                         plan={"alpha": [1.0] * 4, "p": [1, 1, 1, 0, 0]})
+    assert cli.main(["steady", "--config", path]) == 0
+    out = capsys.readouterr().out
+    level4 = next(line.split() for line in out.splitlines()
+                  if line.split()[:1] == ["4"])
+    assert float(level4[4]) == 0.0 and float(level4[5]) == 0.0
+
+
+def test_cost_where_exp_mu_tau_overflows(tmp_path, capsys):
+    org = {"wage_growth": 0.04, "levels": [
+        {"headcount": 10000, "attrition": 0.1, "eligibility_age": 1.0,
+         "base_wage": 30.0},
+        {"headcount": 50, "attrition": 3.0, "eligibility_age": 300.0,
+         "base_wage": 60.0},
+    ]}
+    path = base_scenario(tmp_path, org=org,
+                         grid={"ds": 0.05, "dt": 0.05, "s_max": 400.0})
+    assert cli.main(["cost", "--config", path]) == 0
+    assert "total:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command,key", [
+    ("cost", "org.levels[0].headcount"),
+    ("simulate", "grid.horizon"),
+])
+def test_non_finite_number_is_config_error(tmp_path, capsys, command, key):
+    data = {"org": plain_org(wages=True),
+            "grid": {"ds": 0.05, "dt": 0.05, "s_max": 70.0, "horizon": 1.0},
+            "output": {"directory": str(tmp_path / "out")}}
+    if key == "grid.horizon":
+        data["grid"]["horizon"] = float("inf")
+    else:
+        data["org"]["levels"][0]["headcount"] = float("inf")
+    path = write_scenario(tmp_path, data)
+    assert "Infinity" in (tmp_path / "scenario.json").read_text()
+    assert cli.main([command, "--config", path]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_unknown_key_is_config_error(tmp_path, capsys):
     data = {"org": plain_org(), "polcy": {"mode": "max-internal"}}
     path = write_scenario(tmp_path, data)

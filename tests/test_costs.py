@@ -62,6 +62,9 @@ def test_level_cost_matches_quadrature(costed_org_20):
 
 def test_quadrature_agreement_on_random_orgs():
     rng = np.random.default_rng(3)
+    # draws for the business-unit identities, kept apart from rng so the
+    # sequence of sampled orgs stays fixed
+    units = np.random.default_rng(4)
     for _ in range(60):
         size = int(rng.integers(2, 5))
         heads = rng.uniform(200.0, 5000.0, size)
@@ -80,6 +83,61 @@ def test_quadrature_agreement_on_random_orgs():
         for level in range(1, size + 1):
             oracle = cost_quadrature_oracle(spec, plan, level)
             assert bd.per_level[level - 1] == pytest.approx(oracle, rel=1e-6)
+            assert level_cost(spec, plan, level) == pytest.approx(
+                bd.per_level[level - 1], rel=1e-12)
+
+        # business units promote internally: one unit is the organization
+        # under alpha = 1, and both sides share the ill-posedness rule
+        internal = FlexPlan(alpha=np.ones(size - 1), p=plan.p.copy())
+        whole = BusinessUnitPlan(headcounts=spec.n[np.newaxis],
+                                 permanent_share=plan.p[np.newaxis],
+                                 floater_share=np.zeros((1, size)))
+        try:
+            expected = org_cost(spec, internal).total
+        except IllPosedError:
+            with pytest.raises(IllPosedError):
+                business_unit_cost(spec, whole)
+            continue
+        assert business_unit_cost(spec, whole).total == pytest.approx(
+            expected, rel=1e-12)
+
+        # the floater reduction prices the units at its own floater shares
+        for lv, mu, w in zip(spec.levels, mus, base):
+            lv.floater_wage = ConstantWage(mu * w * units.uniform(1.0, 2.0))
+        split = units.uniform(0.3, 0.7, size)
+        bu = BusinessUnitPlan(headcounts=np.vstack([split, 1.0 - split]) * heads,
+                              permanent_share=np.vstack([plan.p, plan.p]),
+                              floater_share=np.zeros((2, size)))
+        reduction = reduce_floaters(spec, bu)
+        at_shares = BusinessUnitPlan(headcounts=bu.headcounts,
+                                     permanent_share=bu.permanent_share,
+                                     floater_share=reduction.floater_share)
+        try:
+            expected = business_unit_cost(spec, at_shares).total
+        except IllPosedError:  # a unit too small to promote internally
+            continue
+        assert reduction.total_cost() == pytest.approx(expected, rel=1e-12)
+
+
+def test_wage_bill_finite_where_exp_mu_tau_overflows():
+    # mu_2 tau_2 = 900: e^{mu tau} overflows and e^{-mu tau} underflows
+    spec = build_org([10000.0, 50.0], [0.1, 3.0], [1.0, 300.0],
+                     base=[30.0, 60.0], growth=0.04)
+    bd = org_cost(spec)
+    assert np.all(np.isfinite(bd.per_level))
+    mu, n, w0, r = 3.0, 50.0, 60.0, 0.04
+    assert bd.per_level[1] == pytest.approx(w0 * mu * n / (mu - r), rel=1e-12)
+    assert bd.per_level[0] == pytest.approx(
+        cost_quadrature_oracle(spec, FlexPlan.all_internal(2), 1), rel=1e-6)
+
+
+def test_case1_diagnostics_finite_for_long_single_level():
+    spec = build_org([100.0], [3.0], [300.0], base=[30.0], temp=[45.0],
+                     growth=0.04)
+    diag = case1_diagnostics(spec, FlexPlan(alpha=np.ones(0), p=np.array([0.7])))
+    assert np.isfinite([diag.first_derivative, diag.second_derivative,
+                        diag.p_opt]).all()
+    assert diag.regime == "all-permanent"
 
 
 def test_cost_depends_only_on_own_and_higher_levels(costed_org_20):
@@ -232,6 +290,9 @@ def test_case1_derivative_matches_finite_differences():
         dn = FlexPlan(alpha=np.ones(4), p=np.array([p1 - h, 1, 1, 1, 1.0]))
         fd = (level_cost(spec, up, 1) - level_cost(spec, dn, 1)) / (2 * h)
         assert diag.first_derivative == pytest.approx(fd, rel=1e-5)
+        fd2 = (case1_diagnostics(spec, up).first_derivative
+               - case1_diagnostics(spec, dn).first_derivative) / (2 * h)
+        assert diag.second_derivative == pytest.approx(fd2, rel=1e-5)
 
 
 def test_case1_positive_curvature_across_sweep():

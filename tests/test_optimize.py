@@ -12,6 +12,7 @@ from orgflow import (
     golden_section,
     org_cost,
     penalized_cost,
+    stationary_state,
     steady_promotable_pool,
     write_ga_csv,
 )
@@ -131,6 +132,23 @@ def test_penalized_cost_grows_with_infeasibility():
     severe = FlexPlan(alpha=np.ones(4), p=np.array([0.01, 0.01, 1, 1, 1.0]))
     assert penalized_cost(spec, mild) > ceiling
     assert penalized_cost(spec, severe) > penalized_cost(spec, mild)
+
+
+def test_empty_levels_nobody_promotes_from_are_well_posed():
+    # the high-turnover ladder with temporaries only at levels 4 and 5:
+    # pool 4 is empty, but nothing is promoted out of it
+    base = [35.0, 49.0, 69.0, 96.0, 134.0]
+    spec = build_org([8000, 4000, 2500, 1000, 500],
+                     [0.16, 0.16, 0.16, 0.16, 0.5], [4.0] * 5,
+                     base=base, temp=[1.2 * w for w in base], growth=0.04)
+    plan = FlexPlan(alpha=np.ones(4), p=np.array([1, 1, 1, 0, 0.0]))
+    state = stationary_state(spec, plan)
+    assert state.pool[3] == 0.0
+    assert state.promotion_rate[3] == 0.0
+    assert np.all(np.isfinite(state.promotion_rate))
+    assert penalized_cost(spec, plan) == org_cost(spec, plan).total
+    objective = PlanObjective(spec)
+    assert objective.is_feasible(np.concatenate([plan.alpha, plan.p]))
 
 
 def test_plan_objective_decode_round_trip():
