@@ -82,11 +82,16 @@ class CostBreakdown:
         return float(self.per_level.sum())
 
 
-def _check_growth(mu: float, r: float, level: int) -> None:
-    if r >= mu:
-        raise GrowthExceedsAttritionError(
-            f"level {level}: wage growth {r} must stay below attrition {mu}"
-        )
+def _check_growth(spec: OrgSpec, *levels: int) -> None:
+    """Wage growth must stay below attrition at the given levels (all
+    levels when none are given), or the wage integral diverges."""
+    r = spec.wage_growth
+    for level in levels or range(1, spec.size + 1):
+        mu = spec.mu[level - 1]
+        if r >= mu:
+            raise GrowthExceedsAttritionError(
+                f"level {level}: wage growth {r} must stay below attrition {mu}"
+            )
 
 
 def _permanent_wage_bill(mu, tau, r, w0, perm_mass, c_next):
@@ -126,7 +131,7 @@ def level_cost(spec: OrgSpec, plan: FlexPlan, level: int) -> float:
     j = level - 1
     if not 1 <= level <= spec.size:
         raise ValueError(f"level {level} outside 1..{spec.size}")
-    _check_growth(spec.mu[j], spec.wage_growth, level)
+    _check_growth(spec, level)
     c, pools, ill = stationary_pools(spec, plan)
     if ill[j]:
         raise IllPosedError([level], [pools[j]])
@@ -147,7 +152,7 @@ def cost_quadrature_oracle(spec: OrgSpec, plan: FlexPlan, level: int) -> float:
     if not 1 <= level <= spec.size:
         raise ValueError(f"level {level} outside 1..{spec.size}")
     mu, tau, r, w0 = spec.mu[j], spec.tau[j], spec.wage_growth, spec.w0[j]
-    _check_growth(mu, r, level)
+    _check_growth(spec, level)
     c, pools, ill = stationary_pools(spec, plan)
     perm_mass = spec.n[j] * plan.p[j]
     inflow = mu * perm_mass + c[j + 1]
@@ -193,8 +198,7 @@ def org_cost(spec: OrgSpec, plan: FlexPlan | None = None) -> CostBreakdown:
     if plan is None:
         plan = FlexPlan.all_internal(spec.size)
     plan.check(spec)
-    for j in range(spec.size):
-        _check_growth(spec.mu[j], spec.wage_growth, j + 1)
+    _check_growth(spec)
     c, pools, ill = stationary_pools(spec, plan)
     IllPosedError.check(pools, ill)
     perm = _permanent_wage_bill(spec.mu, spec.tau, spec.wage_growth, spec.w0,
@@ -374,9 +378,11 @@ def business_unit_cost(spec: OrgSpec, bu_plan: BusinessUnitPlan) -> CostBreakdow
     wage bill of the unit's own stationary profile (units promote
     internally, so each is costed as an independent organization whose
     permanent mass is N_j^k p_j^k). Fails with IllPosedError when any
-    unit is ill posed.
+    unit is ill posed, and with GrowthExceedsAttritionError when wage
+    growth reaches any level's attrition.
     """
     bu_plan.check(spec)
+    _check_growth(spec)
     wt = bu_plan.resolved_temp_wage(spec)
     # wage curves are only needed where floaters are actually deployed
     wfa = (bu_plan.resolved_floater_cost(spec)
@@ -490,7 +496,7 @@ def case1_diagnostics(spec: OrgSpec, plan: FlexPlan) -> Case1Diagnostics:
     plan.check(spec)
     if spec.size > 1 and not np.all(plan.p[1:] == 1.0):
         raise ValueError("one-level diagnostics need p_2..p_L = 1")
-    _check_growth(spec.mu[0], spec.wage_growth, 1)
+    _check_growth(spec, 1)
     mu, tau, r, n1, w0, c2, inflow, denom = _case1_pieces(spec, plan)
     wt1 = spec.wt[0]
     decay = math.exp(-mu * tau)
@@ -539,8 +545,7 @@ def case2_residuals(spec: OrgSpec, plan: FlexPlan) -> tuple[float, float]:
         raise ValueError("two-level diagnostics need at least two levels")
     if spec.size > 2 and not np.all(plan.p[2:] == 1.0):
         raise ValueError("two-level diagnostics need p_3..p_L = 1")
-    for j in (0, 1):
-        _check_growth(spec.mu[j], spec.wage_growth, j + 1)
+    _check_growth(spec, 1, 2)
     mu, tau, r, n1, w0, c2, inflow1, denom1 = _case1_pieces(spec, plan)
     boost1 = math.exp((r - mu) * tau)
     lhs1 = (mu - r) * n1 * spec.wt[0]

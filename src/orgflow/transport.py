@@ -13,7 +13,10 @@ with a ghost boundary value chosen so the discrete mass ds * sum_i rho_i
 is restored to the level's permanent headcount every step:
 
     rho^k_0 = (mu + P) M - P ds sum_{0 < s_i <= tau} rho^k_i
-            = mu M + P A^k.
+            = mu M + P A^k,
+
+where A^k = M - ds sum_{0 < s_i <= tau} rho^k_i is the promotable pool the
+policy closure has just computed from the same density.
 
 Stability needs only the advection CFL condition dt <= ds; the decay terms
 are unconditionally damped, and all update weights stay nonnegative, so
@@ -57,7 +60,6 @@ __all__ = [
     "discrete_stationary_density",
     "make_initial_density",
     "step",
-    "close_policy_max_internal",
     "close_policy_external_fraction",
     "run",
     "level_metrics",
@@ -114,18 +116,19 @@ class SeniorityGrid:
     def s(self) -> np.ndarray:
         return self.ds * np.arange(1, self.n_nodes + 1)
 
-    def eligibility_index(self, tau: float) -> int:
-        """Number of nodes with s_i <= tau (nodes still below eligibility).
+    def eligibility_index(self, tau) -> np.ndarray:
+        """Number of nodes with s_i <= tau (nodes still below eligibility),
+        elementwise over an array of ages.
 
         The node sitting exactly at tau counts as pre-eligibility; a small
         relative slack keeps that true under float division.
         """
-        return min(self.n_nodes, int(math.floor(tau / self.ds + 1e-9)))
+        cut = np.floor(np.asarray(tau, dtype=float) / self.ds + 1e-9)
+        return np.minimum(self.n_nodes, cut.astype(int))
 
     def pre_eligibility_mask(self, spec: OrgSpec) -> np.ndarray:
         idx = np.arange(1, self.n_nodes + 1)
-        cuts = np.array([self.eligibility_index(t) for t in spec.tau])
-        return idx[np.newaxis, :] <= cuts[:, np.newaxis]
+        return idx[np.newaxis, :] <= self.eligibility_index(spec.tau)[:, np.newaxis]
 
 
 @dataclass
@@ -137,6 +140,9 @@ class PolicyState:
     shortfall  delta_j >= 0, the hiring beyond the imposed external
                fraction, needed when the promotion cap binds
     pool       discrete promotable mass A_j used by the closure
+    empty      pools the closure treats as empty, A_j <= 1e-12 max(M_j, 1):
+               no promotion flow is drawn from them, and level_metrics
+               reports no excess wait there
     cap        the promotion-rate ceiling in force
     """
 
@@ -144,6 +150,7 @@ class PolicyState:
     hiring: np.ndarray
     shortfall: np.ndarray
     pool: np.ndarray
+    empty: np.ndarray
     cap: float
 
     def balance_residual(self, spec: OrgSpec, masses: np.ndarray) -> np.ndarray:
@@ -193,6 +200,7 @@ def close_policy_external_fraction(density: np.ndarray, spec: OrgSpec,
     if cap <= 0:
         raise ValueError("promotion cap must be positive")
     pools = discrete_pools(density, spec, grid, masses)
+    empty = pools <= _POOL_EPS * np.maximum(masses, 1.0)
     promotion = np.zeros(size)
     hiring = np.zeros(size)
     shortfall = np.zeros(size)
@@ -200,7 +208,7 @@ def close_policy_external_fraction(density: np.ndarray, spec: OrgSpec,
         demand = spec.mu[j] * masses[j] + promotion[j] * pools[j]
         if j > 0:
             below = pools[j - 1]
-            if below <= _POOL_EPS * max(masses[j - 1], 1.0):
+            if empty[j - 1]:
                 promotion[j - 1] = cap if math.isfinite(cap) else 0.0
                 below = max(below, 0.0)
             else:
@@ -214,21 +222,7 @@ def close_policy_external_fraction(density: np.ndarray, spec: OrgSpec,
             imposed = frac[j] * promoted if j > 0 else 0.0
             shortfall[j] = max(external - imposed, 0.0) / masses[j]
     return PolicyState(promotion=promotion, hiring=hiring,
-                       shortfall=shortfall, pool=pools, cap=cap)
-
-
-def close_policy_max_internal(density: np.ndarray, spec: OrgSpec,
-                              grid: SeniorityGrid,
-                              cap: float = DEFAULT_PROMOTION_CAP,
-                              masses: np.ndarray | None = None) -> PolicyState:
-    """Close rates by promoting as much as the cap and the pools allow.
-
-    External hiring appears only where the cap binds (and always at the
-    bottom level, which has nobody to promote from). Identical to the
-    external-fraction closure with a zero imposed fraction.
-    """
-    return close_policy_external_fraction(density, spec, grid, cap=cap,
-                                          alpha_frac=0.0, masses=masses)
+                       shortfall=shortfall, pool=pools, empty=empty, cap=cap)
 
 
 def step(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
@@ -237,18 +231,20 @@ def step(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
 
     Explicit upwind advection, implicit attrition and promotion decay,
     with the promotion source active below the eligibility age and the
-    ghost boundary value restoring each level's discrete mass (see module
-    docstring). Levels are uncoupled within a step; they interact only
-    through the policy closure between steps.
+    ghost boundary value rho_0 = mu M + P A restoring each level's discrete
+    mass (see module docstring). Levels are uncoupled within a step; they
+    interact only through the policy closure between steps.
+
+    policy must be the closure of this same density with these masses (as
+    run() calls it): its pool A is the promotable mass the ghost value
+    needs.
     """
     lam = grid.dt / grid.ds
     mu = spec.mu[:, np.newaxis]
     rate = policy.promotion[:, np.newaxis]
     pre = grid.pre_eligibility_mask(spec)
-    boundary = ((spec.mu + policy.promotion) * masses
-                - policy.promotion * grid.ds * np.sum(density * pre, axis=1))
     upwind = np.empty_like(density)
-    upwind[:, 0] = boundary
+    upwind[:, 0] = spec.mu * masses + policy.promotion * policy.pool
     upwind[:, 1:] = density[:, :-1]
     numer = density - lam * (density - upwind) + grid.dt * rate * pre * density
     return numer / (1.0 + grid.dt * (mu + rate))
@@ -274,33 +270,30 @@ def discrete_stationary_density(spec: OrgSpec, plan: FlexPlan,
     """
     masses = spec.n * plan.p
     c = promotion_demands(spec, plan)
-    cuts = [grid.eligibility_index(t) for t in spec.tau]
-    decay_pre = (1.0 + spec.mu * grid.ds) ** -np.array(cuts)
+    cuts = grid.eligibility_index(spec.tau)
+    decay_pre = (1.0 + spec.mu * grid.ds) ** -cuts
     pools = ((spec.mu * masses + c[1:]) * decay_pre - c[1:]) / spec.mu
     IllPosedError.check(pools, ill_posed(pools, c))
     rates = np.zeros(spec.size)
     np.divide(c[1:], pools, out=rates, where=c[1:] > 0.0)
-    density = np.zeros((spec.size, grid.n_nodes))
-    for j in np.flatnonzero(masses > 0.0):
-        mu, m_j, demand, n_tau = spec.mu[j], masses[j], c[j + 1], cuts[j]
-        inflow = mu * m_j + demand
-        a = 1.0 / (1.0 + mu * grid.ds)
-        b = 1.0 / (1.0 + (mu + rates[j]) * grid.ds)
-        i = np.arange(1, grid.n_nodes + 1)
-        profile = np.where(
-            i <= n_tau,
-            inflow * a ** i,
-            inflow * a ** n_tau * b ** np.maximum(i - n_tau, 0),
-        )
-        # park the truncated tail mass on the final node to keep the
-        # discrete constraint exact; a rounding-level surplus is rescaled
-        # away instead so the profile never dips below zero
-        held = grid.ds * float(np.sum(profile))
-        if held <= m_j:
-            profile[-1] += (m_j - held) / grid.ds
-        else:
-            profile *= m_j / held
-        density[j] = profile
+    # one row per level; an empty level has zero inflow, hence a zero row
+    mu, n_tau = spec.mu[:, np.newaxis], cuts[:, np.newaxis]
+    inflow = mu * masses[:, np.newaxis] + c[1:, np.newaxis]
+    a = 1.0 / (1.0 + mu * grid.ds)
+    b = 1.0 / (1.0 + (mu + rates[:, np.newaxis]) * grid.ds)
+    i = np.arange(1, grid.n_nodes + 1)
+    density = np.where(
+        i <= n_tau,
+        inflow * a ** i,
+        inflow * a ** n_tau * b ** np.maximum(i - n_tau, 0),
+    )
+    # park the truncated tail mass on the final node to keep the discrete
+    # constraint exact; a rounding-level surplus is rescaled away instead
+    # so the profile never dips below zero
+    held = grid.ds * density.sum(axis=1)
+    short = held <= masses
+    density[short, -1] += (masses[short] - held[short]) / grid.ds
+    density[~short] *= (masses[~short] / held[~short])[:, np.newaxis]
     return density, rates
 
 
@@ -331,23 +324,16 @@ def make_initial_density(spec: OrgSpec, plan: FlexPlan | None,
     if kind == "stationary":
         density, _ = discrete_stationary_density(spec, plan, grid)
     elif kind == "uniform":
-        density = np.zeros((spec.size, grid.n_nodes))
-        for j in range(spec.size):
-            if masses[j] <= 0.0:
-                continue
-            width = 2.0 * spec.tau[j] if spec.tau[j] > 0 else 1.0 / spec.mu[j]
-            width = min(width, grid.s_max)
-            edge = max(1, min(grid.n_nodes, int(math.floor(width / grid.ds + 1e-9))))
-            density[j, :edge] = masses[j] / (grid.ds * edge)
-            deficit = masses[j] - grid.ds * float(np.sum(density[j]))
-            density[j, edge - 1] += deficit / grid.ds
+        width = np.where(spec.tau > 0, 2.0 * spec.tau, 1.0 / spec.mu)
+        edge = np.maximum(1, grid.eligibility_index(np.minimum(width, grid.s_max)))
+        idx = np.arange(1, grid.n_nodes + 1)
+        density = np.where(idx <= edge[:, np.newaxis],
+                           (masses / (grid.ds * edge))[:, np.newaxis], 0.0)
+        deficit = masses - grid.ds * density.sum(axis=1)
+        density[np.arange(spec.size), edge - 1] += deficit / grid.ds
     elif kind == "truncated-exponential":
-        density = np.zeros((spec.size, grid.n_nodes))
-        for j in range(spec.size):
-            if masses[j] <= 0.0:
-                continue
-            profile = np.exp(-spec.mu[j] * grid.s)
-            density[j] = profile * (masses[j] / (grid.ds * float(np.sum(profile))))
+        profile = np.exp(-spec.mu[:, np.newaxis] * grid.s)
+        density = profile * (masses / (grid.ds * profile.sum(axis=1)))[:, np.newaxis]
     else:
         raise ValueError(
             f"unknown initial density kind {kind!r}; expected stationary, "
@@ -403,25 +389,14 @@ class SimulationResult:
         }
 
 
-def _excess_wait(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
-                 pools: np.ndarray) -> np.ndarray:
-    """Mean seniority beyond the eligibility age among promotable staff."""
-    post = ~grid.pre_eligibility_mask(spec)
-    excess = grid.s[np.newaxis, :] - spec.tau[:, np.newaxis]
-    weighted = grid.ds * np.sum(density * post * excess, axis=1)
-    out = np.zeros(spec.size)
-    alive = pools > _POOL_EPS
-    out[alive] = weighted[alive] / pools[alive]
-    return out
-
-
 def level_metrics(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
                   policy: PolicyState, masses: np.ndarray,
                   steady_density: np.ndarray | None = None) -> dict:
     """Per-level snapshot metrics.
 
     ready_ratio   promotable share A_j / M_j
-    excess_wait   mean seniority past tau_j among promotable staff (years)
+    excess_wait   mean seniority past tau_j among promotable staff (years),
+                  0 where the closure found the pool empty
     l1_to_steady  ds * sum |rho - steady| / M_j, NaN without a reference
     mass_error    |ds * sum rho - M_j| / M_j
     """
@@ -434,9 +409,15 @@ def level_metrics(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
         else:
             l1 = grid.ds * np.sum(np.abs(density - steady_density), axis=1)
             l1 = np.where(masses > 0, l1 / masses, l1)
+    post = ~grid.pre_eligibility_mask(spec)
+    excess = grid.s[np.newaxis, :] - spec.tau[:, np.newaxis]
+    weighted = grid.ds * np.sum(density * post * excess, axis=1)
+    alive = ~policy.empty
+    wait = np.zeros(spec.size)
+    wait[alive] = weighted[alive] / policy.pool[alive]
     return {
         "ready_ratio": ready,
-        "excess_wait": _excess_wait(density, spec, grid, policy.pool),
+        "excess_wait": wait,
         "l1_to_steady": l1,
         "mass_error": mass_err,
     }

@@ -159,10 +159,18 @@ def test_zero_discount_all_permanent_top_level_is_plain_wage_bill():
 
 
 def test_growth_reaching_attrition_rejected():
-    spec = costed_org()
+    spec = costed_org(premium=0.2)
     spec.wage_growth = 0.08
-    with pytest.raises(GrowthExceedsAttritionError):
-        org_cost(spec)
+    for lv in spec.levels:
+        lv.floater_wage = ConstantWage(40.0)
+    units = BusinessUnitPlan(headcounts=spec.n[np.newaxis],
+                             permanent_share=np.full((1, spec.size), 0.9),
+                             floater_share=np.zeros((1, spec.size)))
+    for cost in (lambda: org_cost(spec),
+                 lambda: business_unit_cost(spec, units),
+                 lambda: reduce_floaters(spec, units).total_cost()):
+        with pytest.raises(GrowthExceedsAttritionError):
+            cost()
 
 
 def test_temp_share_without_temp_wage_raises(costed_org_plain):

@@ -10,7 +10,6 @@ from orgflow import (
     InfeasibleInitialDataError,
     SeniorityGrid,
     close_policy_external_fraction,
-    close_policy_max_internal,
     discrete_pools,
     discrete_stationary_density,
     level_metrics,
@@ -40,6 +39,9 @@ def test_grid_nodes_and_eligibility_index():
     assert grid.eligibility_index(3.99) == 79
     assert grid.eligibility_index(0.0) == 0
     assert grid.eligibility_index(999.0) == grid.n_nodes
+    np.testing.assert_array_equal(
+        grid.eligibility_index(np.array([4.0, 3.99, 0.0, 999.0])),
+        [80, 79, 0, grid.n_nodes])
 
 
 @pytest.mark.parametrize("kind", ["stationary", "uniform",
@@ -81,8 +83,8 @@ def test_single_level_fixed_point_is_stationary():
     density, rates = discrete_stationary_density(
         org, FlexPlan.all_internal(1), grid)
     assert rates[0] == 0.0
-    state = close_policy_max_internal(density, org, grid, cap=np.inf,
-                                      masses=masses)
+    state = close_policy_external_fraction(density, org, grid, cap=np.inf,
+                                           masses=masses)
     after = step(density, org, grid, state, masses)
     np.testing.assert_allclose(after, density, atol=1e-6)
     assert abs(grid.ds * after.sum() - 500.0) / 500.0 < 1e-10
@@ -120,23 +122,73 @@ def test_stationary_kind_requires_well_posed_demands():
 
 def test_mass_restored_every_step(low_turnover_org):
     grid = SeniorityGrid(s_max=70.0)
-    masses = low_turnover_org.n.astype(float)
-    density = make_initial_density(low_turnover_org, None, grid, "uniform")
-    for _ in range(40):
-        state = close_policy_max_internal(density, low_turnover_org, grid,
-                                          cap=np.inf, masses=masses)
-        density = step(density, low_turnover_org, grid, state, masses)
-        err = np.abs(grid.ds * density.sum(axis=1) - masses) / masses
-        assert np.max(err) < 1e-12
-        assert np.all(density >= 0.0)
+    # the ladder plus seeded random well-posed orgs, sampled as in
+    # test_quadrature_agreement_on_random_orgs, under their plans' shares
+    rng = np.random.default_rng(5)
+    cases = [(low_turnover_org, FlexPlan.all_internal(5))]
+    while len(cases) < 13:
+        size = int(rng.integers(2, 5))
+        spec = build_org(rng.uniform(200.0, 5000.0, size),
+                         rng.uniform(0.05, 0.6, size),
+                         rng.uniform(0.5, 6.0, size))
+        plan = FlexPlan(alpha=1.0 + rng.random(size - 1),
+                        p=rng.uniform(0.3, 1.0, size))
+        try:
+            stationary_state(spec, plan)
+            make_initial_density(spec, plan, grid, "uniform")
+        except (IllPosedError, InfeasibleInitialDataError):
+            continue
+        cases.append((spec, plan))
+    for spec, plan in cases:
+        masses = spec.n * plan.p
+        frac = np.concatenate(([0.0], plan.alpha - 1.0))
+        for cap in (1.0, np.inf):
+            density = make_initial_density(spec, plan, grid, "uniform")
+            for _ in range(40):
+                state = close_policy_external_fraction(
+                    density, spec, grid, cap=cap, alpha_frac=frac,
+                    masses=masses)
+                residual = state.balance_residual(spec, masses)
+                assert np.all(np.abs(residual) <= 1e-9 * spec.mu * masses)
+                density = step(density, spec, grid, state, masses)
+                err = np.abs(grid.ds * density.sum(axis=1) - masses) / masses
+                assert np.max(err) < 1e-12
+                assert np.all(density >= 0.0)
+
+
+def test_unit_courant_step_is_exact_shift(low_turnover_org):
+    # at dt = ds the upwind update moves every node one cell along its
+    # characteristic and adds no numerical diffusion (LeVeque, Finite
+    # Volume Methods for Hyperbolic Problems, 2002, ch. 4)
+    org = low_turnover_org
+    grid = SeniorityGrid(ds=0.05, dt=0.05, s_max=70.0)
+    masses = org.n.astype(float)
+    density = make_initial_density(org, None, grid, "truncated-exponential")
+    state = close_policy_external_fraction(density, org, grid, cap=np.inf,
+                                           masses=masses)
+    after = step(density, org, grid, state, masses)
+    rate = state.promotion
+    decay = 1.0 + grid.dt * (org.mu + rate)[:, np.newaxis]
+    pre = grid.pre_eligibility_mask(org)[:, 1:]
+    shifted = density[:, :-1] / decay
+    np.testing.assert_allclose(after[:, 1:][~pre], shifted[~pre], rtol=1e-14)
+    promoted = grid.dt * rate[:, np.newaxis] * density[:, 1:] / decay
+    np.testing.assert_allclose(after[:, 1:][pre], (shifted + promoted)[pre],
+                               rtol=1e-14)
+    # node 1 comes from the mass-restoring ghost value (module docstring)
+    held = grid.ds * np.sum(density * grid.pre_eligibility_mask(org), axis=1)
+    ghost = (org.mu + rate) * masses - rate * held
+    np.testing.assert_allclose(
+        after[:, 0], (ghost + grid.dt * rate * density[:, 0]) / decay[:, 0],
+        rtol=1e-14)
 
 
 def test_policy_closure_balances_exactly(low_turnover_org):
     grid = SeniorityGrid(s_max=70.0)
     masses = low_turnover_org.n.astype(float)
     density = make_initial_density(low_turnover_org, None, grid, "uniform")
-    state = close_policy_max_internal(density, low_turnover_org, grid,
-                                      cap=np.inf, masses=masses)
+    state = close_policy_external_fraction(density, low_turnover_org, grid,
+                                           cap=np.inf, masses=masses)
     np.testing.assert_allclose(
         state.balance_residual(low_turnover_org, masses), 0.0, atol=1e-9)
     assert state.promotion[-1] == 0.0
@@ -149,8 +201,8 @@ def test_promotion_cap_forces_shortfall_hiring(high_turnover_org):
     grid = SeniorityGrid(s_max=70.0)
     masses = high_turnover_org.n.astype(float)
     density = make_initial_density(high_turnover_org, None, grid, "uniform")
-    state = close_policy_max_internal(density, high_turnover_org, grid,
-                                      cap=0.3, masses=masses)
+    state = close_policy_external_fraction(density, high_turnover_org, grid,
+                                           cap=0.3, masses=masses)
     assert np.all(state.promotion[:-1] <= 0.3 + 1e-12)
     clipped = state.promotion[:-1] >= 0.3 - 1e-12
     assert np.any(clipped)
@@ -168,27 +220,34 @@ def test_empty_pool_policy_degenerates_gracefully():
     density[1] = 50.0 * 0.2 * np.exp(-0.2 * grid.s)
     density[1] *= 50.0 / (grid.ds * density[1].sum())
     masses = np.array([100.0, 50.0])
-    capped = close_policy_max_internal(density, org, grid, cap=5.0,
-                                       masses=masses)
+    capped = close_policy_external_fraction(density, org, grid, cap=5.0,
+                                            masses=masses)
     assert capped.promotion[0] == 5.0
     assert capped.hiring[1] > 0.0
-    uncapped = close_policy_max_internal(density, org, grid, cap=np.inf,
-                                         masses=masses)
+    uncapped = close_policy_external_fraction(density, org, grid, cap=np.inf,
+                                              masses=masses)
     assert uncapped.promotion[0] == 0.0
     assert uncapped.hiring[1] > 0.0
 
 
-def test_external_fraction_zero_matches_max_internal(low_turnover_org):
-    grid = SeniorityGrid(s_max=70.0)
-    masses = low_turnover_org.n.astype(float)
-    density = make_initial_density(low_turnover_org, None, grid, "uniform")
-    a = close_policy_max_internal(density, low_turnover_org, grid,
-                                  cap=np.inf, masses=masses)
-    b = close_policy_external_fraction(density, low_turnover_org, grid,
-                                       cap=np.inf, alpha_frac=0.0,
-                                       masses=masses)
-    np.testing.assert_array_equal(a.promotion, b.promotion)
-    np.testing.assert_array_equal(a.hiring, b.hiring)
+def test_near_empty_pool_has_no_excess_wait():
+    # all but 2e-9 of level 1 sits below its eligibility age: the closure
+    # treats that pool as empty, so nobody there waits for promotion
+    org = build_org([8000.0, 500.0], [0.1, 0.2], [4.0, 1.0])
+    grid = SeniorityGrid(s_max=30.0)
+    masses = org.n.astype(float)
+    density = np.zeros((2, grid.n_nodes))
+    density[0, :80] = (8000.0 - 2e-9) / (grid.ds * 80)
+    density[0, 100] = 2e-9 / grid.ds  # 1.05 y past the eligibility age
+    density[1] = np.exp(-0.2 * grid.s)
+    density[1] *= 500.0 / (grid.ds * density[1].sum())
+    state = close_policy_external_fraction(density, org, grid, cap=np.inf,
+                                           masses=masses)
+    assert 0.0 < state.pool[0] < 1e-12 * masses[0]
+    assert state.empty[0] and state.promotion[0] == 0.0
+    wait = level_metrics(density, org, grid, state, masses)["excess_wait"]
+    assert wait[0] == 0.0
+    assert wait[1] > 0.0
 
 
 def test_external_fraction_sets_hiring_share(low_turnover_org):
@@ -251,8 +310,8 @@ def test_metrics_at_discrete_fixed_point(low_turnover_org):
     masses = low_turnover_org.n.astype(float)
     density, rates = discrete_stationary_density(
         low_turnover_org, FlexPlan.all_internal(5), grid)
-    state = close_policy_max_internal(density, low_turnover_org, grid,
-                                      cap=np.inf, masses=masses)
+    state = close_policy_external_fraction(density, low_turnover_org, grid,
+                                           cap=np.inf, masses=masses)
     metrics = level_metrics(density, low_turnover_org, grid, state, masses)
     expected_wait = 1.0 / (low_turnover_org.mu + rates) + grid.ds
     np.testing.assert_allclose(metrics["excess_wait"], expected_wait,
