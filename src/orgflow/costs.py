@@ -114,11 +114,18 @@ def _permanent_wage_bill(mu, tau, r, w0, perm_mass, c_next):
     return w0 * inflow / (mu - r) * bracket
 
 
-def _temporary_bill(spec: OrgSpec, plan: FlexPlan, j: int) -> float:
-    # touch spec.wt only when temporaries are actually present
-    if plan.p[j] >= 1.0:
-        return 0.0
-    return (1.0 - plan.p[j]) * spec.n[j] * spec.wt[j]
+def _temporary_bill(spec: OrgSpec, p: np.ndarray, level=slice(None)):
+    """Temporary wage bill (1 - p_j) N_j w_j^t of the given levels (all by
+    default), broadcasting over any leading axis of p (plans).
+
+    spec.wt is touched only when some share is below 1, so plans without
+    temporaries are costed on a spec that sets no temp wages.
+    """
+    p = p[..., level]
+    temps = p < 1.0
+    if not temps.any():
+        return np.zeros(p.shape)
+    return np.where(temps, (1.0 - p) * spec.n[level] * spec.wt[level], 0.0)
 
 
 def level_cost(spec: OrgSpec, plan: FlexPlan, level: int) -> float:
@@ -137,7 +144,7 @@ def level_cost(spec: OrgSpec, plan: FlexPlan, level: int) -> float:
         raise IllPosedError([level], [pools[j]])
     perm = _permanent_wage_bill(spec.mu[j], spec.tau[j], spec.wage_growth,
                                 spec.w0[j], spec.n[j] * plan.p[j], c[j + 1])
-    return _temporary_bill(spec, plan, j) + float(perm)
+    return float(_temporary_bill(spec, plan.p, j) + perm)
 
 
 def cost_quadrature_oracle(spec: OrgSpec, plan: FlexPlan, level: int) -> float:
@@ -157,7 +164,7 @@ def cost_quadrature_oracle(spec: OrgSpec, plan: FlexPlan, level: int) -> float:
     perm_mass = spec.n[j] * plan.p[j]
     inflow = mu * perm_mass + c[j + 1]
     if inflow <= 0.0:
-        return _temporary_bill(spec, plan, j)
+        return float(_temporary_bill(spec, plan.p, j))
     if ill[j]:
         raise IllPosedError([level], [pools[j]])
     extra_decay = c[j + 1] / pools[j] if c[j + 1] > 0.0 else 0.0
@@ -177,7 +184,7 @@ def cost_quadrature_oracle(spec: OrgSpec, plan: FlexPlan, level: int) -> float:
     tail = inflow * w0 * np.exp((r - mu) * s_tail - extra_decay * (s_tail - tau))
     total += _simpson(tail, s_tail)
     total += tail[-1] / rate  # analytic remainder of the pure exponential
-    return _temporary_bill(spec, plan, j) + total
+    return float(_temporary_bill(spec, plan.p, j)) + total
 
 
 def _simpson(values: np.ndarray, grid: np.ndarray) -> float:
@@ -203,8 +210,8 @@ def org_cost(spec: OrgSpec, plan: FlexPlan | None = None) -> CostBreakdown:
     IllPosedError.check(pools, ill)
     perm = _permanent_wage_bill(spec.mu, spec.tau, spec.wage_growth, spec.w0,
                                 spec.n * plan.p, c[1:])
-    temp = np.array([_temporary_bill(spec, plan, j) for j in range(spec.size)])
-    return CostBreakdown(permanent=perm, temporary=temp,
+    return CostBreakdown(permanent=perm,
+                         temporary=_temporary_bill(spec, plan.p),
                          floater=np.zeros(spec.size))
 
 

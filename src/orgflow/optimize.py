@@ -4,10 +4,11 @@ descent baseline.
 The decision vector collects the hiring ratios alpha_2..alpha_L and the
 permanent shares p_1..p_L. Ill-posed plans (see penalized_cost) are
 priced by a penalty that provably dominates every feasible cost, so the
-search never needs explicit constraint repair. The
-cost has an ascending structure (level j's cost depends only on genes at
-level j and above), which the coordinate-descent baseline exploits by
-sweeping genes in descending level order.
+search never needs explicit constraint repair. One array kernel prices a
+single plan or a whole batch, and the GA hands it each generation at
+once. The cost has an ascending structure (level j's cost depends only
+on genes at level j and above), which the coordinate-descent baseline
+exploits by sweeping genes in descending level order.
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .costs import org_cost
+from .costs import (
+    _check_growth,
+    _permanent_wage_bill,
+    _temporary_bill,
+    org_cost,  # noqa: F401  (perfbench wraps optimize.* names)
+)
 from .org import (
     FlexPlan,
     MissingWageError,
@@ -116,6 +122,14 @@ def ga_minimize(objective: Callable[[np.ndarray], float],
     exactly. The objective may expose is_feasible(genes); if it does and
     no feasible candidate is ever sampled, NoFeasibleCandidateError is
     raised after the final generation.
+
+    When the objective exposes batch(pop), mapping an (n, n_genes) array
+    to n fitness values equal to objective(g) row by row (as
+    PlanObjective.batch does), each generation is priced in one call: the
+    whole first population, then the n_pop - n_elite children of every
+    later generation; otherwise the objective is called once per gene
+    vector. Pricing draws no random numbers, so both ways consume the
+    generator in the same order and give the same run.
     """
     rng = np.random.default_rng(config.seed)
     lo = config.bounds[:, 0]
@@ -124,8 +138,15 @@ def ga_minimize(objective: Callable[[np.ndarray], float],
     n_pop = config.population_size
     n_elite = max(1, int(config.elitism * n_pop)) if config.elitism > 0 else 0
 
+    batch = getattr(objective, "batch", None)
+
+    def evaluate(rows: np.ndarray) -> np.ndarray:
+        if batch is not None:
+            return np.asarray(batch(rows), dtype=float)
+        return np.array([objective(g) for g in rows], dtype=float)
+
     pop = rng.uniform(lo, hi, size=(n_pop, lo.size))
-    fitness = np.array([objective(g) for g in pop])
+    fitness = evaluate(pop)
     best_hist = np.empty(config.generations)
     mean_hist = np.empty(config.generations)
     best_genes = None
@@ -164,7 +185,7 @@ def ga_minimize(objective: Callable[[np.ndarray], float],
         children[n_elite:] = np.clip(offspring, lo, hi)
         pop = children
         fitness[:n_elite] = fitness[order[:n_elite]]
-        fitness[n_elite:] = [objective(g) for g in pop[n_elite:]]
+        fitness[n_elite:] = evaluate(pop[n_elite:])
 
     if not best_feasible and getattr(objective, "is_feasible", None) is not None:
         raise NoFeasibleCandidateError(
@@ -197,19 +218,42 @@ def feasible_cost_ceiling(spec: OrgSpec) -> float:
     return ceiling
 
 
-def penalized_cost(spec: OrgSpec, plan: FlexPlan) -> float:
+def _plan_costs(spec: OrgSpec, plan: FlexPlan, ceiling: float) -> np.ndarray:
+    """Penalized cost of every plan in a batch of any leading shape.
+
+    The one evaluation kernel behind penalized_cost and PlanObjective:
+    org_cost(spec, plan).total, bit for bit, where a plan is well posed,
+    and ceiling * (1 + sum_j max(0, -A_j) / N_j) where it is not. Bounds
+    and wage growth are checked once for the whole batch, and spec.wt is
+    touched only when some well-posed plan has a share below 1.
+    """
+    plan.check(spec)
+    _check_growth(spec)
+    c, pools, ill = stationary_pools(spec, plan)
+    bad = ill.any(axis=-1)
+    # ill-posed plans are priced by the penalty; their bracket may divide
+    # by a vanishing denominator and is discarded
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        perm = _permanent_wage_bill(spec.mu, spec.tau, spec.wage_growth,
+                                    spec.w0, spec.n * plan.p, c[..., 1:])
+    temp = _temporary_bill(spec, np.where(bad[..., None], 1.0, plan.p))
+    deficit = np.maximum(0.0, -pools) / spec.n
+    return np.where(bad, ceiling * (1.0 + deficit.sum(axis=-1)),
+                    (perm + temp).sum(axis=-1))
+
+
+def penalized_cost(spec: OrgSpec, plan: FlexPlan):
     """org_cost total for well-posed plans; a dominating penalty otherwise.
 
     Ill-posed, as in org_cost, means a pool A_j <= 0 while the flux C_{j+1}
     demanded from it is positive. The penalty starts at the feasible cost
     ceiling and grows with the total pool deficit, so it exceeds every
-    feasible cost and stays monotone in the violation magnitude.
+    feasible cost and stays monotone in the violation magnitude. A plan
+    whose alpha and p carry leading axes is priced row by row, and the
+    result is an array of that leading shape; one plan gives a float.
     """
-    _, pools, ill = stationary_pools(spec, plan)
-    if not ill.any():
-        return org_cost(spec, plan).total
-    deficit = np.maximum(0.0, -pools) / spec.n
-    return feasible_cost_ceiling(spec) * (1.0 + float(np.sum(deficit)))
+    costs = _plan_costs(spec, plan, feasible_cost_ceiling(spec))
+    return float(costs) if costs.ndim == 0 else costs
 
 
 @dataclass
@@ -221,6 +265,11 @@ class PlanObjective:
     to alpha = 1 and p = 1 (disabling temporaries altogether is the
     optimize_p=False case). Exposes bounds, feasibility, decoding, and the
     descending-level gene order used by coordinate descent.
+
+    Calling it prices one gene vector; batch(pop) prices the rows of a
+    (B, n_genes) array in one array call. Both go through the kernel of
+    penalized_cost with the feasible cost ceiling computed once here, so
+    batch(pop) equals [objective(g) for g in pop] exactly.
     """
 
     spec: OrgSpec
@@ -260,17 +309,30 @@ class PlanObjective:
         return np.concatenate(parts) if parts else np.zeros(0)
 
     def decode(self, genes: np.ndarray) -> FlexPlan:
+        """The plan of one gene vector, or of each row of a (B, n_genes)
+        array; frozen blocks are repeated along the leading axes."""
         genes = np.asarray(genes, dtype=float)
         expected = self.n_alpha + self.n_p
-        if genes.shape != (expected,):
+        if genes.ndim not in (1, 2) or genes.shape[-1] != expected:
             raise ValueError(f"expected {expected} genes, got {genes.shape}")
         base = self.fixed_plan or FlexPlan.all_internal(self.spec.size)
-        alpha = genes[:self.n_alpha] if self.optimize_alpha else base.alpha
-        p = genes[self.n_alpha:] if self.optimize_p else base.p
+        lead = genes.shape[:-1]
+        alpha = (genes[..., :self.n_alpha] if self.optimize_alpha
+                 else np.broadcast_to(base.alpha, lead + base.alpha.shape))
+        p = (genes[..., self.n_alpha:] if self.optimize_p
+             else np.broadcast_to(base.p, lead + base.p.shape))
         return FlexPlan(alpha=alpha.copy(), p=p.copy())
 
     def __call__(self, genes: np.ndarray) -> float:
-        return penalized_cost(self.spec, self.decode(genes))
+        if np.ndim(genes) != 1:
+            raise ValueError("pass one gene vector; use batch for many")
+        return float(_plan_costs(self.spec, self.decode(genes), self._ceiling))
+
+    def batch(self, pop: np.ndarray) -> np.ndarray:
+        """Penalized cost of each row of a (B, n_genes) population."""
+        if np.ndim(pop) != 2:
+            raise ValueError("batch takes a (B, n_genes) population")
+        return _plan_costs(self.spec, self.decode(pop), self._ceiling)
 
     def is_feasible(self, genes: np.ndarray) -> bool:
         return not stationary_pools(self.spec, self.decode(genes))[2].any()

@@ -189,18 +189,23 @@ class FlexPlan:
 
         Level 1 has no promotions feeding it, so its ratio never enters any
         balance; with the padding, alpha_j * C_j = mu_j N_j p_j + C_{j+1}
-        holds uniformly for j = 1..L.
+        holds uniformly for j = 1..L. alpha may carry leading axes (a batch
+        of plans); the pad goes on the last, level axis.
         """
-        return np.concatenate(([1.0], self.alpha))
+        level1 = np.ones(self.alpha.shape[:-1] + (1,))
+        return np.concatenate((level1, self.alpha), axis=-1)
 
     def check(self, spec: OrgSpec) -> "FlexPlan":
-        if self.p.shape != (spec.size,):
+        """Shapes and bounds of every plan, across any leading axes."""
+        if self.p.shape[-1] != spec.size:
             raise ValueError(
-                f"plan has {self.p.size} permanent shares for {spec.size} levels"
+                f"plan has {self.p.shape[-1]} permanent shares "
+                f"for {spec.size} levels"
             )
-        if self.alpha.shape != (max(spec.size - 1, 0),):
+        if self.alpha.shape[-1] != max(spec.size - 1, 0):
             raise ValueError(
-                f"plan has {self.alpha.size} hiring ratios, expected {spec.size - 1}"
+                f"plan has {self.alpha.shape[-1]} hiring ratios, "
+                f"expected {spec.size - 1}"
             )
         if (self.alpha < 1.0).any():
             raise ValueError("hiring ratios must satisfy alpha_j >= 1")
@@ -296,16 +301,20 @@ def stationary_pools(spec: OrgSpec, plan: FlexPlan,
     C solves the recursion of promotion_demands, and
     A_j = (mu_j N_j p_j e^{-mu_j tau_j} - (1 - e^{-mu_j tau_j}) C_{j+1}) / mu_j,
     the plain exponential tail at the top, where C_{L+1} = 0. heads (say,
-    the (K, L) rows of K business units) replaces N_j, and plan.p may carry
-    the same leading axes: each row is then an organization of its own.
+    the (K, L) rows of K business units) replaces N_j, and plan.p and
+    plan.alpha may carry leading axes too (say, a (B, L) batch of plans):
+    each row is then an organization of its own, and the leading axes of
+    heads, p and alpha broadcast against each other.
     """
     heads = spec.n if heads is None else heads
     alpha = plan.alpha_full
     outflow = spec.mu * heads * plan.p
-    c = np.zeros(outflow.shape[:-1] + (spec.size + 1,))
-    rows, demand = outflow.T, c.T  # level first, so one org indexes scalars
+    lead = np.broadcast_shapes(outflow.shape[:-1], alpha.shape[:-1])
+    c = np.zeros(lead + (spec.size + 1,))
+    # level axis first, so one org indexes scalars
+    rows, ratio, demand = (np.moveaxis(a, -1, 0) for a in (outflow, alpha, c))
     for j in range(spec.size - 1, -1, -1):
-        demand[j] = (rows[j] + demand[j + 1]) / alpha[j]
+        demand[j] = (rows[j] + demand[j + 1]) / ratio[j]
     decay = np.exp(-spec.mu * spec.tau)
     filled = -np.expm1(-spec.mu * spec.tau)  # 1 - e^{-mu tau}
     pools = (outflow * decay - filled * c[..., 1:]) / spec.mu

@@ -4,6 +4,7 @@ import pytest
 from orgflow import (
     FlexPlan,
     GaConfig,
+    MissingWageError,
     NoFeasibleCandidateError,
     PlanObjective,
     coordinate_descent,
@@ -16,6 +17,7 @@ from orgflow import (
     steady_promotable_pool,
     write_ga_csv,
 )
+from orgflow.org import stationary_pools
 from conftest import build_org, costed_org
 
 
@@ -245,3 +247,102 @@ def test_ga_csv_layout(tmp_path):
     assert lines[0] == "# seed = 3"
     assert lines[1].split(",") == ["generation", "best_cost", "mean_cost"]
     assert len(lines) == 2 + 8
+
+
+def _objective_modes():
+    """Full, alpha-only and p-only objectives whose random genes include
+    ill-posed plans."""
+    base = [35.0, 49.0, 69.0, 96.0, 134.0]
+    ladder = build_org([8000, 4000, 2500, 1000, 500],
+                       [0.16, 0.16, 0.16, 0.16, 0.5], [4.0] * 5,
+                       base=base, growth=0.04)
+    fixed = FlexPlan(alpha=[1.2, 1.0, 1.5, 1.1], p=np.ones(5))
+    return {
+        "full": PlanObjective(costed_org(premium=0.2)),
+        "alpha": PlanObjective(ladder, optimize_p=False, alpha_max=3.0),
+        "p": PlanObjective(costed_org(premium=0.2), optimize_alpha=False,
+                           fixed_plan=fixed),
+    }
+
+
+@pytest.mark.parametrize("mode", ["full", "alpha", "p"])
+def test_batch_matches_serial_objective(mode):
+    objective = _objective_modes()[mode]
+    spec = objective.spec
+    rng = np.random.default_rng({"full": 1, "alpha": 2, "p": 3}[mode])
+    bounds = objective.bounds
+    pop = rng.uniform(bounds[:, 0], bounds[:, 1], size=(64, bounds.shape[0]))
+    plans = objective.decode(pop)
+    assert plans.alpha.shape == (64, 4) and plans.p.shape == (64, 5)
+    c, pools, ill = stationary_pools(spec, plans)
+    assert 0 < ill.any(axis=-1).sum() < 64  # both kinds of rows
+    serial = [objective(g) for g in pop]
+    assert objective.batch(pop).tolist() == serial
+    assert penalized_cost(spec, plans).tolist() == serial
+    for b, genes in enumerate(pop):
+        row_c, row_pools, row_ill = stationary_pools(spec,
+                                                     objective.decode(genes))
+        np.testing.assert_array_equal(c[b], row_c)
+        np.testing.assert_array_equal(pools[b], row_pools)
+        np.testing.assert_array_equal(ill[b], row_ill)
+        assert penalized_cost(spec, objective.decode(genes)) == serial[b]
+        if row_ill.any():
+            assert serial[b] > feasible_cost_ceiling(spec)
+        else:
+            assert serial[b] == org_cost(spec, objective.decode(genes)).total
+
+
+def test_batch_without_temp_wages_prices_permanent_plans(costed_org_plain):
+    # spec.wt is unset; with p frozen at 1 no plan needs it
+    objective = PlanObjective(costed_org_plain, optimize_p=False)
+    pop = np.random.default_rng(4).uniform(1.0, 10.0, size=(32, 4))
+    costs = objective.batch(pop)
+    assert costs.shape == (32,)
+    assert np.all(np.isfinite(costs))
+    assert costs.tolist() == [objective(g) for g in pop]
+    # a well-posed row with temporaries needs the missing wage
+    full = PlanObjective(costed_org_plain)
+    genes = np.concatenate([np.ones(4), [0.9, 1.0, 1.0, 1.0, 1.0]])
+    with pytest.raises(MissingWageError):
+        full.batch(np.vstack([full.default_genes(), genes]))
+
+
+def test_ga_prices_each_generation_in_one_batch_call():
+    class Spy:
+        def __init__(self):
+            self.rows = []
+
+        def __call__(self, genes):
+            raise AssertionError("per-gene call on a batched objective")
+
+        def batch(self, pop):
+            self.rows.append(len(pop))
+            return np.sum(pop * pop, axis=1)
+
+    spy = Spy()
+    config = GaConfig(bounds=np.array([[-1.0, 1.0]] * 3),
+                      population_size=20, generations=6, elitism=0.1, seed=3)
+    ga_minimize(spy, config)
+    assert spy.rows == [20] + [18] * 5
+
+
+def test_batched_and_serial_ga_runs_are_identical():
+    objective = PlanObjective(costed_org(premium=0.2))
+
+    class Serial:
+        # the same objective without batch, so the GA prices gene by gene
+        def __call__(self, genes):
+            return objective(genes)
+
+        def is_feasible(self, genes):
+            return objective.is_feasible(genes)
+
+    config = GaConfig(bounds=objective.bounds, population_size=60,
+                      generations=30, seed=3)
+    batched = ga_minimize(objective, config)
+    serial = ga_minimize(Serial(), config)
+    np.testing.assert_array_equal(batched.best.genes, serial.best.genes)
+    assert batched.best.fitness == serial.best.fitness
+    assert batched.best.feasible == serial.best.feasible
+    np.testing.assert_array_equal(batched.best_history, serial.best_history)
+    np.testing.assert_array_equal(batched.mean_history, serial.mean_history)

@@ -60,6 +60,9 @@ def test_all_internal_plan_shape_and_values():
     assert np.all(plan.p == 1.0)
     assert plan.alpha_full[0] == 1.0
     assert plan.alpha_full.shape == (4,)
+    batch = FlexPlan(alpha=[[1.5, 2.0, 3.0], [4.0, 5.0, 6.0]], p=np.ones(4))
+    np.testing.assert_array_equal(batch.alpha_full,
+                                  [[1.0, 1.5, 2.0, 3.0], [1.0, 4.0, 5.0, 6.0]])
 
 
 def test_plan_check_rejects_bad_entries(low_turnover_org):
