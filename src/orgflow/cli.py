@@ -46,7 +46,6 @@ from .org import (
     MissingWageError,
     min_external_ratios,
     min_permanent_share,
-    promotion_demands,
     stationary_state,
 )
 from .transport import (
@@ -110,8 +109,7 @@ def cmd_steady(config: ScenarioConfig, fmt: str) -> int:
             print("    " + "  ".join(
                 f"alpha_{j + 2}={r:.4f}" for j, r in enumerate(ratios)))
         raise
-    demands = promotion_demands(spec, plan)
-    external = state.inflow - np.concatenate(([0.0], demands[1:-1]))
+    external = state.inflow - np.concatenate(([0.0], state.demands[1:-1]))
     header = ["level", "headcount", "attrition", "eligibility",
               "pool", "promotion", "ready_ratio", "hiring",
               "min_perm_share", "min_hiring_ratio"]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -168,10 +168,6 @@ def cost_quadrature_oracle(spec: OrgSpec, plan: FlexPlan, level: int) -> float:
     if ill[j]:
         raise IllPosedError([level], [pools[j]])
     extra_decay = c[j + 1] / pools[j] if c[j + 1] > 0.0 else 0.0
-
-    def integrand(s: np.ndarray, shift: float) -> np.ndarray:
-        return inflow * np.exp((r - mu) * s - extra_decay * (s - shift)) * w0
-
     total = 0.0
     if tau > 0.0:
         s_head = np.linspace(0.0, tau, 801)
@@ -318,8 +314,6 @@ class BusinessUnitPlan:
                      remainder 1 - p - g is temporary
     temp_wage        optional (K, L) per-unit temporary wages; defaults to
                      the organization's per-level temp wages
-    floater_avg_cost optional (L,) seniority-discounted floater wage; when
-                     absent it is computed from the levels' wage curves
 
     Promotions happen within a unit, so each unit behaves as an
     independent organization with a pure-internal hiring plan.
@@ -329,7 +323,6 @@ class BusinessUnitPlan:
     permanent_share: np.ndarray
     floater_share: np.ndarray
     temp_wage: np.ndarray | None = None
-    floater_avg_cost: np.ndarray | None = None
 
     def __post_init__(self):
         self.headcounts = np.atleast_2d(np.asarray(self.headcounts, dtype=float))
@@ -339,8 +332,6 @@ class BusinessUnitPlan:
             np.asarray(self.floater_share, dtype=float))
         if self.temp_wage is not None:
             self.temp_wage = np.atleast_2d(np.asarray(self.temp_wage, dtype=float))
-        if self.floater_avg_cost is not None:
-            self.floater_avg_cost = np.asarray(self.floater_avg_cost, dtype=float)
 
     @property
     def units(self) -> int:
@@ -371,8 +362,8 @@ class BusinessUnitPlan:
         return np.broadcast_to(spec.wt, (self.units, spec.size)).copy()
 
     def resolved_floater_cost(self, spec: OrgSpec) -> np.ndarray:
-        if self.floater_avg_cost is not None:
-            return self.floater_avg_cost
+        """Seniority-discounted floater wage per level, integrated from the
+        levels' wage curves (see floater_average_cost)."""
         return np.array([floater_average_cost(spec, j + 1)
                          for j in range(spec.size)])
 
@@ -420,10 +411,6 @@ class FloaterReduction:
     spec: OrgSpec
     units: BusinessUnitPlan
     floater_share: np.ndarray
-
-    @property
-    def effective_temp_wage(self) -> np.ndarray:
-        return self.units.temp_wage
 
     def total_cost(self) -> float:
         return business_unit_cost(self.spec, self.units).total

@@ -4,11 +4,15 @@ descent baseline.
 The decision vector collects the hiring ratios alpha_2..alpha_L and the
 permanent shares p_1..p_L. Ill-posed plans (see penalized_cost) are
 priced by a penalty that provably dominates every feasible cost, so the
-search never needs explicit constraint repair. One array kernel prices a
-single plan or a whole batch, and the GA hands it each generation at
-once. The cost has an ascending structure (level j's cost depends only
-on genes at level j and above), which the coordinate-descent baseline
-exploits by sweeping genes in descending level order.
+search never needs explicit constraint repair.
+
+An objective maps genes of shape (..., n_genes) to costs of the leading
+shape: the GA prices each generation with one call on its (n, n_genes)
+population, and coordinate descent calls it on single gene vectors.
+PlanObjective follows this contract through one array kernel. The cost
+has an ascending structure (level j's cost depends only on genes at
+level j and above), which the coordinate-descent baseline exploits by
+sweeping genes in descending level order.
 """
 
 from __future__ import annotations
@@ -48,6 +52,9 @@ __all__ = [
     "write_ga_csv",
 ]
 
+# Gaussian mutation step, as a fraction of each gene's bound span
+_GAUSSIAN_SCALE = 0.08
+
 
 class NoFeasibleCandidateError(RuntimeError):
     """The search never sampled a feasible candidate."""
@@ -58,10 +65,10 @@ class GaConfig:
     """Genetic-algorithm knobs.
 
     bounds is an (n_genes, 2) array of [low, high] per gene; mutation
-    draws a fresh uniform value or a clipped Gaussian step around the
-    current one, half and half. elitism is the fraction of the population
-    copied unchanged into the next generation, which makes the best-so-far
-    fitness non-increasing.
+    draws a fresh uniform value or a clipped Gaussian step of 0.08 bound
+    spans around the current one, half and half. elitism is the fraction
+    of the population copied unchanged into the next generation, which
+    makes the best-so-far fitness non-increasing.
     """
 
     bounds: np.ndarray
@@ -70,7 +77,6 @@ class GaConfig:
     mutation_chance: float = 0.10
     elitism: float = 0.05
     seed: int | None = None
-    gaussian_scale: float = 0.08
 
     def __post_init__(self):
         self.bounds = np.atleast_2d(np.asarray(self.bounds, dtype=float))
@@ -106,30 +112,22 @@ class GaResult:
     mean_history: np.ndarray
 
 
-def _is_feasible(objective, genes: np.ndarray) -> bool:
-    probe = getattr(objective, "is_feasible", None)
-    if probe is None:
-        return True
-    return bool(probe(genes))
-
-
-def ga_minimize(objective: Callable[[np.ndarray], float],
+def ga_minimize(objective: Callable[[np.ndarray], np.ndarray],
                 config: GaConfig) -> GaResult:
     """Minimize a penalized objective with a seeded generational GA.
 
     Tournament selection of size 2, uniform crossover, per-gene mutation,
     and top-fraction elitism. Identical seed and config reproduce the run
-    exactly. The objective may expose is_feasible(genes); if it does and
-    no feasible candidate is ever sampled, NoFeasibleCandidateError is
-    raised after the final generation.
+    exactly.
 
-    When the objective exposes batch(pop), mapping an (n, n_genes) array
-    to n fitness values equal to objective(g) row by row (as
-    PlanObjective.batch does), each generation is priced in one call: the
-    whole first population, then the n_pop - n_elite children of every
-    later generation; otherwise the objective is called once per gene
-    vector. Pricing draws no random numbers, so both ways consume the
-    generator in the same order and give the same run.
+    The objective maps an (n, n_genes) array to its n costs, row by row
+    (as PlanObjective does), and is called once per generation: on the
+    whole first population, then on the n_pop - n_elite children of every
+    later generation. An objective returning any other shape (say, one
+    float for the whole array) raises ValueError. The objective may expose
+    is_feasible(genes) for one gene vector; if it does and no feasible
+    candidate is ever sampled, NoFeasibleCandidateError is raised after
+    the final generation.
     """
     rng = np.random.default_rng(config.seed)
     lo = config.bounds[:, 0]
@@ -137,13 +135,16 @@ def ga_minimize(objective: Callable[[np.ndarray], float],
     span = hi - lo
     n_pop = config.population_size
     n_elite = max(1, int(config.elitism * n_pop)) if config.elitism > 0 else 0
-
-    batch = getattr(objective, "batch", None)
+    is_feasible = getattr(objective, "is_feasible", None)
 
     def evaluate(rows: np.ndarray) -> np.ndarray:
-        if batch is not None:
-            return np.asarray(batch(rows), dtype=float)
-        return np.array([objective(g) for g in rows], dtype=float)
+        costs = np.asarray(objective(rows), dtype=float)
+        if costs.shape != (len(rows),):
+            raise ValueError(
+                f"objective priced {len(rows)} gene vectors as shape "
+                f"{costs.shape}; it must return one cost per row"
+            )
+        return costs
 
     pop = rng.uniform(lo, hi, size=(n_pop, lo.size))
     fitness = evaluate(pop)
@@ -158,7 +159,7 @@ def ga_minimize(objective: Callable[[np.ndarray], float],
         if fitness[order[0]] < best_fit:
             best_fit = float(fitness[order[0]])
             best_genes = pop[order[0]].copy()
-            best_feasible = _is_feasible(objective, best_genes)
+            best_feasible = is_feasible is None or bool(is_feasible(best_genes))
         best_hist[gen] = best_fit
         mean_hist[gen] = float(np.mean(fitness))
         if gen == config.generations - 1:
@@ -179,7 +180,7 @@ def ga_minimize(objective: Callable[[np.ndarray], float],
         resample = rng.random((n_fill, lo.size)) < 0.5
         uniform_draw = rng.uniform(lo, hi, size=(n_fill, lo.size))
         gauss_draw = offspring + rng.normal(0.0, 1.0, size=(n_fill, lo.size)) \
-            * config.gaussian_scale * span
+            * _GAUSSIAN_SCALE * span
         mutated = np.where(resample, uniform_draw, gauss_draw)
         offspring = np.where(mutate, mutated, offspring)
         children[n_elite:] = np.clip(offspring, lo, hi)
@@ -187,7 +188,7 @@ def ga_minimize(objective: Callable[[np.ndarray], float],
         fitness[:n_elite] = fitness[order[:n_elite]]
         fitness[n_elite:] = evaluate(pop[n_elite:])
 
-    if not best_feasible and getattr(objective, "is_feasible", None) is not None:
+    if not best_feasible and is_feasible is not None:
         raise NoFeasibleCandidateError(
             "no feasible candidate sampled in "
             f"{config.generations} generations"
@@ -218,14 +219,15 @@ def feasible_cost_ceiling(spec: OrgSpec) -> float:
     return ceiling
 
 
-def _plan_costs(spec: OrgSpec, plan: FlexPlan, ceiling: float) -> np.ndarray:
+def _plan_costs(spec: OrgSpec, plan: FlexPlan, ceiling: float):
     """Penalized cost of every plan in a batch of any leading shape.
 
     The one evaluation kernel behind penalized_cost and PlanObjective:
     org_cost(spec, plan).total, bit for bit, where a plan is well posed,
-    and ceiling * (1 + sum_j max(0, -A_j) / N_j) where it is not. Bounds
-    and wage growth are checked once for the whole batch, and spec.wt is
-    touched only when some well-posed plan has a share below 1.
+    and ceiling * (1 + sum_j max(0, -A_j) / N_j) where it is not. One plan
+    gives a float, a batch an array of its leading shape. Bounds and wage
+    growth are checked once for the whole batch, and spec.wt is touched
+    only when some well-posed plan has a share below 1.
     """
     plan.check(spec)
     _check_growth(spec)
@@ -238,8 +240,9 @@ def _plan_costs(spec: OrgSpec, plan: FlexPlan, ceiling: float) -> np.ndarray:
                                     spec.w0, spec.n * plan.p, c[..., 1:])
     temp = _temporary_bill(spec, np.where(bad[..., None], 1.0, plan.p))
     deficit = np.maximum(0.0, -pools) / spec.n
-    return np.where(bad, ceiling * (1.0 + deficit.sum(axis=-1)),
-                    (perm + temp).sum(axis=-1))
+    costs = np.where(bad, ceiling * (1.0 + deficit.sum(axis=-1)),
+                     (perm + temp).sum(axis=-1))
+    return float(costs) if costs.ndim == 0 else costs
 
 
 def penalized_cost(spec: OrgSpec, plan: FlexPlan):
@@ -252,8 +255,7 @@ def penalized_cost(spec: OrgSpec, plan: FlexPlan):
     whose alpha and p carry leading axes is priced row by row, and the
     result is an array of that leading shape; one plan gives a float.
     """
-    costs = _plan_costs(spec, plan, feasible_cost_ceiling(spec))
-    return float(costs) if costs.ndim == 0 else costs
+    return _plan_costs(spec, plan, feasible_cost_ceiling(spec))
 
 
 @dataclass
@@ -266,10 +268,11 @@ class PlanObjective:
     optimize_p=False case). Exposes bounds, feasibility, decoding, and the
     descending-level gene order used by coordinate descent.
 
-    Calling it prices one gene vector; batch(pop) prices the rows of a
-    (B, n_genes) array in one array call. Both go through the kernel of
-    penalized_cost with the feasible cost ceiling computed once here, so
-    batch(pop) equals [objective(g) for g in pop] exactly.
+    Calling it on genes of shape (..., n_genes) prices them in one array
+    call: one gene vector gives a float, a (B, n_genes) population an
+    array of B costs equal to [objective(g) for g in pop] exactly. It
+    goes through the kernel of penalized_cost with the feasible cost
+    ceiling computed once here.
     """
 
     spec: OrgSpec
@@ -309,11 +312,11 @@ class PlanObjective:
         return np.concatenate(parts) if parts else np.zeros(0)
 
     def decode(self, genes: np.ndarray) -> FlexPlan:
-        """The plan of one gene vector, or of each row of a (B, n_genes)
+        """The plan of one gene vector, or of each row of a (..., n_genes)
         array; frozen blocks are repeated along the leading axes."""
         genes = np.asarray(genes, dtype=float)
         expected = self.n_alpha + self.n_p
-        if genes.ndim not in (1, 2) or genes.shape[-1] != expected:
+        if genes.ndim < 1 or genes.shape[-1] != expected:
             raise ValueError(f"expected {expected} genes, got {genes.shape}")
         base = self.fixed_plan or FlexPlan.all_internal(self.spec.size)
         lead = genes.shape[:-1]
@@ -323,16 +326,8 @@ class PlanObjective:
              else np.broadcast_to(base.p, lead + base.p.shape))
         return FlexPlan(alpha=alpha.copy(), p=p.copy())
 
-    def __call__(self, genes: np.ndarray) -> float:
-        if np.ndim(genes) != 1:
-            raise ValueError("pass one gene vector; use batch for many")
-        return float(_plan_costs(self.spec, self.decode(genes), self._ceiling))
-
-    def batch(self, pop: np.ndarray) -> np.ndarray:
-        """Penalized cost of each row of a (B, n_genes) population."""
-        if np.ndim(pop) != 2:
-            raise ValueError("batch takes a (B, n_genes) population")
-        return _plan_costs(self.spec, self.decode(pop), self._ceiling)
+    def __call__(self, genes: np.ndarray):
+        return _plan_costs(self.spec, self.decode(genes), self._ceiling)
 
     def is_feasible(self, genes: np.ndarray) -> bool:
         return not stationary_pools(self.spec, self.decode(genes))[2].any()
@@ -355,20 +350,21 @@ class PlanObjective:
         return order
 
 
-def golden_section(f: Callable[[float], float], lo: float, hi: float,
-                   tol: float = 1e-10, max_iter: int = 200) -> tuple[float, float]:
+def golden_section(f: Callable[[float], float], lo: float,
+                   hi: float) -> tuple[float, float]:
     """Minimize a one-dimensional function on [lo, hi].
 
-    Plain golden-section bracketing; returns (argmin, min). Exact on
-    unimodal functions, and still returns the best probed point otherwise.
+    Plain golden-section bracketing down to a 1e-10 bracket or 200
+    iterations; returns (argmin, min). Exact on unimodal functions, and
+    still returns the best probed point otherwise.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a < tol:
+    for _ in range(200):
+        if b - a < 1e-10:
             break
         if fc <= fd:
             b, d, fd = d, c, fc
@@ -383,29 +379,20 @@ def golden_section(f: Callable[[float], float], lo: float, hi: float,
     return d, fd
 
 
-def coordinate_descent(objective, sweeps: int = 4,
-                       x0: np.ndarray | None = None,
-                       bounds: np.ndarray | None = None,
-                       tol: float = 1e-10) -> Candidate:
+def coordinate_descent(objective, sweeps: int = 4) -> Candidate:
     """Cyclic one-dimensional minimization along each gene.
 
-    Uses golden-section search per gene. When the objective exposes a
-    descending_order (see PlanObjective) the sweep follows it; otherwise
-    genes are visited in index order. The default start is the objective's
-    default genes when available, else the bound midpoints.
+    Calls the objective on single gene vectors and searches each gene by
+    golden section within the objective's bounds. When the objective
+    exposes a descending_order (see PlanObjective) the sweep follows it;
+    otherwise genes are visited in index order. The start is the
+    objective's default_genes() when it has them, else the bound midpoints.
     """
     if sweeps < 1:
         raise ValueError("sweeps must be at least 1")
-    if bounds is None:
-        bounds = getattr(objective, "bounds", None)
-        if bounds is None:
-            raise ValueError("objective exposes no bounds; pass them explicitly")
-    bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
-    if x0 is None:
-        default = getattr(objective, "default_genes", None)
-        x = default() if default is not None else bounds.mean(axis=1)
-    else:
-        x = np.asarray(x0, dtype=float).copy()
+    bounds = np.atleast_2d(np.asarray(objective.bounds, dtype=float))
+    default = getattr(objective, "default_genes", None)
+    x = default() if default is not None else bounds.mean(axis=1)
     order = getattr(objective, "descending_order", None) or range(x.size)
     value = float(objective(x))
     for _ in range(sweeps):
@@ -417,12 +404,13 @@ def coordinate_descent(objective, sweeps: int = 4,
                 probe[idx] = t
                 return float(objective(probe))
 
-            t_best, f_best = golden_section(along, lo, hi, tol=tol)
+            t_best, f_best = golden_section(along, lo, hi)
             if f_best < value:
                 x[idx] = t_best
                 value = f_best
+    is_feasible = getattr(objective, "is_feasible", None)
     return Candidate(genes=x, fitness=value,
-                     feasible=_is_feasible(objective, x))
+                     feasible=is_feasible is None or bool(is_feasible(x)))
 
 
 def write_ga_csv(path: str, result: GaResult,

@@ -352,16 +352,16 @@ def min_permanent_share(spec: OrgSpec, plan: FlexPlan, level: int) -> float:
     return filled * c_next / (spec.mu[j] * spec.n[j] * decay)
 
 
-def min_external_ratios(spec: OrgSpec,
-                        margin: float = FEASIBILITY_MARGIN) -> np.ndarray:
+def min_external_ratios(spec: OrgSpec) -> np.ndarray:
     """Smallest hiring ratios alpha_2..alpha_L keeping a no-temporaries
     organization well posed.
 
     Works down from the top: with the ratios above level j already fixed at
-    their minima, the pool below stays at or above margin * N_{j-1} iff
+    their minima, the pool below stays at or above m N_{j-1}, with
+    m = FEASIBILITY_MARGIN, iff
 
         alpha_j >= (1 - e^{-mu_{j-1} tau_{j-1}}) (mu_j N_j + C_{j+1})
-                   / (mu_{j-1} N_{j-1} (e^{-mu_{j-1} tau_{j-1}} - margin)),
+                   / (mu_{j-1} N_{j-1} (e^{-mu_{j-1} tau_{j-1}} - m)),
 
     clipped below at 1. Entries above 1 mark levels whose replacement needs
     exceed what the level below can supply internally.
@@ -373,7 +373,7 @@ def min_external_ratios(spec: OrgSpec,
     for j in range(spec.size - 1, 0, -1):  # 0-based level j, promoting j-1
         decay = math.exp(-spec.mu[j - 1] * spec.tau[j - 1])
         filled = -math.expm1(-spec.mu[j - 1] * spec.tau[j - 1])
-        supply = spec.mu[j - 1] * spec.n[j - 1] * (decay - margin)
+        supply = spec.mu[j - 1] * spec.n[j - 1] * (decay - FEASIBILITY_MARGIN)
         if supply <= 0:
             raise ValueError(
                 f"level {j}: eligibility window too long to feed level {j + 1}"
@@ -389,8 +389,8 @@ class SteadyState:
     """Closed-form stationary profile of every level under a plan.
 
     pool            promotable masses A_j (top level: exponential tail)
-    promotion_rate  P_j = C_{j+1} / A_j, zero where C_{j+1} = 0 (the top)
-    tail_decay      extra decay rate beyond tau_j (equals P_j here)
+    promotion_rate  P_j = C_{j+1} / A_j, zero where C_{j+1} = 0 (the top);
+                    also the extra decay rate of the profile beyond tau_j
     inflow          boundary density rho_j(0) = mu_j N_j p_j + C_{j+1}
     """
 
@@ -398,21 +398,20 @@ class SteadyState:
     plan: FlexPlan
     pool: np.ndarray
     promotion_rate: np.ndarray
-    tail_decay: np.ndarray
     inflow: np.ndarray
     demands: np.ndarray = field(repr=False)
 
     def density(self, level: int, s) -> np.ndarray:
         """Stationary seniority density of one level, vectorized over s.
 
-        rho_j(s) = inflow_j * exp(-mu_j s - B_j max(s - tau_j, 0)); it
+        rho_j(s) = inflow_j * exp(-mu_j s - P_j max(s - tau_j, 0)); it
         integrates to the permanent pool N_j p_j.
         """
         j = _level_index(self.spec, level)
         s = np.asarray(s, dtype=float)
         excess = np.maximum(s - self.spec.tau[j], 0.0)
         return self.inflow[j] * np.exp(-self.spec.mu[j] * s
-                                       - self.tail_decay[j] * excess)
+                                       - self.promotion_rate[j] * excess)
 
     @property
     def permanent_mass(self) -> np.ndarray:
@@ -439,7 +438,6 @@ def stationary_state(spec: OrgSpec, plan: FlexPlan | None = None) -> SteadyState
         plan=plan,
         pool=pools,
         promotion_rate=rate,
-        tail_decay=rate.copy(),
         inflow=inflow,
         demands=c,
     )
@@ -463,9 +461,8 @@ class InitialConditionReport:
 
 
 def check_initial_condition(spec: OrgSpec, plan: FlexPlan,
-                            rho0: Sequence[Callable[[np.ndarray], np.ndarray]],
-                            n_time: int = 101,
-                            mass_rel_tol: float = 1e-3) -> InitialConditionReport:
+                            rho0: Sequence[Callable[[np.ndarray], np.ndarray]]
+                            ) -> InitialConditionReport:
     """Check that starting densities keep every promotable pool positive.
 
     Before the first cohort of new entrants reaches the eligibility age,
@@ -475,13 +472,12 @@ def check_initial_condition(spec: OrgSpec, plan: FlexPlan,
                  - (1 - e^{-mu_j t}) (mu_j N_j p_j + C_{j+1}) / mu_j,
 
     and positivity on t in [0, tau_j] guarantees it for all later times.
-    The margin is evaluated on n_time uniformly spaced points (at least
-    100). Callables must accept numpy arrays. Raises MassMismatchError
-    when a density does not integrate to its permanent pool N_j p_j.
+    The margin is evaluated on 101 uniformly spaced points. Callables must
+    accept numpy arrays. Raises MassMismatchError when a density's
+    integral misses its permanent pool N_j p_j by more than 1e-3 relative.
     """
     if len(rho0) != spec.size:
         raise ValueError(f"expected {spec.size} densities, got {len(rho0)}")
-    n_time = max(int(n_time), 100)
     c = promotion_demands(spec, plan)
     margins = np.zeros(spec.size)
     for j in range(spec.size):
@@ -490,7 +486,7 @@ def check_initial_condition(spec: OrgSpec, plan: FlexPlan,
         grid = np.linspace(0.0, span, 8001)
         values = np.asarray(rho0[j](grid), dtype=float)
         mass = float(np.trapezoid(values, grid))
-        if mass_goal > 0 and abs(mass - mass_goal) > mass_rel_tol * mass_goal:
+        if mass_goal > 0 and abs(mass - mass_goal) > 1e-3 * mass_goal:
             raise MassMismatchError(
                 f"level {j + 1}: initial density integrates to {mass:.6g}, "
                 f"expected {mass_goal:.6g}"
@@ -504,7 +500,7 @@ def check_initial_condition(spec: OrgSpec, plan: FlexPlan,
         dens = np.asarray(rho0[j](fine), dtype=float)
         cum = np.concatenate(([0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5
                                                * np.diff(fine))))
-        times = np.linspace(0.0, tau, n_time)
+        times = np.linspace(0.0, tau, 101)
         carried = np.interp(tau - times, fine, cum)
         inflow = spec.mu[j] * mass_goal + c[j + 1]
         filled = -np.expm1(-spec.mu[j] * times)

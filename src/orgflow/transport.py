@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -143,6 +143,9 @@ class PolicyState:
     empty      pools the closure treats as empty, A_j <= 1e-12 max(M_j, 1):
                no promotion flow is drawn from them, and level_metrics
                reports no excess wait there
+    pre        (L, n_nodes) mask of the nodes still below eligibility,
+               s_i <= tau_j, from which the pools were computed; step and
+               level_metrics read it instead of rebuilding it
     cap        the promotion-rate ceiling in force
     """
 
@@ -151,6 +154,7 @@ class PolicyState:
     shortfall: np.ndarray
     pool: np.ndarray
     empty: np.ndarray
+    pre: np.ndarray
     cap: float
 
     def balance_residual(self, spec: OrgSpec, masses: np.ndarray) -> np.ndarray:
@@ -185,8 +189,9 @@ def close_policy_external_fraction(density: np.ndarray, spec: OrgSpec,
     so external hires cover the fraction alpha_frac_j of internal
     promotions when the cap is slack; when it binds (or the pool below is
     empty), shortfall hiring delta_j makes up the difference. alpha_frac
-    may be a scalar or one value per level (entry j applying to the flow
-    into level j+1... entry for the bottom level is ignored). With
+    may be a scalar or one value per level: the j-th entry is the external
+    fraction of the promotions into level j, so the first entry, for the
+    bottom level that nobody is promoted into, is ignored. With
     alpha_frac = 0 this is exactly the maximize-internal-promotion rule.
     An empty pool below a positive demand forces the cap (or zero when the
     cap is infinite) with hiring absorbing the whole demand.
@@ -199,7 +204,8 @@ def close_policy_external_fraction(density: np.ndarray, spec: OrgSpec,
         raise ValueError("external fractions must be nonnegative")
     if cap <= 0:
         raise ValueError("promotion cap must be positive")
-    pools = discrete_pools(density, spec, grid, masses)
+    pre = grid.pre_eligibility_mask(spec)
+    pools = masses - grid.ds * np.sum(density * pre, axis=1)
     empty = pools <= _POOL_EPS * np.maximum(masses, 1.0)
     promotion = np.zeros(size)
     hiring = np.zeros(size)
@@ -222,7 +228,8 @@ def close_policy_external_fraction(density: np.ndarray, spec: OrgSpec,
             imposed = frac[j] * promoted if j > 0 else 0.0
             shortfall[j] = max(external - imposed, 0.0) / masses[j]
     return PolicyState(promotion=promotion, hiring=hiring,
-                       shortfall=shortfall, pool=pools, empty=empty, cap=cap)
+                       shortfall=shortfall, pool=pools, empty=empty, pre=pre,
+                       cap=cap)
 
 
 def step(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
@@ -237,16 +244,16 @@ def step(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
 
     policy must be the closure of this same density with these masses (as
     run() calls it): its pool A is the promotable mass the ghost value
-    needs.
+    needs, and its pre mask marks where the promotion source acts.
     """
     lam = grid.dt / grid.ds
     mu = spec.mu[:, np.newaxis]
     rate = policy.promotion[:, np.newaxis]
-    pre = grid.pre_eligibility_mask(spec)
     upwind = np.empty_like(density)
     upwind[:, 0] = spec.mu * masses + policy.promotion * policy.pool
     upwind[:, 1:] = density[:, :-1]
-    numer = density - lam * (density - upwind) + grid.dt * rate * pre * density
+    numer = (density - lam * (density - upwind)
+             + grid.dt * rate * policy.pre * density)
     return numer / (1.0 + grid.dt * (mu + rate))
 
 
@@ -409,7 +416,7 @@ def level_metrics(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
         else:
             l1 = grid.ds * np.sum(np.abs(density - steady_density), axis=1)
             l1 = np.where(masses > 0, l1 / masses, l1)
-    post = ~grid.pre_eligibility_mask(spec)
+    post = ~policy.pre
     excess = grid.s[np.newaxis, :] - spec.tau[:, np.newaxis]
     weighted = grid.ds * np.sum(density * post * excess, axis=1)
     alive = ~policy.empty

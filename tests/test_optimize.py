@@ -22,7 +22,8 @@ from conftest import build_org, costed_org
 
 
 def sphere(x):
-    return float(np.sum(x * x))
+    # one cost per gene vector along the last axis, as ga_minimize expects
+    return np.sum(x * x, axis=-1)
 
 
 def test_golden_section_quadratic():
@@ -161,6 +162,7 @@ def test_plan_objective_decode_round_trip():
     plan = objective.decode(genes)
     np.testing.assert_array_equal(plan.alpha, 1.0)
     np.testing.assert_array_equal(plan.p, 1.0)
+    assert isinstance(objective(genes), float)
     assert objective(genes) == pytest.approx(org_cost(spec).total)
     assert objective.is_feasible(genes)
     assert objective.bounds.shape == (9, 2)
@@ -192,7 +194,7 @@ def test_no_feasible_candidate_error():
         bounds = np.array([[0.0, 1.0]] * 2)
 
         def __call__(self, genes):
-            return float(np.sum(genes))
+            return np.sum(genes, axis=-1)
 
         def is_feasible(self, genes):
             return False
@@ -277,7 +279,7 @@ def test_batch_matches_serial_objective(mode):
     c, pools, ill = stationary_pools(spec, plans)
     assert 0 < ill.any(axis=-1).sum() < 64  # both kinds of rows
     serial = [objective(g) for g in pop]
-    assert objective.batch(pop).tolist() == serial
+    assert objective(pop).tolist() == serial
     assert penalized_cost(spec, plans).tolist() == serial
     for b, genes in enumerate(pop):
         row_c, row_pools, row_ill = stationary_pools(spec,
@@ -296,7 +298,7 @@ def test_batch_without_temp_wages_prices_permanent_plans(costed_org_plain):
     # spec.wt is unset; with p frozen at 1 no plan needs it
     objective = PlanObjective(costed_org_plain, optimize_p=False)
     pop = np.random.default_rng(4).uniform(1.0, 10.0, size=(32, 4))
-    costs = objective.batch(pop)
+    costs = objective(pop)
     assert costs.shape == (32,)
     assert np.all(np.isfinite(costs))
     assert costs.tolist() == [objective(g) for g in pop]
@@ -304,7 +306,7 @@ def test_batch_without_temp_wages_prices_permanent_plans(costed_org_plain):
     full = PlanObjective(costed_org_plain)
     genes = np.concatenate([np.ones(4), [0.9, 1.0, 1.0, 1.0, 1.0]])
     with pytest.raises(MissingWageError):
-        full.batch(np.vstack([full.default_genes(), genes]))
+        full(np.vstack([full.default_genes(), genes]))
 
 
 def test_ga_prices_each_generation_in_one_batch_call():
@@ -312,10 +314,8 @@ def test_ga_prices_each_generation_in_one_batch_call():
         def __init__(self):
             self.rows = []
 
-        def __call__(self, genes):
-            raise AssertionError("per-gene call on a batched objective")
-
-        def batch(self, pop):
+        def __call__(self, pop):
+            assert pop.ndim == 2, "per-gene call"
             self.rows.append(len(pop))
             return np.sum(pop * pop, axis=1)
 
@@ -330,9 +330,9 @@ def test_batched_and_serial_ga_runs_are_identical():
     objective = PlanObjective(costed_org(premium=0.2))
 
     class Serial:
-        # the same objective without batch, so the GA prices gene by gene
-        def __call__(self, genes):
-            return objective(genes)
+        # the same objective priced gene vector by gene vector
+        def __call__(self, pop):
+            return np.array([objective(g) for g in pop])
 
         def is_feasible(self, genes):
             return objective.is_feasible(genes)
@@ -346,3 +346,11 @@ def test_batched_and_serial_ga_runs_are_identical():
     assert batched.best.feasible == serial.best.feasible
     np.testing.assert_array_equal(batched.best_history, serial.best_history)
     np.testing.assert_array_equal(batched.mean_history, serial.mean_history)
+
+
+def test_ga_rejects_scalar_objective():
+    # one float for a whole population would broadcast into every fitness
+    config = GaConfig(bounds=np.array([[-1.0, 1.0]] * 2),
+                      population_size=10, generations=3, seed=1)
+    with pytest.raises(ValueError, match="one cost per row"):
+        ga_minimize(lambda x: float(np.sum(x * x)), config)

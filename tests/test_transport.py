@@ -183,6 +183,31 @@ def test_unit_courant_step_is_exact_shift(low_turnover_org):
         rtol=1e-14)
 
 
+def test_eligibility_mask_built_once_per_step(monkeypatch, low_turnover_org):
+    # the closure builds the mask and hands it to step and level_metrics
+    # through PolicyState.pre, so a run of n steps builds it once per
+    # closure (n + 1) plus once for the initial-data check
+    built = []
+    original = SeniorityGrid.pre_eligibility_mask
+
+    def counting(self, spec):
+        built.append(1)
+        return original(self, spec)
+
+    monkeypatch.setattr(SeniorityGrid, "pre_eligibility_mask", counting)
+    grid = SeniorityGrid(s_max=70.0)
+    n_steps = 40
+    run(low_turnover_org, grid=grid, horizon=n_steps * grid.dt, cap=np.inf)
+    assert len(built) == n_steps + 2
+    monkeypatch.undo()
+    masses = low_turnover_org.n.astype(float)
+    density = make_initial_density(low_turnover_org, None, grid, "uniform")
+    state = close_policy_external_fraction(density, low_turnover_org, grid,
+                                           masses=masses)
+    np.testing.assert_array_equal(state.pre,
+                                  grid.pre_eligibility_mask(low_turnover_org))
+
+
 def test_policy_closure_balances_exactly(low_turnover_org):
     grid = SeniorityGrid(s_max=70.0)
     masses = low_turnover_org.n.astype(float)
