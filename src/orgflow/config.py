@@ -210,6 +210,11 @@ def _parse_level(value, path: str) -> tuple[LevelSpec, dict]:
     curve, curve_dict = _parse_wage_curve(block.pop("floater_wage", None),
                                           f"{path}.floater_wage")
     _reject_unknown(block, path)
+    if curve is not None and math.isinf(curve.laplace(attrition)):
+        # the floater wage integral diverges, like wage_growth >= attrition
+        raise ConfigError(
+            f"{path}.floater_wage.growth: must stay below the level's "
+            f"attrition {attrition}")
     level = LevelSpec(headcount=headcount, attrition=attrition,
                       eligibility_age=age, base_wage=base, temp_wage=temp,
                       floater_wage=curve)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .org import (
     FlexPlan,
@@ -224,6 +223,10 @@ class ConstantWage:
     def __call__(self, s: np.ndarray) -> np.ndarray:
         return np.full_like(np.asarray(s, dtype=float), self.value)
 
+    def laplace(self, mu: float) -> float:
+        """int_0^inf w(s) e^{-mu s} ds."""
+        return self.value / mu
+
 
 @dataclass
 class ExponentialWage:
@@ -234,6 +237,12 @@ class ExponentialWage:
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         return self.base * np.exp(self.growth * np.asarray(s, dtype=float))
+
+    def laplace(self, mu: float) -> float:
+        """int_0^inf w(s) e^{-mu s} ds; infinite unless growth < mu."""
+        if self.growth >= mu:
+            return math.inf
+        return self.base / (mu - self.growth)
 
 
 @dataclass
@@ -258,14 +267,31 @@ class PiecewiseLinearWage:
     def __call__(self, s: np.ndarray) -> np.ndarray:
         return np.interp(np.asarray(s, dtype=float), self.knots, self.values)
 
+    def laplace(self, mu: float) -> float:
+        """int_0^inf w(s) e^{-mu s} ds in closed form.
+
+        w' is the slope m_i on each segment [a_i, b_i] (knots clipped to
+        [0, inf)) and 0 outside, so integrating by parts gives
+
+            w(0)/mu + sum_i m_i (e^{-mu a_i} - e^{-mu b_i}) / mu^2,
+
+        with each difference taken as -e^{-mu a_i} expm1(-mu (b_i - a_i))
+        so that short segments lose no digits to cancellation.
+        """
+        a = np.maximum(self.knots[:-1], 0.0)
+        b = np.maximum(self.knots[1:], 0.0)
+        slope = np.diff(self.values) / np.diff(self.knots)
+        ramps = slope * np.exp(-mu * a) * -np.expm1(-mu * (b - a))
+        return float(self(0.0) / mu + ramps.sum() / mu ** 2)
+
 
 def floater_average_cost(spec: OrgSpec, level: int) -> float:
     """Seniority-discounted floater wage integral w^{fa} of one level.
 
-    Computes int_0^inf w^{float}(s) e^{-mu_j s} ds by adaptive quadrature,
-    splitting at any curve knots so kinks never straddle a panel. Note the
-    integral is taken exactly in this unnormalized form, so its value
-    carries a factor 1/mu_j relative to a per-head average wage.
+    Computes int_0^inf w^{float}(s) e^{-mu_j s} ds in closed form, through
+    the level's wage curve (its laplace method). Note the integral is taken
+    exactly in this unnormalized form, so its value carries a factor 1/mu_j
+    relative to a per-head average wage.
     """
     j = level - 1
     if not 1 <= level <= spec.size:
@@ -273,29 +299,12 @@ def floater_average_cost(spec: OrgSpec, level: int) -> float:
     curve = spec.levels[j].floater_wage
     if curve is None:
         raise MissingFloaterCurveError(f"level {level} has no floater wage curve")
-    mu = spec.mu[j]
-    if isinstance(curve, ExponentialWage):
-        if curve.growth >= mu:
-            raise GrowthExceedsAttritionError(
-                f"level {level}: floater wage growth {curve.growth} must "
-                f"stay below attrition {mu}"
-            )
-        # exact, and safe from overflow where quadrature would probe the
-        # far tail of the unbounded integrand
-        return curve.base / (mu - curve.growth)
-    if isinstance(curve, ConstantWage):
-        return curve.value / mu
-
-    def f(s: float) -> float:
-        return float(curve(np.asarray(s, dtype=float))) * math.exp(-mu * s)
-
-    knots = np.asarray(getattr(curve, "knots", ()), dtype=float)
-    if knots.size:
-        split = float(knots[-1])
-        head, _ = quad(f, 0.0, split, points=list(knots), limit=200)
-        tail, _ = quad(f, split, np.inf)
-        return head + tail
-    value, _ = quad(f, 0.0, np.inf)
+    value = curve.laplace(spec.mu[j])
+    if not math.isfinite(value):
+        raise GrowthExceedsAttritionError(
+            f"level {level}: floater wage {curve} must grow slower than "
+            f"attrition {spec.mu[j]}"
+        )
     return value
 
 
@@ -361,12 +370,6 @@ class BusinessUnitPlan:
             return self.temp_wage
         return np.broadcast_to(spec.wt, (self.units, spec.size)).copy()
 
-    def resolved_floater_cost(self, spec: OrgSpec) -> np.ndarray:
-        """Seniority-discounted floater wage per level, integrated from the
-        levels' wage curves (see floater_average_cost)."""
-        return np.array([floater_average_cost(spec, j + 1)
-                         for j in range(spec.size)])
-
 
 def business_unit_cost(spec: OrgSpec, bu_plan: BusinessUnitPlan) -> CostBreakdown:
     """Hourly cost of a K-unit organization with floaters.
@@ -375,18 +378,20 @@ def business_unit_cost(spec: OrgSpec, bu_plan: BusinessUnitPlan) -> CostBreakdow
     at the level's seniority-discounted wage integral, and the permanent
     wage bill of the unit's own stationary profile (units promote
     internally, so each is costed as an independent organization whose
-    permanent mass is N_j^k p_j^k). Fails with IllPosedError when any
+    permanent mass is N_j^k p_j^k). Only levels where some unit holds
+    floaters need a floater wage curve. Fails with IllPosedError when any
     unit is ill posed, and with GrowthExceedsAttritionError when wage
     growth reaches any level's attrition.
     """
     bu_plan.check(spec)
     _check_growth(spec)
     wt = bu_plan.resolved_temp_wage(spec)
-    # wage curves are only needed where floaters are actually deployed
-    wfa = (bu_plan.resolved_floater_cost(spec)
-           if np.any(bu_plan.floater_share > 0.0) else np.zeros(spec.size))
     heads, p, g = (bu_plan.headcounts, bu_plan.permanent_share,
                    bu_plan.floater_share)
+    # wage curves are only needed at levels where some unit deploys floaters
+    wfa = np.zeros(spec.size)
+    for j in np.flatnonzero((g > 0.0).any(axis=0)):
+        wfa[j] = floater_average_cost(spec, j + 1)
     internal = FlexPlan(alpha=np.ones(spec.size - 1), p=p)
     c, pools, ill = stationary_pools(spec, internal, heads)
     IllPosedError.check(pools, ill)
@@ -427,7 +432,8 @@ def reduce_floaters(spec: OrgSpec, bu_plan: BusinessUnitPlan) -> FloaterReductio
     """
     bu_plan.check(spec)
     wt = bu_plan.resolved_temp_wage(spec)
-    wfa = bu_plan.resolved_floater_cost(spec)
+    wfa = np.array([floater_average_cost(spec, j + 1)
+                    for j in range(spec.size)])
     flexible = 1.0 - bu_plan.permanent_share
     units = BusinessUnitPlan(
         headcounts=bu_plan.headcounts.copy(),

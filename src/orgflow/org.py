@@ -107,6 +107,8 @@ class LevelSpec:
     base_wage       entry wage of a permanent worker, currency per hour
     temp_wage       hourly cost of a temporary worker at this level
     floater_wage    optional wage curve s -> currency/hour for floaters
+                    (ConstantWage, ExponentialWage or PiecewiseLinearWage
+                    from orgflow.costs; its laplace method prices floaters)
     """
 
     headcount: float

@@ -176,7 +176,8 @@ def close_policy_external_fraction(density: np.ndarray, spec: OrgSpec,
                                    grid: SeniorityGrid,
                                    cap: float = DEFAULT_PROMOTION_CAP,
                                    alpha_frac=0.0,
-                                   masses: np.ndarray | None = None
+                                   masses: np.ndarray | None = None,
+                                   out: np.ndarray | None = None
                                    ) -> PolicyState:
     """Close promotion and hiring rates, imposing an external-hiring share.
 
@@ -195,6 +196,10 @@ def close_policy_external_fraction(density: np.ndarray, spec: OrgSpec,
     alpha_frac = 0 this is exactly the maximize-internal-promotion rule.
     An empty pool below a positive demand forces the cap (or zero when the
     cap is infinite) with hiring absorbing the whole demand.
+
+    out, an array shaped like density, receives the pre-eligibility
+    density rho 1[s <= tau] whose row sums give the pools; a scratch array
+    is allocated when it is not given.
     """
     size = spec.size
     if masses is None:
@@ -205,35 +210,41 @@ def close_policy_external_fraction(density: np.ndarray, spec: OrgSpec,
     if cap <= 0:
         raise ValueError("promotion cap must be positive")
     pre = grid.pre_eligibility_mask(spec)
-    pools = masses - grid.ds * np.sum(density * pre, axis=1)
+    held = np.multiply(density, pre, out=out)
+    pools = masses - grid.ds * np.sum(held, axis=1)
     empty = pools <= _POOL_EPS * np.maximum(masses, 1.0)
-    promotion = np.zeros(size)
-    hiring = np.zeros(size)
-    shortfall = np.zeros(size)
+    # the sweep runs on Python floats: the same double operations in the
+    # same order as on numpy scalars, without their per-item overhead
+    mu, mass, pool = spec.mu.tolist(), masses.tolist(), pools.tolist()
+    share, dry = frac.tolist(), empty.tolist()
+    promotion = [0.0] * size
+    hiring = [0.0] * size
+    shortfall = [0.0] * size
     for j in range(size - 1, -1, -1):
-        demand = spec.mu[j] * masses[j] + promotion[j] * pools[j]
+        demand = mu[j] * mass[j] + promotion[j] * pool[j]
         if j > 0:
-            below = pools[j - 1]
-            if empty[j - 1]:
+            below = pool[j - 1]
+            if dry[j - 1]:
                 promotion[j - 1] = cap if math.isfinite(cap) else 0.0
                 below = max(below, 0.0)
             else:
-                promotion[j - 1] = min(cap, demand / ((1.0 + frac[j]) * below))
+                promotion[j - 1] = min(cap, demand / ((1.0 + share[j]) * below))
             promoted = promotion[j - 1] * below
         else:
             promoted = 0.0
         external = max(demand - promoted, 0.0)
-        if masses[j] > 0.0:
-            hiring[j] = external / masses[j]
-            imposed = frac[j] * promoted if j > 0 else 0.0
-            shortfall[j] = max(external - imposed, 0.0) / masses[j]
-    return PolicyState(promotion=promotion, hiring=hiring,
-                       shortfall=shortfall, pool=pools, empty=empty, pre=pre,
-                       cap=cap)
+        if mass[j] > 0.0:
+            hiring[j] = external / mass[j]
+            imposed = share[j] * promoted if j > 0 else 0.0
+            shortfall[j] = max(external - imposed, 0.0) / mass[j]
+    return PolicyState(promotion=np.array(promotion), hiring=np.array(hiring),
+                       shortfall=np.array(shortfall), pool=pools, empty=empty,
+                       pre=pre, cap=cap)
 
 
 def step(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
-         policy: PolicyState, masses: np.ndarray) -> np.ndarray:
+         policy: PolicyState, masses: np.ndarray,
+         out: np.ndarray | None = None) -> np.ndarray:
     """Advance every level by one time step.
 
     Explicit upwind advection, implicit attrition and promotion decay,
@@ -245,16 +256,29 @@ def step(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
     policy must be the closure of this same density with these masses (as
     run() calls it): its pool A is the promotable mass the ghost value
     needs, and its pre mask marks where the promotion source acts.
+
+    The new densities are written to out, an array shaped like density
+    that must not overlap it, and returned; a new array is allocated when
+    out is not given. run() alternates two such arrays, so a run allocates
+    no density-sized temporary per step.
     """
     lam = grid.dt / grid.ds
-    mu = spec.mu[:, np.newaxis]
     rate = policy.promotion[:, np.newaxis]
-    upwind = np.empty_like(density)
-    upwind[:, 0] = spec.mu * masses + policy.promotion * policy.pool
-    upwind[:, 1:] = density[:, :-1]
-    numer = (density - lam * (density - upwind)
-             + grid.dt * rate * policy.pre * density)
-    return numer / (1.0 + grid.dt * (mu + rate))
+    if out is None:
+        out = np.empty_like(density)
+    # rho - lam (rho - rho_upwind), with the ghost value upwind of node 1
+    out[:, 0] = density[:, 0] - (spec.mu * masses + policy.promotion * policy.pool)
+    np.subtract(density[:, 1:], density[:, :-1], out=out[:, 1:])
+    out *= lam
+    np.subtract(density, out, out=out)
+    # the promotion source dt P rho 1[s <= tau] is added only on the nodes
+    # up to the last pre-eligibility node of any level (pre marks a prefix
+    # of every row); past them it is +0, which leaves nonnegative values
+    # unchanged
+    head = np.count_nonzero(policy.pre.any(axis=0))
+    out[:, :head] += grid.dt * rate * policy.pre[:, :head] * density[:, :head]
+    out /= 1.0 + grid.dt * (spec.mu[:, np.newaxis] + rate)
+    return out
 
 
 def discrete_stationary_density(spec: OrgSpec, plan: FlexPlan,
@@ -398,7 +422,8 @@ class SimulationResult:
 
 def level_metrics(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
                   policy: PolicyState, masses: np.ndarray,
-                  steady_density: np.ndarray | None = None) -> dict:
+                  steady_density: np.ndarray | None = None,
+                  out: np.ndarray | None = None) -> dict:
     """Per-level snapshot metrics.
 
     ready_ratio   promotable share A_j / M_j
@@ -406,6 +431,9 @@ def level_metrics(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
                   0 where the closure found the pool empty
     l1_to_steady  ds * sum |rho - steady| / M_j, NaN without a reference
     mass_error    |ds * sum rho - M_j| / M_j
+
+    out, an array shaped like density, is the scratch for the node-wise
+    terms; one is allocated when it is not given.
     """
     with np.errstate(invalid="ignore", divide="ignore"):
         ready = np.where(masses > 0, policy.pool / masses, 0.0)
@@ -414,11 +442,16 @@ def level_metrics(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
         if steady_density is None:
             l1 = np.full(spec.size, np.nan)
         else:
-            l1 = grid.ds * np.sum(np.abs(density - steady_density), axis=1)
+            gap = np.subtract(density, steady_density, out=out)
+            l1 = grid.ds * np.sum(np.abs(gap, out=gap), axis=1)
             l1 = np.where(masses > 0, l1 / masses, l1)
-    post = ~policy.pre
-    excess = grid.s[np.newaxis, :] - spec.tau[:, np.newaxis]
-    weighted = grid.ds * np.sum(density * post * excess, axis=1)
+    # rho (s - tau) on the post-eligibility nodes; multiplying by the 0/1
+    # mask last gives the same values, signed zeros included, as masking
+    # rho first
+    past = np.subtract(grid.s, spec.tau[:, np.newaxis], out=out)
+    past *= density
+    past *= ~policy.pre
+    weighted = grid.ds * np.sum(past, axis=1)
     alive = ~policy.empty
     wait = np.zeros(spec.size)
     wait[alive] = weighted[alive] / policy.pool[alive]
@@ -497,15 +530,21 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
     l1 = np.zeros(shape)
     mass_err = np.zeros(shape)
     snapshots: dict[float, np.ndarray] = {}
+    # density-sized arrays made once: the next density, and one scratch
+    # that the closure and the metrics take turns with
+    spare = np.empty_like(density)
+    scratch = np.empty_like(density)
 
     state = close_policy_external_fraction(density, spec, grid, cap=cap,
-                                           alpha_frac=fractions, masses=masses)
+                                           alpha_frac=fractions, masses=masses,
+                                           out=scratch)
     for k in range(n_steps + 1):
         promotion[k] = state.promotion
         hiring[k] = state.hiring
         shortfall[k] = state.shortfall
         pool[k] = state.pool
-        m = level_metrics(density, spec, grid, state, masses, steady)
+        m = level_metrics(density, spec, grid, state, masses, steady,
+                          out=scratch)
         ready[k] = m["ready_ratio"]
         wait[k] = m["excess_wait"]
         l1[k] = m["l1_to_steady"]
@@ -514,10 +553,11 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
             snapshots[float(times[k])] = density.copy()
         if k == n_steps:
             break
-        density = step(density, spec, grid, state, masses)
+        step(density, spec, grid, state, masses, out=spare)
+        density, spare = spare, density
         state = close_policy_external_fraction(density, spec, grid, cap=cap,
                                                alpha_frac=fractions,
-                                               masses=masses)
+                                               masses=masses, out=scratch)
     return SimulationResult(
         times=times, density=density, masses=masses, promotion=promotion,
         hiring=hiring, shortfall=shortfall, pool=pool, ready_ratio=ready,

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import orgflow
 from orgflow import cli
 from orgflow.config import load_config, parse_config
 
@@ -26,6 +29,18 @@ def plain_org(wages=False, top_attrition=0.2):
     org = {"levels": levels}
     if wages:
         org["wage_growth"] = 0.04
+    return org
+
+
+def runaway_floater_org():
+    # level 1's floater wage grows as fast as staff leave: its discounted
+    # integral diverges
+    org = plain_org(wages=True)
+    for level in org["levels"]:
+        level["floater_wage"] = {"kind": "constant", "value": 40.0}
+    org["levels"][0]["floater_wage"] = {"kind": "exponential", "base": 30.0,
+                                        "growth": RATES[0]}
+    org["business_units"] = [[n / 2 for n in HEADS]] * 2
     return org
 
 
@@ -255,15 +270,20 @@ def test_unknown_key_is_config_error(tmp_path, capsys):
     {"policy": {"mode": "fixed-plan"}},
     {"optimizer": {"mode": "evaluate"}},
     {"grid": {"ds": 0.05, "dt": 0.1}},
+    {"org": runaway_floater_org(), "cost": {"premium": 0.2}},
 ])
 def test_invalid_scenarios_exit_config(tmp_path, capsys, blocks):
     data = {"org": plain_org(wages=True),
             "output": {"directory": str(tmp_path / "out")}}
     data.update(blocks)
     path = write_scenario(tmp_path, data)
-    command = "optimize" if "optimizer" in blocks else "steady"
+    command = ("optimize" if "optimizer" in blocks
+               else "cost" if "cost" in blocks else "steady")
     assert cli.main([command, "--config", path]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    if "cost" in blocks:
+        assert "org.levels[0].floater_wage.growth" in err
 
 
 def test_missing_temp_wage_is_config_error(tmp_path, capsys):
@@ -293,3 +313,30 @@ def test_load_config_rejects_bad_json(tmp_path):
     from orgflow.config import ConfigError
     with pytest.raises(ConfigError):
         load_config(str(path))
+
+
+def test_runtime_does_not_import_scipy(tmp_path):
+    # scipy is needed by the tests only: importing the package, loading a
+    # scenario with every floater wage curve kind and pricing those curves
+    # must not import it
+    org = plain_org(wages=True)
+    curves = [{"kind": "constant", "value": 40.0},
+              {"kind": "exponential", "base": 30.0, "growth": 0.02},
+              {"kind": "piecewise-linear", "knots": [0.0, 5.0, 35.0],
+               "values": [30.0, 45.0, 60.0]}]
+    for level, curve in zip(org["levels"], curves + curves[:2]):
+        level["floater_wage"] = curve
+    path = write_scenario(tmp_path, {"org": org})
+    script = """
+import sys
+import orgflow, orgflow.cli
+from orgflow.config import load_config
+spec = load_config(sys.argv[1]).spec
+print([orgflow.floater_average_cost(spec, j + 1) for j in range(spec.size)])
+print("scipy" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(orgflow.__file__))
+    done = subprocess.run([sys.executable, "-c", script, path],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "False"

@@ -207,9 +207,39 @@ def test_piecewise_curve_validation():
 def test_floater_average_cost_analytic_cases():
     org = build_org([100.0], [0.25], [2.0])
     org.levels[0].floater_wage = ConstantWage(40.0)
-    assert floater_average_cost(org, 1) == pytest.approx(40.0 / 0.25, rel=1e-9)
+    assert floater_average_cost(org, 1) == 40.0 / 0.25
     org.levels[0].floater_wage = ExponentialWage(40.0, 0.05)
-    assert floater_average_cost(org, 1) == pytest.approx(40.0 / 0.20, rel=1e-9)
+    assert floater_average_cost(org, 1) == 40.0 / (0.25 - 0.05)
+
+
+def test_piecewise_linear_floater_cost_matches_quadrature():
+    from scipy.integrate import quad
+    rng = np.random.default_rng(17)
+    at_zero = past_30 = 0
+    for i in range(240):
+        mu = rng.uniform(0.02, 0.5)
+        count = int(rng.integers(2, 7))
+        # every third curve starts at 0, and one in three starts below it
+        start = (0.0, rng.uniform(0.0, 5.0), -rng.uniform(0.0, 5.0))[i % 3]
+        gaps = rng.uniform(0.2, 15.0, count - 1)
+        knots = start + np.concatenate(([0.0], np.cumsum(gaps)))
+        curve = PiecewiseLinearWage(knots, rng.uniform(0.0, 200.0, count))
+        org = build_org([100.0], [mu], [2.0])
+        org.levels[0].floater_wage = curve
+        at_zero += knots[0] == 0.0
+        past_30 += knots[-1] > 30.0
+
+        def f(s):
+            return float(curve(s)) * math.exp(-mu * s)
+
+        split = max(knots[-1], 0.0)
+        inner = knots[(knots > 0.0) & (knots < split)]
+        head = quad(f, 0.0, split, points=inner, limit=200, epsabs=0.0,
+                    epsrel=1e-12)[0] if split > 0.0 else 0.0
+        tail = quad(f, split, np.inf, epsabs=0.0, epsrel=1e-12)[0]
+        assert floater_average_cost(org, 1) == pytest.approx(head + tail,
+                                                             rel=1e-9)
+    assert at_zero >= 50 and past_30 >= 50
 
 
 def test_floater_growth_must_stay_below_attrition():
@@ -236,6 +266,22 @@ def test_business_units_halved_recover_whole_org_cost():
     whole = org_cost(spec, FlexPlan(alpha=np.ones(4), p=p)).total
     split = business_unit_cost(spec, bu).total
     assert split == pytest.approx(whole, rel=1e-12)
+
+
+def test_business_unit_cost_needs_curves_only_where_floaters_work():
+    spec = costed_org(premium=0.2)
+    half = spec.n / 2.0
+    spec.business_units = np.vstack([half, half])
+    spec.levels[0].floater_wage = ConstantWage(30.0)  # no curve above
+    p = np.full(5, 0.8)
+    g = np.zeros((2, 5))
+    g[:, 0] = 0.1
+    bu = BusinessUnitPlan(headcounts=spec.business_units.copy(),
+                          permanent_share=np.vstack([p, p]), floater_share=g)
+    floater = business_unit_cost(spec, bu).floater
+    assert floater[0] == pytest.approx(0.1 * spec.n[0] * 30.0 / spec.mu[0],
+                                       rel=1e-12)
+    np.testing.assert_array_equal(floater[1:], 0.0)
 
 
 def test_floaters_replace_temporaries_only_when_cheaper():

@@ -183,6 +183,46 @@ def test_unit_courant_step_is_exact_shift(low_turnover_org):
         rtol=1e-14)
 
 
+@pytest.mark.parametrize("dt,cap,kind", [
+    (0.05, 5.0, "uniform"),
+    (0.03, np.inf, "truncated-exponential"),
+])
+def test_buffered_step_matches_full_array_formula(high_turnover_org, dt, cap,
+                                                  kind):
+    # reference: the update written over every node into fresh arrays
+    org = high_turnover_org
+    grid = SeniorityGrid(ds=0.05, dt=dt, s_max=70.0)
+    masses = org.n.astype(float)
+    density = make_initial_density(org, None, grid, kind)
+    # any profile of the right shape serves as the l1 reference
+    other = make_initial_density(org, None, grid, "uniform")[:, ::-1].copy()
+    scratch = np.full_like(density, np.nan)
+    state = close_policy_external_fraction(density, org, grid, cap=cap,
+                                           masses=masses, out=scratch)
+    lam, rate = grid.dt / grid.ds, state.promotion[:, np.newaxis]
+    upwind = np.empty_like(density)
+    upwind[:, 0] = org.mu * masses + state.promotion * state.pool
+    upwind[:, 1:] = density[:, :-1]
+    expected = ((density - lam * (density - upwind)
+                 + grid.dt * rate * state.pre * density)
+                / (1.0 + grid.dt * (org.mu[:, np.newaxis] + rate)))
+    out = np.full_like(density, np.nan)
+    assert step(density, org, grid, state, masses, out=out) is out
+    np.testing.assert_array_equal(out, expected)
+    np.testing.assert_array_equal(step(density, org, grid, state, masses),
+                                  expected)
+    # the closure and the metrics give the same numbers with a scratch array
+    fresh = close_policy_external_fraction(density, org, grid, cap=cap,
+                                           masses=masses)
+    np.testing.assert_array_equal(state.pool, fresh.pool)
+    np.testing.assert_array_equal(state.promotion, fresh.promotion)
+    buffered = level_metrics(density, org, grid, state, masses, other,
+                             out=scratch)
+    for name, value in level_metrics(density, org, grid, state, masses,
+                                     other).items():
+        np.testing.assert_array_equal(buffered[name], value)
+
+
 def test_eligibility_mask_built_once_per_step(monkeypatch, low_turnover_org):
     # the closure builds the mask and hands it to step and level_metrics
     # through PolicyState.pre, so a run of n steps builds it once per
