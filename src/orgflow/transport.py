@@ -29,6 +29,13 @@ Promotion rates are closed after every step by a backward sweep over
 levels (Eq. balance: hiring + promotions in = attrition + promotions out),
 either maximizing internal promotion or imposing an external-hiring
 fraction, both capped at a promotion-rate ceiling.
+
+The eligibility cut depends only on the grid and the eligibility ages:
+the pre-eligibility mask 1[s <= tau], the number of leading nodes where
+any level is still below its cut, and the excess-wait weight
+(s - tau) 1[s > tau]. run() builds them once, as read-only arrays, and
+every closure, step and metrics pass of the run reads them, so a step
+costs only its arithmetic on the densities.
 """
 
 from __future__ import annotations
@@ -131,6 +138,53 @@ class SeniorityGrid:
         return idx[np.newaxis, :] <= self.eligibility_index(spec.tau)[:, np.newaxis]
 
 
+@dataclass(frozen=True)
+class _Cuts:
+    """Per-run constants of the eligibility cut; they depend only on
+    (grid, spec.tau), and both arrays are read-only.
+
+    pre     (L, n_nodes) 1.0 on the nodes s_i <= tau_j, 0.0 past them
+    head    nodes up to the last pre-eligibility node of any level (pre
+            marks a prefix of every row)
+    weight  (L, n_nodes) (s_i - tau_j) 1[s_i > tau_j], the excess-wait
+            weight; -0.0 where s_i < tau_j
+    """
+
+    key: tuple
+    pre: np.ndarray
+    head: int
+    weight: np.ndarray
+
+
+def _build_cuts(grid: SeniorityGrid, spec: OrgSpec) -> _Cuts:
+    mask = grid.pre_eligibility_mask(spec)
+    weight = np.subtract(grid.s, spec.tau[:, np.newaxis])
+    weight *= ~mask
+    pre = mask.astype(float)
+    pre.flags.writeable = False
+    weight.flags.writeable = False
+    return _Cuts(key=(grid, spec.tau.tobytes()), pre=pre,
+                 head=int(np.count_nonzero(mask.any(axis=0))), weight=weight)
+
+
+# the cuts of the latest (grid, tau) asked for; a single entry, so a sweep
+# over many grids keeps one set of arrays alive
+_latest_cuts: _Cuts | None = None
+
+
+def _cuts(grid: SeniorityGrid, spec: OrgSpec) -> _Cuts:
+    """The cuts of (grid, spec.tau), built on a miss of the one-entry memo.
+
+    The memo is read once, so a caller gets the cuts it checked or built
+    even when another thread replaces the entry meanwhile.
+    """
+    global _latest_cuts
+    cuts = _latest_cuts
+    if cuts is None or cuts.key != (grid, spec.tau.tobytes()):
+        cuts = _latest_cuts = _build_cuts(grid, spec)
+    return cuts
+
+
 @dataclass
 class PolicyState:
     """Per-level promotion and hiring rates closing the balance law.
@@ -143,9 +197,10 @@ class PolicyState:
     empty      pools the closure treats as empty, A_j <= 1e-12 max(M_j, 1):
                no promotion flow is drawn from them, and level_metrics
                reports no excess wait there
-    pre        (L, n_nodes) mask of the nodes still below eligibility,
-               s_i <= tau_j, from which the pools were computed; step and
-               level_metrics read it instead of rebuilding it
+    pre        (L, n_nodes) 0/1 float mask of the nodes still below
+               eligibility, s_i <= tau_j, from which the pools were
+               computed; one read-only array built once per run and shared
+               by every closure of that run, so it must not be written to
     cap        the promotion-rate ceiling in force
     """
 
@@ -168,8 +223,7 @@ class PolicyState:
 def discrete_pools(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
                    masses: np.ndarray) -> np.ndarray:
     """Promotable mass per level: A_j = M_j - ds * sum_{s_i <= tau_j} rho."""
-    pre = grid.pre_eligibility_mask(spec)
-    return masses - grid.ds * np.sum(density * pre, axis=1)
+    return masses - grid.ds * (density * _cuts(grid, spec).pre).sum(axis=1)
 
 
 def close_policy_external_fraction(density: np.ndarray, spec: OrgSpec,
@@ -204,19 +258,22 @@ def close_policy_external_fraction(density: np.ndarray, spec: OrgSpec,
     size = spec.size
     if masses is None:
         masses = spec.n.copy()
-    frac = np.broadcast_to(np.asarray(alpha_frac, dtype=float), (size,))
-    if np.any(frac < 0):
+    frac = np.asarray(alpha_frac, dtype=float)
+    if frac.shape != (size,):
+        frac = np.broadcast_to(frac, (size,))
+    # the sweep runs on Python floats: the same double operations in the
+    # same order as on numpy scalars, without their per-item overhead
+    share = frac.tolist()
+    if any(f < 0.0 for f in share):
         raise ValueError("external fractions must be nonnegative")
     if cap <= 0:
         raise ValueError("promotion cap must be positive")
-    pre = grid.pre_eligibility_mask(spec)
+    pre = _cuts(grid, spec).pre
     held = np.multiply(density, pre, out=out)
-    pools = masses - grid.ds * np.sum(held, axis=1)
+    pools = masses - grid.ds * held.sum(axis=1)
     empty = pools <= _POOL_EPS * np.maximum(masses, 1.0)
-    # the sweep runs on Python floats: the same double operations in the
-    # same order as on numpy scalars, without their per-item overhead
     mu, mass, pool = spec.mu.tolist(), masses.tolist(), pools.tolist()
-    share, dry = frac.tolist(), empty.tolist()
+    dry = empty.tolist()
     promotion = [0.0] * size
     hiring = [0.0] * size
     shortfall = [0.0] * size
@@ -257,25 +314,29 @@ def step(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
     run() calls it): its pool A is the promotable mass the ghost value
     needs, and its pre mask marks where the promotion source acts.
 
-    The new densities are written to out, an array shaped like density
-    that must not overlap it, and returned; a new array is allocated when
-    out is not given. run() alternates two such arrays, so a run allocates
-    no density-sized temporary per step.
+    The new densities are written to out, a C-contiguous array shaped like
+    density that must not overlap it, and returned; a new array is
+    allocated when out is not given. run() alternates two such arrays, so
+    a run allocates no density-sized temporary per step.
     """
     lam = grid.dt / grid.ds
     rate = policy.promotion[:, np.newaxis]
     if out is None:
-        out = np.empty_like(density)
-    # rho - lam (rho - rho_upwind), with the ghost value upwind of node 1
+        out = np.empty_like(density, order="C")
+    elif not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    # rho - lam (rho - rho_upwind), with the ghost value upwind of node 1;
+    # the differences run over the flattened rows, one contiguous pass,
+    # and the first node of every row is then set from its ghost value
+    flat, rho = out.reshape(-1), density.reshape(-1)
+    np.subtract(rho[1:], rho[:-1], out=flat[1:])
     out[:, 0] = density[:, 0] - (spec.mu * masses + policy.promotion * policy.pool)
-    np.subtract(density[:, 1:], density[:, :-1], out=out[:, 1:])
-    out *= lam
-    np.subtract(density, out, out=out)
+    flat *= lam
+    np.subtract(rho, flat, out=flat)
     # the promotion source dt P rho 1[s <= tau] is added only on the nodes
-    # up to the last pre-eligibility node of any level (pre marks a prefix
-    # of every row); past them it is +0, which leaves nonnegative values
-    # unchanged
-    head = np.count_nonzero(policy.pre.any(axis=0))
+    # up to the run's cut head; past them it is +0, which leaves
+    # nonnegative values unchanged
+    head = _cuts(grid, spec).head
     out[:, :head] += grid.dt * rate * policy.pre[:, :head] * density[:, :head]
     out /= 1.0 + grid.dt * (spec.mu[:, np.newaxis] + rate)
     return out
@@ -434,27 +495,25 @@ def level_metrics(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
 
     out, an array shaped like density, is the scratch for the node-wise
     terms; one is allocated when it is not given.
+
+    Levels without mass divide by 1 instead of M_j, so their ratios are
+    the plain numerators (0 for an empty level's zero density). The
+    excess-wait numerator is rho times the run's weight (s - tau)
+    1[s > tau]; as s - tau <= 0 wherever that indicator is 0, this equals
+    ((s - tau) rho) 1[s > tau] bit for bit, signed zeros included.
     """
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ready = np.where(masses > 0, policy.pool / masses, 0.0)
-        mass_err = np.abs(grid.ds * np.sum(density, axis=1) - masses)
-        mass_err = np.where(masses > 0, mass_err / masses, mass_err)
-        if steady_density is None:
-            l1 = np.full(spec.size, np.nan)
-        else:
-            gap = np.subtract(density, steady_density, out=out)
-            l1 = grid.ds * np.sum(np.abs(gap, out=gap), axis=1)
-            l1 = np.where(masses > 0, l1 / masses, l1)
-    # rho (s - tau) on the post-eligibility nodes; multiplying by the 0/1
-    # mask last gives the same values, signed zeros included, as masking
-    # rho first
-    past = np.subtract(grid.s, spec.tau[:, np.newaxis], out=out)
-    past *= density
-    past *= ~policy.pre
-    weighted = grid.ds * np.sum(past, axis=1)
-    alive = ~policy.empty
+    per = np.where(masses > 0, masses, 1.0)
+    ready = policy.pool / per
+    mass_err = np.abs(grid.ds * density.sum(axis=1) - masses) / per
+    if steady_density is None:
+        l1 = np.full(spec.size, np.nan)
+    else:
+        gap = np.subtract(density, steady_density, out=out)
+        l1 = grid.ds * np.abs(gap, out=gap).sum(axis=1) / per
+    past = np.multiply(density, _cuts(grid, spec).weight, out=out)
+    weighted = grid.ds * past.sum(axis=1)
     wait = np.zeros(spec.size)
-    wait[alive] = weighted[alive] / policy.pool[alive]
+    np.divide(weighted, policy.pool, out=wait, where=~policy.empty)
     return {
         "ready_ratio": ready,
         "excess_wait": wait,
@@ -505,6 +564,7 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
     plan. The permanent masses N_j p_j stay constant; temporaries sit
     outside the dynamics. horizon = 0 returns the initial state only.
     """
+    global _latest_cuts
     if plan is None:
         plan = FlexPlan.all_internal(spec.size)
     plan.check(spec)
@@ -514,6 +574,9 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
         raise ValueError("horizon must be nonnegative")
     fractions = _policy_fractions(policy, spec, plan, external_fraction)
     masses = spec.n * plan.p
+    # each run builds its cuts afresh, once, so a run's calls do not depend
+    # on what ran before it; every later call of the run finds them
+    _latest_cuts = None
     density = make_initial_density(spec, plan, grid, kind=initial)
     steady = _steady_reference(spec, plan, grid, fractions)
 
@@ -567,29 +630,32 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
     )
 
 
+# one trajectory row: t, level, six rates and ratios, the mass error, with
+# the "\r\n" ending of the csv module's rows in the other orgflow files
+_TRAJECTORY_ROW = "%.6g,%d" + ",%.8g" * 6 + ",%.3e\r\n"
+# time steps formatted per write, so the text in memory stays small
+_TRAJECTORY_BLOCK = 32
+
+
 def write_trajectory_csv(path: str, result: SimulationResult,
                          header_lines: Sequence[str] = ()) -> None:
     """One row per (time, level) with rates, pools, and error metrics."""
+    fields = (result.promotion, result.hiring, result.shortfall, result.pool,
+              result.ready_ratio, result.excess_wait, result.mass_error)
+    levels = range(1, result.masses.size + 1)
     with open(path, "w", newline="") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t", "level", "promotion_rate", "hiring_rate",
-                         "shortfall", "pool", "ready_ratio", "excess_wait",
-                         "mass_error"])
-        levels = result.masses.size
-        for k, t in enumerate(result.times):
-            for j in range(levels):
-                writer.writerow([
-                    f"{t:.6g}", j + 1,
-                    f"{result.promotion[k, j]:.8g}",
-                    f"{result.hiring[k, j]:.8g}",
-                    f"{result.shortfall[k, j]:.8g}",
-                    f"{result.pool[k, j]:.8g}",
-                    f"{result.ready_ratio[k, j]:.8g}",
-                    f"{result.excess_wait[k, j]:.8g}",
-                    f"{result.mass_error[k, j]:.3e}",
-                ])
+        fh.write("t,level,promotion_rate,hiring_rate,shortfall,pool,"
+                 "ready_ratio,excess_wait,mass_error\r\n")
+        for k in range(0, result.times.size, _TRAJECTORY_BLOCK):
+            block = slice(k, k + _TRAJECTORY_BLOCK)
+            values = np.stack([f[block] for f in fields], axis=2).tolist()
+            fh.write("".join([
+                _TRAJECTORY_ROW % (t, j, *row)
+                for t, rows in zip(result.times[block].tolist(), values)
+                for j, row in zip(levels, rows)
+            ]))
 
 
 def write_snapshot_csv(path: str, result: SimulationResult, time: float,

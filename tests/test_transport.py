@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -21,6 +23,7 @@ from orgflow import (
     write_snapshot_csv,
     write_trajectory_csv,
 )
+from orgflow import transport
 from conftest import build_org
 
 
@@ -209,6 +212,10 @@ def test_buffered_step_matches_full_array_formula(high_turnover_org, dt, cap,
     out = np.full_like(density, np.nan)
     assert step(density, org, grid, state, masses, out=out) is out
     np.testing.assert_array_equal(out, expected)
+    # the flattened-row pass needs an out that is one block of memory
+    with pytest.raises(ValueError):
+        step(density, org, grid, state, masses,
+             out=np.empty(density.shape[::-1]).T)
     np.testing.assert_array_equal(step(density, org, grid, state, masses),
                                   expected)
     # the closure and the metrics give the same numbers with a scratch array
@@ -223,29 +230,168 @@ def test_buffered_step_matches_full_array_formula(high_turnover_org, dt, cap,
         np.testing.assert_array_equal(buffered[name], value)
 
 
-def test_eligibility_mask_built_once_per_step(monkeypatch, low_turnover_org):
-    # the closure builds the mask and hands it to step and level_metrics
-    # through PolicyState.pre, so a run of n steps builds it once per
-    # closure (n + 1) plus once for the initial-data check
+@pytest.mark.parametrize("variant", [
+    # (seed, org, policy, cap, external fraction, initial, dt)
+    (1, "high", "max-internal", 1.0, 0.0, "uniform", 0.05),
+    (2, "high", "max-internal", np.inf, 0.0, "truncated-exponential", 0.05),
+    (3, "low", "external-fraction", 5.0, 0.25, "uniform", 0.05),
+    (4, "low", "fixed-plan", 2.0, 0.0, "truncated-exponential", 0.03),
+    (5, "low", "external-fraction", np.inf, 0.4, "stationary", 0.02),
+])
+def test_run_matches_full_array_replay(low_turnover_org, high_turnover_org,
+                                       variant):
+    # every run() array replayed step by step with the full-array formulas:
+    # boolean-mask pool sums, np.where ratios, ((s - tau) rho) 1[s > tau]
+    seed, which, policy, cap, f, initial, dt = variant
+    org = high_turnover_org if which == "high" else low_turnover_org
+    rng = np.random.default_rng(seed)
+    plan = FlexPlan(alpha=1.0 + 0.3 * rng.random(4),
+                    p=np.concatenate((rng.uniform(0.7, 1.0, 4), [1.0])))
+    grid = SeniorityGrid(ds=0.05, dt=dt, s_max=40.0)
+    horizon = 2.0
+    result = run(org, plan=plan, grid=grid, policy=policy, horizon=horizon,
+                 cap=cap, external_fraction=f, initial=initial)
+
+    fractions = {"max-internal": np.zeros(5), "external-fraction": np.full(5, f),
+                 "fixed-plan": np.concatenate(([0.0], plan.alpha - 1.0))}[policy]
+    masses = org.n * plan.p
+    mask = grid.pre_eligibility_mask(org)
+    past = grid.s - org.tau[:, np.newaxis]
+    steady = result.steady_density
+    lam = grid.dt / grid.ds
+    density = make_initial_density(org, plan, grid, initial)
+    rows = {name: [] for name in ("promotion", "hiring", "shortfall", "pool",
+                                  "ready_ratio", "excess_wait",
+                                  "l1_to_steady", "mass_error")}
+    n_steps = int(round(horizon / grid.dt))
+    for k in range(n_steps + 1):
+        pools = masses - grid.ds * np.sum(density * mask, axis=1)
+        state = close_policy_external_fraction(density, org, grid, cap=cap,
+                                               alpha_frac=fractions,
+                                               masses=masses)
+        np.testing.assert_array_equal(state.pool, pools)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            l1 = (np.full(5, np.nan) if steady is None else
+                  grid.ds * np.sum(np.abs(density - steady), axis=1))
+            weighted = grid.ds * np.sum(past * density * ~mask, axis=1)
+            values = {
+                "promotion": state.promotion, "hiring": state.hiring,
+                "shortfall": state.shortfall, "pool": pools,
+                "ready_ratio": np.where(masses > 0, pools / masses, 0.0),
+                "excess_wait": np.where(state.empty, 0.0, weighted / pools),
+                "l1_to_steady": np.where(masses > 0, l1 / masses, l1),
+                "mass_error": np.abs(grid.ds * np.sum(density, axis=1)
+                                     - masses) / masses,
+            }
+        for name, value in values.items():
+            rows[name].append(value)
+        if k == n_steps:
+            break
+        rate = state.promotion[:, np.newaxis]
+        upwind = np.empty_like(density)
+        upwind[:, 0] = org.mu * masses + state.promotion * pools
+        upwind[:, 1:] = density[:, :-1]
+        density = ((density - lam * (density - upwind)
+                    + grid.dt * rate * mask * density)
+                   / (1.0 + grid.dt * (org.mu[:, np.newaxis] + rate)))
+    for name, replayed in rows.items():
+        np.testing.assert_array_equal(getattr(result, name), replayed,
+                                      err_msg=name)
+    np.testing.assert_array_equal(result.density, density)
+
+
+def test_eligibility_mask_built_once_per_run(monkeypatch, low_turnover_org):
+    # the mask, its head and the excess-wait weight depend only on the grid
+    # and the eligibility ages: a run builds them once, before its first
+    # closure, and every closure, step and metrics pass reads them
     built = []
-    original = SeniorityGrid.pre_eligibility_mask
+    original = transport._build_cuts
 
-    def counting(self, spec):
-        built.append(1)
-        return original(self, spec)
+    def counting(grid, spec):
+        built.append(grid)
+        return original(grid, spec)
 
-    monkeypatch.setattr(SeniorityGrid, "pre_eligibility_mask", counting)
+    monkeypatch.setattr(transport, "_build_cuts", counting)
     grid = SeniorityGrid(s_max=70.0)
     n_steps = 40
     run(low_turnover_org, grid=grid, horizon=n_steps * grid.dt, cap=np.inf)
-    assert len(built) == n_steps + 2
-    monkeypatch.undo()
+    assert len(built) == 1
+    # a second run on the same grid builds its own, again once
+    run(low_turnover_org, grid=grid, horizon=n_steps * grid.dt, cap=np.inf)
+    assert len(built) == 2
+
     masses = low_turnover_org.n.astype(float)
     density = make_initial_density(low_turnover_org, None, grid, "uniform")
     state = close_policy_external_fraction(density, low_turnover_org, grid,
                                            masses=masses)
-    np.testing.assert_array_equal(state.pre,
-                                  grid.pre_eligibility_mask(low_turnover_org))
+    assert len(built) == 2
+    cuts = transport._cuts(grid, low_turnover_org)
+    assert state.pre is cuts.pre
+    mask = grid.pre_eligibility_mask(low_turnover_org)
+    np.testing.assert_array_equal(cuts.pre, mask)
+    np.testing.assert_array_equal(
+        cuts.weight, (grid.s - low_turnover_org.tau[:, np.newaxis]) * ~mask)
+    assert cuts.head == grid.eligibility_index(4.0)
+    # shared between calls, so no caller may write to them
+    with pytest.raises(ValueError):
+        state.pre[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        cuts.weight[0, -1] = 0.0
+
+    # another grid, or other eligibility ages, never hit a stale entry
+    other_grid = SeniorityGrid(ds=0.1, dt=0.1, s_max=30.0)
+    fresh = transport._cuts(other_grid, low_turnover_org)
+    assert len(built) == 3 and fresh is not cuts
+    np.testing.assert_array_equal(
+        fresh.pre, other_grid.pre_eligibility_mask(low_turnover_org))
+    later = build_org(low_turnover_org.n, low_turnover_org.mu, [6.0] * 5)
+    moved = transport._cuts(other_grid, later)
+    assert len(built) == 4
+    assert moved.head == other_grid.eligibility_index(6.0) != fresh.head
+    np.testing.assert_array_equal(moved.pre,
+                                  other_grid.pre_eligibility_mask(later))
+
+
+@pytest.mark.parametrize("initial", ["stationary", "uniform",
+                                     "truncated-exponential"])
+def test_run_with_zero_mass_levels(high_turnover_org, initial):
+    # the top two levels hold no permanent staff: their ratios divide by
+    # nothing, and no step may raise a RuntimeWarning (the suite makes
+    # them errors)
+    plan = FlexPlan(alpha=np.ones(4), p=np.array([1.0, 1.0, 1.0, 0.0, 0.0]))
+    result = run(high_turnover_org, plan=plan, grid=SeniorityGrid(s_max=70.0),
+                 horizon=2.0, initial=initial)
+    for name in ("promotion", "hiring", "shortfall", "pool", "ready_ratio",
+                 "excess_wait", "l1_to_steady", "mass_error", "density"):
+        assert np.all(np.isfinite(getattr(result, name))), name
+    for name in ("ready_ratio", "excess_wait", "l1_to_steady", "mass_error"):
+        np.testing.assert_array_equal(getattr(result, name)[:, 3:], 0.0,
+                                      err_msg=name)
+    np.testing.assert_array_equal(result.density[3:], 0.0)
+    assert np.all(result.ready_ratio[:, :3] > 0.0)
+
+
+def test_closure_checks_fractions_and_cap(low_turnover_org):
+    grid = SeniorityGrid(s_max=70.0)
+    masses = low_turnover_org.n.astype(float)
+    density = make_initial_density(low_turnover_org, None, grid, "uniform")
+
+    def close(**kw):
+        return close_policy_external_fraction(density, low_turnover_org,
+                                              grid, masses=masses, **kw)
+
+    # a scalar, a one-entry list and a per-level array give the same rates
+    per_level = close(alpha_frac=np.full(5, 0.2))
+    for frac in (0.2, [0.2]):
+        np.testing.assert_array_equal(close(alpha_frac=frac).promotion,
+                                      per_level.promotion)
+    for frac in (-0.1, [0.0, 0.1, -1e-300, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            close(alpha_frac=frac)
+    with pytest.raises(ValueError):
+        close(alpha_frac=[0.1, 0.2])
+    with pytest.raises(ValueError, match="cap"):
+        close(cap=0.0)
 
 
 def test_policy_closure_balances_exactly(low_turnover_org):
@@ -425,6 +571,36 @@ def test_trajectory_csv_layout(tmp_path, low_turnover_org):
     assert len(snap_lines) == 2 + grid.n_nodes
     with pytest.raises(KeyError):
         write_snapshot_csv(str(snap), result, 0.5)
+
+
+def test_trajectory_csv_matches_csv_writer(tmp_path, low_turnover_org):
+    # the one-format-per-row writer against the per-cell csv.writer
+    # formulation, over more time steps than one written block and with
+    # NaN, infinities and signed zeros among the values
+    grid = SeniorityGrid(s_max=70.0)
+    result = run(low_turnover_org, grid=grid, horizon=5.0, cap=np.inf)
+    result.pool[3, 1] = np.nan
+    result.excess_wait[70, :] = [np.inf, -np.inf, -0.0, 1e300, 5e-324]
+    result.mass_error[0, 4] = np.nan
+    result.promotion[99, 0] = -0.0
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(str(path), result, ["seed = 0", "cap = inf"])
+
+    expected = io.StringIO(newline="")
+    expected.write("# seed = 0\n# cap = inf\n")
+    writer = csv.writer(expected)
+    writer.writerow(["t", "level", "promotion_rate", "hiring_rate",
+                     "shortfall", "pool", "ready_ratio", "excess_wait",
+                     "mass_error"])
+    for k, t in enumerate(result.times):
+        for j in range(5):
+            writer.writerow([f"{t:.6g}", j + 1] + [
+                f"{getattr(result, name)[k, j]:.8g}"
+                for name in ("promotion", "hiring", "shortfall", "pool",
+                             "ready_ratio", "excess_wait")
+            ] + [f"{result.mass_error[k, j]:.3e}"])
+    assert path.read_bytes() == expected.getvalue().encode()
+    assert b",nan," in path.read_bytes() and b",-inf," in path.read_bytes()
 
 
 def test_unknown_policy_rejected(low_turnover_org):
