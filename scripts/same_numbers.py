@@ -1,0 +1,174 @@
+"""Check that a change leaves every transport number bit for bit as it was.
+
+    python3 scripts/same_numbers.py --parent ../orgflow-parent
+
+Runs the benchmark's seed-7 `sweep-capped` variants (twenty library
+`run()` calls) and the `simulate-fine` scenario (one library `run()` with
+its snapshots, and one `orgflow simulate`) once with the parent
+checkout's `src/` and once with this checkout's, each in its own
+subprocess. Both sides read their scenarios from this checkout's
+perfbench/workloads.py, so they run the same inputs.
+
+For every result array it prints the largest absolute and relative
+difference and whether the two arrays are bit-identical (signed zeros
+and NaNs included); for the CLI run it compares stdout and every CSV
+file byte for byte. It exits 1 on any difference, 0 when everything is
+identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 7
+ARRAYS = ("times", "density", "masses", "promotion", "hiring", "shortfall",
+          "pool", "ready_ratio", "excess_wait", "l1_to_steady", "mass_error",
+          "steady_density")
+
+
+def parse_args(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path,
+                        help="checkout of the parent commit")
+    # internal: run one side's scenarios with SRC's orgflow into OUT
+    parser.add_argument("--dump", nargs=2, type=Path, metavar=("SRC", "OUT"),
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if (args.parent is None) == (args.dump is None):
+        parser.error("give --parent")
+    return args
+
+
+def result_arrays(prefix: str, result) -> dict[str, np.ndarray]:
+    arrays = {f"{prefix}.{name}": getattr(result, name) for name in ARRAYS
+              if getattr(result, name) is not None}
+    for t, density in result.snapshots.items():
+        arrays[f"{prefix}.snapshot_t{t:g}"] = density
+    return arrays
+
+
+def dump(src: Path, out: Path) -> None:
+    """One side: every array into out/arrays.npz, the CLI run into out/cli."""
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+    from orgflow import cli, transport
+    from orgflow.config import load_config
+    if not Path(transport.__file__).resolve().is_relative_to(src.resolve()):
+        raise RuntimeError(f"orgflow imported from {transport.__file__}")
+    workloads = importlib.import_module("workloads").WORKLOADS
+    inputs = out / "inputs"
+    inputs.mkdir(parents=True)
+    arrays = {}
+    for name in ("sweep-capped", "simulate-fine"):
+        for i, scenario in enumerate(workloads[name].scenarios(SEED)):
+            path = inputs / f"{name}_{i:02d}.json"
+            path.write_text(json.dumps(scenario))
+            cfg = load_config(str(path))
+            result = transport.run(
+                cfg.spec, plan=cfg.plan, grid=cfg.grid,
+                policy=cfg.policy_mode, horizon=cfg.horizon,
+                cap=cfg.promotion_cap,
+                external_fraction=cfg.external_fraction,
+                initial=cfg.initial_density,
+                snapshot_times=cfg.snapshot_times)
+            arrays.update(result_arrays(f"{name}[{i}]", result))
+    np.savez(out / "arrays.npz", **arrays)
+    # the CLI runs from out, so the paths it prints are the same on both
+    # sides
+    stdout = io.StringIO()
+    os.chdir(out)
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(["simulate", "--config",
+                         "inputs/simulate-fine_00.json", "--out", "cli"])
+    (out / "cli" / "stdout.txt").write_text(f"exit {code}\n"
+                                            + stdout.getvalue())
+
+
+def run_side(src: Path, out: Path) -> None:
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--dump",
+           str(src), str(out)]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} exited {done.returncode}:\n"
+                           f"{done.stderr}")
+
+
+def differences(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """Largest absolute and relative gap over the elements finite on both
+    sides; inf where finiteness itself differs."""
+    finite_a, finite_b = np.isfinite(a), np.isfinite(b)
+    if not np.array_equal(finite_a, finite_b) or not np.array_equal(
+            a[~finite_a], b[~finite_b], equal_nan=True):
+        return np.inf, np.inf
+    x, y = a[finite_a], b[finite_b]
+    if x.size == 0:
+        return 0.0, 0.0
+    gap = np.abs(x - y)
+    scale = np.maximum(np.abs(x), np.abs(y))
+    rel = np.divide(gap, scale, out=np.zeros_like(gap), where=scale > 0)
+    return float(gap.max()), float(rel.max())
+
+
+def compare(parent: Path, change: Path) -> int:
+    before = np.load(parent / "arrays.npz")
+    after = np.load(change / "arrays.npz")
+    failed = 0
+    if set(before.files) != set(after.files):
+        print(f"arrays differ: parent only {sorted(set(before.files) - set(after.files))}, "
+              f"change only {sorted(set(after.files) - set(before.files))}")
+        failed += 1
+    print(f"{'array':<40} {'max abs':>10} {'max rel':>10}  bit-identical")
+    for name in sorted(set(before.files) & set(after.files), key=str.lower):
+        a, b = before[name], after[name]
+        if a.shape != b.shape or a.dtype != b.dtype:
+            print(f"{name:<40} shape/dtype {a.shape} {a.dtype} vs "
+                  f"{b.shape} {b.dtype}")
+            failed += 1
+            continue
+        same = a.tobytes() == b.tobytes()
+        gap, rel = differences(a, b)
+        failed += not same
+        print(f"{name:<40} {gap:>10.3g} {rel:>10.3g}  {'yes' if same else 'NO'}")
+    files = sorted(p.relative_to(parent)
+                   for p in (parent / "cli").rglob("*") if p.is_file())
+    mine = sorted(p.relative_to(change)
+                  for p in (change / "cli").rglob("*") if p.is_file())
+    if files != mine:
+        print(f"CLI files differ: {files} vs {mine}")
+        failed += 1
+    for rel_path in files:
+        if rel_path not in mine:
+            continue
+        same = (parent / rel_path).read_bytes() == (change / rel_path).read_bytes()
+        failed += not same
+        print(f"{str(rel_path):<40} {'':>21}  {'yes' if same else 'NO'}")
+    print("all identical" if not failed else f"{failed} differences")
+    return 1 if failed else 0
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    if args.dump is not None:
+        dump(*args.dump)
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {"parent": args.parent.resolve() / "src",
+                 "change": ROOT / "src"}
+        for side, src in sides.items():
+            run_side(src, Path(tmp) / side)
+        return compare(Path(tmp) / "parent", Path(tmp) / "change")
+
+
+if __name__ == "__main__":
+    sys.exit(main())

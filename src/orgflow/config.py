@@ -274,8 +274,10 @@ def parse_config(data: Any) -> ScenarioConfig:
                        "policy.external_fraction", minimum=0.0)
     initial = _string(policy_block.pop("initial_density", "uniform"),
                       "policy.initial_density", _INITIAL_KINDS)
+    # a snapshot past the horizon would never be recorded
     snaps = tuple(_number_list(policy_block.pop("snapshot_times", []),
-                               "policy.snapshot_times", minimum=0.0))
+                               "policy.snapshot_times", minimum=0.0,
+                               maximum=horizon))
     _reject_unknown(policy_block, "policy")
 
     plan_raw = top.pop("plan", None)

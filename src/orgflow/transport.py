@@ -36,11 +36,20 @@ any level is still below its cut, and the excess-wait weight
 (s - tau) 1[s > tau]. run() builds them once, as read-only arrays, and
 every closure, step and metrics pass of the run reads them, so a step
 costs only its arithmetic on the densities.
+
+run() keeps everything elementwise out of its loop. Each step does the
+node-wise passes only: the pool sums of the closure, the closure's sweep
+over levels (on Python floats, with the per-run constants taken out of
+the loop), the step, and three row sums for the metrics (sum rho,
+sum |rho - steady| and sum rho (s - tau)+), each written straight into
+row k of a trajectory array. One elementwise pass over the whole
+(n_steps + 1, L) arrays after the loop turns those sums into the ratios.
+close_policy_external_fraction and level_metrics apply the same sweep,
+row sums and ratio pass to one state, so every formula has one home.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -220,10 +229,80 @@ class PolicyState:
                 - spec.mu * masses - self.promotion * self.pool)
 
 
+def _pool_sums(density: np.ndarray, pre: np.ndarray, ds: float,
+               masses: np.ndarray, scratch: np.ndarray | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """A_j = M_j - ds * sum_i rho_ji pre_ji, written to out when given;
+    scratch, shaped like density, receives rho pre."""
+    held = np.multiply(density, pre, out=scratch)
+    return np.subtract(masses, ds * held.sum(axis=1), out=out)
+
+
+def _empty_floor(masses: np.ndarray) -> np.ndarray:
+    """Pools at or below 1e-12 max(M_j, 1) count as empty."""
+    return _POOL_EPS * np.maximum(masses, 1.0)
+
+
+def _shares(alpha_frac, size: int, cap: float) -> list[float]:
+    """The closure's per-level external fractions as Python floats, after
+    checking them and the cap."""
+    frac = np.asarray(alpha_frac, dtype=float)
+    if frac.shape != (size,):
+        frac = np.broadcast_to(frac, (size,))
+    share = frac.tolist()
+    if any(f < 0.0 for f in share):
+        raise ValueError("external fractions must be nonnegative")
+    if cap <= 0:
+        raise ValueError("promotion cap must be positive")
+    return share
+
+
+def _sweep(mu: list, mass: list, pool: list, floor: list, share: list,
+           cap: float) -> tuple[list, list, list]:
+    """The closure's top-down sweep over levels: promotion, hiring and
+    shortfall rates from the levels' attrition, masses, pools, empty
+    floors and external fractions.
+
+    It runs on Python floats: the same double operations in the same
+    order as on numpy scalars, without their per-item overhead. The
+    clamps are written as comparisons, which pick the same operand as
+    min(cap, x) and max(x, 0.0), signed zeros and NaN included.
+    """
+    size = len(mass)
+    promotion = [0.0] * size
+    hiring = [0.0] * size
+    shortfall = [0.0] * size
+    rate = 0.0  # promotion out of level j, set by the level above
+    for j in range(size - 1, -1, -1):
+        demand = mu[j] * mass[j] + rate * pool[j]
+        promoted = 0.0
+        if j > 0:
+            below = pool[j - 1]
+            if below <= floor[j - 1]:
+                rate = cap if math.isfinite(cap) else 0.0
+                if below < 0.0:
+                    below = 0.0
+            else:
+                rate = demand / ((1.0 + share[j]) * below)
+                if not rate < cap:
+                    rate = cap
+            promotion[j - 1] = rate
+            promoted = rate * below
+        external = demand - promoted
+        if external < 0.0:
+            external = 0.0
+        if mass[j] > 0.0:
+            hiring[j] = external / mass[j]
+            # the imposed share of promotions; x - 0.0 is x at the bottom
+            unmet = external - share[j] * promoted if j > 0 else external
+            shortfall[j] = (0.0 if unmet < 0.0 else unmet) / mass[j]
+    return promotion, hiring, shortfall
+
+
 def discrete_pools(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
                    masses: np.ndarray) -> np.ndarray:
     """Promotable mass per level: A_j = M_j - ds * sum_{s_i <= tau_j} rho."""
-    return masses - grid.ds * (density * _cuts(grid, spec).pre).sum(axis=1)
+    return _pool_sums(density, _cuts(grid, spec).pre, grid.ds, masses)
 
 
 def close_policy_external_fraction(density: np.ndarray, spec: OrgSpec,
@@ -255,48 +334,18 @@ def close_policy_external_fraction(density: np.ndarray, spec: OrgSpec,
     density rho 1[s <= tau] whose row sums give the pools; a scratch array
     is allocated when it is not given.
     """
-    size = spec.size
     if masses is None:
         masses = spec.n.copy()
-    frac = np.asarray(alpha_frac, dtype=float)
-    if frac.shape != (size,):
-        frac = np.broadcast_to(frac, (size,))
-    # the sweep runs on Python floats: the same double operations in the
-    # same order as on numpy scalars, without their per-item overhead
-    share = frac.tolist()
-    if any(f < 0.0 for f in share):
-        raise ValueError("external fractions must be nonnegative")
-    if cap <= 0:
-        raise ValueError("promotion cap must be positive")
+    share = _shares(alpha_frac, spec.size, cap)
     pre = _cuts(grid, spec).pre
-    held = np.multiply(density, pre, out=out)
-    pools = masses - grid.ds * held.sum(axis=1)
-    empty = pools <= _POOL_EPS * np.maximum(masses, 1.0)
-    mu, mass, pool = spec.mu.tolist(), masses.tolist(), pools.tolist()
-    dry = empty.tolist()
-    promotion = [0.0] * size
-    hiring = [0.0] * size
-    shortfall = [0.0] * size
-    for j in range(size - 1, -1, -1):
-        demand = mu[j] * mass[j] + promotion[j] * pool[j]
-        if j > 0:
-            below = pool[j - 1]
-            if dry[j - 1]:
-                promotion[j - 1] = cap if math.isfinite(cap) else 0.0
-                below = max(below, 0.0)
-            else:
-                promotion[j - 1] = min(cap, demand / ((1.0 + share[j]) * below))
-            promoted = promotion[j - 1] * below
-        else:
-            promoted = 0.0
-        external = max(demand - promoted, 0.0)
-        if mass[j] > 0.0:
-            hiring[j] = external / mass[j]
-            imposed = share[j] * promoted if j > 0 else 0.0
-            shortfall[j] = max(external - imposed, 0.0) / mass[j]
+    pools = _pool_sums(density, pre, grid.ds, masses, scratch=out)
+    floor = _empty_floor(masses)
+    promotion, hiring, shortfall = _sweep(spec.mu.tolist(), masses.tolist(),
+                                          pools.tolist(), floor.tolist(),
+                                          share, cap)
     return PolicyState(promotion=np.array(promotion), hiring=np.array(hiring),
-                       shortfall=np.array(shortfall), pool=pools, empty=empty,
-                       pre=pre, cap=cap)
+                       shortfall=np.array(shortfall), pool=pools,
+                       empty=pools <= floor, pre=pre, cap=cap)
 
 
 def step(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
@@ -320,25 +369,28 @@ def step(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
     a run allocates no density-sized temporary per step.
     """
     lam = grid.dt / grid.ds
-    rate = policy.promotion[:, np.newaxis]
     if out is None:
         out = np.empty_like(density, order="C")
     elif not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
     # rho - lam (rho - rho_upwind), with the ghost value upwind of node 1;
     # the differences run over the flattened rows, one contiguous pass,
-    # and the first node of every row is then set from its ghost value
+    # and the first node of every row is then set from its ghost value;
+    # at unit Courant number the scaling is skipped, x * 1.0 being x
     flat, rho = out.reshape(-1), density.reshape(-1)
     np.subtract(rho[1:], rho[:-1], out=flat[1:])
     out[:, 0] = density[:, 0] - (spec.mu * masses + policy.promotion * policy.pool)
-    flat *= lam
+    if lam != 1.0:
+        flat *= lam
     np.subtract(rho, flat, out=flat)
     # the promotion source dt P rho 1[s <= tau] is added only on the nodes
     # up to the run's cut head; past them it is +0, which leaves
     # nonnegative values unchanged
     head = _cuts(grid, spec).head
-    out[:, :head] += grid.dt * rate * policy.pre[:, :head] * density[:, :head]
-    out /= 1.0 + grid.dt * (spec.mu[:, np.newaxis] + rate)
+    source = (grid.dt * policy.promotion)[:, np.newaxis] * policy.pre[:, :head]
+    source *= density[:, :head]
+    out[:, :head] += source
+    out /= (1.0 + grid.dt * (spec.mu + policy.promotion))[:, np.newaxis]
     return out
 
 
@@ -452,6 +504,13 @@ class SimulationResult:
     measured against the continuum stationary profile matching the run's
     policy (NaN when that profile is ill posed). snapshots maps requested
     times to (L, n_nodes) density copies.
+
+    run() fills ready_ratio, excess_wait, l1_to_steady and mass_error in
+    two stages: every step writes the row sums sum rho (into mass_error),
+    sum |rho - steady| (into l1_to_steady) and sum rho (s - tau)+ (into
+    excess_wait) to its row, and one elementwise pass after the last step
+    turns the whole arrays into the ratios, in place. The numbers are
+    those level_metrics gives for each state, bit for bit.
     """
 
     times: np.ndarray
@@ -481,6 +540,48 @@ class SimulationResult:
         }
 
 
+def _metric_sums(density: np.ndarray, weight: np.ndarray,
+                 steady_density: np.ndarray | None, scratch: np.ndarray | None,
+                 mass_sum: np.ndarray, l1_sum: np.ndarray,
+                 wait_sum: np.ndarray) -> None:
+    """The node-wise part of the metrics: sum rho, sum |rho - steady| (left
+    as it is without a reference) and sum rho weight, per level, written
+    to the three given rows. scratch, shaped like density, holds the
+    node-wise terms."""
+    density.sum(axis=1, out=mass_sum)
+    if steady_density is not None:
+        gap = np.subtract(density, steady_density, out=scratch)
+        np.abs(gap, out=gap).sum(axis=1, out=l1_sum)
+    np.multiply(density, weight, out=scratch).sum(axis=1, out=wait_sum)
+
+
+def _metric_ratios(ds: float, masses: np.ndarray, pool: np.ndarray,
+                   empty: np.ndarray, has_steady: bool, ready: np.ndarray,
+                   wait: np.ndarray, l1: np.ndarray,
+                   mass_err: np.ndarray) -> None:
+    """The elementwise part of the metrics, in place over the sums of
+    _metric_sums: one row per state, or any number of rows at once, since
+    each element gets the same double operations whatever the shape.
+
+    ready holds nothing on entry and receives A / M; pool and empty are the
+    closure's pools and empty mask of the same states.
+    """
+    per = np.where(masses > 0, masses, 1.0)
+    np.divide(pool, per, out=ready)
+    mass_err *= ds
+    mass_err -= masses
+    np.abs(mass_err, out=mass_err)
+    mass_err /= per
+    if has_steady:
+        l1 *= ds
+        l1 /= per
+    else:
+        l1.fill(np.nan)
+    wait *= ds
+    np.divide(wait, pool, out=wait, where=~empty)
+    wait[empty] = 0.0
+
+
 def level_metrics(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
                   policy: PolicyState, masses: np.ndarray,
                   steady_density: np.ndarray | None = None,
@@ -501,19 +602,14 @@ def level_metrics(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
     excess-wait numerator is rho times the run's weight (s - tau)
     1[s > tau]; as s - tau <= 0 wherever that indicator is 0, this equals
     ((s - tau) rho) 1[s > tau] bit for bit, signed zeros included.
+    run() computes the same metrics with the same two helpers, the row
+    sums per step and the ratios once over its whole trajectory.
     """
-    per = np.where(masses > 0, masses, 1.0)
-    ready = policy.pool / per
-    mass_err = np.abs(grid.ds * density.sum(axis=1) - masses) / per
-    if steady_density is None:
-        l1 = np.full(spec.size, np.nan)
-    else:
-        gap = np.subtract(density, steady_density, out=out)
-        l1 = grid.ds * np.abs(gap, out=gap).sum(axis=1) / per
-    past = np.multiply(density, _cuts(grid, spec).weight, out=out)
-    weighted = grid.ds * past.sum(axis=1)
-    wait = np.zeros(spec.size)
-    np.divide(weighted, policy.pool, out=wait, where=~policy.empty)
+    ready, wait, l1, mass_err = (np.empty(spec.size) for _ in range(4))
+    _metric_sums(density, _cuts(grid, spec).weight, steady_density, out,
+                 mass_err, l1, wait)
+    _metric_ratios(grid.ds, masses, policy.pool, policy.empty,
+                   steady_density is not None, ready, wait, l1, mass_err)
     return {
         "ready_ratio": ready,
         "excess_wait": wait,
@@ -563,6 +659,8 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
     level, and "fixed-plan" imposes per-level shares alpha_j - 1 from the
     plan. The permanent masses N_j p_j stay constant; temporaries sit
     outside the dynamics. horizon = 0 returns the initial state only.
+    snapshot_times must lie in [0, horizon]; a time outside it raises
+    ValueError, as the run would never record it.
     """
     global _latest_cuts
     if plan is None:
@@ -572,12 +670,18 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
         grid = SeniorityGrid()
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
+    outside = [t for t in snapshot_times if not 0.0 <= t <= horizon]
+    if outside:
+        raise ValueError(f"snapshot times {outside} lie outside the run's "
+                         f"span [0, {horizon:g}]")
     fractions = _policy_fractions(policy, spec, plan, external_fraction)
+    share = _shares(fractions, spec.size, cap)
     masses = spec.n * plan.p
     # each run builds its cuts afresh, once, so a run's calls do not depend
     # on what ran before it; every later call of the run finds them
     _latest_cuts = None
     density = make_initial_density(spec, plan, grid, kind=initial)
+    cuts = _cuts(grid, spec)
     steady = _steady_reference(spec, plan, grid, fractions)
 
     n_steps = int(round(horizon / grid.dt))
@@ -594,33 +698,31 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
     mass_err = np.zeros(shape)
     snapshots: dict[float, np.ndarray] = {}
     # density-sized arrays made once: the next density, and one scratch
-    # that the closure and the metrics take turns with
+    # that the pool sums and the metric sums take turns with
     spare = np.empty_like(density)
     scratch = np.empty_like(density)
+    # the sweep's per-run constants, as Python floats
+    floor = _empty_floor(masses)
+    mu, mass, floors = spec.mu.tolist(), masses.tolist(), floor.tolist()
 
-    state = close_policy_external_fraction(density, spec, grid, cap=cap,
-                                           alpha_frac=fractions, masses=masses,
-                                           out=scratch)
     for k in range(n_steps + 1):
-        promotion[k] = state.promotion
-        hiring[k] = state.hiring
-        shortfall[k] = state.shortfall
-        pool[k] = state.pool
-        m = level_metrics(density, spec, grid, state, masses, steady,
-                          out=scratch)
-        ready[k] = m["ready_ratio"]
-        wait[k] = m["excess_wait"]
-        l1[k] = m["l1_to_steady"]
-        mass_err[k] = m["mass_error"]
+        pools = _pool_sums(density, cuts.pre, grid.ds, masses,
+                           scratch=scratch, out=pool[k])
+        promotion[k], hiring[k], shortfall[k] = _sweep(
+            mu, mass, pools.tolist(), floors, share, cap)
+        _metric_sums(density, cuts.weight, steady, scratch, mass_err[k],
+                     l1[k], wait[k])
         if k in snap_steps:
             snapshots[float(times[k])] = density.copy()
         if k == n_steps:
             break
+        state = PolicyState(promotion=promotion[k], hiring=hiring[k],
+                            shortfall=shortfall[k], pool=pools,
+                            empty=pools <= floor, pre=cuts.pre, cap=cap)
         step(density, spec, grid, state, masses, out=spare)
         density, spare = spare, density
-        state = close_policy_external_fraction(density, spec, grid, cap=cap,
-                                               alpha_frac=fractions,
-                                               masses=masses, out=scratch)
+    _metric_ratios(grid.ds, masses, pool, pool <= floor, steady is not None,
+                   ready, wait, l1, mass_err)
     return SimulationResult(
         times=times, density=density, masses=masses, promotion=promotion,
         hiring=hiring, shortfall=shortfall, pool=pool, ready_ratio=ready,
@@ -633,8 +735,10 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
 # one trajectory row: t, level, six rates and ratios, the mass error, with
 # the "\r\n" ending of the csv module's rows in the other orgflow files
 _TRAJECTORY_ROW = "%.6g,%d" + ",%.8g" * 6 + ",%.3e\r\n"
-# time steps formatted per write, so the text in memory stays small
+# time steps (trajectory) and nodes (snapshot) formatted per write, so
+# the text in memory stays small
 _TRAJECTORY_BLOCK = 32
+_SNAPSHOT_BLOCK = 256
 
 
 def write_trajectory_csv(path: str, result: SimulationResult,
@@ -660,7 +764,11 @@ def write_trajectory_csv(path: str, result: SimulationResult,
 
 def write_snapshot_csv(path: str, result: SimulationResult, time: float,
                        header_lines: Sequence[str] = ()) -> None:
-    """Density profile at one recorded snapshot time: s, rho_1..rho_L."""
+    """Density profile at one recorded snapshot time: s, rho_1..rho_L.
+
+    Each row is one "%.6g" + ",%.8g" * L format, with the "\r\n" ending
+    of the csv module's rows, as in write_trajectory_csv.
+    """
     key = None
     for t in result.snapshots:
         if abs(t - time) <= 0.5 * result.grid.dt:
@@ -669,11 +777,15 @@ def write_snapshot_csv(path: str, result: SimulationResult, time: float,
     if key is None:
         raise KeyError(f"no snapshot recorded at t = {time}")
     density = result.snapshots[key]
+    size = density.shape[0]
+    row = "%.6g" + ",%.8g" * size + "\r\n"
     with open(path, "w", newline="") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["s"] + [f"rho_{j + 1}" for j in range(density.shape[0])])
-        for i, s in enumerate(result.grid.s):
-            writer.writerow([f"{s:.6g}"]
-                            + [f"{density[j, i]:.8g}" for j in range(density.shape[0])])
+        fh.write(",".join(["s"] + [f"rho_{j + 1}" for j in range(size)])
+                 + "\r\n")
+        for i in range(0, result.grid.n_nodes, _SNAPSHOT_BLOCK):
+            block = slice(i, i + _SNAPSHOT_BLOCK)
+            values = np.column_stack((result.grid.s[block],
+                                      density[:, block].T)).tolist()
+            fh.write("".join([row % (*cells,) for cells in values]))

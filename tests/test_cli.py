@@ -241,6 +241,18 @@ def test_cost_where_exp_mu_tau_overflows(tmp_path, capsys):
     assert "total:" in capsys.readouterr().out
 
 
+def test_snapshot_past_horizon_is_config_error(tmp_path, capsys):
+    # a snapshot the run never reaches is named, not silently dropped
+    path = base_scenario(
+        tmp_path, out="out_late",
+        grid={"ds": 0.05, "dt": 0.05, "s_max": 70.0, "horizon": 120.0},
+        policy={"mode": "max-internal", "snapshot_times": [0.0, 500.0]})
+    assert cli.main(["simulate", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "policy.snapshot_times[1]" in err and "at most 120" in err
+    assert not (tmp_path / "out_late").exists()
+
+
 @pytest.mark.parametrize("command,key", [
     ("cost", "org.levels[0].headcount"),
     ("simulate", "grid.horizon"),

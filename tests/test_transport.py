@@ -352,6 +352,63 @@ def test_eligibility_mask_built_once_per_run(monkeypatch, low_turnover_org):
                                   other_grid.pre_eligibility_mask(later))
 
 
+def test_run_calls_step_once_per_step(monkeypatch, low_turnover_org):
+    # run() advances through the module-level step, once per time step
+    # and with the density first, so a wrapper around transport.step sees
+    # every node-step of the run
+    seen = []
+    original = transport.step
+
+    def counting(density, *args, **kwargs):
+        seen.append(density.size)
+        return original(density, *args, **kwargs)
+
+    monkeypatch.setattr(transport, "step", counting)
+    grid = SeniorityGrid(s_max=40.0)
+    n_steps = 30
+    result = run(low_turnover_org, grid=grid, horizon=n_steps * grid.dt)
+    assert len(seen) == n_steps
+    assert sum(seen) == 5 * grid.n_nodes * n_steps
+    assert result.times.size == n_steps + 1
+
+
+def _bits(values) -> bytes:
+    return np.ascontiguousarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("case", ["zero-horizon", "zero-mass", "no-steady"])
+def test_public_closure_and_metrics_match_run(low_turnover_org,
+                                              high_turnover_org, case):
+    # close_policy_external_fraction and level_metrics on the final
+    # density give run()'s last rows bit for bit: the public functions and
+    # the run share the pool sums, the sweep, the metric sums and the
+    # ratio pass
+    org, plan, policy, f, cap = high_turnover_org, None, "max-internal", 0.0, 2.0
+    horizon, grid = 1.5, SeniorityGrid(s_max=40.0)
+    if case == "zero-horizon":
+        org, policy, f, horizon = low_turnover_org, "external-fraction", 0.3, 0.0
+    elif case == "zero-mass":
+        plan = FlexPlan(alpha=np.ones(4), p=np.array([1.0, 1.0, 1.0, 0.0, 0.0]))
+    else:
+        # level 2 drains more than level 1 can supply: no stationary profile
+        org = build_org([100.0, 1000.0], [0.1, 0.5], [4.0, 1.0])
+    result = run(org, plan=plan, grid=grid, policy=policy, horizon=horizon,
+                 cap=cap, external_fraction=f)
+    assert (result.steady_density is None) == (case == "no-steady")
+    state = close_policy_external_fraction(result.density, org, grid, cap=cap,
+                                           alpha_frac=f, masses=result.masses)
+    for name in ("promotion", "hiring", "shortfall", "pool"):
+        assert _bits(getattr(state, name)) == _bits(getattr(result, name)[-1]), name
+    metrics = level_metrics(result.density, org, grid, state, result.masses,
+                            result.steady_density)
+    for name, value in metrics.items():
+        assert _bits(value) == _bits(getattr(result, name)[-1]), name
+    if case == "no-steady":
+        assert np.all(np.isnan(result.l1_to_steady))
+    if case == "zero-mass":
+        assert np.all(result.pool[:, 3:] == 0.0)
+
+
 @pytest.mark.parametrize("initial", ["stationary", "uniform",
                                      "truncated-exponential"])
 def test_run_with_zero_mass_levels(high_turnover_org, initial):
@@ -601,6 +658,45 @@ def test_trajectory_csv_matches_csv_writer(tmp_path, low_turnover_org):
             ] + [f"{result.mass_error[k, j]:.3e}"])
     assert path.read_bytes() == expected.getvalue().encode()
     assert b",nan," in path.read_bytes() and b",-inf," in path.read_bytes()
+
+
+def test_snapshot_csv_matches_csv_writer(tmp_path, low_turnover_org):
+    # the one-format-per-row writer against the per-cell csv.writer
+    # formulation, over more nodes than one written block and with NaN,
+    # infinities, signed zeros and a subnormal among the values
+    grid = SeniorityGrid(s_max=70.0)
+    result = run(low_turnover_org, grid=grid, horizon=1.0, cap=np.inf,
+                 snapshot_times=(1.0,))
+    density = result.snapshots[1.0]
+    density[0, 3] = np.nan
+    density[1, 300:305] = [np.inf, -np.inf, -0.0, 1e300, 5e-324]
+    density[4, -1] = -0.0
+    path = tmp_path / "snap.csv"
+    write_snapshot_csv(str(path), result, 1.0, ["seed = 0", "levels = 5"])
+
+    expected = io.StringIO(newline="")
+    expected.write("# seed = 0\n# levels = 5\n")
+    writer = csv.writer(expected)
+    writer.writerow(["s"] + [f"rho_{j + 1}" for j in range(5)])
+    for i, s in enumerate(grid.s):
+        writer.writerow([f"{s:.6g}"] + [f"{density[j, i]:.8g}"
+                                        for j in range(5)])
+    assert grid.n_nodes > transport._SNAPSHOT_BLOCK
+    assert path.read_bytes() == expected.getvalue().encode()
+    assert b",nan," in path.read_bytes() and b",-inf," in path.read_bytes()
+
+
+def test_snapshot_past_horizon_rejected(low_turnover_org):
+    # a snapshot the run never reaches is an error, not a missing file
+    grid = SeniorityGrid(s_max=70.0)
+    with pytest.raises(ValueError, match="snapshot"):
+        run(low_turnover_org, grid=grid, horizon=2.0,
+            snapshot_times=(0.0, 500.0))
+    with pytest.raises(ValueError, match="snapshot"):
+        run(low_turnover_org, grid=grid, horizon=2.0, snapshot_times=(-1.0,))
+    result = run(low_turnover_org, grid=grid, horizon=2.0,
+                 snapshot_times=(2.0,))
+    assert list(result.snapshots) == [2.0]
 
 
 def test_unknown_policy_rejected(low_turnover_org):
