@@ -1,17 +1,26 @@
-"""Check that a change leaves every transport number bit for bit as it was.
+"""Check that a change leaves every transport and optimizer number bit for
+bit as it was.
 
     python3 scripts/same_numbers.py --parent ../orgflow-parent
 
-Runs the benchmark's seed-7 `sweep-capped` variants (twenty library
-`run()` calls) and the `simulate-fine` scenario (one library `run()` with
-its snapshots, and one `orgflow simulate`) once with the parent
-checkout's `src/` and once with this checkout's, each in its own
-subprocess. Both sides read their scenarios from this checkout's
+Runs, once with the parent checkout's `src/` and once with this
+checkout's, each in its own subprocess:
+
+- the benchmark's seed-7 `sweep-capped` variants (twenty library `run()`
+  calls) and the `simulate-fine` scenario (one library `run()` with its
+  snapshots, and one `orgflow simulate`);
+- the seed-7 `optimize-readme` scenario through `orgflow optimize`;
+- seeded `ga_minimize` runs (60 x 40) on that scenario's org, for four
+  seeds, elitism 0, 0.05 and 0.2, and two objectives (every gene free,
+  and hiring ratios only), plus the objective's costs of random batches
+  of 1, 190, 200 and 1,000 plans.
+
+Both sides read their scenarios from this checkout's
 perfbench/workloads.py, so they run the same inputs.
 
 For every result array it prints the largest absolute and relative
 difference and whether the two arrays are bit-identical (signed zeros
-and NaNs included); for the CLI run it compares stdout and every CSV
+and NaNs included); for the CLI runs it compares stdout and every CSV
 file byte for byte. It exits 1 on any difference, 0 when everything is
 identical.
 """
@@ -83,16 +92,47 @@ def dump(src: Path, out: Path) -> None:
                 initial=cfg.initial_density,
                 snapshot_times=cfg.snapshot_times)
             arrays.update(result_arrays(f"{name}[{i}]", result))
+    path = inputs / "optimize-readme_00.json"
+    path.write_text(json.dumps(workloads["optimize-readme"].scenarios(SEED)[0]))
+    arrays.update(ga_arrays(load_config(str(path)).spec))
     np.savez(out / "arrays.npz", **arrays)
     # the CLI runs from out, so the paths it prints are the same on both
     # sides
-    stdout = io.StringIO()
     os.chdir(out)
-    with contextlib.redirect_stdout(stdout):
-        code = cli.main(["simulate", "--config",
-                         "inputs/simulate-fine_00.json", "--out", "cli"])
-    (out / "cli" / "stdout.txt").write_text(f"exit {code}\n"
-                                            + stdout.getvalue())
+    for command, scenario in (("simulate", "simulate-fine_00"),
+                              ("optimize", "optimize-readme_00")):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main([command, "--config", f"inputs/{scenario}.json",
+                             "--out", f"cli/{command}"])
+        (out / "cli" / command / "stdout.txt").write_text(
+            f"exit {code}\n" + stdout.getvalue())
+
+
+def ga_arrays(spec) -> dict[str, np.ndarray]:
+    """Seeded GA runs and batch costs of two objectives on spec."""
+    from orgflow import GaConfig, PlanObjective, ga_minimize
+    arrays = {}
+    for label, objective in (("full", PlanObjective(spec)),
+                             ("alpha", PlanObjective(spec, optimize_p=False))):
+        bounds = objective.bounds
+        rng = np.random.default_rng(SEED)
+        for size in (1, 190, 200, 1000):
+            pop = rng.uniform(bounds[:, 0], bounds[:, 1],
+                              size=(size, len(bounds)))
+            arrays[f"objective.{label}[{size}]"] = objective(pop)
+        for seed in (3, 7, 11, 19):
+            for elitism in (0.0, 0.05, 0.2):
+                result = ga_minimize(objective, GaConfig(
+                    bounds=bounds, population_size=60, generations=40,
+                    seed=seed, elitism=elitism))
+                prefix = f"ga.{label}[seed={seed},elitism={elitism}]"
+                arrays[f"{prefix}.best_history"] = result.best_history
+                arrays[f"{prefix}.mean_history"] = result.mean_history
+                arrays[f"{prefix}.best_genes"] = result.best.genes
+                arrays[f"{prefix}.best"] = np.array(
+                    [result.best.fitness, result.best.feasible])
+    return arrays
 
 
 def run_side(src: Path, out: Path) -> None:
@@ -128,18 +168,18 @@ def compare(parent: Path, change: Path) -> int:
         print(f"arrays differ: parent only {sorted(set(before.files) - set(after.files))}, "
               f"change only {sorted(set(after.files) - set(before.files))}")
         failed += 1
-    print(f"{'array':<40} {'max abs':>10} {'max rel':>10}  bit-identical")
+    print(f"{'array':<48} {'max abs':>10} {'max rel':>10}  bit-identical")
     for name in sorted(set(before.files) & set(after.files), key=str.lower):
         a, b = before[name], after[name]
         if a.shape != b.shape or a.dtype != b.dtype:
-            print(f"{name:<40} shape/dtype {a.shape} {a.dtype} vs "
+            print(f"{name:<48} shape/dtype {a.shape} {a.dtype} vs "
                   f"{b.shape} {b.dtype}")
             failed += 1
             continue
         same = a.tobytes() == b.tobytes()
         gap, rel = differences(a, b)
         failed += not same
-        print(f"{name:<40} {gap:>10.3g} {rel:>10.3g}  {'yes' if same else 'NO'}")
+        print(f"{name:<48} {gap:>10.3g} {rel:>10.3g}  {'yes' if same else 'NO'}")
     files = sorted(p.relative_to(parent)
                    for p in (parent / "cli").rglob("*") if p.is_file())
     mine = sorted(p.relative_to(change)
@@ -152,7 +192,7 @@ def compare(parent: Path, change: Path) -> int:
             continue
         same = (parent / rel_path).read_bytes() == (change / rel_path).read_bytes()
         failed += not same
-        print(f"{str(rel_path):<40} {'':>21}  {'yes' if same else 'NO'}")
+        print(f"{str(rel_path):<48} {'':>21}  {'yes' if same else 'NO'}")
     print("all identical" if not failed else f"{failed} differences")
     return 1 if failed else 0
 

@@ -93,12 +93,21 @@ def _check_growth(spec: OrgSpec, *levels: int) -> None:
             )
 
 
-def _permanent_wage_bill(mu, tau, r, w0, perm_mass, c_next):
-    """Closed-form stationary wage bill of permanent staff, broadcasting
-    over levels and any leading axis (business units).
+def _wage_terms(spec: OrgSpec, level=slice(None)) -> tuple:
+    """The per-level constants of _permanent_wage_bill at the given levels
+    (all by default): mu, r, w0, mu - r, e^{-mu tau} and e^{(r - mu) tau}."""
+    mu, tau, r = spec.mu[level], spec.tau[level], spec.wage_growth
+    return (mu, r, spec.w0[level], mu - r, np.exp(-mu * tau),
+            np.exp((r - mu) * tau))
 
-    With inflow G = mu N p + C_next, the profile G e^{-mu s - B (s-tau)_+}
-    integrated against w0 e^{rs} equals
+
+def _permanent_wage_bill(terms: tuple, perm_mass, c_next):
+    """Closed-form stationary wage bill of permanent staff, broadcasting
+    over levels and any leading axis (business units, plans).
+
+    terms are the level constants of _wage_terms. With inflow
+    G = mu N p + C_next, the profile G e^{-mu s - B (s-tau)_+} integrated
+    against w0 e^{rs} equals
 
         (w0 G / (mu - r)) * (1 - mu C_next e^{(r - mu) tau} / D),
         D = (mu - r) G e^{-mu tau} + r C_next,
@@ -106,11 +115,11 @@ def _permanent_wage_bill(mu, tau, r, w0, perm_mass, c_next):
     a bracket scaled by e^{-mu tau} so that no exponential overflows. Where
     C_next = 0 the bracket is 1, not the 0/0 of an underflowed e^{-mu tau}.
     """
+    mu, r, w0, gap, decay, boost = terms
     inflow = mu * perm_mass + c_next
-    denom = (mu - r) * inflow * np.exp(-mu * tau) + r * c_next
-    bracket = 1.0 - (mu * c_next * np.exp((r - mu) * tau)
-                     / np.where(c_next > 0.0, denom, 1.0))
-    return w0 * inflow / (mu - r) * bracket
+    denom = gap * inflow * decay + r * c_next
+    bracket = 1.0 - (mu * c_next * boost / np.where(c_next > 0.0, denom, 1.0))
+    return w0 * inflow / gap * bracket
 
 
 def _temporary_bill(spec: OrgSpec, p: np.ndarray, level=slice(None)):
@@ -141,8 +150,8 @@ def level_cost(spec: OrgSpec, plan: FlexPlan, level: int) -> float:
     c, pools, ill = stationary_pools(spec, plan)
     if ill[j]:
         raise IllPosedError([level], [pools[j]])
-    perm = _permanent_wage_bill(spec.mu[j], spec.tau[j], spec.wage_growth,
-                                spec.w0[j], spec.n[j] * plan.p[j], c[j + 1])
+    perm = _permanent_wage_bill(_wage_terms(spec, j), spec.n[j] * plan.p[j],
+                                c[j + 1])
     return float(_temporary_bill(spec, plan.p, j) + perm)
 
 
@@ -203,8 +212,7 @@ def org_cost(spec: OrgSpec, plan: FlexPlan | None = None) -> CostBreakdown:
     _check_growth(spec)
     c, pools, ill = stationary_pools(spec, plan)
     IllPosedError.check(pools, ill)
-    perm = _permanent_wage_bill(spec.mu, spec.tau, spec.wage_growth, spec.w0,
-                                spec.n * plan.p, c[1:])
+    perm = _permanent_wage_bill(_wage_terms(spec), spec.n * plan.p, c[1:])
     return CostBreakdown(permanent=perm,
                          temporary=_temporary_bill(spec, plan.p),
                          floater=np.zeros(spec.size))
@@ -395,8 +403,7 @@ def business_unit_cost(spec: OrgSpec, bu_plan: BusinessUnitPlan) -> CostBreakdow
     internal = FlexPlan(alpha=np.ones(spec.size - 1), p=p)
     c, pools, ill = stationary_pools(spec, internal, heads)
     IllPosedError.check(pools, ill)
-    perm = _permanent_wage_bill(spec.mu, spec.tau, spec.wage_growth, spec.w0,
-                                heads * p, c[:, 1:])
+    perm = _permanent_wage_bill(_wage_terms(spec), heads * p, c[:, 1:])
     temp = heads * np.maximum(1.0 - p - g, 0.0) * wt
     return CostBreakdown(permanent=perm.sum(axis=0), temporary=temp.sum(axis=0),
                          floater=(heads * g * wfa).sum(axis=0))

@@ -28,13 +28,16 @@ from .costs import (
     _check_growth,
     _permanent_wage_bill,
     _temporary_bill,
+    _wage_terms,
     org_cost,  # noqa: F401  (perfbench wraps optimize.* names)
 )
 from .org import (
     FlexPlan,
     MissingWageError,
     OrgSpec,
-    stationary_pools,
+    _check_ranges,
+    _level_columns,
+    _level_first_pools,
     steady_promotable_pool,  # noqa: F401  (perfbench wraps optimize.* names)
 )
 
@@ -124,18 +127,25 @@ def ga_minimize(objective: Callable[[np.ndarray], np.ndarray],
     (as PlanObjective does), and is called once per generation: on the
     whole first population, then on the n_pop - n_elite children of every
     later generation. An objective returning any other shape (say, one
-    float for the whole array) raises ValueError. The objective may expose
-    is_feasible(genes) for one gene vector; if it does and no feasible
-    candidate is ever sampled, NoFeasibleCandidateError is raised after
-    the final generation.
+    float for the whole array), or any NaN cost, raises ValueError. The
+    objective may expose is_feasible(genes) for one gene vector; it is
+    called once, on the final best, and NoFeasibleCandidateError is raised
+    if that is not feasible. A penalized objective prices every feasible
+    plan below every infeasible one, so this means no feasible candidate
+    was ever sampled.
+
+    The first population and the mutation resamples are drawn as
+    lo + span * U[0, 1): the doubles rng.uniform(lo, hi) draws, from the
+    same stream, without its per-call broadcasting of the bounds.
     """
     rng = np.random.default_rng(config.seed)
     lo = config.bounds[:, 0]
     hi = config.bounds[:, 1]
     span = hi - lo
     n_pop = config.population_size
+    n_genes = lo.size
     n_elite = max(1, int(config.elitism * n_pop)) if config.elitism > 0 else 0
-    is_feasible = getattr(objective, "is_feasible", None)
+    n_fill = n_pop - n_elite
 
     def evaluate(rows: np.ndarray) -> np.ndarray:
         costs = np.asarray(objective(rows), dtype=float)
@@ -144,50 +154,57 @@ def ga_minimize(objective: Callable[[np.ndarray], np.ndarray],
                 f"objective priced {len(rows)} gene vectors as shape "
                 f"{costs.shape}; it must return one cost per row"
             )
+        nan = np.isnan(costs)
+        if nan.any():
+            raise ValueError(
+                f"objective priced {np.count_nonzero(nan)} of {len(rows)} "
+                "gene vectors as NaN"
+            )
         return costs
 
-    pop = rng.uniform(lo, hi, size=(n_pop, lo.size))
+    pop = lo + span * rng.random((n_pop, n_genes))
     fitness = evaluate(pop)
     best_hist = np.empty(config.generations)
     mean_hist = np.empty(config.generations)
     best_genes = None
     best_fit = math.inf
-    best_feasible = False
 
     for gen in range(config.generations):
-        order = np.argsort(fitness, kind="stable")
+        order = fitness.argsort(kind="stable")
         if fitness[order[0]] < best_fit:
             best_fit = float(fitness[order[0]])
             best_genes = pop[order[0]].copy()
-            best_feasible = is_feasible is None or bool(is_feasible(best_genes))
         best_hist[gen] = best_fit
-        mean_hist[gen] = float(np.mean(fitness))
+        mean_hist[gen] = fitness.sum() / n_pop
         if gen == config.generations - 1:
             break
 
         children = np.empty_like(pop)
-        children[:n_elite] = pop[order[:n_elite]]
-        n_fill = n_pop - n_elite
-        # tournament of size 2 for each parent slot
+        pop.take(order[:n_elite], axis=0, out=children[:n_elite])
+        # tournament of size 2 for each parent slot: rows are the left and
+        # right parents
         draws = rng.integers(0, n_pop, size=(2, n_fill, 2))
-        left = np.where(fitness[draws[0, :, 0]] <= fitness[draws[0, :, 1]],
-                        draws[0, :, 0], draws[0, :, 1])
-        right = np.where(fitness[draws[1, :, 0]] <= fitness[draws[1, :, 1]],
-                         draws[1, :, 0], draws[1, :, 1])
-        take_left = rng.random((n_fill, lo.size)) < 0.5
-        offspring = np.where(take_left, pop[left], pop[right])
-        mutate = rng.random((n_fill, lo.size)) < config.mutation_chance
-        resample = rng.random((n_fill, lo.size)) < 0.5
-        uniform_draw = rng.uniform(lo, hi, size=(n_fill, lo.size))
-        gauss_draw = offspring + rng.normal(0.0, 1.0, size=(n_fill, lo.size)) \
+        drawn = fitness[draws]
+        left, right = np.where(drawn[..., 0] <= drawn[..., 1],
+                               draws[..., 0], draws[..., 1])
+        take_left = rng.random((n_fill, n_genes)) < 0.5
+        offspring = np.where(take_left, pop.take(left, axis=0),
+                             pop.take(right, axis=0))
+        mutate = rng.random((n_fill, n_genes)) < config.mutation_chance
+        resample = rng.random((n_fill, n_genes)) < 0.5
+        uniform_draw = lo + span * rng.random((n_fill, n_genes))
+        gauss_draw = offspring + rng.normal(0.0, 1.0, size=(n_fill, n_genes)) \
             * _GAUSSIAN_SCALE * span
         mutated = np.where(resample, uniform_draw, gauss_draw)
         offspring = np.where(mutate, mutated, offspring)
-        children[n_elite:] = np.clip(offspring, lo, hi)
+        np.clip(offspring, lo, hi, out=children[n_elite:])
         pop = children
         fitness[:n_elite] = fitness[order[:n_elite]]
         fitness[n_elite:] = evaluate(pop[n_elite:])
 
+    is_feasible = getattr(objective, "is_feasible", None)
+    best_feasible = best_genes is not None and (
+        is_feasible is None or bool(is_feasible(best_genes)))
     if not best_feasible and is_feasible is not None:
         raise NoFeasibleCandidateError(
             "no feasible candidate sampled in "
@@ -219,30 +236,65 @@ def feasible_cost_ceiling(spec: OrgSpec) -> float:
     return ceiling
 
 
-def _plan_costs(spec: OrgSpec, plan: FlexPlan, ceiling: float):
-    """Penalized cost of every plan in a batch of any leading shape.
+class _Pricing:
+    """The one evaluation kernel behind penalized_cost and PlanObjective.
 
-    The one evaluation kernel behind penalized_cost and PlanObjective:
-    org_cost(spec, plan).total, bit for bit, where a plan is well posed,
-    and ceiling * (1 + sum_j max(0, -A_j) / N_j) where it is not. One plan
-    gives a float, a batch an array of its leading shape. Bounds and wage
-    growth are checked once for the whole batch, and spec.wt is touched
-    only when some well-posed plan has a share below 1.
+    Prices B plans given level first: (L - 1, B) ratios alpha_2..alpha_L
+    and (L, B) shares, either of which may be an (L, 1) column shared by
+    every plan. A cost is org_cost(spec, plan).total, bit for bit, where a
+    plan is well posed, and ceiling * (1 + sum_j max(0, -A_j) / N_j) where
+    it is not. Wage growth is checked once, here; spec.wt is touched only
+    when some well-posed plan has a share below 1.
+
+    The spec's per-level constants are kept as (L, 1) columns and, for the
+    last batch size priced, repeated to (L, B): operands of one shape skip
+    numpy's broadcasting loop, which at GA batch sizes costs as much as the
+    arithmetic.
     """
-    plan.check(spec)
-    _check_growth(spec)
-    c, pools, ill = stationary_pools(spec, plan)
-    bad = ill.any(axis=-1)
-    # ill-posed plans are priced by the penalty; their bracket may divide
-    # by a vanishing denominator and is discarded
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        perm = _permanent_wage_bill(spec.mu, spec.tau, spec.wage_growth,
-                                    spec.w0, spec.n * plan.p, c[..., 1:])
-    temp = _temporary_bill(spec, np.where(bad[..., None], 1.0, plan.p))
-    deficit = np.maximum(0.0, -pools) / spec.n
-    costs = np.where(bad, ceiling * (1.0 + deficit.sum(axis=-1)),
-                     (perm + temp).sum(axis=-1))
-    return float(costs) if costs.ndim == 0 else costs
+
+    def __init__(self, spec: OrgSpec, ceiling: float):
+        _check_growth(spec)
+        self.spec = spec
+        self.ceiling = ceiling
+        # (N, mu N), the pool terms and the wage terms
+        self.columns = (
+            (spec.n[:, None], (spec.mu * spec.n)[:, None]),
+            _level_columns(spec, 2),
+            tuple(a[:, None] if np.ndim(a) else a for a in _wage_terms(spec)))
+        self.width = 1
+        self.wide = self.columns
+
+    def _constants(self, alpha: np.ndarray, p: np.ndarray) -> tuple:
+        width = max(alpha.shape[1], p.shape[1])
+        if width != self.width:
+            self.width = width
+            self.wide = tuple(
+                tuple(np.repeat(a, width, axis=1) if np.ndim(a) else a
+                      for a in group)
+                for group in self.columns)
+        return self.wide
+
+    def pools(self, alpha: np.ndarray, p: np.ndarray):
+        """C, A and the ill_posed mask of the plans, level first."""
+        (_, outflow), pool_terms, _ = self._constants(alpha, p)
+        return _level_first_pools(outflow * p, alpha, *pool_terms)
+
+    def costs(self, alpha: np.ndarray, p: np.ndarray, lead: tuple):
+        """Penalized costs of the plans, shaped lead (a float for ())."""
+        (n, _), _, wage_terms = self._constants(alpha, p)
+        c, pools, ill = self.pools(alpha, p)
+        bad = ill.any(axis=0)
+        # ill-posed plans are priced by the penalty; their bracket may divide
+        # by a vanishing denominator and is discarded
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            perm = _permanent_wage_bill(wage_terms, n * p, c[1:])
+        temp = _temporary_bill(self.spec, np.where(bad, 1.0, p).T).T
+        levels = np.where(bad, np.maximum(0.0, -pools) / n, perm + temp)
+        # each plan's levels summed as one contiguous row: the pairwise sum
+        # that org_cost's total takes
+        total = levels.T.copy().sum(axis=1)
+        costs = np.where(bad, self.ceiling * (1.0 + total), total)
+        return float(costs[0]) if lead == () else costs.reshape(lead)
 
 
 def penalized_cost(spec: OrgSpec, plan: FlexPlan):
@@ -255,7 +307,12 @@ def penalized_cost(spec: OrgSpec, plan: FlexPlan):
     whose alpha and p carry leading axes is priced row by row, and the
     result is an array of that leading shape; one plan gives a float.
     """
-    return _plan_costs(spec, plan, feasible_cost_ceiling(spec))
+    plan.check(spec)
+    lead = np.broadcast_shapes(plan.alpha.shape[:-1], plan.p.shape[:-1])
+    alpha, p = (np.broadcast_to(a, lead + a.shape[-1:])
+                .reshape(math.prod(lead), a.shape[-1]).T
+                for a in (plan.alpha, plan.p))
+    return _Pricing(spec, feasible_cost_ceiling(spec)).costs(alpha, p, lead)
 
 
 @dataclass
@@ -271,8 +328,10 @@ class PlanObjective:
     Calling it on genes of shape (..., n_genes) prices them in one array
     call: one gene vector gives a float, a (B, n_genes) population an
     array of B costs equal to [objective(g) for g in pop] exactly. It
-    goes through the kernel of penalized_cost with the feasible cost
-    ceiling computed once here.
+    transposes the genes once into level-first rows and prices them with
+    the kernel of penalized_cost, whose per-level constants and feasible
+    cost ceiling are computed once here (as are the checks of wage growth
+    and of fixed_plan).
     """
 
     spec: OrgSpec
@@ -280,14 +339,19 @@ class PlanObjective:
     optimize_p: bool = True
     alpha_max: float = 10.0
     fixed_plan: FlexPlan | None = None
-    _ceiling: float = field(init=False, repr=False, default=0.0)
+    _pricing: _Pricing = field(init=False, repr=False, compare=False,
+                               default=None)
+    _fixed: FlexPlan = field(init=False, repr=False, compare=False,
+                             default=None)
 
     def __post_init__(self):
         if not (self.optimize_alpha or self.optimize_p):
             raise ValueError("at least one gene block must be free")
         if self.alpha_max < 1.0:
             raise ValueError("alpha_max must be at least 1")
-        self._ceiling = feasible_cost_ceiling(self.spec)
+        self._pricing = _Pricing(self.spec, feasible_cost_ceiling(self.spec))
+        self._fixed = (self.fixed_plan
+                       or FlexPlan.all_internal(self.spec.size)).check(self.spec)
 
     @property
     def n_alpha(self) -> int:
@@ -303,22 +367,25 @@ class PlanObjective:
         return np.array(rows)
 
     def default_genes(self) -> np.ndarray:
-        base = self.fixed_plan or FlexPlan.all_internal(self.spec.size)
         parts = []
         if self.optimize_alpha:
-            parts.append(base.alpha)
+            parts.append(self._fixed.alpha)
         if self.optimize_p:
-            parts.append(base.p)
+            parts.append(self._fixed.p)
         return np.concatenate(parts) if parts else np.zeros(0)
 
-    def decode(self, genes: np.ndarray) -> FlexPlan:
-        """The plan of one gene vector, or of each row of a (..., n_genes)
-        array; frozen blocks are repeated along the leading axes."""
+    def _genes(self, genes: np.ndarray) -> np.ndarray:
         genes = np.asarray(genes, dtype=float)
         expected = self.n_alpha + self.n_p
         if genes.ndim < 1 or genes.shape[-1] != expected:
             raise ValueError(f"expected {expected} genes, got {genes.shape}")
-        base = self.fixed_plan or FlexPlan.all_internal(self.spec.size)
+        return genes
+
+    def decode(self, genes: np.ndarray) -> FlexPlan:
+        """The plan of one gene vector, or of each row of a (..., n_genes)
+        array; frozen blocks are repeated along the leading axes."""
+        genes = self._genes(genes)
+        base = self._fixed
         lead = genes.shape[:-1]
         alpha = (genes[..., :self.n_alpha] if self.optimize_alpha
                  else np.broadcast_to(base.alpha, lead + base.alpha.shape))
@@ -326,11 +393,26 @@ class PlanObjective:
              else np.broadcast_to(base.p, lead + base.p.shape))
         return FlexPlan(alpha=alpha.copy(), p=p.copy())
 
+    def _level_first(self, genes: np.ndarray):
+        """The ratios and shares of every gene vector as level-first
+        (L - 1, B) and (L, B) rows, a frozen block as an (L, 1) column,
+        and the leading shape of the genes."""
+        genes = self._genes(genes)
+        lead = genes.shape[:-1]
+        rows = genes.reshape(math.prod(lead), genes.shape[-1]).T.copy()
+        alpha = (rows[:self.n_alpha] if self.optimize_alpha
+                 else self._fixed.alpha[:, None])
+        p = rows[self.n_alpha:] if self.optimize_p else self._fixed.p[:, None]
+        return alpha, p, lead
+
     def __call__(self, genes: np.ndarray):
-        return _plan_costs(self.spec, self.decode(genes), self._ceiling)
+        alpha, p, lead = self._level_first(genes)
+        _check_ranges(alpha, p)
+        return self._pricing.costs(alpha, p, lead)
 
     def is_feasible(self, genes: np.ndarray) -> bool:
-        return not stationary_pools(self.spec, self.decode(genes))[2].any()
+        alpha, p, _ = self._level_first(genes)
+        return not self._pricing.pools(alpha, p)[2].any()
 
     @property
     def descending_order(self) -> list[int]:

@@ -209,11 +209,16 @@ class FlexPlan:
                 f"plan has {self.alpha.shape[-1]} hiring ratios, "
                 f"expected {spec.size - 1}"
             )
-        if (self.alpha < 1.0).any():
-            raise ValueError("hiring ratios must satisfy alpha_j >= 1")
-        if ((self.p < 0.0) | (self.p > 1.0)).any():
-            raise ValueError("permanent shares must lie in [0, 1]")
+        _check_ranges(self.alpha, self.p)
         return self
+
+
+def _check_ranges(alpha: np.ndarray, p: np.ndarray) -> None:
+    """Plan bounds alpha_j >= 1 and 0 <= p_j <= 1, in any array layout."""
+    if (alpha < 1.0).any():
+        raise ValueError("hiring ratios must satisfy alpha_j >= 1")
+    if ((p < 0.0) | (p > 1.0)).any():
+        raise ValueError("permanent shares must lie in [0, 1]")
 
 
 def validate(spec: OrgSpec) -> OrgSpec:
@@ -309,18 +314,47 @@ def stationary_pools(spec: OrgSpec, plan: FlexPlan,
     heads, p and alpha broadcast against each other.
     """
     heads = spec.n if heads is None else heads
-    alpha = plan.alpha_full
     outflow = spec.mu * heads * plan.p
-    lead = np.broadcast_shapes(outflow.shape[:-1], alpha.shape[:-1])
-    c = np.zeros(lead + (spec.size + 1,))
-    # level axis first, so one org indexes scalars
-    rows, ratio, demand = (np.moveaxis(a, -1, 0) for a in (outflow, alpha, c))
-    for j in range(spec.size - 1, -1, -1):
-        demand[j] = (rows[j] + demand[j + 1]) / ratio[j]
-    decay = np.exp(-spec.mu * spec.tau)
-    filled = -np.expm1(-spec.mu * spec.tau)  # 1 - e^{-mu tau}
-    pools = (outflow * decay - filled * c[..., 1:]) / spec.mu
-    return c, pools, ill_posed(pools, c)
+    lead = np.broadcast_shapes(outflow.shape[:-1], plan.alpha.shape[:-1])
+    c, pools, ill = _level_first_pools(
+        *(np.moveaxis(np.broadcast_to(a, lead + a.shape[-1:]), -1, 0)
+          for a in (outflow, plan.alpha)),
+        *_level_columns(spec, 1 + len(lead)))
+    return tuple(np.ascontiguousarray(np.moveaxis(a, 0, -1))
+                 for a in (c, pools, ill))
+
+
+def _level_columns(spec: OrgSpec, ndim: int) -> tuple[np.ndarray, ...]:
+    """mu_j, e^{-mu_j tau_j} and 1 - e^{-mu_j tau_j} as level columns of
+    ndim axes: the per-level constants of _level_first_pools."""
+    shape = (spec.size,) + (1,) * (ndim - 1)
+    rate = -spec.mu * spec.tau
+    return tuple(a.reshape(shape)
+                 for a in (spec.mu, np.exp(rate), -np.expm1(rate)))
+
+
+def _level_first_pools(outflow: np.ndarray, alpha: np.ndarray,
+                       mu: np.ndarray, decay: np.ndarray, filled: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel of stationary_pools on level-first arrays.
+
+    outflow holds the rows mu_j N_j p_j and alpha the rows
+    alpha_2..alpha_L, each level row broadcasting over the same trailing
+    axes; mu, decay = e^{-mu tau} and filled = 1 - e^{-mu tau} are the
+    level columns of _level_columns, or those repeated along the trailing
+    axes. Returns C (L + 1 rows), A (L rows) and the ill_posed mask, level
+    first.
+    """
+    size = outflow.shape[0]
+    c = np.zeros((size + 1,)
+                 + np.broadcast_shapes(outflow.shape[1:], alpha.shape[1:]))
+    for j in range(size - 1, 0, -1):
+        c[j] = (outflow[j] + c[j + 1]) / alpha[j - 1]
+    # level 1 has alpha_1 = 1, and x / 1.0 is x
+    c[0] = outflow[0] + c[1]
+    pools = (outflow * decay - filled * c[1:]) / mu
+    # .T puts the level axis last, where ill_posed expects it
+    return c, pools, ill_posed(pools.T, c.T).T
 
 
 def ill_posed(pools: np.ndarray, demands: np.ndarray) -> np.ndarray:

@@ -253,31 +253,48 @@ def test_ga_csv_layout(tmp_path):
 
 def _objective_modes():
     """Full, alpha-only and p-only objectives whose random genes include
-    ill-posed plans."""
+    ill-posed plans, a nine-level one (beyond the 8 levels where numpy's
+    row sums turn pairwise) and the one- and two-level edges."""
     base = [35.0, 49.0, 69.0, 96.0, 134.0]
     ladder = build_org([8000, 4000, 2500, 1000, 500],
                        [0.16, 0.16, 0.16, 0.16, 0.5], [4.0] * 5,
                        base=base, growth=0.04)
     fixed = FlexPlan(alpha=[1.2, 1.0, 1.5, 1.1], p=np.ones(5))
+    nine_base = [30.0 + 12.0 * j for j in range(9)]
+    nine = build_org([9000, 7000, 5200, 3900, 2800, 1900, 1200, 700, 300],
+                     [0.09] * 8 + [0.3], [3.0] * 9, base=nine_base,
+                     temp=[1.25 * w for w in nine_base], growth=0.03)
     return {
         "full": PlanObjective(costed_org(premium=0.2)),
         "alpha": PlanObjective(ladder, optimize_p=False, alpha_max=3.0),
         "p": PlanObjective(costed_org(premium=0.2), optimize_alpha=False,
                            fixed_plan=fixed),
+        "nine": PlanObjective(nine, alpha_max=3.0),
+        "one": PlanObjective(build_org([400], [0.2], [2.0], base=[50.0],
+                                       temp=[60.0], growth=0.05)),
+        "two": PlanObjective(build_org([3000, 400], [0.1, 0.25], [5.0, 0.0],
+                                       base=[40.0, 90.0], temp=[48.0, 99.0],
+                                       growth=0.02)),
     }
 
 
-@pytest.mark.parametrize("mode", ["full", "alpha", "p"])
+@pytest.mark.parametrize("mode", ["full", "alpha", "p", "nine", "one", "two"])
 def test_batch_matches_serial_objective(mode):
     objective = _objective_modes()[mode]
     spec = objective.spec
-    rng = np.random.default_rng({"full": 1, "alpha": 2, "p": 3}[mode])
+    rng = np.random.default_rng(
+        {"full": 1, "alpha": 2, "p": 3, "nine": 4, "one": 5, "two": 6}[mode])
     bounds = objective.bounds
     pop = rng.uniform(bounds[:, 0], bounds[:, 1], size=(64, bounds.shape[0]))
     plans = objective.decode(pop)
-    assert plans.alpha.shape == (64, 4) and plans.p.shape == (64, 5)
+    assert plans.alpha.shape == (64, spec.size - 1)
+    assert plans.p.shape == (64, spec.size)
     c, pools, ill = stationary_pools(spec, plans)
-    assert 0 < ill.any(axis=-1).sum() < 64  # both kinds of rows
+    bad_rows = ill.any(axis=-1).sum()
+    if mode == "one":
+        assert bad_rows == 0  # nothing is promoted out of a lone level
+    else:
+        assert 0 < bad_rows < 64  # both kinds of rows
     serial = [objective(g) for g in pop]
     assert objective(pop).tolist() == serial
     assert penalized_cost(spec, plans).tolist() == serial
@@ -288,6 +305,7 @@ def test_batch_matches_serial_objective(mode):
         np.testing.assert_array_equal(pools[b], row_pools)
         np.testing.assert_array_equal(ill[b], row_ill)
         assert penalized_cost(spec, objective.decode(genes)) == serial[b]
+        assert objective.is_feasible(genes) == (not row_ill.any())
         if row_ill.any():
             assert serial[b] > feasible_cost_ceiling(spec)
         else:
@@ -354,3 +372,76 @@ def test_ga_rejects_scalar_objective():
                       population_size=10, generations=3, seed=1)
     with pytest.raises(ValueError, match="one cost per row"):
         ga_minimize(lambda x: float(np.sum(x * x)), config)
+
+
+def test_ga_rejects_nan_costs():
+    # a NaN cost would never become the best and would turn the mean NaN
+    config = GaConfig(bounds=np.array([[-1.0, 1.0]] * 2),
+                      population_size=10, generations=3, seed=1)
+    with pytest.raises(ValueError, match="10 of 10 gene vectors as NaN"):
+        ga_minimize(lambda x: np.full(len(x), np.nan), config)
+
+    def one_nan(x):
+        costs = sphere(x)
+        costs[3] = np.nan
+        return costs
+
+    with pytest.raises(ValueError, match="1 of 10 gene vectors as NaN"):
+        ga_minimize(one_nan, config)
+
+
+# float.hex of a seeded 60x10 PlanObjective run (numpy 2.4), recorded
+# before the generation loop and the level-first pricing were rewritten:
+# a rewrite that shifts the random stream or any cost by one ulp shows
+_GOLDEN_GA = {
+    (0.05, "best"): [
+        "0x1.32d4449bcd8eap+20", "0x1.2ba6eea252a3ep+20", "0x1.220fd8bae8035p+20",
+        "0x1.220fd8bae8035p+20", "0x1.220fd8bae8035p+20", "0x1.1a2ef2c62a15bp+20",
+        "0x1.16faba84827e6p+20", "0x1.16faba84827e6p+20", "0x1.16faba84827e6p+20",
+        "0x1.169cef9d205a8p+20"
+    ],
+    (0.05, "mean"): [
+        "0x1.0e3f706cf6f5bp+21", "0x1.87ca1d5f7e44dp+20", "0x1.717bcaff8b22cp+20",
+        "0x1.6a7da4e632abfp+20", "0x1.44cf9083f7486p+20", "0x1.410b59aa22021p+20",
+        "0x1.4dd0f3d0aa761p+20", "0x1.58676c2cecad9p+20", "0x1.676dd1b6b1651p+20",
+        "0x1.8664c93db6d0fp+20"
+    ],
+    (0.05, "genes"): [
+        "0x1.6a051fed16d73p+2", "0x1.45eacdba45334p+0", "0x1.2d8a556394d58p+0",
+        "0x1.81d09b26ed0e8p+0", "0x1.5bba9ee0d5390p-4", "0x1.325a535f65220p-3",
+        "0x1.363de088a6727p-2", "0x1.e81e8094c446cp-2", "0x1.c8d02843f111fp-1"
+    ],
+    (0.0, "best"): [
+        "0x1.32d4449bcd8eap+20", "0x1.2e20549277979p+20", "0x1.2e20549277979p+20",
+        "0x1.22618cf96a738p+20", "0x1.22618cf96a738p+20", "0x1.22618cf96a738p+20",
+        "0x1.1e9406c6f05cap+20", "0x1.1c07de6639d7cp+20", "0x1.19184ccf6a789p+20",
+        "0x1.17ea3442f6232p+20"
+    ],
+    (0.0, "mean"): [
+        "0x1.0e3f706cf6f5bp+21", "0x1.884832dae34b6p+20", "0x1.45605e8ceba67p+20",
+        "0x1.a10d9e056984ep+20", "0x1.3baa4c494a16bp+20", "0x1.56d37959df417p+20",
+        "0x1.42319100e8dd7p+20", "0x1.3cc4c2a22d263p+20", "0x1.5bc7d5dd29573p+20",
+        "0x1.8a781a182985bp+20"
+    ],
+    (0.0, "genes"): [
+        "0x1.bfdbfa752a95fp+1", "0x1.7f89532441bd0p+0", "0x1.0000000000000p+0",
+        "0x1.8aa1302792164p+1", "0x1.2eb68ed60383bp-4", "0x1.8c58304a259a0p-3",
+        "0x1.713a981e60fd4p-3", "0x1.40b8877a92eafp-3", "0x1.88d8147f386bfp-1"
+    ],
+}
+
+
+@pytest.mark.parametrize("elitism", [0.05, 0.0])
+def test_ga_matches_golden_seeded_stream(elitism):
+    objective = PlanObjective(costed_org(premium=0.2))
+    config = GaConfig(bounds=objective.bounds, population_size=60,
+                      generations=10, seed=3, elitism=elitism)
+    result = ga_minimize(objective, config)
+    hexes = [float(x).hex() for x in result.best_history]
+    assert hexes == _GOLDEN_GA[elitism, "best"]
+    assert [float(x).hex() for x in result.mean_history] \
+        == _GOLDEN_GA[elitism, "mean"]
+    assert [float(x).hex() for x in result.best.genes] \
+        == _GOLDEN_GA[elitism, "genes"]
+    assert result.best.fitness.hex() == hexes[-1]
+    assert result.best.feasible
