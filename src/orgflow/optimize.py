@@ -192,12 +192,13 @@ def ga_minimize(objective: Callable[[np.ndarray], np.ndarray],
                              pop.take(right, axis=0))
         mutate = rng.random((n_fill, n_genes)) < config.mutation_chance
         resample = rng.random((n_fill, n_genes)) < 0.5
-        uniform_draw = lo + span * rng.random((n_fill, n_genes))
-        gauss_draw = offspring + rng.normal(0.0, 1.0, size=(n_fill, n_genes)) \
-            * _GAUSSIAN_SCALE * span
-        mutated = np.where(resample, uniform_draw, gauss_draw)
-        offspring = np.where(mutate, mutated, offspring)
-        np.clip(offspring, lo, hi, out=children[n_elite:])
+        # a uniform resample or a Gaussian step, drawn in this order
+        mutated = np.where(
+            resample, lo + span * rng.random((n_fill, n_genes)),
+            offspring + rng.normal(0.0, 1.0, size=(n_fill, n_genes))
+            * _GAUSSIAN_SCALE * span)
+        np.clip(np.where(mutate, mutated, offspring), lo, hi,
+                out=children[n_elite:])
         pop = children
         fitness[:n_elite] = fitness[order[:n_elite]]
         fitness[n_elite:] = evaluate(pop[n_elite:])
@@ -241,55 +242,37 @@ class _Pricing:
 
     Prices B plans given level first: (L - 1, B) ratios alpha_2..alpha_L
     and (L, B) shares, either of which may be an (L, 1) column shared by
-    every plan. A cost is org_cost(spec, plan).total, bit for bit, where a
+    every plan, with the spec's per-level constants kept as (L, 1)
+    columns. A cost is org_cost(spec, plan).total, bit for bit, where a
     plan is well posed, and ceiling * (1 + sum_j max(0, -A_j) / N_j) where
     it is not. Wage growth is checked once, here; spec.wt is touched only
     when some well-posed plan has a share below 1.
-
-    The spec's per-level constants are kept as (L, 1) columns and, for the
-    last batch size priced, repeated to (L, B): operands of one shape skip
-    numpy's broadcasting loop, which at GA batch sizes costs as much as the
-    arithmetic.
     """
 
     def __init__(self, spec: OrgSpec, ceiling: float):
         _check_growth(spec)
         self.spec = spec
         self.ceiling = ceiling
-        # (N, mu N), the pool terms and the wage terms
-        self.columns = (
-            (spec.n[:, None], (spec.mu * spec.n)[:, None]),
-            _level_columns(spec, 2),
-            tuple(a[:, None] if np.ndim(a) else a for a in _wage_terms(spec)))
-        self.width = 1
-        self.wide = self.columns
-
-    def _constants(self, alpha: np.ndarray, p: np.ndarray) -> tuple:
-        width = max(alpha.shape[1], p.shape[1])
-        if width != self.width:
-            self.width = width
-            self.wide = tuple(
-                tuple(np.repeat(a, width, axis=1) if np.ndim(a) else a
-                      for a in group)
-                for group in self.columns)
-        return self.wide
+        self.n = spec.n[:, None]
+        self.outflow = (spec.mu * spec.n)[:, None]
+        self.pool_terms = _level_columns(spec, 2)
+        self.wage_terms = tuple(a[:, None] if np.ndim(a) else a
+                                for a in _wage_terms(spec))
 
     def pools(self, alpha: np.ndarray, p: np.ndarray):
         """C, A and the ill_posed mask of the plans, level first."""
-        (_, outflow), pool_terms, _ = self._constants(alpha, p)
-        return _level_first_pools(outflow * p, alpha, *pool_terms)
+        return _level_first_pools(self.outflow * p, alpha, *self.pool_terms)
 
     def costs(self, alpha: np.ndarray, p: np.ndarray, lead: tuple):
         """Penalized costs of the plans, shaped lead (a float for ())."""
-        (n, _), _, wage_terms = self._constants(alpha, p)
         c, pools, ill = self.pools(alpha, p)
         bad = ill.any(axis=0)
         # ill-posed plans are priced by the penalty; their bracket may divide
         # by a vanishing denominator and is discarded
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            perm = _permanent_wage_bill(wage_terms, n * p, c[1:])
+            perm = _permanent_wage_bill(self.wage_terms, self.n * p, c[1:])
         temp = _temporary_bill(self.spec, np.where(bad, 1.0, p).T).T
-        levels = np.where(bad, np.maximum(0.0, -pools) / n, perm + temp)
+        levels = np.where(bad, np.maximum(0.0, -pools) / self.n, perm + temp)
         # each plan's levels summed as one contiguous row: the pairwise sum
         # that org_cost's total takes
         total = levels.T.copy().sum(axis=1)
@@ -399,7 +382,7 @@ class PlanObjective:
         and the leading shape of the genes."""
         genes = self._genes(genes)
         lead = genes.shape[:-1]
-        rows = genes.reshape(math.prod(lead), genes.shape[-1]).T.copy()
+        rows = genes.reshape(math.prod(lead), genes.shape[-1]).T
         alpha = (rows[:self.n_alpha] if self.optimize_alpha
                  else self._fixed.alpha[:, None])
         p = rows[self.n_alpha:] if self.optimize_p else self._fixed.p[:, None]

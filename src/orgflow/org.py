@@ -340,18 +340,17 @@ def _level_first_pools(outflow: np.ndarray, alpha: np.ndarray,
 
     outflow holds the rows mu_j N_j p_j and alpha the rows
     alpha_2..alpha_L, each level row broadcasting over the same trailing
-    axes; mu, decay = e^{-mu tau} and filled = 1 - e^{-mu tau} are the
-    level columns of _level_columns, or those repeated along the trailing
-    axes. Returns C (L + 1 rows), A (L rows) and the ill_posed mask, level
-    first.
+    axes; mu, decay = e^{-mu tau} and filled = 1 - e^{-mu tau} are level
+    columns (see _level_columns). Returns C (L + 1 rows), A (L rows) and
+    the ill_posed mask, level first.
     """
     size = outflow.shape[0]
     c = np.zeros((size + 1,)
                  + np.broadcast_shapes(outflow.shape[1:], alpha.shape[1:]))
-    for j in range(size - 1, 0, -1):
-        c[j] = (outflow[j] + c[j + 1]) / alpha[j - 1]
-    # level 1 has alpha_1 = 1, and x / 1.0 is x
-    c[0] = outflow[0] + c[1]
+    for j in range(size - 1, -1, -1):
+        c[j] = outflow[j] + c[j + 1]
+        if j:  # level 1 has alpha_1 = 1, and x / 1.0 is x
+            c[j] /= alpha[j - 1]
     pools = (outflow * decay - filled * c[1:]) / mu
     # .T puts the level axis last, where ill_posed expects it
     return c, pools, ill_posed(pools.T, c.T).T

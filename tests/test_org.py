@@ -88,6 +88,8 @@ def test_promotion_demands_all_internal_telescope(low_turnover_org):
     np.testing.assert_allclose(c[:-1], [1554.0, 1114.0, 698.0, 394.0, 250.0])
     assert promotion_demand(low_turnover_org, FlexPlan.all_internal(5), 2) \
         == pytest.approx(1114.0)
+    # a ladder without levels demands nothing
+    np.testing.assert_array_equal(promotion_demands(OrgSpec(levels=[])), [0.0])
 
 
 def test_promotion_demands_satisfy_descending_recursion(low_turnover_org):
