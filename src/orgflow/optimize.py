@@ -129,14 +129,10 @@ def ga_minimize(objective: Callable[[np.ndarray], np.ndarray],
     later generation. An objective returning any other shape (say, one
     float for the whole array), or any NaN cost, raises ValueError. The
     objective may expose is_feasible(genes) for one gene vector; it is
-    called once, on the final best, and NoFeasibleCandidateError is raised
-    if that is not feasible. A penalized objective prices every feasible
-    plan below every infeasible one, so this means no feasible candidate
-    was ever sampled.
-
-    The first population and the mutation resamples are drawn as
-    lo + span * U[0, 1): the doubles rng.uniform(lo, hi) draws, from the
-    same stream, without its per-call broadcasting of the bounds.
+    called on the final best, and NoFeasibleCandidateError is raised if
+    that is infeasible (for a penalized objective: no feasible candidate
+    was sampled). Uniform draws are lo + span * U[0, 1), the doubles of
+    rng.uniform(lo, hi) without its per-call broadcasting of the bounds.
     """
     rng = np.random.default_rng(config.seed)
     lo = config.bounds[:, 0]
@@ -181,8 +177,7 @@ def ga_minimize(objective: Callable[[np.ndarray], np.ndarray],
 
         children = np.empty_like(pop)
         pop.take(order[:n_elite], axis=0, out=children[:n_elite])
-        # tournament of size 2 for each parent slot: rows are the left and
-        # right parents
+        # tournament of size 2 for each left and right parent slot
         draws = rng.integers(0, n_pop, size=(2, n_fill, 2))
         drawn = fitness[draws]
         left, right = np.where(drawn[..., 0] <= drawn[..., 1],
@@ -241,12 +236,11 @@ class _Pricing:
     """The one evaluation kernel behind penalized_cost and PlanObjective.
 
     Prices B plans given level first: (L - 1, B) ratios alpha_2..alpha_L
-    and (L, B) shares, either of which may be an (L, 1) column shared by
-    every plan, with the spec's per-level constants kept as (L, 1)
-    columns. A cost is org_cost(spec, plan).total, bit for bit, where a
-    plan is well posed, and ceiling * (1 + sum_j max(0, -A_j) / N_j) where
-    it is not. Wage growth is checked once, here; spec.wt is touched only
-    when some well-posed plan has a share below 1.
+    and (L, B) shares, either of which may be one (L, 1) column for all
+    plans. The spec's level constants are (L, 1) columns. A cost is
+    org_cost(spec, plan).total, bit for bit, where a plan is well posed,
+    and ceiling * (1 + sum_j max(0, -A_j) / N_j) where it is not. spec.wt
+    is touched only when some well-posed plan has a share below 1.
     """
 
     def __init__(self, spec: OrgSpec, ceiling: float):
@@ -310,11 +304,10 @@ class PlanObjective:
 
     Calling it on genes of shape (..., n_genes) prices them in one array
     call: one gene vector gives a float, a (B, n_genes) population an
-    array of B costs equal to [objective(g) for g in pop] exactly. It
-    transposes the genes once into level-first rows and prices them with
-    the kernel of penalized_cost, whose per-level constants and feasible
-    cost ceiling are computed once here (as are the checks of wage growth
-    and of fixed_plan).
+    array of B costs equal to [objective(g) for g in pop] exactly,
+    through the kernel of penalized_cost on level-first rows, with its
+    constants, the feasible cost ceiling and the checks of wage growth and
+    fixed_plan done once here.
     """
 
     spec: OrgSpec
@@ -377,9 +370,8 @@ class PlanObjective:
         return FlexPlan(alpha=alpha.copy(), p=p.copy())
 
     def _level_first(self, genes: np.ndarray):
-        """The ratios and shares of every gene vector as level-first
-        (L - 1, B) and (L, B) rows, a frozen block as an (L, 1) column,
-        and the leading shape of the genes."""
+        """Level-first ratios and shares (a frozen block as a column) of
+        every gene vector, and the genes' leading shape."""
         genes = self._genes(genes)
         lead = genes.shape[:-1]
         rows = genes.reshape(math.prod(lead), genes.shape[-1]).T

@@ -336,14 +336,10 @@ def _level_columns(spec: OrgSpec, ndim: int) -> tuple[np.ndarray, ...]:
 def _level_first_pools(outflow: np.ndarray, alpha: np.ndarray,
                        mu: np.ndarray, decay: np.ndarray, filled: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The kernel of stationary_pools on level-first arrays.
-
-    outflow holds the rows mu_j N_j p_j and alpha the rows
-    alpha_2..alpha_L, each level row broadcasting over the same trailing
-    axes; mu, decay = e^{-mu tau} and filled = 1 - e^{-mu tau} are level
-    columns (see _level_columns). Returns C (L + 1 rows), A (L rows) and
-    the ill_posed mask, level first.
-    """
+    """The kernel of stationary_pools, level first: outflow holds the rows
+    mu_j N_j p_j and alpha the rows alpha_2..alpha_L; mu, decay and filled
+    are the level columns of _level_columns. Returns C, A and the
+    ill_posed mask, level first."""
     size = outflow.shape[0]
     c = np.zeros((size + 1,)
                  + np.broadcast_shapes(outflow.shape[1:], alpha.shape[1:]))
@@ -352,8 +348,7 @@ def _level_first_pools(outflow: np.ndarray, alpha: np.ndarray,
         if j:  # level 1 has alpha_1 = 1, and x / 1.0 is x
             c[j] /= alpha[j - 1]
     pools = (outflow * decay - filled * c[1:]) / mu
-    # .T puts the level axis last, where ill_posed expects it
-    return c, pools, ill_posed(pools.T, c.T).T
+    return c, pools, ill_posed(pools.T, c.T).T  # .T: levels last
 
 
 def ill_posed(pools: np.ndarray, demands: np.ndarray) -> np.ndarray:
