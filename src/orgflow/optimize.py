@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -315,10 +315,6 @@ class PlanObjective:
     optimize_p: bool = True
     alpha_max: float = 10.0
     fixed_plan: FlexPlan | None = None
-    _pricing: _Pricing = field(init=False, repr=False, compare=False,
-                               default=None)
-    _fixed: FlexPlan = field(init=False, repr=False, compare=False,
-                             default=None)
 
     def __post_init__(self):
         if not (self.optimize_alpha or self.optimize_p):
