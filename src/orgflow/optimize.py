@@ -336,7 +336,8 @@ class PlanObjective:
     @property
     def bounds(self) -> np.ndarray:
         rows = [[1.0, self.alpha_max]] * self.n_alpha + [[0.0, 1.0]] * self.n_p
-        return np.array(rows)
+        # (0, 2) when no gene is free: the GA then prices the frozen plan
+        return np.array(rows).reshape(len(rows), 2)
 
     def default_genes(self) -> np.ndarray:
         parts = []

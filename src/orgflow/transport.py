@@ -23,29 +23,27 @@ are unconditionally damped, and all update weights stay nonnegative, so
 positivity is preserved. Summing the update telescopes the advection term
 and restores the mass exactly, up to the outflow dt * rho^k_last through
 the truncated end of the grid (negligible whenever the grid extends a few
-decay lengths past the eligibility ages).
+decay lengths past the eligibility ages). At unit Courant number dt = ds
+the advection is an exact shift (LeVeque, Finite Volume Methods for
+Hyperbolic Problems, 2002, ch. 4), and step makes it one copy, without the
+rounding of rho_i - (rho_i - rho_{i-1}) where neighbours differ by more
+than a factor 2.
 
 Promotion rates are closed after every step by a backward sweep over
 levels (Eq. balance: hiring + promotions in = attrition + promotions out),
 either maximizing internal promotion or imposing an external-hiring
 fraction, both capped at a promotion-rate ceiling.
 
-The eligibility cut depends only on the grid and the eligibility ages:
-the pre-eligibility mask 1[s <= tau], the number of leading nodes where
-any level is still below its cut, and the excess-wait weight
-(s - tau) 1[s > tau]. run() builds them once, as read-only arrays, and
-every closure, step and metrics pass of the run reads them, so a step
-costs only its arithmetic on the densities.
-
-run() keeps everything elementwise out of its loop. Each step does the
-node-wise passes only: the pool sums of the closure, the closure's sweep
-over levels (on Python floats, with the per-run constants taken out of
-the loop), the step, and three row sums for the metrics (sum rho,
-sum |rho - steady| and sum rho (s - tau)+), each written straight into
-row k of a trajectory array. One elementwise pass over the whole
-(n_steps + 1, L) arrays after the loop turns those sums into the ratios.
-close_policy_external_fraction and level_metrics apply the same sweep,
-row sums and ratio pass to one state, so every formula has one home.
+The eligibility cut (the mask 1[s <= tau], its head and the excess-wait
+weight (s - tau) 1[s > tau]) depends only on the grid and the eligibility
+ages, so run() builds it once; the pools and the promotion source read only
+its head columns, where some level is still below its cut. A step of run()
+is its node-wise passes plus a little work on Python floats: the pool sums,
+the closure's sweep (which also yields step's per-level terms), the step,
+and three metric row sums (sum rho, sum |rho - steady|, sum rho (s - tau)+)
+written into row k of the trajectory arrays, which one elementwise pass
+after the loop turns into the ratios. close_policy_external_fraction and
+level_metrics apply the same kernels to one state.
 """
 
 from __future__ import annotations
@@ -119,8 +117,7 @@ class SeniorityGrid:
         if self.dt > self.ds * (1 + 1e-12):
             raise CflViolationError(
                 f"dt = {self.dt} exceeds ds = {self.ds}; the explicit "
-                "advection step needs dt <= ds"
-            )
+                "advection step needs dt <= ds")
         if self.s_max < 2 * self.ds:
             raise ValueError("s_max must cover at least two nodes")
 
@@ -150,18 +147,20 @@ class SeniorityGrid:
 @dataclass(frozen=True)
 class _Cuts:
     """Per-run constants of the eligibility cut; they depend only on
-    (grid, spec.tau), and both arrays are read-only.
+    (grid, spec.tau), and the arrays are read-only.
 
-    pre     (L, n_nodes) 1.0 on the nodes s_i <= tau_j, 0.0 past them
-    head    nodes up to the last pre-eligibility node of any level (pre
-            marks a prefix of every row)
-    weight  (L, n_nodes) (s_i - tau_j) 1[s_i > tau_j], the excess-wait
-            weight; -0.0 where s_i < tau_j
+    pre       (L, n_nodes) 1.0 on the nodes s_i <= tau_j, 0.0 past them
+    head      nodes up to the last pre-eligibility node of any level (pre
+              marks a prefix of every row, so it is zero past them)
+    pre_head  (L, head) contiguous copy of pre's first head columns
+    weight    (L, n_nodes) (s_i - tau_j) 1[s_i > tau_j], the excess-wait
+              weight; -0.0 where s_i < tau_j
     """
 
     key: tuple
     pre: np.ndarray
     head: int
+    pre_head: np.ndarray
     weight: np.ndarray
 
 
@@ -170,10 +169,12 @@ def _build_cuts(grid: SeniorityGrid, spec: OrgSpec) -> _Cuts:
     weight = np.subtract(grid.s, spec.tau[:, np.newaxis])
     weight *= ~mask
     pre = mask.astype(float)
-    pre.flags.writeable = False
-    weight.flags.writeable = False
-    return _Cuts(key=(grid, spec.tau.tobytes()), pre=pre,
-                 head=int(np.count_nonzero(mask.any(axis=0))), weight=weight)
+    head = int(np.count_nonzero(mask.any(axis=0)))
+    pre_head = pre[:, :head].copy()
+    for array in (pre, pre_head, weight):
+        array.flags.writeable = False
+    return _Cuts(key=(grid, spec.tau.tobytes()), pre=pre, head=head,
+                 pre_head=pre_head, weight=weight)
 
 
 # the cuts of the latest (grid, tau) asked for; a single entry, so a sweep
@@ -182,11 +183,9 @@ _latest_cuts: _Cuts | None = None
 
 
 def _cuts(grid: SeniorityGrid, spec: OrgSpec) -> _Cuts:
-    """The cuts of (grid, spec.tau), built on a miss of the one-entry memo.
-
-    The memo is read once, so a caller gets the cuts it checked or built
-    even when another thread replaces the entry meanwhile.
-    """
+    """The cuts of (grid, spec.tau), built on a miss of the one-entry memo,
+    which is read once: a caller gets the cuts it checked or built even
+    when another thread replaces the entry meanwhile."""
     global _latest_cuts
     cuts = _latest_cuts
     if cuts is None or cuts.key != (grid, spec.tau.tobytes()):
@@ -206,10 +205,9 @@ class PolicyState:
     empty      pools the closure treats as empty, A_j <= 1e-12 max(M_j, 1):
                no promotion flow is drawn from them, and level_metrics
                reports no excess wait there
-    pre        (L, n_nodes) 0/1 float mask of the nodes still below
-               eligibility, s_i <= tau_j, from which the pools were
-               computed; one read-only array built once per run and shared
-               by every closure of that run, so it must not be written to
+    pre        (L, n_nodes) 0/1 float mask of the nodes s_i <= tau_j still
+               below eligibility, from which the pools were computed; one
+               read-only array shared by every closure of a run
     cap        the promotion-rate ceiling in force
     """
 
@@ -228,14 +226,42 @@ class PolicyState:
         return (self.hiring * masses + promoted_in
                 - spec.mu * masses - self.promotion * self.pool)
 
+    def _step_terms(self, density: np.ndarray, spec: OrgSpec,
+                    grid: SeniorityGrid, masses: np.ndarray) -> tuple:
+        """What step needs besides the density: the ghost values
+        mu M + P A, the source rates dt P and the divisors 1 + dt (mu + P),
+        the last two as (L, 1) columns, and rho pre on the head columns."""
+        head = _cuts(grid, spec).head
+        held = density[:, :head] * self.pre[:, :head]
+        return (spec.mu * masses + self.promotion * self.pool,
+                (grid.dt * self.promotion)[:, np.newaxis],
+                (1.0 + grid.dt * (spec.mu + self.promotion))[:, np.newaxis],
+                held)
 
-def _pool_sums(density: np.ndarray, pre: np.ndarray, ds: float,
-               masses: np.ndarray, scratch: np.ndarray | None = None,
+
+class _StepTerms:
+    """What run() hands step in place of the closure's PolicyState: the
+    terms PolicyState._step_terms computes, set by the loop from the
+    sweep's Python floats and the pool sums' rho pre, so step makes no
+    numpy call on L-vectors."""
+
+    def __init__(self, held: np.ndarray):
+        self.ghost, self.held = np.empty(len(held)), held
+        self.rate, self.divisor = np.empty((2, len(held), 1))
+
+    def _step_terms(self, density, spec, grid, masses) -> tuple:
+        return self.ghost, self.rate, self.divisor, self.held
+
+
+def _pool_sums(density: np.ndarray, cuts: _Cuts, ds: float,
+               masses: np.ndarray, held: np.ndarray | None = None,
                out: np.ndarray | None = None) -> np.ndarray:
-    """A_j = M_j - ds * sum_i rho_ji pre_ji, written to out when given;
-    scratch, shaped like density, receives rho pre."""
-    held = np.multiply(density, pre, out=scratch)
-    return np.subtract(masses, ds * held.sum(axis=1), out=out)
+    """A_j = M_j - ds * sum_i rho_ji pre_ji, written to out when given.
+
+    pre is zero past the cut head, so only the first head columns are
+    read; held, an (L, head) array, receives rho pre on them."""
+    held = np.multiply(density[:, :cuts.head], cuts.pre_head, out=held)
+    return np.subtract(masses, ds * np.add.reduce(held, axis=1), out=out)
 
 
 def _empty_floor(masses: np.ndarray) -> np.ndarray:
@@ -246,10 +272,8 @@ def _empty_floor(masses: np.ndarray) -> np.ndarray:
 def _shares(alpha_frac, size: int, cap: float) -> list[float]:
     """The closure's per-level external fractions as Python floats, after
     checking them and the cap."""
-    frac = np.asarray(alpha_frac, dtype=float)
-    if frac.shape != (size,):
-        frac = np.broadcast_to(frac, (size,))
-    share = frac.tolist()
+    share = np.broadcast_to(np.asarray(alpha_frac, dtype=float),
+                            (size,)).tolist()
     if any(f < 0.0 for f in share):
         raise ValueError("external fractions must be nonnegative")
     if cap <= 0:
@@ -258,10 +282,11 @@ def _shares(alpha_frac, size: int, cap: float) -> list[float]:
 
 
 def _sweep(mu: list, mass: list, pool: list, floor: list, share: list,
-           cap: float) -> tuple[list, list, list]:
+           cap: float) -> tuple[list, list, list, list]:
     """The closure's top-down sweep over levels: promotion, hiring and
-    shortfall rates from the levels' attrition, masses, pools, empty
-    floors and external fractions.
+    shortfall rates and the replacement demands mu M + P A (step's ghost
+    values) from the levels' attrition, masses, pools, empty floors and
+    external fractions.
 
     It runs on Python floats: the same double operations in the same
     order as on numpy scalars, without their per-item overhead. The
@@ -272,9 +297,10 @@ def _sweep(mu: list, mass: list, pool: list, floor: list, share: list,
     promotion = [0.0] * size
     hiring = [0.0] * size
     shortfall = [0.0] * size
+    demand = [0.0] * size
     rate = 0.0  # promotion out of level j, set by the level above
     for j in range(size - 1, -1, -1):
-        demand = mu[j] * mass[j] + rate * pool[j]
+        demand[j] = mu[j] * mass[j] + rate * pool[j]
         promoted = 0.0
         if j > 0:
             below = pool[j - 1]
@@ -283,12 +309,12 @@ def _sweep(mu: list, mass: list, pool: list, floor: list, share: list,
                 if below < 0.0:
                     below = 0.0
             else:
-                rate = demand / ((1.0 + share[j]) * below)
+                rate = demand[j] / ((1.0 + share[j]) * below)
                 if not rate < cap:
                     rate = cap
             promotion[j - 1] = rate
             promoted = rate * below
-        external = demand - promoted
+        external = demand[j] - promoted
         if external < 0.0:
             external = 0.0
         if mass[j] > 0.0:
@@ -296,13 +322,13 @@ def _sweep(mu: list, mass: list, pool: list, floor: list, share: list,
             # the imposed share of promotions; x - 0.0 is x at the bottom
             unmet = external - share[j] * promoted if j > 0 else external
             shortfall[j] = (0.0 if unmet < 0.0 else unmet) / mass[j]
-    return promotion, hiring, shortfall
+    return promotion, hiring, shortfall, demand
 
 
 def discrete_pools(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
                    masses: np.ndarray) -> np.ndarray:
     """Promotable mass per level: A_j = M_j - ds * sum_{s_i <= tau_j} rho."""
-    return _pool_sums(density, _cuts(grid, spec).pre, grid.ds, masses)
+    return _pool_sums(density, _cuts(grid, spec), grid.ds, masses)
 
 
 def close_policy_external_fraction(density: np.ndarray, spec: OrgSpec,
@@ -330,22 +356,23 @@ def close_policy_external_fraction(density: np.ndarray, spec: OrgSpec,
     An empty pool below a positive demand forces the cap (or zero when the
     cap is infinite) with hiring absorbing the whole demand.
 
-    out, an array shaped like density, receives the pre-eligibility
-    density rho 1[s <= tau] whose row sums give the pools; a scratch array
-    is allocated when it is not given.
+    out, an array shaped like density, receives rho 1[s <= tau] on the
+    cut's head columns, whose row sums give the pools; a scratch array is
+    allocated when it is not given.
     """
     if masses is None:
         masses = spec.n.copy()
     share = _shares(alpha_frac, spec.size, cap)
-    pre = _cuts(grid, spec).pre
-    pools = _pool_sums(density, pre, grid.ds, masses, scratch=out)
+    cuts = _cuts(grid, spec)
+    pools = _pool_sums(density, cuts, grid.ds, masses,
+                       None if out is None else out[:, :cuts.head])
     floor = _empty_floor(masses)
-    promotion, hiring, shortfall = _sweep(spec.mu.tolist(), masses.tolist(),
-                                          pools.tolist(), floor.tolist(),
-                                          share, cap)
+    promotion, hiring, shortfall, _ = _sweep(
+        spec.mu.tolist(), masses.tolist(), pools.tolist(), floor.tolist(),
+        share, cap)
     return PolicyState(promotion=np.array(promotion), hiring=np.array(hiring),
                        shortfall=np.array(shortfall), pool=pools,
-                       empty=pools <= floor, pre=pre, cap=cap)
+                       empty=pools <= floor, pre=cuts.pre, cap=cap)
 
 
 def step(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
@@ -356,41 +383,40 @@ def step(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
     Explicit upwind advection, implicit attrition and promotion decay,
     with the promotion source active below the eligibility age and the
     ghost boundary value rho_0 = mu M + P A restoring each level's discrete
-    mass (see module docstring). Levels are uncoupled within a step; they
-    interact only through the policy closure between steps.
-
-    policy must be the closure of this same density with these masses (as
-    run() calls it): its pool A is the promotable mass the ghost value
-    needs, and its pre mask marks where the promotion source acts.
+    mass (see module docstring). Levels interact only through the policy
+    closure between steps. policy must be the closure of this same density
+    with these masses, as run() calls it: its pool A is the promotable mass
+    the ghost value needs, and its pre mask marks where the source acts.
 
     The new densities are written to out, a C-contiguous array shaped like
     density that must not overlap it, and returned; a new array is
-    allocated when out is not given. run() alternates two such arrays, so
-    a run allocates no density-sized temporary per step.
+    allocated when out is not given.
     """
-    lam = grid.dt / grid.ds
     if out is None:
         out = np.empty_like(density, order="C")
     elif not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
-    # rho - lam (rho - rho_upwind), with the ghost value upwind of node 1;
-    # the differences run over the flattened rows, one contiguous pass,
-    # and the first node of every row is then set from its ghost value;
-    # at unit Courant number the scaling is skipped, x * 1.0 being x
+    ghost, rate, divisor, held = policy._step_terms(density, spec, grid,
+                                                    masses)
+    # the advection runs over the flattened rows, one contiguous pass, and
+    # the first node of every row then takes its ghost value: at unit
+    # Courant number a shift by one node, else rho - lam (rho - rho_upwind)
     flat, rho = out.reshape(-1), density.reshape(-1)
-    np.subtract(rho[1:], rho[:-1], out=flat[1:])
-    out[:, 0] = density[:, 0] - (spec.mu * masses + policy.promotion * policy.pool)
-    if lam != 1.0:
+    lam = grid.dt / grid.ds
+    if lam == 1.0:
+        flat[1:] = rho[:-1]
+        out[:, 0] = ghost
+    else:
+        np.subtract(rho[1:], rho[:-1], out=flat[1:])
+        out[:, 0] = density[:, 0] - ghost
         flat *= lam
-    np.subtract(rho, flat, out=flat)
+        np.subtract(rho, flat, out=flat)
     # the promotion source dt P rho 1[s <= tau] is added only on the nodes
     # up to the run's cut head; past them it is +0, which leaves
     # nonnegative values unchanged
-    head = _cuts(grid, spec).head
-    source = (grid.dt * policy.promotion)[:, np.newaxis] * policy.pre[:, :head]
-    source *= density[:, :head]
-    out[:, :head] += source
-    out /= (1.0 + grid.dt * (spec.mu + policy.promotion))[:, np.newaxis]
+    held *= rate
+    out[:, :held.shape[1]] += held
+    out /= divisor
     return out
 
 
@@ -426,11 +452,8 @@ def discrete_stationary_density(spec: OrgSpec, plan: FlexPlan,
     a = 1.0 / (1.0 + mu * grid.ds)
     b = 1.0 / (1.0 + (mu + rates[:, np.newaxis]) * grid.ds)
     i = np.arange(1, grid.n_nodes + 1)
-    density = np.where(
-        i <= n_tau,
-        inflow * a ** i,
-        inflow * a ** n_tau * b ** np.maximum(i - n_tau, 0),
-    )
+    density = np.where(i <= n_tau, inflow * a ** i,
+                       inflow * a ** n_tau * b ** np.maximum(i - n_tau, 0))
     # park the truncated tail mass on the final node to keep the discrete
     # constraint exact; a rounding-level surplus is rescaled away instead
     # so the profile never dips below zero
@@ -462,8 +485,7 @@ def make_initial_density(spec: OrgSpec, plan: FlexPlan | None,
     if grid.s_max <= float(np.max(spec.tau)):
         raise InfeasibleInitialDataError(
             f"grid reaches {grid.s_max} years but eligibility ages go up "
-            f"to {float(np.max(spec.tau))}"
-        )
+            f"to {float(np.max(spec.tau))}")
     masses = spec.n * plan.p
     if kind == "stationary":
         density, _ = discrete_stationary_density(spec, plan, grid)
@@ -481,8 +503,7 @@ def make_initial_density(spec: OrgSpec, plan: FlexPlan | None,
     else:
         raise ValueError(
             f"unknown initial density kind {kind!r}; expected stationary, "
-            "uniform, or truncated-exponential"
-        )
+            "uniform, or truncated-exponential")
     pools = discrete_pools(density, spec, grid, masses)
     starved = [int(j) + 1 for j in np.flatnonzero(
         ill_posed(pools, promotion_demands(spec, plan)))]
@@ -490,8 +511,7 @@ def make_initial_density(spec: OrgSpec, plan: FlexPlan | None,
         raise InfeasibleInitialDataError(
             "initial data leaves no promotable staff at level"
             f"{'s' if len(starved) > 1 else ''} {starved} although "
-            "promotions are demanded from above"
-        )
+            "promotions are demanded from above")
     return density
 
 
@@ -506,11 +526,9 @@ class SimulationResult:
     times to (L, n_nodes) density copies.
 
     run() fills ready_ratio, excess_wait, l1_to_steady and mass_error in
-    two stages: every step writes the row sums sum rho (into mass_error),
-    sum |rho - steady| (into l1_to_steady) and sum rho (s - tau)+ (into
-    excess_wait) to its row, and one elementwise pass after the last step
-    turns the whole arrays into the ratios, in place. The numbers are
-    those level_metrics gives for each state, bit for bit.
+    two stages: every step writes its row sums into them (see the module
+    docstring), and one elementwise pass after the last step turns them
+    into the ratios that level_metrics gives for each state, bit for bit.
     """
 
     times: np.ndarray
@@ -532,12 +550,8 @@ class SimulationResult:
 
     @property
     def final_policy(self) -> dict[str, np.ndarray]:
-        return {
-            "promotion": self.promotion[-1],
-            "hiring": self.hiring[-1],
-            "shortfall": self.shortfall[-1],
-            "pool": self.pool[-1],
-        }
+        return {name: getattr(self, name)[-1]
+                for name in ("promotion", "hiring", "shortfall", "pool")}
 
 
 def _metric_sums(density: np.ndarray, weight: np.ndarray,
@@ -548,11 +562,12 @@ def _metric_sums(density: np.ndarray, weight: np.ndarray,
     as it is without a reference) and sum rho weight, per level, written
     to the three given rows. scratch, shaped like density, holds the
     node-wise terms."""
-    density.sum(axis=1, out=mass_sum)
+    total = np.add.reduce
+    total(density, axis=1, out=mass_sum)
     if steady_density is not None:
         gap = np.subtract(density, steady_density, out=scratch)
-        np.abs(gap, out=gap).sum(axis=1, out=l1_sum)
-    np.multiply(density, weight, out=scratch).sum(axis=1, out=wait_sum)
+        total(np.abs(gap, out=gap), axis=1, out=l1_sum)
+    total(np.multiply(density, weight, out=scratch), axis=1, out=wait_sum)
 
 
 def _metric_ratios(ds: float, masses: np.ndarray, pool: np.ndarray,
@@ -600,22 +615,16 @@ def level_metrics(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
     Levels without mass divide by 1 instead of M_j, so their ratios are
     the plain numerators (0 for an empty level's zero density). The
     excess-wait numerator is rho times the run's weight (s - tau)
-    1[s > tau]; as s - tau <= 0 wherever that indicator is 0, this equals
-    ((s - tau) rho) 1[s > tau] bit for bit, signed zeros included.
-    run() computes the same metrics with the same two helpers, the row
-    sums per step and the ratios once over its whole trajectory.
+    1[s > tau], which equals ((s - tau) rho) 1[s > tau] bit for bit, signed
+    zeros included. run() uses the same two helpers.
     """
     ready, wait, l1, mass_err = (np.empty(spec.size) for _ in range(4))
     _metric_sums(density, _cuts(grid, spec).weight, steady_density, out,
                  mass_err, l1, wait)
     _metric_ratios(grid.ds, masses, policy.pool, policy.empty,
                    steady_density is not None, ready, wait, l1, mass_err)
-    return {
-        "ready_ratio": ready,
-        "excess_wait": wait,
-        "l1_to_steady": l1,
-        "mass_error": mass_err,
-    }
+    return {"ready_ratio": ready, "excess_wait": wait, "l1_to_steady": l1,
+            "mass_error": mass_err}
 
 
 def _policy_fractions(policy: str, spec: OrgSpec, plan: FlexPlan,
@@ -627,13 +636,9 @@ def _policy_fractions(policy: str, spec: OrgSpec, plan: FlexPlan,
             raise ValueError("external_fraction must be nonnegative")
         return np.full(spec.size, float(external_fraction))
     if policy == "fixed-plan":
-        frac = np.zeros(spec.size)
-        frac[1:] = plan.alpha - 1.0
-        return frac
-    raise ValueError(
-        f"unknown policy {policy!r}; expected max-internal, "
-        "external-fraction, or fixed-plan"
-    )
+        return np.concatenate(([0.0], plan.alpha - 1.0))
+    raise ValueError(f"unknown policy {policy!r}; expected max-internal, "
+                     "external-fraction, or fixed-plan")
 
 
 def _steady_reference(spec: OrgSpec, plan: FlexPlan, grid: SeniorityGrid,
@@ -687,39 +692,34 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
     n_steps = int(round(horizon / grid.dt))
     times = grid.dt * np.arange(n_steps + 1)
     snap_steps = {int(round(t / grid.dt)) for t in snapshot_times}
-    shape = (n_steps + 1, spec.size)
-    promotion = np.zeros(shape)
-    hiring = np.zeros(shape)
-    shortfall = np.zeros(shape)
-    pool = np.zeros(shape)
-    ready = np.zeros(shape)
-    wait = np.zeros(shape)
-    l1 = np.zeros(shape)
-    mass_err = np.zeros(shape)
+    promotion, hiring, shortfall, pool, ready, wait, l1, mass_err = (
+        np.zeros((n_steps + 1, spec.size)) for _ in range(8))
     snapshots: dict[float, np.ndarray] = {}
-    # density-sized arrays made once: the next density, and one scratch
-    # that the pool sums and the metric sums take turns with
+    # the next density, made once; before each step it is the metric sums'
+    # scratch
     spare = np.empty_like(density)
-    scratch = np.empty_like(density)
-    # the sweep's per-run constants, as Python floats
+    # the sweep's and step's per-run constants, as Python floats
     floor = _empty_floor(masses)
     mu, mass, floors = spec.mu.tolist(), masses.tolist(), floor.tolist()
+    dt = grid.dt
+    terms = _StepTerms(np.empty((spec.size, cuts.head)))
 
     for k in range(n_steps + 1):
-        pools = _pool_sums(density, cuts.pre, grid.ds, masses,
-                           scratch=scratch, out=pool[k])
-        promotion[k], hiring[k], shortfall[k] = _sweep(
+        pools = _pool_sums(density, cuts, grid.ds, masses, terms.held,
+                           out=pool[k])
+        rates, hiring[k], shortfall[k], demand = _sweep(
             mu, mass, pools.tolist(), floors, share, cap)
-        _metric_sums(density, cuts.weight, steady, scratch, mass_err[k],
+        promotion[k] = rates
+        _metric_sums(density, cuts.weight, steady, spare, mass_err[k],
                      l1[k], wait[k])
         if k in snap_steps:
             snapshots[float(times[k])] = density.copy()
         if k == n_steps:
             break
-        state = PolicyState(promotion=promotion[k], hiring=hiring[k],
-                            shortfall=shortfall[k], pool=pools,
-                            empty=pools <= floor, pre=cuts.pre, cap=cap)
-        step(density, spec, grid, state, masses, out=spare)
+        terms.ghost[:] = demand
+        terms.rate[:, 0] = [dt * p for p in rates]
+        terms.divisor[:, 0] = [1.0 + dt * (m + p) for m, p in zip(mu, rates)]
+        step(density, spec, grid, terms, masses, out=spare)
         density, spare = spare, density
     _metric_ratios(grid.ds, masses, pool, pool <= floor, steady is not None,
                    ready, wait, l1, mass_err)
@@ -728,8 +728,7 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
         hiring=hiring, shortfall=shortfall, pool=pool, ready_ratio=ready,
         excess_wait=wait, l1_to_steady=l1, mass_error=mass_err,
         snapshots=snapshots, steady_density=steady, grid=grid,
-        policy=policy, cap=cap,
-    )
+        policy=policy, cap=cap)
 
 
 # one trajectory row: t, level, six rates and ratios, the mass error, with
@@ -743,10 +742,13 @@ _SNAPSHOT_BLOCK = 256
 
 def write_trajectory_csv(path: str, result: SimulationResult,
                          header_lines: Sequence[str] = ()) -> None:
-    """One row per (time, level) with rates, pools, and error metrics."""
+    """One row per (time, level) with rates, pools, and error metrics,
+    written with one format per time step over its L rows."""
     fields = (result.promotion, result.hiring, result.shortfall, result.pool,
               result.ready_ratio, result.excess_wait, result.mass_error)
-    levels = range(1, result.masses.size + 1)
+    rows = _TRAJECTORY_ROW * result.masses.size
+    # a row's cells: t, the level (a float, which %d prints alike), fields
+    levels = np.arange(1.0, result.masses.size + 1)
     with open(path, "w", newline="") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
@@ -754,12 +756,11 @@ def write_trajectory_csv(path: str, result: SimulationResult,
                  "ready_ratio,excess_wait,mass_error\r\n")
         for k in range(0, result.times.size, _TRAJECTORY_BLOCK):
             block = slice(k, k + _TRAJECTORY_BLOCK)
-            values = np.stack([f[block] for f in fields], axis=2).tolist()
-            fh.write("".join([
-                _TRAJECTORY_ROW % (t, j, *row)
-                for t, rows in zip(result.times[block].tolist(), values)
-                for j, row in zip(levels, rows)
-            ]))
+            times = result.times[block, np.newaxis]
+            cells = np.stack(np.broadcast_arrays(
+                times, levels, *(f[block] for f in fields)), axis=2)
+            fh.write("".join([rows % tuple(step) for step in
+                              cells.reshape(times.size, -1).tolist()]))
 
 
 def write_snapshot_csv(path: str, result: SimulationResult, time: float,
@@ -769,11 +770,8 @@ def write_snapshot_csv(path: str, result: SimulationResult, time: float,
     Each row is one "%.6g" + ",%.8g" * L format, with the "\r\n" ending
     of the csv module's rows, as in write_trajectory_csv.
     """
-    key = None
-    for t in result.snapshots:
-        if abs(t - time) <= 0.5 * result.grid.dt:
-            key = t
-            break
+    key = next((t for t in result.snapshots
+                if abs(t - time) <= 0.5 * result.grid.dt), None)
     if key is None:
         raise KeyError(f"no snapshot recorded at t = {time}")
     density = result.snapshots[key]

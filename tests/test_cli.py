@@ -202,6 +202,24 @@ def test_optimize_infeasible_search_exits_ill_posed(tmp_path, capsys):
     assert "ill-posed model:" in captured.err
 
 
+def test_optimize_with_no_free_gene(tmp_path, capsys):
+    # one level and optimize_p false leave no gene to search: the GA
+    # prices the frozen all-permanent plan
+    data = {
+        "org": {"wage_growth": 0.04, "levels": [
+            {"headcount": 400, "attrition": 0.2, "eligibility_age": 2.0,
+             "base_wage": 50.0}]},
+        "cost": {"premium": 0.2},
+        "optimizer": {"mode": "ga", "population_size": 8, "generations": 4,
+                      "seed": 1, "optimize_p": False},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    path = write_scenario(tmp_path, data)
+    assert cli.main(["optimize", "--config", path]) == 0
+    assert "best plan (seed 1, 8x4)" in capsys.readouterr().out
+    assert (tmp_path / "out" / "ga_history.csv").exists()
+
+
 def test_dump_config_round_trip(tmp_path, capsys):
     path = base_scenario(tmp_path, org=plain_org(wages=True),
                          cost={"premium": 0.2}, plan=MIXED_PLAN)

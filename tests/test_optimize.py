@@ -82,6 +82,22 @@ def test_ga_respects_bounds():
     assert np.all(stacked <= hi + 1e-12)
 
 
+def test_ga_prices_the_frozen_plan_when_no_gene_is_free():
+    # a one-level org has no hiring ratio, and optimize_p=False freezes its
+    # share: the bounds are an empty (0, 2) array and the GA prices the
+    # one frozen plan
+    spec = build_org([400], [0.2], [2.0], base=[50.0], growth=0.05)
+    objective = PlanObjective(spec, optimize_p=False)
+    assert objective.bounds.shape == (0, 2)
+    result = ga_minimize(objective, GaConfig(bounds=objective.bounds,
+                                             population_size=8,
+                                             generations=3, seed=1))
+    assert result.best.genes.shape == (0,)
+    cost = org_cost(spec, FlexPlan.all_internal(1)).total
+    assert result.best.fitness == cost
+    assert result.best_history.tolist() == [cost] * 3
+
+
 def test_ga_zero_elitism_still_tracks_best():
     config = GaConfig(bounds=np.array([[-1.0, 1.0]] * 2),
                       population_size=16, generations=20, seed=4,

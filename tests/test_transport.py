@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from orgflow import (
     CflViolationError,
@@ -159,31 +160,100 @@ def test_mass_restored_every_step(low_turnover_org):
                 assert np.all(density >= 0.0)
 
 
-def test_unit_courant_step_is_exact_shift(low_turnover_org):
+@pytest.mark.parametrize("case", ["smooth", "jump"])
+def test_unit_courant_step_is_exact_shift(low_turnover_org, high_turnover_org,
+                                          case):
     # at dt = ds the upwind update moves every node one cell along its
     # characteristic and adds no numerical diffusion (LeVeque, Finite
-    # Volume Methods for Hyperbolic Problems, 2002, ch. 4)
-    org = low_turnover_org
+    # Volume Methods for Hyperbolic Problems, 2002, ch. 4), so step gives
+    # the shifted density bit for bit
     grid = SeniorityGrid(ds=0.05, dt=0.05, s_max=70.0)
+    if case == "smooth":
+        org, cap, f = low_turnover_org, np.inf, 0.0
+        density = make_initial_density(org, None, grid, "truncated-exponential")
+    else:
+        # seven steps from a uniform start: level 1 holds 2017.9 at node 7
+        # next to 946.4 at node 8, more than 2x apart, where
+        # rho_i - (rho_i - rho_{i-1}) is not rho_{i-1}
+        org, cap, f = high_turnover_org, 2.0, 0.25
+        density = run(org, grid=grid, policy="external-fraction", cap=cap,
+                      external_fraction=f, horizon=7 * grid.dt).density
+        assert density[0, 6] > 2.0 * density[0, 7] > 0.0
     masses = org.n.astype(float)
-    density = make_initial_density(org, None, grid, "truncated-exponential")
-    state = close_policy_external_fraction(density, org, grid, cap=np.inf,
-                                           masses=masses)
+    state = close_policy_external_fraction(density, org, grid, cap=cap,
+                                           alpha_frac=f, masses=masses)
     after = step(density, org, grid, state, masses)
     rate = state.promotion
     decay = 1.0 + grid.dt * (org.mu + rate)[:, np.newaxis]
-    pre = grid.pre_eligibility_mask(org)[:, 1:]
-    shifted = density[:, :-1] / decay
-    np.testing.assert_allclose(after[:, 1:][~pre], shifted[~pre], rtol=1e-14)
-    promoted = grid.dt * rate[:, np.newaxis] * density[:, 1:] / decay
-    np.testing.assert_allclose(after[:, 1:][pre], (shifted + promoted)[pre],
-                               rtol=1e-14)
     # node 1 comes from the mass-restoring ghost value (module docstring)
+    ghost = org.mu * masses + rate * state.pool
     held = grid.ds * np.sum(density * grid.pre_eligibility_mask(org), axis=1)
-    ghost = (org.mu + rate) * masses - rate * held
-    np.testing.assert_allclose(
-        after[:, 0], (ghost + grid.dt * rate * density[:, 0]) / decay[:, 0],
-        rtol=1e-14)
+    np.testing.assert_allclose(ghost, (org.mu + rate) * masses - rate * held,
+                               rtol=1e-12)
+    upwind = np.column_stack((ghost, density[:, :-1]))
+    source = grid.dt * rate[:, np.newaxis] * density
+    pre = grid.pre_eligibility_mask(org)
+    np.testing.assert_array_equal(
+        after, (upwind + np.where(pre, source, 0.0)) / decay)
+
+
+@st.composite
+def _orgs_and_jumpy_densities(draw):
+    """A random well-posed org on a unit-Courant grid, with piecewise-flat
+    nonnegative densities of exact mass N_j whose pieces jump by any
+    factor, zeros included; the last node is empty, so nothing leaves the
+    grid in one step."""
+    size = draw(st.integers(1, 4))
+    unit = st.floats(0.05, 0.6)
+    spec = build_org(draw(st.lists(st.floats(100.0, 5000.0), min_size=size,
+                                   max_size=size)),
+                     draw(st.lists(unit, min_size=size, max_size=size)),
+                     draw(st.lists(st.floats(0.5, 6.0), min_size=size,
+                                   max_size=size)))
+    try:
+        stationary_state(spec, FlexPlan.all_internal(size))
+    except IllPosedError:
+        assume(False)
+    ds = draw(st.sampled_from([0.05, 0.1]))
+    grid = SeniorityGrid(ds=ds, dt=ds, s_max=12.0)
+    value = st.one_of(st.just(0.0), st.floats(1e-6, 1e3))
+    rows = []
+    for _ in range(size):
+        pieces = draw(st.lists(st.tuples(st.integers(1, 60), value),
+                               min_size=1, max_size=8))
+        flat = np.repeat([v for _, v in pieces],
+                         [w for w, _ in pieces])[:grid.n_nodes - 1]
+        assume(flat.sum() > 0.0)
+        row = np.zeros(grid.n_nodes)
+        row[:flat.size] = flat
+        rows.append(row)
+    density = np.array(rows)
+    density *= (spec.n / (ds * density.sum(axis=1)))[:, np.newaxis]
+    cap = draw(st.sampled_from([0.5, 2.0, np.inf]))
+    return spec, grid, density, cap, draw(st.floats(0.0, 0.5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_orgs_and_jumpy_densities())
+def test_unit_courant_step_properties(case):
+    # over random orgs and densities with jumps, at dt = ds: step is the
+    # exact shift bit for bit, restores every level's mass and keeps the
+    # density nonnegative (the MacIver et al., JOSS 2019, property style)
+    spec, grid, density, cap, f = case
+    masses = spec.n.astype(float)
+    state = close_policy_external_fraction(density, spec, grid, cap=cap,
+                                           alpha_frac=f, masses=masses)
+    after = step(density, spec, grid, state, masses)
+    rate = state.promotion
+    upwind = np.column_stack((spec.mu * masses + rate * state.pool,
+                              density[:, :-1]))
+    source = grid.dt * rate[:, np.newaxis] * density
+    np.testing.assert_array_equal(
+        after, (upwind + np.where(grid.pre_eligibility_mask(spec), source, 0.0))
+        / (1.0 + grid.dt * (spec.mu + rate))[:, np.newaxis])
+    held = grid.ds * after.sum(axis=1)
+    assert np.all(np.abs(held - masses) <= 1e-12 * masses)
+    assert np.all(after >= 0.0)
 
 
 @pytest.mark.parametrize("dt,cap,kind", [
@@ -206,8 +276,9 @@ def test_buffered_step_matches_full_array_formula(high_turnover_org, dt, cap,
     upwind = np.empty_like(density)
     upwind[:, 0] = org.mu * masses + state.promotion * state.pool
     upwind[:, 1:] = density[:, :-1]
-    expected = ((density - lam * (density - upwind)
-                 + grid.dt * rate * state.pre * density)
+    # at unit Courant number the advected density is the shifted one
+    advected = upwind if lam == 1.0 else density - lam * (density - upwind)
+    expected = ((advected + grid.dt * rate * state.pre * density)
                 / (1.0 + grid.dt * (org.mu[:, np.newaxis] + rate)))
     out = np.full_like(density, np.nan)
     assert step(density, org, grid, state, masses, out=out) is out
@@ -291,8 +362,8 @@ def test_run_matches_full_array_replay(low_turnover_org, high_turnover_org,
         upwind = np.empty_like(density)
         upwind[:, 0] = org.mu * masses + state.promotion * pools
         upwind[:, 1:] = density[:, :-1]
-        density = ((density - lam * (density - upwind)
-                    + grid.dt * rate * mask * density)
+        advected = upwind if lam == 1.0 else density - lam * (density - upwind)
+        density = ((advected + grid.dt * rate * mask * density)
                    / (1.0 + grid.dt * (org.mu[:, np.newaxis] + rate)))
     for name, replayed in rows.items():
         np.testing.assert_array_equal(getattr(result, name), replayed,
