@@ -242,8 +242,8 @@ class PolicyState:
 class _StepTerms:
     """What run() hands step in place of the closure's PolicyState: the
     terms PolicyState._step_terms computes, set by the loop from the
-    sweep's Python floats and the pool sums' rho pre, so step makes no
-    numpy call on L-vectors."""
+    sweep's Python floats and the pool sums' rho pre, so no numpy
+    arithmetic runs on L-vectors per step."""
 
     def __init__(self, held: np.ndarray):
         self.ghost, self.held = np.empty(len(held)), held

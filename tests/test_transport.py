@@ -160,41 +160,38 @@ def test_mass_restored_every_step(low_turnover_org):
                 assert np.all(density >= 0.0)
 
 
-@pytest.mark.parametrize("case", ["smooth", "jump"])
-def test_unit_courant_step_is_exact_shift(low_turnover_org, high_turnover_org,
-                                          case):
+def test_unit_courant_step_is_exact_shift(low_turnover_org, high_turnover_org):
     # at dt = ds the upwind update moves every node one cell along its
     # characteristic and adds no numerical diffusion (LeVeque, Finite
     # Volume Methods for Hyperbolic Problems, 2002, ch. 4), so step gives
     # the shifted density bit for bit
     grid = SeniorityGrid(ds=0.05, dt=0.05, s_max=70.0)
-    if case == "smooth":
-        org, cap, f = low_turnover_org, np.inf, 0.0
-        density = make_initial_density(org, None, grid, "truncated-exponential")
-    else:
-        # seven steps from a uniform start: level 1 holds 2017.9 at node 7
-        # next to 946.4 at node 8, more than 2x apart, where
-        # rho_i - (rho_i - rho_{i-1}) is not rho_{i-1}
-        org, cap, f = high_turnover_org, 2.0, 0.25
-        density = run(org, grid=grid, policy="external-fraction", cap=cap,
-                      external_fraction=f, horizon=7 * grid.dt).density
-        assert density[0, 6] > 2.0 * density[0, 7] > 0.0
-    masses = org.n.astype(float)
-    state = close_policy_external_fraction(density, org, grid, cap=cap,
-                                           alpha_frac=f, masses=masses)
-    after = step(density, org, grid, state, masses)
-    rate = state.promotion
-    decay = 1.0 + grid.dt * (org.mu + rate)[:, np.newaxis]
-    # node 1 comes from the mass-restoring ghost value (module docstring)
-    ghost = org.mu * masses + rate * state.pool
-    held = grid.ds * np.sum(density * grid.pre_eligibility_mask(org), axis=1)
-    np.testing.assert_allclose(ghost, (org.mu + rate) * masses - rate * held,
-                               rtol=1e-12)
-    upwind = np.column_stack((ghost, density[:, :-1]))
-    source = grid.dt * rate[:, np.newaxis] * density
-    pre = grid.pre_eligibility_mask(org)
-    np.testing.assert_array_equal(
-        after, (upwind + np.where(pre, source, 0.0)) / decay)
+    smooth = make_initial_density(low_turnover_org, None, grid,
+                                  "truncated-exponential")
+    # seven steps from a uniform start: level 1 holds 2017.9 at node 7 next
+    # to 946.4 at node 8, more than 2x apart, where rho_i - (rho_i -
+    # rho_{i-1}) is not rho_{i-1}
+    jump = run(high_turnover_org, grid=grid, policy="external-fraction",
+               cap=2.0, external_fraction=0.25, horizon=7 * grid.dt).density
+    assert jump[0, 6] > 2.0 * jump[0, 7] > 0.0
+    for org, density, cap, f in ((low_turnover_org, smooth, np.inf, 0.0),
+                                 (high_turnover_org, jump, 2.0, 0.25)):
+        masses = org.n.astype(float)
+        state = close_policy_external_fraction(density, org, grid, cap=cap,
+                                               alpha_frac=f, masses=masses)
+        after = step(density, org, grid, state, masses)
+        rate = state.promotion
+        decay = 1.0 + grid.dt * (org.mu + rate)[:, np.newaxis]
+        # node 1 comes from the mass-restoring ghost value (module docstring)
+        ghost = org.mu * masses + rate * state.pool
+        pre = grid.pre_eligibility_mask(org)
+        held = grid.ds * np.sum(density * pre, axis=1)
+        np.testing.assert_allclose(
+            ghost, (org.mu + rate) * masses - rate * held, rtol=1e-14)
+        upwind = np.column_stack((ghost, density[:, :-1]))
+        source = grid.dt * rate[:, np.newaxis] * density
+        np.testing.assert_array_equal(
+            after, (upwind + np.where(pre, source, 0.0)) / decay)
 
 
 @st.composite
@@ -204,10 +201,10 @@ def _orgs_and_jumpy_densities(draw):
     factor, zeros included; the last node is empty, so nothing leaves the
     grid in one step."""
     size = draw(st.integers(1, 4))
-    unit = st.floats(0.05, 0.6)
     spec = build_org(draw(st.lists(st.floats(100.0, 5000.0), min_size=size,
                                    max_size=size)),
-                     draw(st.lists(unit, min_size=size, max_size=size)),
+                     draw(st.lists(st.floats(0.05, 0.6), min_size=size,
+                                   max_size=size)),
                      draw(st.lists(st.floats(0.5, 6.0), min_size=size,
                                    max_size=size)))
     try:
