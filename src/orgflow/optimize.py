@@ -1,5 +1,4 @@
-"""Plan optimization: a real-valued genetic algorithm and a coordinate
-descent baseline.
+"""Plan optimization: a real-valued genetic algorithm over the plan genes.
 
 The decision vector collects the hiring ratios alpha_2..alpha_L and the
 permanent shares p_1..p_L. Ill-posed plans (see penalized_cost) are
@@ -8,11 +7,7 @@ search never needs explicit constraint repair.
 
 An objective maps genes of shape (..., n_genes) to costs of the leading
 shape: the GA prices each generation with one call on its (n, n_genes)
-population, and coordinate descent calls it on single gene vectors.
-PlanObjective follows this contract through one array kernel. The cost
-has an ascending structure (level j's cost depends only on genes at
-level j and above), which the coordinate-descent baseline exploits by
-sweeping genes in descending level order.
+population. PlanObjective follows this contract through one array kernel.
 """
 
 from __future__ import annotations
@@ -50,8 +45,6 @@ __all__ = [
     "ga_minimize",
     "penalized_cost",
     "feasible_cost_ceiling",
-    "coordinate_descent",
-    "golden_section",
     "write_ga_csv",
 ]
 
@@ -299,8 +292,7 @@ class PlanObjective:
     Genes are the free entries of (alpha_2..alpha_L, p_1..p_L); either
     block can be frozen. Frozen entries come from fixed_plan, defaulting
     to alpha = 1 and p = 1 (disabling temporaries altogether is the
-    optimize_p=False case). Exposes bounds, feasibility, decoding, and the
-    descending-level gene order used by coordinate descent.
+    optimize_p=False case). Exposes bounds, feasibility and decoding.
 
     Calling it on genes of shape (..., n_genes) prices them in one array
     call: one gene vector gives a float, a (B, n_genes) population an
@@ -385,86 +377,6 @@ class PlanObjective:
     def is_feasible(self, genes: np.ndarray) -> bool:
         alpha, p, _ = self._level_first(genes)
         return not self._pricing.pools(alpha, p)[2].any()
-
-    @property
-    def descending_order(self) -> list[int]:
-        """Gene indices from the top level down, permanent share first.
-
-        Level j's cost depends only on genes at j and above, so sweeping
-        p_L, alpha_L, p_{L-1}, ..., p_1 settles upstream genes before the
-        levels they influence.
-        """
-        size = self.spec.size
-        order = []
-        for j in range(size, 0, -1):
-            if self.optimize_p:
-                order.append(self.n_alpha + j - 1)
-            if self.optimize_alpha and j >= 2:
-                order.append(j - 2)
-        return order
-
-
-def golden_section(f: Callable[[float], float], lo: float,
-                   hi: float) -> tuple[float, float]:
-    """Minimize a one-dimensional function on [lo, hi].
-
-    Plain golden-section bracketing down to a 1e-10 bracket or 200
-    iterations; returns (argmin, min). Exact on unimodal functions, and
-    still returns the best probed point otherwise.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(200):
-        if b - a < 1e-10:
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    if fc <= fd:
-        return c, fc
-    return d, fd
-
-
-def coordinate_descent(objective, sweeps: int = 4) -> Candidate:
-    """Cyclic one-dimensional minimization along each gene.
-
-    Calls the objective on single gene vectors and searches each gene by
-    golden section within the objective's bounds. When the objective
-    exposes a descending_order (see PlanObjective) the sweep follows it;
-    otherwise genes are visited in index order. The start is the
-    objective's default_genes() when it has them, else the bound midpoints.
-    """
-    if sweeps < 1:
-        raise ValueError("sweeps must be at least 1")
-    bounds = np.atleast_2d(np.asarray(objective.bounds, dtype=float))
-    default = getattr(objective, "default_genes", None)
-    x = default() if default is not None else bounds.mean(axis=1)
-    order = getattr(objective, "descending_order", None) or range(x.size)
-    value = float(objective(x))
-    for _ in range(sweeps):
-        for idx in order:
-            lo, hi = bounds[idx]
-
-            def along(t: float) -> float:
-                probe = x.copy()
-                probe[idx] = t
-                return float(objective(probe))
-
-            t_best, f_best = golden_section(along, lo, hi)
-            if f_best < value:
-                x[idx] = t_best
-                value = f_best
-    is_feasible = getattr(objective, "is_feasible", None)
-    return Candidate(genes=x, fitness=value,
-                     feasible=is_feasible is None or bool(is_feasible(x)))
 
 
 def write_ga_csv(path: str, result: GaResult,

@@ -41,9 +41,7 @@ __all__ = [
     "MassMismatchError",
     "MissingWageError",
     "validate",
-    "cumulative_attrition",
     "promotion_demands",
-    "promotion_demand",
     "steady_promotable_pool",
     "stationary_pools",
     "ill_posed",
@@ -214,10 +212,11 @@ class FlexPlan:
 
 
 def _check_ranges(alpha: np.ndarray, p: np.ndarray) -> None:
-    """Plan bounds alpha_j >= 1 and 0 <= p_j <= 1, in any array layout."""
-    if (alpha < 1.0).any():
+    """Plan bounds alpha_j >= 1 and 0 <= p_j <= 1, in any array layout;
+    a NaN entry fails them."""
+    if not (alpha >= 1.0).all():
         raise ValueError("hiring ratios must satisfy alpha_j >= 1")
-    if ((p < 0.0) | (p > 1.0)).any():
+    if not ((p >= 0.0) & (p <= 1.0)).all():
         raise ValueError("permanent shares must lie in [0, 1]")
 
 
@@ -269,17 +268,6 @@ def _level_index(spec: OrgSpec, level: int) -> int:
     return level - 1
 
 
-def cumulative_attrition(spec: OrgSpec, level: int) -> float:
-    """Total attrition outflow from this level upward, sum of mu_l N_l.
-
-    Under a pure-internal no-temporaries policy this is both the boundary
-    inflow a stationary level must absorb and the promotion flux demanded
-    from the level below.
-    """
-    j = _level_index(spec, level)
-    return float(np.sum(spec.mu[j:] * spec.n[j:]))
-
-
 def promotion_demands(spec: OrgSpec, plan: FlexPlan | None = None) -> np.ndarray:
     """Stationary promotion fluxes C_1..C_{L+1} demanded into each level.
 
@@ -292,12 +280,6 @@ def promotion_demands(spec: OrgSpec, plan: FlexPlan | None = None) -> np.ndarray
     if plan is None:
         plan = FlexPlan.all_internal(spec.size)
     return stationary_pools(spec, plan)[0]
-
-
-def promotion_demand(spec: OrgSpec, plan: FlexPlan, level: int) -> float:
-    """Stationary promotion flux C_level entering one level (see promotion_demands)."""
-    j = _level_index(spec, level)
-    return float(promotion_demands(spec, plan)[j])
 
 
 def stationary_pools(spec: OrgSpec, plan: FlexPlan,
@@ -356,16 +338,13 @@ def ill_posed(pools: np.ndarray, demands: np.ndarray) -> np.ndarray:
     return (pools <= 0.0) & (demands[..., 1:] > 0.0)
 
 
-def steady_promotable_pool(spec: OrgSpec, plan: FlexPlan | None = None,
-                           level: int | None = None):
-    """Stationary promotable mass A_j beyond the eligibility age (see
-    stationary_pools); with level=None, the full vector A_1..A_L."""
+def steady_promotable_pool(spec: OrgSpec,
+                           plan: FlexPlan | None = None) -> np.ndarray:
+    """Stationary promotable masses A_1..A_L beyond the eligibility ages
+    (see stationary_pools)."""
     if plan is None:
         plan = FlexPlan.all_internal(spec.size)
-    pools = stationary_pools(spec, plan)[1]
-    if level is None:
-        return pools
-    return float(pools[_level_index(spec, level)])
+    return stationary_pools(spec, plan)[1]
 
 
 def min_permanent_share(spec: OrgSpec, plan: FlexPlan, level: int) -> float:

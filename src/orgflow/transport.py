@@ -36,8 +36,9 @@ fraction, both capped at a promotion-rate ceiling.
 
 The eligibility cut (the mask 1[s <= tau], its head and the excess-wait
 weight (s - tau) 1[s > tau]) depends only on the grid and the eligibility
-ages, so run() builds it once; the pools and the promotion source read only
-its head columns, where some level is still below its cut. A step of run()
+ages, so run() builds it once for its loop, and each single-state helper
+builds its own; the pools and run()'s promotion source read only its head
+columns, where some level is still below its cut. A step of run()
 is its node-wise passes plus a little work on Python floats: the pool sums,
 the closure's sweep (which also yields step's per-level terms), the step,
 and three metric row sums (sum rho, sum |rho - steady|, sum rho (s - tau)+)
@@ -70,7 +71,6 @@ __all__ = [
     "SimulationResult",
     "CflViolationError",
     "InfeasibleInitialDataError",
-    "discrete_pools",
     "discrete_stationary_density",
     "make_initial_density",
     "step",
@@ -112,6 +112,10 @@ class SeniorityGrid:
     s_max: float = 50.0
 
     def __post_init__(self):
+        for name in ("ds", "dt", "s_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.ds <= 0 or self.dt <= 0:
             raise ValueError("ds and dt must be positive")
         if self.dt > self.ds * (1 + 1e-12):
@@ -146,8 +150,8 @@ class SeniorityGrid:
 
 @dataclass(frozen=True)
 class _Cuts:
-    """Per-run constants of the eligibility cut; they depend only on
-    (grid, spec.tau), and the arrays are read-only.
+    """Constants of the eligibility cut; they depend only on (grid,
+    spec.tau).
 
     pre       (L, n_nodes) 1.0 on the nodes s_i <= tau_j, 0.0 past them
     head      nodes up to the last pre-eligibility node of any level (pre
@@ -157,7 +161,6 @@ class _Cuts:
               weight; -0.0 where s_i < tau_j
     """
 
-    key: tuple
     pre: np.ndarray
     head: int
     pre_head: np.ndarray
@@ -170,27 +173,8 @@ def _build_cuts(grid: SeniorityGrid, spec: OrgSpec) -> _Cuts:
     weight *= ~mask
     pre = mask.astype(float)
     head = int(np.count_nonzero(mask.any(axis=0)))
-    pre_head = pre[:, :head].copy()
-    for array in (pre, pre_head, weight):
-        array.flags.writeable = False
-    return _Cuts(key=(grid, spec.tau.tobytes()), pre=pre, head=head,
-                 pre_head=pre_head, weight=weight)
-
-
-# the cuts of the latest (grid, tau) asked for; a single entry, so a sweep
-# over many grids keeps one set of arrays alive
-_latest_cuts: _Cuts | None = None
-
-
-def _cuts(grid: SeniorityGrid, spec: OrgSpec) -> _Cuts:
-    """The cuts of (grid, spec.tau), built on a miss of the one-entry memo,
-    which is read once: a caller gets the cuts it checked or built even
-    when another thread replaces the entry meanwhile."""
-    global _latest_cuts
-    cuts = _latest_cuts
-    if cuts is None or cuts.key != (grid, spec.tau.tobytes()):
-        cuts = _latest_cuts = _build_cuts(grid, spec)
-    return cuts
+    return _Cuts(pre=pre, head=head, pre_head=pre[:, :head].copy(),
+                 weight=weight)
 
 
 @dataclass
@@ -206,8 +190,7 @@ class PolicyState:
                no promotion flow is drawn from them, and level_metrics
                reports no excess wait there
     pre        (L, n_nodes) 0/1 float mask of the nodes s_i <= tau_j still
-               below eligibility, from which the pools were computed; one
-               read-only array shared by every closure of a run
+               below eligibility, from which the pools were computed
     cap        the promotion-rate ceiling in force
     """
 
@@ -230,13 +213,11 @@ class PolicyState:
                     grid: SeniorityGrid, masses: np.ndarray) -> tuple:
         """What step needs besides the density: the ghost values
         mu M + P A, the source rates dt P and the divisors 1 + dt (mu + P),
-        the last two as (L, 1) columns, and rho pre on the head columns."""
-        head = _cuts(grid, spec).head
-        held = density[:, :head] * self.pre[:, :head]
+        the last two as (L, 1) columns, and rho pre."""
         return (spec.mu * masses + self.promotion * self.pool,
                 (grid.dt * self.promotion)[:, np.newaxis],
                 (1.0 + grid.dt * (spec.mu + self.promotion))[:, np.newaxis],
-                held)
+                density * self.pre)
 
 
 class _StepTerms:
@@ -274,9 +255,9 @@ def _shares(alpha_frac, size: int, cap: float) -> list[float]:
     checking them and the cap."""
     share = np.broadcast_to(np.asarray(alpha_frac, dtype=float),
                             (size,)).tolist()
-    if any(f < 0.0 for f in share):
+    if not all(f >= 0.0 for f in share):
         raise ValueError("external fractions must be nonnegative")
-    if cap <= 0:
+    if not cap > 0:
         raise ValueError("promotion cap must be positive")
     return share
 
@@ -325,18 +306,11 @@ def _sweep(mu: list, mass: list, pool: list, floor: list, share: list,
     return promotion, hiring, shortfall, demand
 
 
-def discrete_pools(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
-                   masses: np.ndarray) -> np.ndarray:
-    """Promotable mass per level: A_j = M_j - ds * sum_{s_i <= tau_j} rho."""
-    return _pool_sums(density, _cuts(grid, spec), grid.ds, masses)
-
-
 def close_policy_external_fraction(density: np.ndarray, spec: OrgSpec,
                                    grid: SeniorityGrid,
                                    cap: float = DEFAULT_PROMOTION_CAP,
                                    alpha_frac=0.0,
-                                   masses: np.ndarray | None = None,
-                                   out: np.ndarray | None = None
+                                   masses: np.ndarray | None = None
                                    ) -> PolicyState:
     """Close promotion and hiring rates, imposing an external-hiring share.
 
@@ -355,17 +329,12 @@ def close_policy_external_fraction(density: np.ndarray, spec: OrgSpec,
     alpha_frac = 0 this is exactly the maximize-internal-promotion rule.
     An empty pool below a positive demand forces the cap (or zero when the
     cap is infinite) with hiring absorbing the whole demand.
-
-    out, an array shaped like density, receives rho 1[s <= tau] on the
-    cut's head columns, whose row sums give the pools; a scratch array is
-    allocated when it is not given.
     """
     if masses is None:
         masses = spec.n.copy()
     share = _shares(alpha_frac, spec.size, cap)
-    cuts = _cuts(grid, spec)
-    pools = _pool_sums(density, cuts, grid.ds, masses,
-                       None if out is None else out[:, :cuts.head])
+    cuts = _build_cuts(grid, spec)
+    pools = _pool_sums(density, cuts, grid.ds, masses)
     floor = _empty_floor(masses)
     promotion, hiring, shortfall, _ = _sweep(
         spec.mu.tolist(), masses.tolist(), pools.tolist(), floor.tolist(),
@@ -411,9 +380,9 @@ def step(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
         out[:, 0] = density[:, 0] - ghost
         flat *= lam
         np.subtract(rho, flat, out=flat)
-    # the promotion source dt P rho 1[s <= tau] is added only on the nodes
-    # up to the run's cut head; past them it is +0, which leaves
-    # nonnegative values unchanged
+    # the promotion source dt P rho 1[s <= tau] is added only on held's
+    # columns, which run() cuts at its head; past the head it is +0, which
+    # leaves nonnegative values unchanged
     held *= rate
     out[:, :held.shape[1]] += held
     out /= divisor
@@ -504,7 +473,7 @@ def make_initial_density(spec: OrgSpec, plan: FlexPlan | None,
         raise ValueError(
             f"unknown initial density kind {kind!r}; expected stationary, "
             "uniform, or truncated-exponential")
-    pools = discrete_pools(density, spec, grid, masses)
+    pools = _pool_sums(density, _build_cuts(grid, spec), grid.ds, masses)
     starved = [int(j) + 1 for j in np.flatnonzero(
         ill_posed(pools, promotion_demands(spec, plan)))]
     if starved:
@@ -561,7 +530,7 @@ def _metric_sums(density: np.ndarray, weight: np.ndarray,
     """The node-wise part of the metrics: sum rho, sum |rho - steady| (left
     as it is without a reference) and sum rho weight, per level, written
     to the three given rows. scratch, shaped like density, holds the
-    node-wise terms."""
+    node-wise terms; they get fresh arrays when it is None."""
     total = np.add.reduce
     total(density, axis=1, out=mass_sum)
     if steady_density is not None:
@@ -599,8 +568,7 @@ def _metric_ratios(ds: float, masses: np.ndarray, pool: np.ndarray,
 
 def level_metrics(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
                   policy: PolicyState, masses: np.ndarray,
-                  steady_density: np.ndarray | None = None,
-                  out: np.ndarray | None = None) -> dict:
+                  steady_density: np.ndarray | None = None) -> dict:
     """Per-level snapshot metrics.
 
     ready_ratio   promotable share A_j / M_j
@@ -609,9 +577,6 @@ def level_metrics(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
     l1_to_steady  ds * sum |rho - steady| / M_j, NaN without a reference
     mass_error    |ds * sum rho - M_j| / M_j
 
-    out, an array shaped like density, is the scratch for the node-wise
-    terms; one is allocated when it is not given.
-
     Levels without mass divide by 1 instead of M_j, so their ratios are
     the plain numerators (0 for an empty level's zero density). The
     excess-wait numerator is rho times the run's weight (s - tau)
@@ -619,8 +584,8 @@ def level_metrics(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
     zeros included. run() uses the same two helpers.
     """
     ready, wait, l1, mass_err = (np.empty(spec.size) for _ in range(4))
-    _metric_sums(density, _cuts(grid, spec).weight, steady_density, out,
-                 mass_err, l1, wait)
+    _metric_sums(density, _build_cuts(grid, spec).weight, steady_density,
+                 None, mass_err, l1, wait)
     _metric_ratios(grid.ds, masses, policy.pool, policy.empty,
                    steady_density is not None, ready, wait, l1, mass_err)
     return {"ready_ratio": ready, "excess_wait": wait, "l1_to_steady": l1,
@@ -632,7 +597,7 @@ def _policy_fractions(policy: str, spec: OrgSpec, plan: FlexPlan,
     if policy == "max-internal":
         return np.zeros(spec.size)
     if policy == "external-fraction":
-        if external_fraction < 0:
+        if not external_fraction >= 0:
             raise ValueError("external_fraction must be nonnegative")
         return np.full(spec.size, float(external_fraction))
     if policy == "fixed-plan":
@@ -667,14 +632,14 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
     snapshot_times must lie in [0, horizon]; a time outside it raises
     ValueError, as the run would never record it.
     """
-    global _latest_cuts
     if plan is None:
         plan = FlexPlan.all_internal(spec.size)
     plan.check(spec)
     if grid is None:
         grid = SeniorityGrid()
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    if not 0 <= horizon < math.inf:
+        raise ValueError(
+            f"horizon must be nonnegative and finite, got {horizon}")
     outside = [t for t in snapshot_times if not 0.0 <= t <= horizon]
     if outside:
         raise ValueError(f"snapshot times {outside} lie outside the run's "
@@ -682,11 +647,8 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
     fractions = _policy_fractions(policy, spec, plan, external_fraction)
     share = _shares(fractions, spec.size, cap)
     masses = spec.n * plan.p
-    # each run builds its cuts afresh, once, so a run's calls do not depend
-    # on what ran before it; every later call of the run finds them
-    _latest_cuts = None
     density = make_initial_density(spec, plan, grid, kind=initial)
-    cuts = _cuts(grid, spec)
+    cuts = _build_cuts(grid, spec)
     steady = _steady_reference(spec, plan, grid, fractions)
 
     n_steps = int(round(horizon / grid.dt))

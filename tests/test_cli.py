@@ -1,13 +1,15 @@
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import orgflow
 from orgflow import cli
-from orgflow.config import load_config, parse_config
+from orgflow.config import dump_config, load_config, parse_config
 
 
 HEADS = [5500, 5200, 3800, 1800, 500]
@@ -231,6 +233,113 @@ def test_dump_config_round_trip(tmp_path, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert parse_config(json.loads(first)).normalized() == json.loads(first)
+
+
+def _numbers(lo, hi):
+    # the schema takes integers wherever it takes numbers
+    return st.integers(math.ceil(lo), int(hi)) | st.floats(lo, hi)
+
+
+_FLOATER_WAGES = (
+    st.fixed_dictionaries({"kind": st.just("constant"),
+                           "value": st.floats(1.0, 200.0)})
+    | st.fixed_dictionaries({"kind": st.just("exponential"),
+                             "base": st.floats(1.0, 200.0)},
+                            optional={"growth": st.floats(0.0, 0.04)})
+    | st.fixed_dictionaries({
+        "kind": st.just("piecewise-linear"),
+        # whole-year knots: a float gap near zero would overflow the slope
+        "knots": st.lists(st.integers(0, 40), min_size=2, max_size=4,
+                          unique=True).map(sorted),
+        "values": st.lists(st.floats(1.0, 200.0), min_size=4, max_size=4),
+    }).map(lambda w: {**w, "values": w["values"][:len(w["knots"])]}))
+
+
+@st.composite
+def scenarios(draw):
+    """Well-posed scenario dicts: any subset of the optional blocks and
+    keys, levels with or without wages, and a plan, grid, policy and
+    optimizer block that fit them."""
+    size = draw(st.integers(1, 4))
+    wages = draw(st.sampled_from(["none", "temp", "premium"]))
+    levels = []
+    for _ in range(size):
+        level = {"headcount": draw(_numbers(1.0, 1e4)),
+                 "attrition": draw(st.floats(0.05, 0.6))}
+        if draw(st.booleans()):
+            level["eligibility_age"] = draw(st.floats(0.0, 8.0))
+        if wages != "none":
+            level["base_wage"] = draw(st.floats(5.0, 200.0))
+            if wages == "temp":
+                level["temp_wage"] = (level["base_wage"]
+                                      * draw(st.floats(1.01, 2.0)))
+            if draw(st.booleans()):
+                level["floater_wage"] = draw(_FLOATER_WAGES)
+        levels.append(level)
+    org = {"levels": levels}
+    if wages != "none" and draw(st.booleans()):
+        org["wage_growth"] = draw(st.floats(0.0, 0.04))
+    if draw(st.booleans()):
+        # two units splitting every level's headcount
+        share = draw(st.floats(0.0, 1.0))
+        first = [lv["headcount"] * share for lv in levels]
+        org["business_units"] = [first, [lv["headcount"] - f for lv, f
+                                         in zip(levels, first)]]
+    data = {"org": org}
+
+    horizon = 60.0
+    if draw(st.booleans()):
+        ds = draw(st.floats(0.02, 0.5))
+        tau = max(lv.get("eligibility_age", 0.0) for lv in levels)
+        horizon = draw(st.floats(0.0, 100.0))
+        data["grid"] = {"ds": ds, "dt": ds * draw(st.floats(0.1, 1.0)),
+                        "s_max": max(tau, 2 * ds) + draw(st.floats(0.1, 80.0)),
+                        "horizon": horizon}
+    if draw(st.booleans()):
+        data["plan"] = {"alpha": draw(st.lists(st.floats(1.0, 5.0),
+                                               min_size=size - 1,
+                                               max_size=size - 1)),
+                        "p": draw(st.lists(st.floats(0.0, 1.0), min_size=size,
+                                           max_size=size))}
+    modes = ["max-internal", "external-fraction"]
+    data["policy"] = draw(st.fixed_dictionaries({}, optional={
+        "mode": st.sampled_from(modes + ["fixed-plan"] * ("plan" in data)),
+        "promotion_cap": st.none() | _numbers(0.01, 10.0),
+        "external_fraction": st.floats(0.0, 1.0),
+        "initial_density": st.sampled_from(
+            ["stationary", "uniform", "truncated-exponential"]),
+        "snapshot_times": st.lists(st.floats(0.0, horizon), max_size=3),
+    }))
+    if wages == "premium":
+        data["cost"] = {"premium": draw(st.floats(0.01, 1.0))}
+    elif draw(st.booleans()):
+        data["cost"] = {"temporaries": draw(st.booleans())}
+    data["optimizer"] = draw(st.fixed_dictionaries({}, optional={
+        "mode": st.sampled_from(["ga"] + ["evaluate"] * ("plan" in data)),
+        "population_size": st.integers(2, 500),
+        "generations": st.integers(1, 500),
+        "mutation_chance": st.floats(0.0, 1.0),
+        "elitism": st.floats(0.0, 0.999),
+        "seed": st.integers(0, 2**31),
+        "alpha_max": _numbers(1.0, 20.0),
+        "optimize_alpha": st.booleans(),
+        "optimize_p": st.booleans(),
+    }))
+    if draw(st.booleans()):
+        data["output"] = {"directory": draw(st.text(min_size=1, max_size=8))}
+    return data
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenarios())
+def test_dump_config_is_idempotent(data):
+    # the dumped text parses back to the same scenario: dumping it again
+    # gives the same text, and the normalized dicts agree
+    config = parse_config(data)
+    text = dump_config(config)
+    again = parse_config(json.loads(text))
+    assert dump_config(again) == text
+    assert again.normalized() == config.normalized() == json.loads(text)
 
 
 def test_steady_accepts_empty_level_without_promotion_demand(tmp_path, capsys):

@@ -7,10 +7,8 @@ from orgflow import (
     MissingWageError,
     NoFeasibleCandidateError,
     PlanObjective,
-    coordinate_descent,
     feasible_cost_ceiling,
     ga_minimize,
-    golden_section,
     org_cost,
     penalized_cost,
     stationary_state,
@@ -24,17 +22,6 @@ from conftest import build_org, costed_org
 def sphere(x):
     # one cost per gene vector along the last axis, as ga_minimize expects
     return np.sum(x * x, axis=-1)
-
-
-def test_golden_section_quadratic():
-    argmin, value = golden_section(lambda x: (x - 1.7) ** 2 + 3.0, -5.0, 5.0)
-    assert argmin == pytest.approx(1.7, abs=1e-7)
-    assert value == pytest.approx(3.0, abs=1e-12)
-
-
-def test_golden_section_endpoint_minimum():
-    argmin, _ = golden_section(lambda x: x, 2.0, 9.0)
-    assert argmin == pytest.approx(2.0, abs=1e-6)
 
 
 def test_ga_finds_sphere_minimum():
@@ -194,17 +181,6 @@ def test_plan_objective_alpha_only_mode():
     np.testing.assert_allclose(plan.alpha, [1.5, 1.0, 1.2, 1.0])
 
 
-def test_plan_objective_descending_order_visits_top_first():
-    spec = costed_org(premium=0.2)
-    objective = PlanObjective(spec)
-    order = objective.descending_order
-    assert sorted(order) == list(range(9))
-    # first two genes swept: the top level's permanent share then nothing
-    # above it; p-genes sit after the 4 alpha genes in the flat vector
-    assert order[0] == 4 + 4  # p_5
-    assert order[1] == 3      # alpha into level 5
-
-
 def test_no_feasible_candidate_error():
     class Hopeless:
         bounds = np.array([[0.0, 1.0]] * 2)
@@ -232,27 +208,6 @@ def test_ga_improves_on_all_permanent_baseline():
     assert result.best.fitness < baseline
     plan = objective.decode(result.best.genes)
     assert org_cost(spec, plan).total == pytest.approx(result.best.fitness)
-
-
-def test_coordinate_descent_on_quadratic_bowl():
-    class Bowl:
-        bounds = np.array([[-2.0, 2.0], [-2.0, 2.0]])
-
-        def __call__(self, x):
-            return (x[0] - 0.3) ** 2 + (x[1] + 0.8) ** 2
-
-    best = coordinate_descent(Bowl(), sweeps=3)
-    np.testing.assert_allclose(best.genes, [0.3, -0.8], atol=1e-6)
-    assert best.fitness == pytest.approx(0.0, abs=1e-10)
-
-
-def test_coordinate_descent_improves_plan_cost():
-    spec = costed_org(premium=0.2)
-    objective = PlanObjective(spec)
-    best = coordinate_descent(objective, sweeps=2)
-    assert best.fitness < org_cost(spec).total
-    plan = objective.decode(best.genes)
-    assert np.all(steady_promotable_pool(spec, plan)[:-1] > 0.0)
 
 
 def test_ga_csv_layout(tmp_path):

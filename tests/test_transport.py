@@ -13,7 +13,6 @@ from orgflow import (
     InfeasibleInitialDataError,
     SeniorityGrid,
     close_policy_external_fraction,
-    discrete_pools,
     discrete_stationary_density,
     level_metrics,
     make_initial_density,
@@ -32,6 +31,15 @@ def test_grid_rejects_time_step_above_space_step():
     with pytest.raises(CflViolationError):
         SeniorityGrid(ds=0.05, dt=0.06)
     SeniorityGrid(ds=0.05, dt=0.05)  # equality allowed
+
+
+@pytest.mark.parametrize("name", ["ds", "dt", "s_max"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_grid_rejects_non_finite_steps_and_length(name, value):
+    # NaN passes every "out of range" test, and a NaN or infinite length
+    # would fail later, converting the node count to an integer
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SeniorityGrid(**{name: value})
 
 
 def test_grid_nodes_and_eligibility_index():
@@ -108,8 +116,8 @@ def test_fixed_point_pools_match_closed_form(low_turnover_org):
     grid = SeniorityGrid(ds=0.05, dt=0.05, s_max=70.0)
     density, rates = discrete_stationary_density(
         low_turnover_org, FlexPlan.all_internal(5), grid)
-    pools = discrete_pools(density, low_turnover_org, grid,
-                           low_turnover_org.n.astype(float))
+    pools = close_policy_external_fraction(density, low_turnover_org,
+                                           grid).pool
     decay = (1.0 + 0.08 * 0.05) ** (-80)
     c = promotion_demands(low_turnover_org)
     expected_4 = ((0.08 * 1800 + c[4]) * decay - c[4]) / 0.08
@@ -264,11 +272,8 @@ def test_buffered_step_matches_full_array_formula(high_turnover_org, dt, cap,
     grid = SeniorityGrid(ds=0.05, dt=dt, s_max=70.0)
     masses = org.n.astype(float)
     density = make_initial_density(org, None, grid, kind)
-    # any profile of the right shape serves as the l1 reference
-    other = make_initial_density(org, None, grid, "uniform")[:, ::-1].copy()
-    scratch = np.full_like(density, np.nan)
     state = close_policy_external_fraction(density, org, grid, cap=cap,
-                                           masses=masses, out=scratch)
+                                           masses=masses)
     lam, rate = grid.dt / grid.ds, state.promotion[:, np.newaxis]
     upwind = np.empty_like(density)
     upwind[:, 0] = org.mu * masses + state.promotion * state.pool
@@ -286,16 +291,6 @@ def test_buffered_step_matches_full_array_formula(high_turnover_org, dt, cap,
              out=np.empty(density.shape[::-1]).T)
     np.testing.assert_array_equal(step(density, org, grid, state, masses),
                                   expected)
-    # the closure and the metrics give the same numbers with a scratch array
-    fresh = close_policy_external_fraction(density, org, grid, cap=cap,
-                                           masses=masses)
-    np.testing.assert_array_equal(state.pool, fresh.pool)
-    np.testing.assert_array_equal(state.promotion, fresh.promotion)
-    buffered = level_metrics(density, org, grid, state, masses, other,
-                             out=scratch)
-    for name, value in level_metrics(density, org, grid, state, masses,
-                                     other).items():
-        np.testing.assert_array_equal(buffered[name], value)
 
 
 @pytest.mark.parametrize("variant", [
@@ -370,8 +365,9 @@ def test_run_matches_full_array_replay(low_turnover_org, high_turnover_org,
 
 def test_eligibility_mask_built_once_per_run(monkeypatch, low_turnover_org):
     # the mask, its head and the excess-wait weight depend only on the grid
-    # and the eligibility ages: a run builds them once, before its first
-    # closure, and every closure, step and metrics pass reads them
+    # and the eligibility ages: a run's loop builds them once, before its
+    # first closure, and make_initial_density builds its own for the check
+    # of the starting pools, so a run builds two whatever its length
     built = []
     original = transport._build_cuts
 
@@ -381,40 +377,32 @@ def test_eligibility_mask_built_once_per_run(monkeypatch, low_turnover_org):
 
     monkeypatch.setattr(transport, "_build_cuts", counting)
     grid = SeniorityGrid(s_max=70.0)
-    n_steps = 40
-    run(low_turnover_org, grid=grid, horizon=n_steps * grid.dt, cap=np.inf)
-    assert len(built) == 1
-    # a second run on the same grid builds its own, again once
-    run(low_turnover_org, grid=grid, horizon=n_steps * grid.dt, cap=np.inf)
-    assert len(built) == 2
+    for n_steps in (40, 80):
+        built.clear()
+        run(low_turnover_org, grid=grid, horizon=n_steps * grid.dt,
+            cap=np.inf)
+        assert built == [grid, grid]
 
     masses = low_turnover_org.n.astype(float)
     density = make_initial_density(low_turnover_org, None, grid, "uniform")
     state = close_policy_external_fraction(density, low_turnover_org, grid,
                                            masses=masses)
-    assert len(built) == 2
-    cuts = transport._cuts(grid, low_turnover_org)
-    assert state.pre is cuts.pre
+    cuts = original(grid, low_turnover_org)
     mask = grid.pre_eligibility_mask(low_turnover_org)
+    np.testing.assert_array_equal(state.pre, mask)
     np.testing.assert_array_equal(cuts.pre, mask)
+    np.testing.assert_array_equal(cuts.pre_head, mask[:, :cuts.head])
     np.testing.assert_array_equal(
         cuts.weight, (grid.s - low_turnover_org.tau[:, np.newaxis]) * ~mask)
     assert cuts.head == grid.eligibility_index(4.0)
-    # shared between calls, so no caller may write to them
-    with pytest.raises(ValueError):
-        state.pre[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        cuts.weight[0, -1] = 0.0
 
-    # another grid, or other eligibility ages, never hit a stale entry
+    # another grid, or other eligibility ages, give their own cuts
     other_grid = SeniorityGrid(ds=0.1, dt=0.1, s_max=30.0)
-    fresh = transport._cuts(other_grid, low_turnover_org)
-    assert len(built) == 3 and fresh is not cuts
+    fresh = original(other_grid, low_turnover_org)
     np.testing.assert_array_equal(
         fresh.pre, other_grid.pre_eligibility_mask(low_turnover_org))
     later = build_org(low_turnover_org.n, low_turnover_org.mu, [6.0] * 5)
-    moved = transport._cuts(other_grid, later)
-    assert len(built) == 4
+    moved = original(other_grid, later)
     assert moved.head == other_grid.eligibility_index(6.0) != fresh.head
     np.testing.assert_array_equal(moved.pre,
                                   other_grid.pre_eligibility_mask(later))
@@ -510,13 +498,30 @@ def test_closure_checks_fractions_and_cap(low_turnover_org):
     for frac in (0.2, [0.2]):
         np.testing.assert_array_equal(close(alpha_frac=frac).promotion,
                                       per_level.promotion)
-    for frac in (-0.1, [0.0, 0.1, -1e-300, 0.0, 0.0]):
+    for frac in (-0.1, [0.0, 0.1, -1e-300, 0.0, 0.0], math.nan,
+                 [0.0, 0.1, math.nan, 0.0, 0.0]):
         with pytest.raises(ValueError, match="nonnegative"):
             close(alpha_frac=frac)
     with pytest.raises(ValueError):
         close(alpha_frac=[0.1, 0.2])
-    with pytest.raises(ValueError, match="cap"):
-        close(cap=0.0)
+    for cap in (0.0, math.nan):
+        with pytest.raises(ValueError, match="cap"):
+            close(cap=cap)
+
+
+@pytest.mark.parametrize("kwargs,what", [
+    ({"policy": "external-fraction", "external_fraction": math.nan},
+     "nonnegative"),
+    ({"cap": math.nan}, "cap"),
+    ({"horizon": math.nan}, "horizon"),
+    ({"horizon": math.inf}, "horizon"),
+])
+def test_run_rejects_nan_and_infinite_arguments(low_turnover_org, kwargs,
+                                                what):
+    # a NaN fraction would promote at the cap, a NaN cap give NaN rates,
+    # and a NaN or infinite horizon no step count
+    with pytest.raises(ValueError, match=what):
+        run(low_turnover_org, grid=SeniorityGrid(s_max=70.0), **kwargs)
 
 
 def test_policy_closure_balances_exactly(low_turnover_org):
