@@ -1,7 +1,9 @@
-"""Check that a change leaves every transport and optimizer number bit for
-bit as it was.
+"""Check that a change leaves every transport and optimizer number, and
+what the config parser prints, bit for bit as it was.
 
     python3 scripts/same_numbers.py --parent ../orgflow-parent
+    python3 scripts/same_numbers.py --parent ../orgflow-parent \
+        --expected cli/invalid/premium-zero.txt
 
 Runs, once with the parent checkout's `src/` and once with this
 checkout's, each in its own subprocess:
@@ -13,7 +15,12 @@ checkout's, each in its own subprocess:
 - seeded `ga_minimize` runs (60 x 40) on that scenario's org, for four
   seeds, elitism 0, 0.05 and 0.2, and two objectives (every gene free,
   and hiring ratios only), plus the objective's costs of random batches
-  of 1, 190, 200 and 1,000 plans.
+  of 1, 190, 200 and 1,000 plans;
+- `orgflow --dump-config` on every scenario above;
+- `orgflow steady` on a fixed list of variants of the README scenario
+  at the edges of the schema: schema and cross-block errors, an unknown
+  key, missing and non-finite numbers, a zero premium, and piecewise
+  floater-wage knots 1e-310 apart.
 
 Both sides read their scenarios from this checkout's
 perfbench/workloads.py, so they run the same inputs.
@@ -21,14 +28,17 @@ perfbench/workloads.py, so they run the same inputs.
 For every result array it prints the largest absolute and relative
 difference and whether the two arrays are bit-identical (signed zeros
 and NaNs included); for the CLI runs it compares stdout and every CSV
-file byte for byte. It exits 1 on any difference, 0 when everything is
-identical.
+file byte for byte; for the parser, the dumped text and the exit code,
+stdout and stderr of each invalid scenario. It exits 1 on any difference,
+0 when everything is identical. Each CLI file named by --expected must
+differ instead: it is reported, not counted, and counts when identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import importlib
 import io
 import json
@@ -51,6 +61,9 @@ def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path,
                         help="checkout of the parent commit")
+    parser.add_argument("--expected", nargs="+", default=[], metavar="FILE",
+                        help="CLI files (as printed) that the change is "
+                             "meant to alter")
     # internal: run one side's scenarios with SRC's orgflow into OUT
     parser.add_argument("--dump", nargs=2, type=Path, metavar=("SRC", "OUT"),
                         help=argparse.SUPPRESS)
@@ -68,14 +81,84 @@ def result_arrays(prefix: str, result) -> dict[str, np.ndarray]:
     return arrays
 
 
+def invalid_scenarios(base: dict) -> dict[str, dict]:
+    """Variants of the scenario base at the edges of the schema, by name.
+
+    The parser rejects all but close-knots, a piecewise floater wage whose
+    knots lie 1e-310 apart, which must parse."""
+    def variant(edit) -> dict:
+        scenario = copy.deepcopy(base)
+        edit(scenario)
+        return scenario
+
+    def runaway_floater(s):
+        # level 1's floater wage grows as fast as staff leave
+        levels = s["org"]["levels"]
+        for level in levels:
+            level["floater_wage"] = {"kind": "constant", "value": 40.0}
+        levels[0]["floater_wage"] = {"kind": "exponential", "base": 30.0,
+                                     "growth": levels[0]["attrition"]}
+        s["org"]["business_units"] = [[lv["headcount"] / 2 for lv in levels]] * 2
+
+    def premium_zero(s):
+        s["org"] = {"levels": [{"headcount": 1, "attrition": 0.5,
+                                "base_wage": 5.0}]}
+        s["cost"] = {"premium": 0}
+
+    def close_knots(s):
+        curve = {"kind": "piecewise-linear", "knots": [0.0, 1e-310],
+                 "values": [1.0, 2.0]}
+        s["org"] = {"levels": [{"headcount": 1, "attrition": 0.5,
+                                "floater_wage": curve}]}
+        del s["cost"]
+
+    return {
+        "fixed-plan-without-plan": variant(
+            lambda s: s["policy"].update(mode="fixed-plan")),
+        "evaluate-without-plan": variant(
+            lambda s: s["optimizer"].update(mode="evaluate")),
+        "dt-above-ds": variant(lambda s: s.update(grid={"ds": 0.05, "dt": 0.1})),
+        "runaway-floater": variant(runaway_floater),
+        "unknown-key": variant(lambda s: s.update(polcy=s.pop("policy"))),
+        "headcount-missing": variant(
+            lambda s: s["org"]["levels"][2].pop("headcount")),
+        "attrition-missing": variant(
+            lambda s: s["org"]["levels"][0].pop("attrition")),
+        "headcount-inf": variant(
+            lambda s: s["org"]["levels"][0].update(headcount=float("inf"))),
+        "horizon-inf": variant(lambda s: s["grid"].update(horizon=float("inf"))),
+        "wage-growth-nan": variant(
+            lambda s: s["org"].update(wage_growth=float("nan"))),
+        "snapshot-minus-inf": variant(
+            lambda s: s["policy"].update(snapshot_times=[0.0, -float("inf")])),
+        "mutation-chance-nan": variant(
+            lambda s: s["optimizer"].update(mutation_chance=float("nan"))),
+        "premium-zero": variant(premium_zero),
+        "close-knots": variant(close_knots),
+    }
+
+
+def run_cli(argv: list[str], path: Path) -> None:
+    """orgflow.cli.main(argv) in-process; its exit code, stdout and stderr
+    into path."""
+    from orgflow import cli
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(f"exit {code}\nstdout:\n{stdout.getvalue()}"
+                    f"stderr:\n{stderr.getvalue()}")
+
+
 def dump(src: Path, out: Path) -> None:
-    """One side: every array into out/arrays.npz, the CLI run into out/cli."""
+    """One side: every array into out/arrays.npz, the CLI runs into out/cli."""
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
-    from orgflow import cli, transport
+    from orgflow import transport
     from orgflow.config import load_config
     if not Path(transport.__file__).resolve().is_relative_to(src.resolve()):
         raise RuntimeError(f"orgflow imported from {transport.__file__}")
-    workloads = importlib.import_module("workloads").WORKLOADS
+    module = importlib.import_module("workloads")
+    workloads = module.WORKLOADS
     inputs = out / "inputs"
     inputs.mkdir(parents=True)
     arrays = {}
@@ -101,12 +184,18 @@ def dump(src: Path, out: Path) -> None:
     os.chdir(out)
     for command, scenario in (("simulate", "simulate-fine_00"),
                               ("optimize", "optimize-readme_00")):
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            code = cli.main([command, "--config", f"inputs/{scenario}.json",
-                             "--out", f"cli/{command}"])
-        (out / "cli" / command / "stdout.txt").write_text(
-            f"exit {code}\n" + stdout.getvalue())
+        run_cli([command, "--config", f"inputs/{scenario}.json",
+                 "--out", f"cli/{command}"], out / "cli" / command / "stdout.txt")
+    for path in sorted(inputs.glob("*.json")):
+        run_cli(["--config", f"inputs/{path.name}", "--dump-config"],
+                out / "cli" / "dump-config" / f"{path.stem}.txt")
+    base = module.readme_scenario(SEED)
+    for name, scenario in invalid_scenarios(base).items():
+        path = inputs / "invalid" / f"{name}.json"
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(json.dumps(scenario))
+        run_cli(["steady", "--config", f"inputs/invalid/{name}.json"],
+                out / "cli" / "invalid" / f"{name}.txt")
 
 
 def ga_arrays(spec) -> dict[str, np.ndarray]:
@@ -160,7 +249,7 @@ def differences(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return float(gap.max()), float(rel.max())
 
 
-def compare(parent: Path, change: Path) -> int:
+def compare(parent: Path, change: Path, expected: list[str]) -> int:
     before = np.load(parent / "arrays.npz")
     after = np.load(change / "arrays.npz")
     failed = 0
@@ -187,13 +276,26 @@ def compare(parent: Path, change: Path) -> int:
     if files != mine:
         print(f"CLI files differ: {files} vs {mine}")
         failed += 1
+    unknown = set(expected) - {str(p) for p in files}
+    if unknown:
+        print(f"--expected names no CLI file: {sorted(unknown)}")
+        failed += 1
     for rel_path in files:
         if rel_path not in mine:
             continue
         same = (parent / rel_path).read_bytes() == (change / rel_path).read_bytes()
-        failed += not same
-        print(f"{str(rel_path):<48} {'':>21}  {'yes' if same else 'NO'}")
-    print("all identical" if not failed else f"{failed} differences")
+        if str(rel_path) in expected:
+            failed += same
+            verdict = "yes, but a difference was expected" if same else \
+                "no, as expected"
+        else:
+            failed += not same
+            verdict = "yes" if same else "NO"
+        print(f"{str(rel_path):<48} {'':>21}  {verdict}")
+    if expected and not failed:
+        print(f"all identical but the {len(expected)} expected differences")
+    else:
+        print("all identical" if not failed else f"{failed} differences")
     return 1 if failed else 0
 
 
@@ -207,7 +309,8 @@ def main(argv=None) -> int:
                  "change": ROOT / "src"}
         for side, src in sides.items():
             run_side(src, Path(tmp) / side)
-        return compare(Path(tmp) / "parent", Path(tmp) / "change")
+        return compare(Path(tmp) / "parent", Path(tmp) / "change",
+                       args.expected)
 
 
 if __name__ == "__main__":

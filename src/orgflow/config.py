@@ -8,8 +8,9 @@ loudly. Units: time in years, seniority in years, wages in currency per
 hour, rates per year.
 
 parse_config builds validated domain objects and keeps a normalized copy
-of the scenario; dump_config emits that copy as JSON, and parsing the
-emitted text reproduces the scenario exactly.
+of the scenario, recorded key by key as the file is read; dump_config
+emits that copy as JSON, and parsing the emitted text reproduces the
+scenario exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .costs import ConstantWage, ExponentialWage, PiecewiseLinearWage
 from .org import FlexPlan, LevelSpec, OrgSpec, validate
-from .transport import SeniorityGrid
+from .transport import DEFAULT_PROMOTION_CAP, SeniorityGrid
 
 __all__ = [
     "ConfigError",
@@ -37,6 +38,8 @@ __all__ = [
 _POLICY_MODES = ("max-internal", "external-fraction", "fixed-plan")
 _INITIAL_KINDS = ("stationary", "uniform", "truncated-exponential")
 _OPTIMIZER_MODES = ("ga", "evaluate")
+_WAGE_CURVES = {"constant": ConstantWage, "exponential": ExponentialWage,
+                "piecewise-linear": PiecewiseLinearWage}
 
 
 class ConfigError(ValueError):
@@ -45,18 +48,6 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # low-level readers; every reader takes the dotted key path for messages
-
-def _mapping(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(value).__name__}")
-    return dict(value)
-
-
-def _reject_unknown(block: dict, path: str) -> None:
-    if block:
-        keys = ", ".join(sorted(block))
-        raise ConfigError(f"{path}: unknown keys: {keys}")
-
 
 def _number(value, path: str, minimum: float | None = None,
             maximum: float | None = None, strict_min: bool = False) -> float:
@@ -109,36 +100,72 @@ def _number_list(value, path: str, length: int | None = None,
             for i, v in enumerate(value)]
 
 
-# ---------------------------------------------------------------------------
-# wage curves
+def _non_empty_list(value, path: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a non-empty list")
+    return value
 
-def _parse_wage_curve(value, path: str):
-    """Return (curve object, normalized dict) or (None, None)."""
-    if value is None:
-        return None, None
-    block = _mapping(value, path)
-    kind = _string(block.pop("kind", None) or "", f"{path}.kind",
-                   ("constant", "exponential", "piecewise-linear"))
-    if kind == "constant":
-        level = _number(block.pop("value", None), f"{path}.value",
-                        minimum=0.0, strict_min=True)
-        _reject_unknown(block, path)
-        return ConstantWage(level), {"kind": "constant", "value": level}
-    if kind == "exponential":
-        base = _number(block.pop("base", None), f"{path}.base",
-                       minimum=0.0, strict_min=True)
-        growth = _number(block.pop("growth", 0.0), f"{path}.growth", minimum=0.0)
-        _reject_unknown(block, path)
-        return (ExponentialWage(base, growth),
-                {"kind": "exponential", "base": base, "growth": growth})
-    knots = _number_list(block.pop("knots", None), f"{path}.knots", minimum=0.0)
-    values = _number_list(block.pop("values", None), f"{path}.values", minimum=0.0)
-    _reject_unknown(block, path)
-    try:
-        curve = PiecewiseLinearWage(knots, values)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    return curve, {"kind": "piecewise-linear", "knots": knots, "values": values}
+
+def _number_rows(value, path: str, length: int) -> list[list[float]]:
+    return [_number_list(row, f"{path}[{k}]", length=length, minimum=0.0)
+            for k, row in enumerate(_non_empty_list(value, path))]
+
+
+class _Block:
+    """One object of the scenario file.
+
+    Each read pops a key with its default, checks it and records the
+    checked value under the same key in `normal`, so the normalized
+    scenario is built in the order the file is read. done() rejects the
+    keys left over.
+    """
+
+    def __init__(self, value, path: str, prefix: str | None = None):
+        if not isinstance(value, dict):
+            raise ConfigError(
+                f"{path}: expected an object, got {type(value).__name__}")
+        self.raw = dict(value)
+        self.path = path
+        self.prefix = f"{path}." if prefix is None else prefix
+        self.normal: dict = {}
+
+    def read(self, key: str, default, check, *args, optional: bool = False,
+             **kwargs):
+        """The checked value under key; with optional, null stays None."""
+        value = self.raw.pop(key, default)
+        if not (optional and value is None):
+            value = check(value, self.prefix + key, *args, **kwargs)
+        self.normal[key] = value
+        return value
+
+    def block(self, key: str, required: bool = False,
+              optional: bool = False) -> _Block | None:
+        """The object under key as a _Block. A missing key is an error when
+        required and None when optional; otherwise it, or any false value,
+        reads as an empty object, all defaults."""
+        value = self.raw.pop(key, None)
+        if optional and value is None:
+            self.normal[key] = None
+            return None
+        sub = _Block(value if required or optional else value or {},
+                     self.prefix + key)
+        self.normal[key] = sub.normal
+        return sub
+
+    def blocks(self, key: str):
+        """Each object of the non-empty list under key, as a _Block."""
+        path = self.prefix + key
+        items = self.normal[key] = []
+        for i, value in enumerate(_non_empty_list(self.raw.pop(key, None),
+                                                  path)):
+            sub = _Block(value, f"{path}[{i}]")
+            items.append(sub.normal)
+            yield sub
+
+    def done(self) -> None:
+        if self.raw:
+            keys = ", ".join(sorted(self.raw))
+            raise ConfigError(f"{self.path}: unknown keys: {keys}")
 
 
 # ---------------------------------------------------------------------------
@@ -148,15 +175,15 @@ def _parse_wage_curve(value, path: str):
 class OptimizerSettings:
     """Optimizer block: GA knobs plus the evaluate shortcut."""
 
-    mode: str = "ga"
-    population_size: int = 200
-    generations: int = 250
-    mutation_chance: float = 0.10
-    elitism: float = 0.05
-    seed: int = 0
-    alpha_max: float = 10.0
-    optimize_alpha: bool = True
-    optimize_p: bool = True
+    mode: str
+    population_size: int
+    generations: int
+    mutation_chance: float
+    elitism: float
+    seed: int
+    alpha_max: float
+    optimize_alpha: bool
+    optimize_p: bool
 
 
 @dataclass
@@ -193,114 +220,92 @@ class ScenarioConfig:
         self._normal["output"]["directory"] = directory
 
 
-def _parse_level(value, path: str) -> tuple[LevelSpec, dict]:
-    block = _mapping(value, path)
-    headcount = _number(block.pop("headcount", None), f"{path}.headcount",
-                        minimum=0.0, strict_min=True)
-    attrition = _number(block.pop("attrition", None), f"{path}.attrition",
-                        minimum=0.0, strict_min=True)
-    age = _number(block.pop("eligibility_age", 0.0),
-                  f"{path}.eligibility_age", minimum=0.0)
-    base = block.pop("base_wage", None)
-    if base is not None:
-        base = _number(base, f"{path}.base_wage", minimum=0.0, strict_min=True)
-    temp = block.pop("temp_wage", None)
-    if temp is not None:
-        temp = _number(temp, f"{path}.temp_wage", minimum=0.0, strict_min=True)
-    curve, curve_dict = _parse_wage_curve(block.pop("floater_wage", None),
-                                          f"{path}.floater_wage")
-    _reject_unknown(block, path)
+def _parse_wage_curve(curve: _Block | None):
+    if curve is None:
+        return None
+    kind = curve.read("kind", "", lambda value, path: _string(
+        value or "", path, tuple(_WAGE_CURVES)))
+    if kind == "constant":
+        curve.read("value", None, _number, minimum=0.0, strict_min=True)
+    elif kind == "exponential":
+        curve.read("base", None, _number, minimum=0.0, strict_min=True)
+        curve.read("growth", 0.0, _number, minimum=0.0)
+    else:
+        curve.read("knots", None, _number_list, minimum=0.0)
+        curve.read("values", None, _number_list, minimum=0.0)
+    curve.done()
+    fields = {k: v for k, v in curve.normal.items() if k != "kind"}
+    try:
+        return _WAGE_CURVES[kind](**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{curve.path}: {exc}") from None
+
+
+def _parse_level(level: _Block) -> LevelSpec:
+    level.read("headcount", None, _number, minimum=0.0, strict_min=True)
+    attrition = level.read("attrition", None, _number, minimum=0.0,
+                           strict_min=True)
+    level.read("eligibility_age", 0.0, _number, minimum=0.0)
+    level.read("base_wage", None, _number, optional=True, minimum=0.0,
+               strict_min=True)
+    level.read("temp_wage", None, _number, optional=True, minimum=0.0,
+               strict_min=True)
+    curve = _parse_wage_curve(level.block("floater_wage", optional=True))
+    level.done()
     if curve is not None and math.isinf(curve.laplace(attrition)):
         # the floater wage integral diverges, like wage_growth >= attrition
         raise ConfigError(
-            f"{path}.floater_wage.growth: must stay below the level's "
+            f"{level.path}.floater_wage.growth: must stay below the level's "
             f"attrition {attrition}")
-    level = LevelSpec(headcount=headcount, attrition=attrition,
-                      eligibility_age=age, base_wage=base, temp_wage=temp,
-                      floater_wage=curve)
-    normal = {"headcount": headcount, "attrition": attrition,
-              "eligibility_age": age, "base_wage": base, "temp_wage": temp,
-              "floater_wage": curve_dict}
-    return level, normal
+    return LevelSpec(**{**level.normal, "floater_wage": curve})
 
 
 def parse_config(data: Any) -> ScenarioConfig:
     """Validate a scenario dict and build the domain objects it describes."""
-    top = _mapping(data, "config")
+    top = _Block(data, "config", prefix="")
 
-    org_block = _mapping(top.pop("org", None), "org")
-    wage_growth = _number(org_block.pop("wage_growth", 0.0),
-                          "org.wage_growth", minimum=0.0)
-    levels_raw = org_block.pop("levels", None)
-    if not isinstance(levels_raw, list) or not levels_raw:
-        raise ConfigError("org.levels: expected a non-empty list")
-    parsed = [_parse_level(v, f"org.levels[{i}]")
-              for i, v in enumerate(levels_raw)]
-    levels = [lv for lv, _ in parsed]
+    org = top.block("org", required=True)
+    wage_growth = org.read("wage_growth", 0.0, _number, minimum=0.0)
+    levels = [_parse_level(level) for level in org.blocks("levels")]
     size = len(levels)
-    units_raw = org_block.pop("business_units", None)
-    units = None
-    units_normal = None
-    if units_raw is not None:
-        if not isinstance(units_raw, list) or not units_raw:
-            raise ConfigError("org.business_units: expected a non-empty list")
-        units_normal = [_number_list(row, f"org.business_units[{k}]",
-                                     length=size, minimum=0.0)
-                        for k, row in enumerate(units_raw)]
-        units = np.array(units_normal)
-    _reject_unknown(org_block, "org")
+    units = org.read("business_units", None, _number_rows, size,
+                     optional=True)
+    org.done()
 
-    grid_block = _mapping(top.pop("grid", {}) or {}, "grid")
-    ds = _number(grid_block.pop("ds", 0.05), "grid.ds", minimum=0.0,
-                 strict_min=True)
-    dt = _number(grid_block.pop("dt", 0.05), "grid.dt", minimum=0.0,
-                 strict_min=True)
-    s_max = _number(grid_block.pop("s_max", 50.0), "grid.s_max",
-                    minimum=0.0, strict_min=True)
-    horizon = _number(grid_block.pop("horizon", 60.0), "grid.horizon",
-                      minimum=0.0)
-    _reject_unknown(grid_block, "grid")
+    grid = top.block("grid")
+    ds = grid.read("ds", 0.05, _number, minimum=0.0, strict_min=True)
+    dt = grid.read("dt", 0.05, _number, minimum=0.0, strict_min=True)
+    s_max = grid.read("s_max", 50.0, _number, minimum=0.0, strict_min=True)
+    horizon = grid.read("horizon", 60.0, _number, minimum=0.0)
+    grid.done()
 
-    policy_block = _mapping(top.pop("policy", {}) or {}, "policy")
-    mode = _string(policy_block.pop("mode", "max-internal"), "policy.mode",
-                   _POLICY_MODES)
-    cap_raw = policy_block.pop("promotion_cap", 5.0)
-    if cap_raw is None:
-        cap = math.inf
-    else:
-        cap = _number(cap_raw, "policy.promotion_cap", minimum=0.0,
-                      strict_min=True)
-    fraction = _number(policy_block.pop("external_fraction", 0.0),
-                       "policy.external_fraction", minimum=0.0)
-    initial = _string(policy_block.pop("initial_density", "uniform"),
-                      "policy.initial_density", _INITIAL_KINDS)
+    policy = top.block("policy")
+    mode = policy.read("mode", "max-internal", _string, _POLICY_MODES)
+    cap = policy.read("promotion_cap", DEFAULT_PROMOTION_CAP, _number,
+                      optional=True, minimum=0.0, strict_min=True)
+    fraction = policy.read("external_fraction", 0.0, _number, minimum=0.0)
+    initial = policy.read("initial_density", "uniform", _string,
+                          _INITIAL_KINDS)
     # a snapshot past the horizon would never be recorded
-    snaps = tuple(_number_list(policy_block.pop("snapshot_times", []),
-                               "policy.snapshot_times", minimum=0.0,
-                               maximum=horizon))
-    _reject_unknown(policy_block, "policy")
+    snaps = policy.read("snapshot_times", [], _number_list, minimum=0.0,
+                        maximum=horizon)
+    policy.done()
 
-    plan_raw = top.pop("plan", None)
     plan = None
-    plan_normal = None
-    if plan_raw is not None:
-        plan_block = _mapping(plan_raw, "plan")
-        alpha = _number_list(plan_block.pop("alpha", [1.0] * (size - 1)),
-                             "plan.alpha", length=size - 1, minimum=1.0)
-        p = _number_list(plan_block.pop("p", [1.0] * size), "plan.p",
-                         length=size, minimum=0.0, maximum=1.0)
-        _reject_unknown(plan_block, "plan")
+    plan_block = top.block("plan", optional=True)
+    if plan_block is not None:
+        alpha = plan_block.read("alpha", [1.0] * (size - 1), _number_list,
+                                length=size - 1, minimum=1.0)
+        p = plan_block.read("p", [1.0] * size, _number_list, length=size,
+                            minimum=0.0, maximum=1.0)
+        plan_block.done()
         plan = FlexPlan(alpha=np.array(alpha), p=np.array(p))
-        plan_normal = {"alpha": alpha, "p": p}
 
-    cost_block = _mapping(top.pop("cost", {}) or {}, "cost")
-    premium_raw = cost_block.pop("premium", None)
-    premium = None
-    if premium_raw is not None:
-        premium = _number(premium_raw, "cost.premium", minimum=0.0)
-    temporaries = _boolean(cost_block.pop("temporaries", True),
-                           "cost.temporaries")
-    _reject_unknown(cost_block, "cost")
+    cost = top.block("cost")
+    premium = cost.read("premium", None, _number, optional=True,
+                        minimum=0.0, strict_min=True)
+    temporaries = cost.read("temporaries", True, _boolean)
+    cost.done()
     if premium is not None and not temporaries:
         raise ConfigError(
             "cost.premium: meaningless with cost.temporaries = false")
@@ -315,39 +320,29 @@ def parse_config(data: Any) -> ScenarioConfig:
                     f"org.levels[{i}].base_wage: required to apply cost.premium")
             lv.temp_wage = (1.0 + premium) * lv.base_wage
 
-    opt_block = _mapping(top.pop("optimizer", {}) or {}, "optimizer")
-    optimizer = OptimizerSettings(
-        mode=_string(opt_block.pop("mode", "ga"), "optimizer.mode",
-                     _OPTIMIZER_MODES),
-        population_size=_integer(opt_block.pop("population_size", 200),
-                                 "optimizer.population_size", minimum=2),
-        generations=_integer(opt_block.pop("generations", 250),
-                             "optimizer.generations", minimum=1),
-        mutation_chance=_number(opt_block.pop("mutation_chance", 0.10),
-                                "optimizer.mutation_chance", minimum=0.0,
-                                maximum=1.0),
-        elitism=_number(opt_block.pop("elitism", 0.05), "optimizer.elitism",
-                        minimum=0.0, maximum=0.999),
-        seed=_integer(opt_block.pop("seed", 0), "optimizer.seed", minimum=0),
-        alpha_max=_number(opt_block.pop("alpha_max", 10.0),
-                          "optimizer.alpha_max", minimum=1.0),
-        optimize_alpha=_boolean(opt_block.pop("optimize_alpha", True),
-                                "optimizer.optimize_alpha"),
-        optimize_p=_boolean(opt_block.pop("optimize_p", True),
-                            "optimizer.optimize_p"),
-    )
-    _reject_unknown(opt_block, "optimizer")
+    opt = top.block("optimizer")
+    opt.read("mode", "ga", _string, _OPTIMIZER_MODES)
+    opt.read("population_size", 200, _integer, minimum=2)
+    opt.read("generations", 250, _integer, minimum=1)
+    opt.read("mutation_chance", 0.10, _number, minimum=0.0, maximum=1.0)
+    opt.read("elitism", 0.05, _number, minimum=0.0, maximum=0.999)
+    opt.read("seed", 0, _integer, minimum=0)
+    opt.read("alpha_max", 10.0, _number, minimum=1.0)
+    opt.read("optimize_alpha", True, _boolean)
+    opt.read("optimize_p", True, _boolean)
+    opt.done()
     if not temporaries:
-        optimizer.optimize_p = False
+        opt.normal["optimize_p"] = False
+    optimizer = OptimizerSettings(**opt.normal)
 
-    out_block = _mapping(top.pop("output", {}) or {}, "output")
-    out_dir = _string(out_block.pop("directory", "out"), "output.directory")
-    _reject_unknown(out_block, "output")
+    output = top.block("output")
+    out_dir = output.read("directory", "out", _string)
+    output.done()
 
-    _reject_unknown(top, "config")
+    top.done()
 
     spec = OrgSpec(levels=levels, wage_growth=wage_growth,
-                   business_units=units)
+                   business_units=None if units is None else np.array(units))
     try:
         validate(spec)
     except ValueError as exc:
@@ -370,41 +365,13 @@ def parse_config(data: Any) -> ScenarioConfig:
             f"grid.s_max: {s_max} does not cover the largest eligibility "
             f"age {float(np.max(spec.tau))}")
 
-    normal = {
-        "org": {
-            "wage_growth": wage_growth,
-            "levels": [normal for _, normal in parsed],
-            "business_units": units_normal,
-        },
-        "grid": {"ds": ds, "dt": dt, "s_max": s_max, "horizon": horizon},
-        "policy": {
-            "mode": mode,
-            "promotion_cap": None if math.isinf(cap) else cap,
-            "external_fraction": fraction,
-            "initial_density": initial,
-            "snapshot_times": list(snaps),
-        },
-        "plan": plan_normal,
-        "cost": {"premium": premium, "temporaries": temporaries},
-        "optimizer": {
-            "mode": optimizer.mode,
-            "population_size": optimizer.population_size,
-            "generations": optimizer.generations,
-            "mutation_chance": optimizer.mutation_chance,
-            "elitism": optimizer.elitism,
-            "seed": optimizer.seed,
-            "alpha_max": optimizer.alpha_max,
-            "optimize_alpha": optimizer.optimize_alpha,
-            "optimize_p": optimizer.optimize_p,
-        },
-        "output": {"directory": out_dir},
-    }
     return ScenarioConfig(
         spec=spec, plan=plan, grid=grid, horizon=horizon, policy_mode=mode,
-        promotion_cap=cap, external_fraction=fraction,
-        initial_density=initial, snapshot_times=snaps, premium=premium,
+        promotion_cap=math.inf if cap is None else cap,
+        external_fraction=fraction, initial_density=initial,
+        snapshot_times=tuple(snaps), premium=premium,
         temporaries=temporaries, optimizer=optimizer, output_dir=out_dir,
-        _normal=normal,
+        _normal=top.normal,
     )
 
 

@@ -281,16 +281,21 @@ class PiecewiseLinearWage:
         w' is the slope m_i on each segment [a_i, b_i] (knots clipped to
         [0, inf)) and 0 outside, so integrating by parts gives
 
-            w(0)/mu + sum_i m_i (e^{-mu a_i} - e^{-mu b_i}) / mu^2,
+            w(0)/mu + sum_i m_i (e^{-mu a_i} - e^{-mu b_i}) / mu^2.
 
-        with each difference taken as -e^{-mu a_i} expm1(-mu (b_i - a_i))
-        so that short segments lose no digits to cancellation.
+        With m_i = dv_i / dk_i (dk_i the unclipped knot gap), each ramp is
+        written as dv_i (c_i / dk_i) e^{-mu a_i} h(mu c_i) / mu, where
+        c_i = b_i - a_i and h(x) = -expm1(-x)/x with h(0) = 1: short
+        segments lose no digits to cancellation, and a near-zero knot gap
+        never divides a wage step.
         """
         a = np.maximum(self.knots[:-1], 0.0)
         b = np.maximum(self.knots[1:], 0.0)
-        slope = np.diff(self.values) / np.diff(self.knots)
-        ramps = slope * np.exp(-mu * a) * -np.expm1(-mu * (b - a))
-        return float(self(0.0) / mu + ramps.sum() / mu ** 2)
+        x = mu * (b - a)
+        h = np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x > 0.0)
+        ramps = (np.diff(self.values) * ((b - a) / np.diff(self.knots))
+                 * np.exp(-mu * a) * h)
+        return float((self(0.0) + ramps.sum()) / mu)
 
 
 def floater_average_cost(spec: OrgSpec, level: int) -> float:

@@ -1,15 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import orgflow
 from orgflow import cli
-from orgflow.config import dump_config, load_config, parse_config
+from orgflow.config import ConfigError, dump_config, load_config, parse_config
 
 
 HEADS = [5500, 5200, 3800, 1800, 500]
@@ -248,8 +251,7 @@ _FLOATER_WAGES = (
                             optional={"growth": st.floats(0.0, 0.04)})
     | st.fixed_dictionaries({
         "kind": st.just("piecewise-linear"),
-        # whole-year knots: a float gap near zero would overflow the slope
-        "knots": st.lists(st.integers(0, 40), min_size=2, max_size=4,
+        "knots": st.lists(st.floats(0.0, 40.0), min_size=2, max_size=4,
                           unique=True).map(sorted),
         "values": st.lists(st.floats(1.0, 200.0), min_size=4, max_size=4),
     }).map(lambda w: {**w, "values": w["values"][:len(w["knots"])]}))
@@ -340,6 +342,271 @@ def test_dump_config_is_idempotent(data):
     again = parse_config(json.loads(text))
     assert dump_config(again) == text
     assert again.normalized() == config.normalized() == json.loads(text)
+
+
+def _number_leaves(node, path=""):
+    """(dotted key path, container, key) of every number in a scenario."""
+    if isinstance(node, dict):
+        items = [(f"{path}.{k}" if path else k, k, v) for k, v in node.items()]
+    elif isinstance(node, list):
+        items = [(f"{path}[{i}]", i, v) for i, v in enumerate(node)]
+    else:
+        return []
+    leaves = []
+    for sub, key, value in items:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            leaves.append((sub, node, key))
+        else:
+            leaves.extend(_number_leaves(value, sub))
+    return leaves
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_non_finite_number_anywhere_is_config_error(data):
+    # NaN or an infinity in any numeric leaf is named by its dotted key
+    # path, and a command on the file exits 2
+    scenario = data.draw(scenarios())
+    path, container, key = data.draw(
+        st.sampled_from(_number_leaves(scenario)))
+    container[key] = data.draw(st.sampled_from([math.nan, math.inf,
+                                                -math.inf]))
+    with pytest.raises(ConfigError) as raised:
+        parse_config(scenario)
+    assert str(raised.value).startswith(f"{path}: ")
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "scenario.json")
+        with open(config, "w") as fh:
+            json.dump(scenario, fh)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert cli.main(["steady", "--config", config]) == 2
+    assert f"configuration error: {path}: " in err.getvalue()
+
+
+DEFAULTS_DUMP = """\
+{
+  "org": {
+    "wage_growth": 0.0,
+    "levels": [
+      {
+        "headcount": 10.0,
+        "attrition": 0.2,
+        "eligibility_age": 0.0,
+        "base_wage": null,
+        "temp_wage": null,
+        "floater_wage": null
+      }
+    ],
+    "business_units": null
+  },
+  "grid": {
+    "ds": 0.05,
+    "dt": 0.05,
+    "s_max": 50.0,
+    "horizon": 60.0
+  },
+  "policy": {
+    "mode": "max-internal",
+    "promotion_cap": 5.0,
+    "external_fraction": 0.0,
+    "initial_density": "uniform",
+    "snapshot_times": []
+  },
+  "plan": null,
+  "cost": {
+    "premium": null,
+    "temporaries": true
+  },
+  "optimizer": {
+    "mode": "ga",
+    "population_size": 200,
+    "generations": 250,
+    "mutation_chance": 0.1,
+    "elitism": 0.05,
+    "seed": 0,
+    "alpha_max": 10.0,
+    "optimize_alpha": true,
+    "optimize_p": true
+  },
+  "output": {
+    "directory": "out"
+  }
+}
+"""
+
+FULL_SCENARIO = {
+    "org": {
+        "wage_growth": 0.03,
+        "levels": [
+            {"headcount": 300, "attrition": 0.1, "eligibility_age": 2.5,
+             "base_wage": 40.0, "temp_wage": 50.0,
+             "floater_wage": {"kind": "constant", "value": 45}},
+            {"headcount": 120, "attrition": 0.15, "eligibility_age": 3,
+             "base_wage": 60, "temp_wage": 75.0,
+             "floater_wage": {"kind": "exponential", "base": 55.0,
+                              "growth": 0.02}},
+            {"headcount": 40, "attrition": 0.25, "base_wage": 90.0,
+             "temp_wage": 110.0,
+             "floater_wage": {"kind": "piecewise-linear", "knots": [0, 5, 20],
+                              "values": [80, 95.5, 100]}},
+        ],
+        "business_units": [[200, 80, 25], [100, 40, 15]],
+    },
+    "grid": {"ds": 0.1, "dt": 0.05, "s_max": 40, "horizon": 30},
+    "policy": {"mode": "fixed-plan", "promotion_cap": None,
+               "external_fraction": 0.1, "initial_density": "stationary",
+               "snapshot_times": [0, 15, 30]},
+    "plan": {"alpha": [1.2, 1], "p": [0.9, 1, 0.8]},
+    "cost": {"premium": None, "temporaries": False},
+    "optimizer": {"mode": "evaluate", "population_size": 50,
+                  "generations": 20, "mutation_chance": 0.2, "elitism": 0.1,
+                  "seed": 11, "alpha_max": 4, "optimize_alpha": False,
+                  "optimize_p": True},
+    "output": {"directory": "runs/full"},
+}
+
+FULL_DUMP = """\
+{
+  "org": {
+    "wage_growth": 0.03,
+    "levels": [
+      {
+        "headcount": 300.0,
+        "attrition": 0.1,
+        "eligibility_age": 2.5,
+        "base_wage": 40.0,
+        "temp_wage": 50.0,
+        "floater_wage": {
+          "kind": "constant",
+          "value": 45.0
+        }
+      },
+      {
+        "headcount": 120.0,
+        "attrition": 0.15,
+        "eligibility_age": 3.0,
+        "base_wage": 60.0,
+        "temp_wage": 75.0,
+        "floater_wage": {
+          "kind": "exponential",
+          "base": 55.0,
+          "growth": 0.02
+        }
+      },
+      {
+        "headcount": 40.0,
+        "attrition": 0.25,
+        "eligibility_age": 0.0,
+        "base_wage": 90.0,
+        "temp_wage": 110.0,
+        "floater_wage": {
+          "kind": "piecewise-linear",
+          "knots": [
+            0.0,
+            5.0,
+            20.0
+          ],
+          "values": [
+            80.0,
+            95.5,
+            100.0
+          ]
+        }
+      }
+    ],
+    "business_units": [
+      [
+        200.0,
+        80.0,
+        25.0
+      ],
+      [
+        100.0,
+        40.0,
+        15.0
+      ]
+    ]
+  },
+  "grid": {
+    "ds": 0.1,
+    "dt": 0.05,
+    "s_max": 40.0,
+    "horizon": 30.0
+  },
+  "policy": {
+    "mode": "fixed-plan",
+    "promotion_cap": null,
+    "external_fraction": 0.1,
+    "initial_density": "stationary",
+    "snapshot_times": [
+      0.0,
+      15.0,
+      30.0
+    ]
+  },
+  "plan": {
+    "alpha": [
+      1.2,
+      1.0
+    ],
+    "p": [
+      0.9,
+      1.0,
+      0.8
+    ]
+  },
+  "cost": {
+    "premium": null,
+    "temporaries": false
+  },
+  "optimizer": {
+    "mode": "evaluate",
+    "population_size": 50,
+    "generations": 20,
+    "mutation_chance": 0.2,
+    "elitism": 0.1,
+    "seed": 11,
+    "alpha_max": 4.0,
+    "optimize_alpha": false,
+    "optimize_p": false
+  },
+  "output": {
+    "directory": "runs/full"
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("scenario,expected", [
+    ({"org": {"levels": [{"headcount": 10, "attrition": 0.2}]}},
+     DEFAULTS_DUMP),
+    (FULL_SCENARIO, FULL_DUMP),
+], ids=["defaults", "full"])
+def test_dump_config_text_is_pinned(tmp_path, capsys, scenario, expected):
+    # the key order, every default, and optimize_p following
+    # cost.temporaries = false
+    path = write_scenario(tmp_path, scenario)
+    assert cli.main(["--config", path, "--dump-config"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_zero_premium_is_config_error(tmp_path, capsys):
+    # a zero premium would set temp wages equal to base wages; the error
+    # names the premium, not a temp wage the file never set
+    data = {"org": {"levels": [{"headcount": 1, "attrition": 0.5,
+                                "base_wage": 5.0}]},
+            "cost": {"premium": 0}}
+    path = write_scenario(tmp_path, data)
+    assert cli.main(["steady", "--config", path]) == 2
+    assert "configuration error: cost.premium: " in capsys.readouterr().err
+
+
+def test_piecewise_floater_wage_with_close_knots_parses():
+    curve = {"kind": "piecewise-linear", "knots": [0.0, 1e-310],
+             "values": [1.0, 2.0]}
+    config = parse_config({"org": {"levels": [
+        {"headcount": 1, "attrition": 0.5, "floater_wage": curve}]}})
+    assert config.spec.levels[0].floater_wage.laplace(0.5) == 4.0
 
 
 def test_steady_accepts_empty_level_without_promotion_demand(tmp_path, capsys):

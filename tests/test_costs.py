@@ -204,6 +204,14 @@ def test_piecewise_curve_validation():
         PiecewiseLinearWage([0.0, 1.0], [1.0, 2.0, 3.0])
 
 
+def test_piecewise_laplace_with_close_knots():
+    # w = 1 + ramp to 2 over a gap of 1e-310: the closed form is
+    # (1 + 1) / 0.5, with no overflow in the ramp's slope
+    for gap in (1e-300, 1e-310):
+        curve = PiecewiseLinearWage([0.0, gap], [1.0, 2.0])
+        assert curve.laplace(0.5) == pytest.approx(4.0, rel=1e-12)
+
+
 def test_floater_average_cost_analytic_cases():
     org = build_org([100.0], [0.25], [2.0])
     org.levels[0].floater_wage = ConstantWage(40.0)
