@@ -14,8 +14,11 @@ perfbench/ and src/, so give the parent as a full checkout (e.g.
 
 BENCH_<label>.json, written at the root of this checkout, holds
 every pair's end-to-end values and `correct` flags and, per workload and
-metric, each side's median and quartiles and the number of pairs the
-change won (ties count for neither side).
+metric, each side's median and quartiles, the number of pairs the
+change won (ties count for neither side) and `gain_rule_met`: whether
+the change won at least 9 in 10 of the pairs and its median beats the
+parent's by more than the parent's quartile distance, the rule a claimed
+gain must meet.
 """
 
 from __future__ import annotations
@@ -79,9 +82,14 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
         parent = [p["parent"]["values"][name] for p in pairs]
         change = [p["change"]["values"][name] for p in pairs]
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        before, after = spread(parent), spread(change)
+        gap = before["median"] - after["median"]
         out[name] = {"unit": metric["unit"], "better": metric["better"],
-                     "parent": spread(parent), "change": spread(change),
-                     "change_wins": wins, "pairs": len(pairs)}
+                     "parent": before, "change": after,
+                     "change_wins": wins, "pairs": len(pairs),
+                     "gain_rule_met": (10 * wins >= 9 * len(pairs)
+                                       and (gap if lower else -gap)
+                                       > before["q3"] - before["q1"])}
     return out
 
 

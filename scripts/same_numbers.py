@@ -19,7 +19,8 @@ checkout's, each in its own subprocess:
 - `orgflow --dump-config` on every scenario above;
 - `orgflow steady` on a fixed list of variants of the README scenario
   at the edges of the schema: schema and cross-block errors, an unknown
-  key, missing and non-finite numbers, a zero premium, and piecewise
+  key, missing and non-finite numbers, a zero premium, a block that is
+  not an object, a floater wage at attrition 1e-310, and piecewise
   floater-wage knots 1e-310 apart.
 
 Both sides read their scenarios from this checkout's
@@ -105,6 +106,13 @@ def invalid_scenarios(base: dict) -> dict[str, dict]:
                                 "base_wage": 5.0}]}
         s["cost"] = {"premium": 0}
 
+    def tiny_attrition(s):
+        # a constant floater wage's integral overflows at this attrition
+        s["org"] = {"levels": [{"headcount": 1, "attrition": 1e-310,
+                                "floater_wage": {"kind": "constant",
+                                                 "value": 40.0}}]}
+        del s["cost"]
+
     def close_knots(s):
         curve = {"kind": "piecewise-linear", "knots": [0.0, 1e-310],
                  "values": [1.0, 2.0]}
@@ -134,6 +142,8 @@ def invalid_scenarios(base: dict) -> dict[str, dict]:
         "mutation-chance-nan": variant(
             lambda s: s["optimizer"].update(mutation_chance=float("nan"))),
         "premium-zero": variant(premium_zero),
+        "cost-false": variant(lambda s: s.update(cost=False)),
+        "floater-tiny-attrition": variant(tiny_attrition),
         "close-knots": variant(close_knots),
     }
 

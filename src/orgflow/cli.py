@@ -146,6 +146,8 @@ def cmd_simulate(config: ScenarioConfig, fmt: str) -> int:
         policy=config.policy_mode, horizon=config.horizon,
         cap=config.promotion_cap, external_fraction=config.external_fraction,
         initial=config.initial_density, snapshot_times=config.snapshot_times,
+        # no table or CSV file holds l1_to_steady, so the run skips it
+        l1_to_steady=False,
     )
     out_dir = _ensure_out(config)
     headers = _header_lines(config, "simulate")

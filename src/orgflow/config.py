@@ -140,15 +140,16 @@ class _Block:
 
     def block(self, key: str, required: bool = False,
               optional: bool = False) -> _Block | None:
-        """The object under key as a _Block. A missing key is an error when
-        required and None when optional; otherwise it, or any false value,
-        reads as an empty object, all defaults."""
+        """The object under key as a _Block. A missing key or null is an
+        error when required and None when optional; otherwise it reads as an
+        empty object, all defaults. Any other value must be an object."""
         value = self.raw.pop(key, None)
         if optional and value is None:
             self.normal[key] = None
             return None
-        sub = _Block(value if required or optional else value or {},
-                     self.prefix + key)
+        if value is None and not required:
+            value = {}
+        sub = _Block(value, self.prefix + key)
         self.normal[key] = sub.normal
         return sub
 
@@ -252,11 +253,20 @@ def _parse_level(level: _Block) -> LevelSpec:
                strict_min=True)
     curve = _parse_wage_curve(level.block("floater_wage", optional=True))
     level.done()
-    if curve is not None and math.isinf(curve.laplace(attrition)):
-        # the floater wage integral diverges, like wage_growth >= attrition
-        raise ConfigError(
-            f"{level.path}.floater_wage.growth: must stay below the level's "
-            f"attrition {attrition}")
+    if curve is not None:
+        with np.errstate(over="ignore"):
+            integral = curve.laplace(attrition)
+        if math.isinf(integral):
+            # the floater wage integral diverges when an exponential curve
+            # grows as fast as staff leave; any curve's overflows when the
+            # attrition is near zero
+            if isinstance(curve, ExponentialWage) and curve.growth >= attrition:
+                raise ConfigError(
+                    f"{level.path}.floater_wage.growth: must stay below the "
+                    f"level's attrition {attrition}")
+            raise ConfigError(
+                f"{level.path}.attrition: {attrition} is too small; the "
+                "floater wage's discounted integral overflows")
     return LevelSpec(**{**level.normal, "floater_wage": curve})
 
 

@@ -41,10 +41,11 @@ builds its own; the pools and run()'s promotion source read only its head
 columns, where some level is still below its cut. A step of run()
 is its node-wise passes plus a little work on Python floats: the pool sums,
 the closure's sweep (which also yields step's per-level terms), the step,
-and three metric row sums (sum rho, sum |rho - steady|, sum rho (s - tau)+)
-written into row k of the trajectory arrays, which one elementwise pass
-after the loop turns into the ratios. close_policy_external_fraction and
-level_metrics apply the same kernels to one state.
+and the metric row sums (sum rho, sum rho (s - tau)+ and, when the run has
+a stationary reference, sum |rho - steady|) written into row k of the
+trajectory arrays, which one elementwise pass after the loop turns into
+the ratios. close_policy_external_fraction and level_metrics apply the
+same kernels to one state.
 """
 
 from __future__ import annotations
@@ -491,8 +492,10 @@ class SimulationResult:
     All per-step arrays have shape (n_steps + 1, L), row k holding the
     state after k steps (row 0 is the initial state). l1_to_steady is
     measured against the continuum stationary profile matching the run's
-    policy (NaN when that profile is ill posed). snapshots maps requested
-    times to (L, n_nodes) density copies.
+    policy, steady_density; both are absent (l1_to_steady NaN,
+    steady_density None) when that profile is ill posed or the run was
+    asked not to measure it (run(..., l1_to_steady=False)). snapshots maps
+    requested times to (L, n_nodes) density copies.
 
     run() fills ready_ratio, excess_wait, l1_to_steady and mass_error in
     two stages: every step writes its row sums into them (see the module
@@ -621,7 +624,8 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
         grid: SeniorityGrid | None = None, policy: str = "max-internal",
         horizon: float = 60.0, cap: float = DEFAULT_PROMOTION_CAP,
         external_fraction: float = 0.0, initial: str = "uniform",
-        snapshot_times: Sequence[float] = ()) -> SimulationResult:
+        snapshot_times: Sequence[float] = (),
+        l1_to_steady: bool = True) -> SimulationResult:
     """Simulate the hierarchy and record the full policy trajectory.
 
     policy selects the closure: "max-internal" promotes as much as the cap
@@ -631,6 +635,11 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
     outside the dynamics. horizon = 0 returns the initial state only.
     snapshot_times must lie in [0, horizon]; a time outside it raises
     ValueError, as the run would never record it.
+
+    With l1_to_steady=False the run builds no continuum stationary profile
+    and skips the per-step sum |rho - steady|: l1_to_steady is then NaN
+    and steady_density None, as when that profile is ill posed, and every
+    other array is the same, bit for bit.
     """
     if plan is None:
         plan = FlexPlan.all_internal(spec.size)
@@ -649,7 +658,8 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
     masses = spec.n * plan.p
     density = make_initial_density(spec, plan, grid, kind=initial)
     cuts = _build_cuts(grid, spec)
-    steady = _steady_reference(spec, plan, grid, fractions)
+    steady = (_steady_reference(spec, plan, grid, fractions)
+              if l1_to_steady else None)
 
     n_steps = int(round(horizon / grid.dt))
     times = grid.dt * np.arange(n_steps + 1)

@@ -107,6 +107,23 @@ def test_simulate_writes_csv_outputs(tmp_path, capsys):
     assert (tmp_path / "out_sim" / "snapshot_t1.csv").exists()
 
 
+def test_simulate_builds_no_stationary_profile(tmp_path, capsys, monkeypatch):
+    # no output of simulate holds l1_to_steady, so the run never asks for
+    # the continuum stationary profile it is measured against
+    path = base_scenario(tmp_path, out="out_sim")
+    assert cli.main(["simulate", "--config", path]) == 0
+    expected = capsys.readouterr().out, (
+        tmp_path / "out_sim" / "trajectory.csv").read_bytes()
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("stationary_state called")
+
+    monkeypatch.setattr("orgflow.transport.stationary_state", refuse)
+    assert cli.main(["simulate", "--config", path]) == 0
+    assert (capsys.readouterr().out, (
+        tmp_path / "out_sim" / "trajectory.csv").read_bytes()) == expected
+
+
 def test_seed_and_out_overrides(tmp_path, capsys):
     path = base_scenario(tmp_path, out="ignored")
     override = tmp_path / "elsewhere"
@@ -677,6 +694,12 @@ def test_unknown_key_is_config_error(tmp_path, capsys):
     {"optimizer": {"mode": "evaluate"}},
     {"grid": {"ds": 0.05, "dt": 0.1}},
     {"org": runaway_floater_org(), "cost": {"premium": 0.2}},
+    # only a missing key or null reads an optional block as all defaults
+    {"grid": 0},
+    {"policy": []},
+    {"cost": False},
+    {"optimizer": ""},
+    {"output": 0},
 ])
 def test_invalid_scenarios_exit_config(tmp_path, capsys, blocks):
     data = {"org": plain_org(wages=True),
@@ -688,8 +711,31 @@ def test_invalid_scenarios_exit_config(tmp_path, capsys, blocks):
     assert cli.main([command, "--config", path]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err
-    if "cost" in blocks:
+    if "org" in blocks:
         assert "org.levels[0].floater_wage.growth" in err
+    key, value = next(iter(blocks.items()))
+    if not isinstance(value, dict):
+        assert (f"configuration error: {key}: expected an object, got "
+                f"{type(value).__name__}") in err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("curve", [
+    {"kind": "constant", "value": 40.0},
+    {"kind": "piecewise-linear", "knots": [0.0, 10.0], "values": [30.0, 60.0]},
+    {"kind": "exponential", "base": 30.0},
+])
+def test_floater_wage_overflow_names_attrition(tmp_path, capsys, curve):
+    # at attrition 1e-310 every curve's discounted integral overflows; no
+    # curve grows as fast as staff leave, so the error names the attrition
+    org = plain_org(wages=True)
+    org["levels"][0]["attrition"] = 1e-310
+    org["levels"][0]["floater_wage"] = curve
+    path = base_scenario(tmp_path, org=org)
+    assert cli.main(["steady", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: org.levels[0].attrition: 1e-310" in err
+    assert "growth" not in err
 
 
 def test_missing_temp_wage_is_config_error(tmp_path, capsys):

@@ -261,6 +261,47 @@ def test_unit_courant_step_properties(case):
     assert np.all(after >= 0.0)
 
 
+@st.composite
+def _well_posed_orgs_and_plans(draw):
+    """A random well-posed org of 1-4 levels, a plan it is well posed
+    under, and a unit-Courant grid whose uniform start leaves every
+    demanded pool nonempty."""
+    size = draw(st.integers(1, 4))
+
+    def values(lo, hi, n=size):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n,
+                                      max_size=n)))
+
+    spec = build_org(values(100.0, 5000.0), values(0.05, 0.6),
+                     values(0.5, 6.0))
+    plan = FlexPlan(alpha=values(1.0, 2.0, size - 1), p=values(0.3, 1.0))
+    grid = SeniorityGrid(ds=0.1, dt=0.1, s_max=20.0)
+    try:
+        stationary_state(spec, plan)
+        make_initial_density(spec, plan, grid, "uniform")
+    except (IllPosedError, InfeasibleInitialDataError):
+        assume(False)
+    return spec, plan, grid
+
+
+@settings(max_examples=40, deadline=None)
+@given(_well_posed_orgs_and_plans())
+def test_recorded_trajectory_balances(case):
+    # every row run() records closes the balance law
+    # h_j M_j + P_{j-1} A_{j-1} = mu_j M_j + P_j A_j, whether the cap binds
+    # (shortfall hiring) or not
+    spec, plan, grid = case
+    for cap in (1.0, np.inf):
+        result = run(spec, plan=plan, grid=grid, policy="fixed-plan",
+                     horizon=3.0, cap=cap)
+        masses = result.masses
+        out = result.promotion * result.pool
+        promoted_in = np.zeros_like(out)
+        promoted_in[:, 1:] = out[:, :-1]
+        residual = result.hiring * masses + promoted_in - spec.mu * masses - out
+        assert np.all(np.abs(residual) <= 1e-9 * spec.mu * masses)
+
+
 @pytest.mark.parametrize("dt,cap,kind", [
     (0.05, 5.0, "uniform"),
     (0.03, np.inf, "truncated-exponential"),
@@ -432,7 +473,8 @@ def _bits(values) -> bytes:
     return np.ascontiguousarray(values, dtype=float).tobytes()
 
 
-@pytest.mark.parametrize("case", ["zero-horizon", "zero-mass", "no-steady"])
+@pytest.mark.parametrize("case", ["zero-horizon", "zero-mass", "no-steady",
+                                  "no-l1"])
 def test_public_closure_and_metrics_match_run(low_turnover_org,
                                               high_turnover_org, case):
     # close_policy_external_fraction and level_metrics on the final
@@ -445,12 +487,31 @@ def test_public_closure_and_metrics_match_run(low_turnover_org,
         org, policy, f, horizon = low_turnover_org, "external-fraction", 0.3, 0.0
     elif case == "zero-mass":
         plan = FlexPlan(alpha=np.ones(4), p=np.array([1.0, 1.0, 1.0, 0.0, 0.0]))
-    else:
+    elif case == "no-steady":
         # level 2 drains more than level 1 can supply: no stationary profile
         org = build_org([100.0, 1000.0], [0.1, 0.5], [4.0, 1.0])
-    result = run(org, plan=plan, grid=grid, policy=policy, horizon=horizon,
-                 cap=cap, external_fraction=f)
-    assert (result.steady_density is None) == (case == "no-steady")
+    else:
+        org, policy, f = low_turnover_org, "external-fraction", 0.3
+    args = dict(plan=plan, grid=grid, policy=policy, horizon=horizon, cap=cap,
+                external_fraction=f)
+    if case == "no-l1":
+        args["snapshot_times"] = [0.0, horizon]
+    result = run(org, **args, l1_to_steady=case != "no-l1")
+    assert (result.steady_density is None) == (case in ("no-steady", "no-l1"))
+    if case == "no-l1":
+        # the same run with its l1 reference: only l1_to_steady and the
+        # reference itself differ
+        full = run(org, **args)
+        assert full.steady_density is not None
+        assert np.all(np.isfinite(full.l1_to_steady))
+        for name, value in vars(full).items():
+            if name == "snapshots":
+                assert value.keys() == result.snapshots.keys()
+                for t, density in value.items():
+                    assert _bits(density) == _bits(result.snapshots[t]), t
+            elif isinstance(value, np.ndarray) and name not in (
+                    "l1_to_steady", "steady_density"):
+                assert _bits(value) == _bits(getattr(result, name)), name
     state = close_policy_external_fraction(result.density, org, grid, cap=cap,
                                            alpha_frac=f, masses=result.masses)
     for name in ("promotion", "hiring", "shortfall", "pool"):
@@ -459,7 +520,7 @@ def test_public_closure_and_metrics_match_run(low_turnover_org,
                             result.steady_density)
     for name, value in metrics.items():
         assert _bits(value) == _bits(getattr(result, name)[-1]), name
-    if case == "no-steady":
+    if case in ("no-steady", "no-l1"):
         assert np.all(np.isnan(result.l1_to_steady))
     if case == "zero-mass":
         assert np.all(result.pool[:, 3:] == 0.0)
