@@ -491,11 +491,11 @@ class SimulationResult:
 
     All per-step arrays have shape (n_steps + 1, L), row k holding the
     state after k steps (row 0 is the initial state). l1_to_steady is
-    measured against the continuum stationary profile matching the run's
-    policy, steady_density; both are absent (l1_to_steady NaN,
-    steady_density None) when that profile is ill posed or the run was
-    asked not to measure it (run(..., l1_to_steady=False)). snapshots maps
-    requested times to (L, n_nodes) density copies.
+    measured against steady_density, the continuum stationary profile
+    matching the run's policy; when that profile is ill posed, or the run
+    skips the measure (run(..., l1_to_steady=False)), steady_density is
+    None and l1_to_steady NaN. snapshots maps requested times to
+    (L, n_nodes) density copies.
 
     run() fills ready_ratio, excess_wait, l1_to_steady and mass_error in
     two stages: every step writes its row sums into them (see the module
