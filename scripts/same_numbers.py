@@ -16,12 +16,18 @@ checkout's, each in its own subprocess:
   seeds, elitism 0, 0.05 and 0.2, and two objectives (every gene free,
   and hiring ratios only), plus the objective's costs of random batches
   of 1, 190, 200 and 1,000 plans;
-- `orgflow --dump-config` on every scenario above;
+- `orgflow --dump-config` and `orgflow steady` (table and CSV) on every
+  scenario above, and on the README scenario under a plan with
+  permanent shares below 1 and hiring ratios above 1;
 - `orgflow steady` on a fixed list of variants of the README scenario
   at the edges of the schema: schema and cross-block errors, an unknown
   key, missing and non-finite numbers, a zero premium, a block that is
-  not an object, a floater wage at attrition 1e-310, and piecewise
-  floater-wage knots 1e-310 apart.
+  not an object, a floater wage at attrition 1e-310, piecewise
+  floater-wage knots 1e-310 apart, and a base wage at attrition 1e-310,
+  which `orgflow cost` and `orgflow optimize` also price;
+- the closed-form analyses `case1_diagnostics`, `case2_residuals`,
+  `min_external_ratios` and `min_permanent_share` on four wage-bearing
+  orgs, under four plans each.
 
 Both sides read their scenarios from this checkout's
 perfbench/workloads.py, so they run the same inputs.
@@ -31,8 +37,10 @@ difference and whether the two arrays are bit-identical (signed zeros
 and NaNs included); for the CLI runs it compares stdout and every CSV
 file byte for byte; for the parser, the dumped text and the exit code,
 stdout and stderr of each invalid scenario. It exits 1 on any difference,
-0 when everything is identical. Each CLI file named by --expected must
-differ instead: it is reported, not counted, and counts when identical.
+0 when everything is identical. The closed-form analyses may also differ
+by at most 1e-12 relative, since numpy's vector exp and math.exp may
+round e^x differently. Each CLI file named by --expected must differ
+instead: it is reported, not counted, and counts when identical.
 """
 
 from __future__ import annotations
@@ -53,6 +61,10 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 7
+# relative gap allowed in the closed-form analyses
+CLOSED_FORM_RTOL = 1e-12
+# a plan with temporaries and external hiring for orgflow steady
+STEADY_PLAN = {"alpha": [1.2, 1.0, 1.1, 1.0], "p": [0.9, 0.8, 1.0, 1.0, 1.0]}
 ARRAYS = ("times", "density", "masses", "promotion", "hiring", "shortfall",
           "pool", "ready_ratio", "excess_wait", "l1_to_steady", "mass_error",
           "steady_density")
@@ -113,6 +125,14 @@ def invalid_scenarios(base: dict) -> dict[str, dict]:
                                                  "value": 40.0}}]}
         del s["cost"]
 
+    def tiny_attrition_wage(s):
+        # w0 C / mu overflows although the wage bill is finite
+        s["org"] = {"levels": [
+            {"headcount": 100, "attrition": 1e-310, "eligibility_age": 2.0,
+             "base_wage": 10.0},
+            {"headcount": 50, "attrition": 0.2, "eligibility_age": 2.0,
+             "base_wage": 20.0}]}
+
     def close_knots(s):
         curve = {"kind": "piecewise-linear", "knots": [0.0, 1e-310],
                  "values": [1.0, 2.0]}
@@ -145,6 +165,7 @@ def invalid_scenarios(base: dict) -> dict[str, dict]:
         "cost-false": variant(lambda s: s.update(cost=False)),
         "floater-tiny-attrition": variant(tiny_attrition),
         "close-knots": variant(close_knots),
+        "wage-tiny-attrition": variant(tiny_attrition_wage),
     }
 
 
@@ -189,6 +210,10 @@ def dump(src: Path, out: Path) -> None:
     path.write_text(json.dumps(workloads["optimize-readme"].scenarios(SEED)[0]))
     arrays.update(ga_arrays(load_config(str(path)).spec))
     np.savez(out / "arrays.npz", **arrays)
+    np.savez(out / "closed_form.npz", **closed_form_arrays(module))
+    base = module.readme_scenario(SEED)
+    (inputs / "readme-plan_00.json").write_text(
+        json.dumps(dict(base, plan=STEADY_PLAN)))
     # the CLI runs from out, so the paths it prints are the same on both
     # sides
     os.chdir(out)
@@ -199,13 +224,92 @@ def dump(src: Path, out: Path) -> None:
     for path in sorted(inputs.glob("*.json")):
         run_cli(["--config", f"inputs/{path.name}", "--dump-config"],
                 out / "cli" / "dump-config" / f"{path.stem}.txt")
-    base = module.readme_scenario(SEED)
+        for fmt in ("table", "csv"):
+            run_cli(["steady", "--config", f"inputs/{path.name}",
+                     "--format", fmt],
+                    out / "cli" / "steady" / f"{path.stem}.{fmt}.txt")
     for name, scenario in invalid_scenarios(base).items():
         path = inputs / "invalid" / f"{name}.json"
         path.parent.mkdir(exist_ok=True)
         path.write_text(json.dumps(scenario))
         run_cli(["steady", "--config", f"inputs/invalid/{name}.json"],
                 out / "cli" / "invalid" / f"{name}.txt")
+    # their CSV files, if any, go outside cli/: only stdout is compared
+    for command in ("cost", "optimize"):
+        run_cli([command, "--config", "inputs/invalid/wage-tiny-attrition.json",
+                 "--out", "priced"],
+                out / "cli" / "invalid" / f"wage-tiny-attrition.{command}.txt")
+
+
+def closed_form_arrays(workloads) -> dict[str, np.ndarray]:
+    """case1_diagnostics, case2_residuals, min_external_ratios and
+    min_permanent_share on four orgs with wages (the README org, both
+    ladders of the tests and a two-level org), each under four plans for
+    the one- and four for the two-level analysis. A call that raises
+    gives NaN."""
+    import inspect
+    from orgflow import (FlexPlan, LevelSpec, OrgSpec, case1_diagnostics,
+                         case2_residuals, min_external_ratios,
+                         min_permanent_share)
+
+    def org(heads, rates, base, ages=None):
+        ages = ages or [workloads.ELIGIBILITY_AGE] * len(heads)
+        return OrgSpec(levels=[
+            LevelSpec(headcount=n, attrition=mu, eligibility_age=tau,
+                      base_wage=w, temp_wage=1.2 * w)
+            for n, mu, tau, w in zip(heads, rates, ages, base)],
+            wage_growth=0.04)
+
+    wages = workloads.README_WAGES
+    orgs = {
+        "readme": org(workloads.README_HEADS, workloads.README_RATES, wages),
+        "low-turnover": org(workloads.README_HEADS, [0.08] * 4 + [0.5], wages),
+        "high-turnover": org(workloads.LADDER_HEADS, workloads.LADDER_RATES,
+                             wages),
+        "two-level": org([1000.0, 400.0], [0.10, 0.15], [30.0, 60.0],
+                         [3.0, 2.0]),
+    }
+    # (alpha, p_1, p_2): case 1 varies p_1 alone, case 2 both
+    one = ((1.0, 0.88), (1.2, 0.92), (1.5, 0.97), (2.0, 1.0))
+    two = ((1.0, 0.9, 0.95), (1.2, 0.95, 0.9), (1.5, 0.97, 0.85),
+           (2.0, 0.99, 0.99))
+    # before min_permanent_share returned every level, it took one
+    per_level = "level" in inspect.signature(min_permanent_share).parameters
+
+    def values(call) -> np.ndarray:
+        try:
+            return np.atleast_1d(np.asarray(call(), dtype=float))
+        except ValueError:
+            return np.array([np.nan])
+
+    arrays = {}
+    for name, spec in orgs.items():
+        size = spec.size
+        arrays[f"{name}.min_external_ratios"] = values(
+            lambda: min_external_ratios(spec))
+        plans = [(f"case1[{i}]", FlexPlan(alpha=np.full(size - 1, a),
+                                          p=np.r_[p1, np.ones(size - 1)]))
+                 for i, (a, p1) in enumerate(one)]
+        plans += [(f"case2[{i}]", FlexPlan(alpha=np.full(size - 1, a),
+                                           p=np.r_[p1, p2, np.ones(size - 2)]))
+                  for i, (a, p1, p2) in enumerate(two)]
+        for label, plan in plans:
+            prefix = f"{name}.{label}"
+            arrays[f"{prefix}.min_permanent_share"] = values(
+                lambda: [min_permanent_share(spec, plan, j + 1)
+                         for j in range(size)] if per_level
+                else min_permanent_share(spec, plan))
+            if label.startswith("case1"):
+                def case1():
+                    d = case1_diagnostics(spec, plan)
+                    regime = ("min-share", "interior", "all-permanent")
+                    return [d.first_derivative, d.second_derivative,
+                            d.p_opt, d.p_min, regime.index(d.regime)]
+                arrays[f"{prefix}.case1_diagnostics"] = values(case1)
+            else:
+                arrays[f"{prefix}.case2_residuals"] = values(
+                    lambda: case2_residuals(spec, plan))
+    return arrays
 
 
 def ga_arrays(spec) -> dict[str, np.ndarray]:
@@ -259,15 +363,18 @@ def differences(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return float(gap.max()), float(rel.max())
 
 
-def compare(parent: Path, change: Path, expected: list[str]) -> int:
-    before = np.load(parent / "arrays.npz")
-    after = np.load(change / "arrays.npz")
+def compare_arrays(parent: Path, change: Path, npz: str,
+                   rtol: float = 0.0) -> int:
+    """Print every array of both sides' npz file; count those that differ
+    by more than rtol relative (any bit, at rtol 0)."""
+    before = np.load(parent / npz)
+    after = np.load(change / npz)
     failed = 0
     if set(before.files) != set(after.files):
         print(f"arrays differ: parent only {sorted(set(before.files) - set(after.files))}, "
               f"change only {sorted(set(after.files) - set(before.files))}")
         failed += 1
-    print(f"{'array':<48} {'max abs':>10} {'max rel':>10}  bit-identical")
+    print(f"{npz + ' array':<48} {'max abs':>10} {'max rel':>10}  bit-identical")
     for name in sorted(set(before.files) & set(after.files), key=str.lower):
         a, b = before[name], after[name]
         if a.shape != b.shape or a.dtype != b.dtype:
@@ -277,8 +384,18 @@ def compare(parent: Path, change: Path, expected: list[str]) -> int:
             continue
         same = a.tobytes() == b.tobytes()
         gap, rel = differences(a, b)
-        failed += not same
-        print(f"{name:<48} {gap:>10.3g} {rel:>10.3g}  {'yes' if same else 'NO'}")
+        close = same or rel <= rtol
+        failed += not close
+        verdict = ("yes" if same else f"no, within {rtol:g} relative"
+                   if close else "NO")
+        print(f"{name:<48} {gap:>10.3g} {rel:>10.3g}  {verdict}")
+    return failed
+
+
+def compare(parent: Path, change: Path, expected: list[str]) -> int:
+    failed = compare_arrays(parent, change, "arrays.npz")
+    failed += compare_arrays(parent, change, "closed_form.npz",
+                             CLOSED_FORM_RTOL)
     files = sorted(p.relative_to(parent)
                    for p in (parent / "cli").rglob("*") if p.is_file())
     mine = sorted(p.relative_to(change)

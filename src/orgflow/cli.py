@@ -25,6 +25,7 @@ from . import __version__
 from .config import ConfigError, ScenarioConfig, dump_config, load_config
 from .costs import (
     BusinessUnitPlan,
+    GrowthExceedsAttritionError,
     MissingFloaterCurveError,
     business_unit_cost,
     format_cost_table,
@@ -91,7 +92,13 @@ def _ensure_out(config: ScenarioConfig) -> str:
 
 
 def cmd_steady(config: ScenarioConfig, fmt: str) -> int:
-    """Closed-form stationary report with feasibility verdicts."""
+    """Closed-form stationary report with feasibility verdicts.
+
+    ready_ratio (the pool A_j) and hiring (the external inflow) are per
+    head of the level's headcount N_j. orgflow simulate prints the same
+    two columns per unit of the permanent mass N_j p_j, so at a level
+    with temporaries its values are about 1/p_j times these.
+    """
     spec = config.spec
     plan = config.plan or FlexPlan.all_internal(spec.size)
     try:
@@ -110,6 +117,7 @@ def cmd_steady(config: ScenarioConfig, fmt: str) -> int:
                 f"alpha_{j + 2}={r:.4f}" for j, r in enumerate(ratios)))
         raise
     external = state.inflow - np.concatenate(([0.0], state.demands[1:-1]))
+    floors = min_permanent_share(spec, plan)
     header = ["level", "headcount", "attrition", "eligibility",
               "pool", "promotion", "ready_ratio", "hiring",
               "min_perm_share", "min_hiring_ratio"]
@@ -123,7 +131,7 @@ def cmd_steady(config: ScenarioConfig, fmt: str) -> int:
             f"{state.promotion_rate[j]:.6f}",
             f"{state.pool[j] / spec.n[j]:.6f}",
             f"{external[j] / spec.n[j]:.6f}",
-            f"{min_permanent_share(spec, plan, j + 1):.6f}",
+            f"{floors[j]:.6f}",
             ratio,
         ])
     _print_rows(header, rows, fmt)
@@ -342,7 +350,8 @@ def main(argv=None) -> int:
             NoFeasibleCandidateError) as exc:
         print(f"ill-posed model: {exc}", file=sys.stderr)
         return EXIT_ILL_POSED
-    except (MissingWageError, MissingFloaterCurveError) as exc:
+    except (MissingWageError, MissingFloaterCurveError,
+            GrowthExceedsAttritionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # pragma: no cover - defensive catch-all

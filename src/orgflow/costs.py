@@ -42,7 +42,6 @@ __all__ = [
     "ConstantWage",
     "ExponentialWage",
     "PiecewiseLinearWage",
-    "level_cost",
     "cost_quadrature_oracle",
     "org_cost",
     "floater_average_cost",
@@ -81,16 +80,30 @@ class CostBreakdown:
         return float(self.per_level.sum())
 
 
-def _check_growth(spec: OrgSpec, *levels: int) -> None:
-    """Wage growth must stay below attrition at the given levels (all
-    levels when none are given), or the wage integral diverges."""
+def _check_growth(spec: OrgSpec, *levels: int) -> np.ndarray:
+    """Check the wage bill's domain at the given levels (all levels when
+    none are given) and return the ceiling terms w0_j C_j^no / (mu_j - r)
+    of every level, finite at the checked ones.
+
+    Wage growth r must stay below attrition, or the wage integral
+    diverges. The ceiling term, with C^no the all-internal demands, must
+    be finite: it bounds w0 G / (mu - r) under every plan, so where it
+    overflows the bill does too, before its bracket scales it back.
+    """
     r = spec.wage_growth
+    demand = promotion_demands(spec)[:-1]
+    with np.errstate(all="ignore"):  # where r >= mu, checked below
+        ceiling = spec.w0 * demand / (spec.mu - r)
     for level in levels or range(1, spec.size + 1):
         mu = spec.mu[level - 1]
         if r >= mu:
             raise GrowthExceedsAttritionError(
                 f"level {level}: wage growth {r} must stay below attrition {mu}"
             )
+        if not np.isfinite(ceiling[level - 1]):
+            raise GrowthExceedsAttritionError(
+                f"level {level}: the wage bill overflows at attrition {mu}")
+    return ceiling
 
 
 def _wage_terms(spec: OrgSpec, level=slice(None)) -> tuple:
@@ -136,32 +149,14 @@ def _temporary_bill(spec: OrgSpec, p: np.ndarray, level=slice(None)):
     return np.where(temps, (1.0 - p) * spec.n[level] * spec.wt[level], 0.0)
 
 
-def level_cost(spec: OrgSpec, plan: FlexPlan, level: int) -> float:
-    """Hourly cost of one level: temporary staff plus the permanent bill.
-
-    Requires r < mu_j and a well-posed level (the permanent profile must
-    exist). Depends only on the plan entries at this level and above,
-    never below.
-    """
-    j = level - 1
-    if not 1 <= level <= spec.size:
-        raise ValueError(f"level {level} outside 1..{spec.size}")
-    _check_growth(spec, level)
-    c, pools, ill = stationary_pools(spec, plan)
-    if ill[j]:
-        raise IllPosedError([level], [pools[j]])
-    perm = _permanent_wage_bill(_wage_terms(spec, j), spec.n[j] * plan.p[j],
-                                c[j + 1])
-    return float(_temporary_bill(spec, plan.p, j) + perm)
-
-
 def cost_quadrature_oracle(spec: OrgSpec, plan: FlexPlan, level: int) -> float:
     """Level cost by direct numerical integration of the wage integral.
 
     Deliberately avoids the closed form: builds the stationary profile,
     integrates it against w0 e^{rs} with composite Simpson split at the
     eligibility age, and adds the analytic exponential tail beyond the
-    truncation point. Serves as an independent check of level_cost.
+    truncation point. Serves as an independent check of org_cost's
+    per-level costs.
     """
     j = level - 1
     if not 1 <= level <= spec.size:
@@ -202,8 +197,10 @@ def _simpson(values: np.ndarray, grid: np.ndarray) -> float:
 def org_cost(spec: OrgSpec, plan: FlexPlan | None = None) -> CostBreakdown:
     """Hourly cost of the whole organization, split by worker type.
 
-    Sum of level_cost over levels; fails with IllPosedError listing every
-    ill-posed level (see stationary_pools). Floater costs are zero here;
+    Per level, the temporary bill plus the closed-form permanent bill;
+    fails with IllPosedError listing every ill-posed level (see
+    stationary_pools) and with GrowthExceedsAttritionError outside the
+    wage bill's domain (see _check_growth). Floater costs are zero here;
     they enter through business_unit_cost.
     """
     if plan is None:
@@ -481,16 +478,16 @@ class Case1Diagnostics:
 
 
 def _case1_pieces(spec: OrgSpec, plan: FlexPlan):
-    mu, tau, r = spec.mu[0], spec.tau[0], spec.wage_growth
-    n1, w0 = spec.n[0], spec.w0[0]
+    """Level 1's wage terms (see _wage_terms), the demands C, its inflow G
+    and the wage bill's denominator D."""
+    terms = mu, r, _, gap, decay, _ = _wage_terms(spec, 0)
     c = promotion_demands(spec, plan)
-    c2 = c[1]
     # alpha_1 C_1 = mu_1 N_1 p_1 + C_2 regardless of the level-1 convention
-    inflow = mu * n1 * plan.p[0] + c2
+    inflow = mu * spec.n[0] * plan.p[0] + c[1]
     # D = (mu - r) G + r C_2 e^{mu tau}, scaled by e^{-mu tau} as in the
     # wage bill so that no exponential overflows
-    denom = (mu - r) * inflow * math.exp(-mu * tau) + r * c2
-    return mu, tau, r, n1, w0, c2, inflow, denom
+    denom = gap * inflow * decay + r * c[1]
+    return terms, c, inflow, denom
 
 
 def case1_diagnostics(spec: OrgSpec, plan: FlexPlan) -> Case1Diagnostics:
@@ -509,23 +506,21 @@ def case1_diagnostics(spec: OrgSpec, plan: FlexPlan) -> Case1Diagnostics:
     if spec.size > 1 and not np.all(plan.p[1:] == 1.0):
         raise ValueError("one-level diagnostics need p_2..p_L = 1")
     _check_growth(spec, 1)
-    mu, tau, r, n1, w0, c2, inflow, denom = _case1_pieces(spec, plan)
-    wt1 = spec.wt[0]
-    decay = math.exp(-mu * tau)
-    boost = math.exp((r - mu) * tau)
-    p_min = min_permanent_share(spec, plan, 1) if spec.size > 1 else 0.0
+    (mu, r, w0, gap, decay, boost), c, _, denom = _case1_pieces(spec, plan)
+    n1, c2, wt1 = spec.n[0], c[1], spec.wt[0]
+    p_min = min_permanent_share(spec, plan)[0] if spec.size > 1 else 0.0
 
     def slack(p1: float) -> float:
         # r mu C2^2 e^{(r-mu)tau} / D(p1)^2, decreasing in p1; 0, not 0/0,
         # without demand from level 2
-        d = (mu - r) * (mu * n1 * p1 + c2) * decay + r * c2
+        d = gap * (mu * n1 * p1 + c2) * decay + r * c2
         return r * mu * c2 * c2 * boost / d ** 2 if c2 > 0.0 else 0.0
 
-    first = n1 * (-wt1 + w0 * mu / (mu - r) * (1.0 - slack(plan.p[0])))
+    first = n1 * (-wt1 + w0 * mu / gap * (1.0 - slack(plan.p[0])))
     # d slack / d p_1 = -2 slack (mu - r) mu N_1 e^{-mu tau} / D
     second = (2.0 * n1 * n1 * w0 * mu * mu * decay * slack(plan.p[0]) / denom
               if c2 > 0.0 else 0.0)
-    critical = 1.0 - (mu - r) * wt1 / (w0 * mu)
+    critical = 1.0 - gap * wt1 / (w0 * mu)
     if c2 == 0.0 or r == 0.0:
         # derivative is constant in p_1: sign decides an endpoint optimum
         p_opt, regime = ((p_min, "min-share") if critical > 0.0
@@ -536,7 +531,7 @@ def case1_diagnostics(spec: OrgSpec, plan: FlexPlan) -> Case1Diagnostics:
         p_opt, regime = 1.0, "all-permanent"
     else:
         d_star = math.sqrt(r * mu * c2 * c2 * boost / critical)
-        p_opt = ((d_star - r * c2) / ((mu - r) * decay) - c2) / (mu * n1)
+        p_opt = ((d_star - r * c2) / (gap * decay) - c2) / (mu * n1)
         regime = "interior"
     return Case1Diagnostics(first_derivative=first, second_derivative=second,
                             p_opt=p_opt, regime=regime, p_min=p_min)
@@ -558,35 +553,30 @@ def case2_residuals(spec: OrgSpec, plan: FlexPlan) -> tuple[float, float]:
     if spec.size > 2 and not np.all(plan.p[2:] == 1.0):
         raise ValueError("two-level diagnostics need p_3..p_L = 1")
     _check_growth(spec, 1, 2)
-    mu, tau, r, n1, w0, c2, inflow1, denom1 = _case1_pieces(spec, plan)
-    boost1 = math.exp((r - mu) * tau)
-    lhs1 = (mu - r) * n1 * spec.wt[0]
+    (mu, r, w0, gap, _, boost1), c, inflow1, denom1 = _case1_pieces(spec, plan)
+    n1, c2, c3 = spec.n[0], c[1], c[2]
+    lhs1 = gap * n1 * spec.wt[0]
     rhs1 = w0 * mu * n1 * (1.0 - r * mu * c2 * c2 * boost1 / denom1 ** 2)
     r1 = (lhs1 - rhs1) / max(abs(lhs1), abs(rhs1))
 
     if inflow1 <= 0.0:
         raise ValueError("two-level diagnostics need permanent staff at level 1")
-    mu2, tau2 = spec.mu[1], spec.tau[1]
-    n2, w02 = spec.n[1], spec.w0[1]
-    alpha2 = plan.alpha_full[1]
-    c = promotion_demands(spec, plan)
-    c3 = c[2]
-    level1 = (w0 / (mu - r)) * (
+    mu2, _, w02, gap2, decay2, boost2 = _wage_terms(spec, 1)
+    n2, alpha2 = spec.n[1], plan.alpha_full[1]
+    level1 = (w0 / gap) * (
         -mu * inflow1 * boost1 / denom1
         + inflow1 * mu * c2 * boost1 * r / denom1 ** 2
     )
     if c3 > 0.0:
         # scaled by e^{-mu_2 tau_2} like the level-1 denominator
-        decay2 = math.exp(-mu2 * tau2)
-        boost2 = math.exp((r - mu2) * tau2)
-        denom2 = (mu2 - r) * alpha2 * c[1] * decay2 + r * c3
+        denom2 = gap2 * alpha2 * c2 * decay2 + r * c3
         bracket2 = (1.0 - mu2 * c3 * boost2 / denom2
-                    + alpha2 * c[1] * (mu2 - r) * mu2 * c3 * boost2 * decay2
+                    + alpha2 * c2 * gap2 * mu2 * c3 * boost2 * decay2
                     / denom2 ** 2)
     else:
         # no demand from above the second level: only the direct wage term
         bracket2 = 1.0
-    level2 = w02 / (mu2 - r) * bracket2
+    level2 = w02 / gap2 * bracket2
     lhs2 = n2 * spec.wt[1]
     rhs2 = mu2 * n2 * (spec.wt[0] / mu + level1 + level2)
     r2 = (lhs2 - rhs2) / max(abs(lhs2), abs(rhs2))

@@ -212,12 +212,12 @@ def feasible_cost_ceiling(spec: OrgSpec) -> float:
 
         ceiling = sum_j N_j w_j^t + w_j^0 C_j^no / (mu_j - r),
 
-    with C_j^no the cumulative attrition above level j. When temp wages
-    are not set, no plan with p_j < 1 can be costed at all and the
-    temporary term is dropped.
+    with C_j^no the cumulative attrition above level j (the all-internal
+    demands). When temp wages are not set, no plan with p_j < 1 can be
+    costed at all and the temporary term is dropped. Raises
+    GrowthExceedsAttritionError where a permanent term is not finite.
     """
-    demand = np.cumsum((spec.mu * spec.n)[::-1])[::-1]
-    ceiling = float(np.sum(spec.w0 * demand / (spec.mu - spec.wage_growth)))
+    ceiling = float(np.sum(_check_growth(spec)))
     try:
         ceiling += float(np.sum(spec.n * spec.wt))
     except MissingWageError:
@@ -232,14 +232,14 @@ class _Pricing:
     and (L, B) shares, either of which may be one (L, 1) column for all
     plans. The spec's level constants are (L, 1) columns. A cost is
     org_cost(spec, plan).total, bit for bit, where a plan is well posed,
-    and ceiling * (1 + sum_j max(0, -A_j) / N_j) where it is not. spec.wt
-    is touched only when some well-posed plan has a share below 1.
+    and ceiling * (1 + sum_j max(0, -A_j) / N_j) where it is not; the
+    ceiling is feasible_cost_ceiling, which checks the wage bill's domain.
+    spec.wt is touched only when some well-posed plan has a share below 1.
     """
 
-    def __init__(self, spec: OrgSpec, ceiling: float):
-        _check_growth(spec)
+    def __init__(self, spec: OrgSpec):
         self.spec = spec
-        self.ceiling = ceiling
+        self.ceiling = feasible_cost_ceiling(spec)
         self.n = spec.n[:, None]
         self.outflow = (spec.mu * spec.n)[:, None]
         self.pool_terms = _level_columns(spec, 2)
@@ -282,7 +282,7 @@ def penalized_cost(spec: OrgSpec, plan: FlexPlan):
     alpha, p = (np.broadcast_to(a, lead + a.shape[-1:])
                 .reshape(math.prod(lead), a.shape[-1]).T
                 for a in (plan.alpha, plan.p))
-    return _Pricing(spec, feasible_cost_ceiling(spec)).costs(alpha, p, lead)
+    return _Pricing(spec).costs(alpha, p, lead)
 
 
 @dataclass
@@ -313,7 +313,7 @@ class PlanObjective:
             raise ValueError("at least one gene block must be free")
         if self.alpha_max < 1.0:
             raise ValueError("alpha_max must be at least 1")
-        self._pricing = _Pricing(self.spec, feasible_cost_ceiling(self.spec))
+        self._pricing = _Pricing(self.spec)
         self._fixed = (self.fixed_plan
                        or FlexPlan.all_internal(self.spec.size)).check(self.spec)
 

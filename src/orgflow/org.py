@@ -23,7 +23,6 @@ is positive, so a level nobody promotes from may be empty.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -347,18 +346,15 @@ def steady_promotable_pool(spec: OrgSpec,
     return stationary_pools(spec, plan)[1]
 
 
-def min_permanent_share(spec: OrgSpec, plan: FlexPlan, level: int) -> float:
-    """Smallest permanent share keeping this level's promotable pool positive.
+def min_permanent_share(spec: OrgSpec, plan: FlexPlan) -> np.ndarray:
+    """Smallest permanent shares keeping each level's promotable pool positive.
 
-    p_j^min = (1 - e^{-mu_j tau_j}) C_{j+1} / (mu_j N_j e^{-mu_j tau_j});
-    it depends only on the plan entries of the levels above. A share
-    strictly above it is equivalent to A_j > 0.
+    p_j^min = (1 - e^{-mu_j tau_j}) C_{j+1} / (mu_j N_j e^{-mu_j tau_j}),
+    for every level j at once; each depends only on the plan entries of
+    the levels above. A share strictly above it is equivalent to A_j > 0.
     """
-    j = _level_index(spec, level)
-    c_next = promotion_demands(spec, plan)[j + 1]
-    decay = math.exp(-spec.mu[j] * spec.tau[j])
-    filled = -math.expm1(-spec.mu[j] * spec.tau[j])
-    return filled * c_next / (spec.mu[j] * spec.n[j] * decay)
+    mu, decay, filled = _level_columns(spec, 1)
+    return filled * promotion_demands(spec, plan)[1:] / (mu * spec.n * decay)
 
 
 def min_external_ratios(spec: OrgSpec) -> np.ndarray:
@@ -377,18 +373,17 @@ def min_external_ratios(spec: OrgSpec) -> np.ndarray:
     """
     if spec.size < 2:
         return np.zeros(0)
+    mu, decay, filled = _level_columns(spec, 1)
     ratios = np.ones(spec.size - 1)
     c_next = 0.0  # C_{j+1} built from the minimal ratios above
     for j in range(spec.size - 1, 0, -1):  # 0-based level j, promoting j-1
-        decay = math.exp(-spec.mu[j - 1] * spec.tau[j - 1])
-        filled = -math.expm1(-spec.mu[j - 1] * spec.tau[j - 1])
-        supply = spec.mu[j - 1] * spec.n[j - 1] * (decay - FEASIBILITY_MARGIN)
+        supply = mu[j - 1] * spec.n[j - 1] * (decay[j - 1] - FEASIBILITY_MARGIN)
         if supply <= 0:
             raise ValueError(
                 f"level {j}: eligibility window too long to feed level {j + 1}"
             )
-        demand = spec.mu[j] * spec.n[j] + c_next
-        ratios[j - 1] = max(1.0, filled * demand / supply)
+        demand = mu[j] * spec.n[j] + c_next
+        ratios[j - 1] = max(1.0, filled[j - 1] * demand / supply)
         c_next = demand / ratios[j - 1]
     return ratios
 

@@ -24,7 +24,6 @@ from orgflow import (
     case2_residuals,
     cost_quadrature_oracle,
     ga_minimize,
-    level_cost,
     min_external_ratios,
     org_cost,
     promotion_demands,
@@ -268,7 +267,8 @@ def test_bottom_level_cost_is_convex_with_exact_derivative():
         diag = case1_diagnostics(spec, plan)
         up = FlexPlan(alpha=np.ones(4), p=np.array([p1 + h, 1, 1, 1, 1.0]))
         dn = FlexPlan(alpha=np.ones(4), p=np.array([p1 - h, 1, 1, 1, 1.0]))
-        fd = (level_cost(spec, up, 1) - level_cost(spec, dn, 1)) / (2 * h)
+        fd = (org_cost(spec, up).per_level[0]
+              - org_cost(spec, dn).per_level[0]) / (2 * h)
         worst_fd = max(worst_fd, abs(diag.first_derivative / fd - 1.0))
 
     regimes = []

@@ -49,6 +49,17 @@ def runaway_floater_org():
     return org
 
 
+def tiny_attrition_org():
+    # at attrition 1e-310, w0 C / mu overflows before the wage bill's
+    # bracket (about mu N p / C) scales it back to a finite bill
+    return {"levels": [
+        {"headcount": 100, "attrition": 1e-310, "eligibility_age": 2.0,
+         "base_wage": 10.0},
+        {"headcount": 50, "attrition": 0.2, "eligibility_age": 2.0,
+         "base_wage": 20.0},
+    ]}
+
+
 def write_scenario(tmp_path, data, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -700,6 +711,9 @@ def test_unknown_key_is_config_error(tmp_path, capsys):
     {"cost": False},
     {"optimizer": ""},
     {"output": 0},
+    {"org": tiny_attrition_org(), "cost": {"premium": 0.2}},
+    {"org": tiny_attrition_org(), "cost": {"premium": 0.2},
+     "optimizer": {"population_size": 20, "generations": 5}},
 ])
 def test_invalid_scenarios_exit_config(tmp_path, capsys, blocks):
     data = {"org": plain_org(wages=True),
@@ -712,7 +726,9 @@ def test_invalid_scenarios_exit_config(tmp_path, capsys, blocks):
     err = capsys.readouterr().err
     assert "configuration error" in err
     if "org" in blocks:
-        assert "org.levels[0].floater_wage.growth" in err
+        tiny = blocks["org"]["levels"][0]["attrition"] == 1e-310
+        assert ("level 1: the wage bill overflows at attrition 1e-310" if tiny
+                else "org.levels[0].floater_wage.growth") in err
     key, value = next(iter(blocks.items()))
     if not isinstance(value, dict):
         assert (f"configuration error: {key}: expected an object, got "

@@ -20,7 +20,6 @@ from orgflow import (
     floater_average_cost,
     format_cost_table,
     format_plan_table,
-    level_cost,
     org_cost,
     reduce_floaters,
     write_cost_csv,
@@ -54,8 +53,9 @@ def test_breakdown_components_sum(costed_org_20):
 
 def test_level_cost_matches_quadrature(costed_org_20):
     spec = costed_org_20
+    per_level = org_cost(spec, MIXED_PLAN).per_level
     for level in range(1, 6):
-        closed = level_cost(spec, MIXED_PLAN, level)
+        closed = per_level[level - 1]
         quad = cost_quadrature_oracle(spec, MIXED_PLAN, level)
         assert closed == pytest.approx(quad, rel=1e-8)
 
@@ -83,8 +83,6 @@ def test_quadrature_agreement_on_random_orgs():
         for level in range(1, size + 1):
             oracle = cost_quadrature_oracle(spec, plan, level)
             assert bd.per_level[level - 1] == pytest.approx(oracle, rel=1e-6)
-            assert level_cost(spec, plan, level) == pytest.approx(
-                bd.per_level[level - 1], rel=1e-12)
 
         # business units promote internally: one unit is the organization
         # under alpha = 1, and both sides share the ill-posedness rule
@@ -350,7 +348,8 @@ def test_case1_derivative_matches_finite_differences():
         diag = case1_diagnostics(spec, plan)
         up = FlexPlan(alpha=np.ones(4), p=np.array([p1 + h, 1, 1, 1, 1.0]))
         dn = FlexPlan(alpha=np.ones(4), p=np.array([p1 - h, 1, 1, 1, 1.0]))
-        fd = (level_cost(spec, up, 1) - level_cost(spec, dn, 1)) / (2 * h)
+        fd = (org_cost(spec, up).per_level[0]
+              - org_cost(spec, dn).per_level[0]) / (2 * h)
         assert diag.first_derivative == pytest.approx(fd, rel=1e-5)
         fd2 = (case1_diagnostics(spec, up).first_derivative
                - case1_diagnostics(spec, dn).first_derivative) / (2 * h)

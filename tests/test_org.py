@@ -126,13 +126,18 @@ def test_steady_pools_match_closed_form(low_turnover_org):
 def test_min_permanent_share_marks_pool_sign_change(low_turnover_org):
     spec = low_turnover_org
     plan = FlexPlan.all_internal(5)
-    p_min = min_permanent_share(spec, plan, 1)
-    assert p_min == pytest.approx(0.954819, abs=1e-6)
-    for delta, sign in ((1e-4, 1.0), (-1e-4, -1.0)):
-        p = np.ones(5)
-        p[0] = p_min + delta
-        pool = steady_promotable_pool(spec, FlexPlan(alpha=np.ones(4), p=p))[0]
-        assert math.copysign(1.0, pool) == sign
+    p_min = min_permanent_share(spec, plan)
+    assert p_min[0] == pytest.approx(0.954819, abs=1e-6)
+    # every level but the top feeds the one above; the top's floor is 0
+    demanded = promotion_demands(spec, plan)[1:] > 0.0
+    np.testing.assert_array_equal(demanded, [True] * 4 + [False])
+    assert p_min[-1] == 0.0
+    for j in np.flatnonzero(demanded):
+        for delta, sign in ((1e-4, 1.0), (-1e-4, -1.0)):
+            p = np.ones(5)
+            p[j] = p_min[j] + delta
+            pools = steady_promotable_pool(spec, FlexPlan(alpha=np.ones(4), p=p))
+            assert math.copysign(1.0, pools[j]) == sign
 
 
 def test_min_external_ratios_identity_on_self_sufficient_org(low_turnover_org):
