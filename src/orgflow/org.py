@@ -354,7 +354,10 @@ def min_permanent_share(spec: OrgSpec, plan: FlexPlan) -> np.ndarray:
     the levels above. A share strictly above it is equivalent to A_j > 0.
     """
     mu, decay, filled = _level_columns(spec, 1)
-    return filled * promotion_demands(spec, plan)[1:] / (mu * spec.n * decay)
+    c_next = promotion_demands(spec, plan)[1:]
+    # 0, not the 0/0 of an underflowed e^{-mu tau}, where no flux is demanded
+    return np.divide(filled * c_next, mu * spec.n * decay,
+                     out=np.zeros(spec.size), where=c_next > 0.0)
 
 
 def min_external_ratios(spec: OrgSpec) -> np.ndarray:

@@ -138,6 +138,10 @@ def test_min_permanent_share_marks_pool_sign_change(low_turnover_org):
             p[j] = p_min[j] + delta
             pools = steady_promotable_pool(spec, FlexPlan(alpha=np.ones(4), p=p))
             assert math.copysign(1.0, pools[j]) == sign
+    # where e^{-mu tau} underflows, a level nobody is promoted from still
+    # has the floor 0, not 0/0
+    long_wait = build_org([10000.0, 50.0], [0.1, 3.0], [1.0, 300.0])
+    assert min_permanent_share(long_wait, FlexPlan.all_internal(2))[-1] == 0.0
 
 
 def test_min_external_ratios_identity_on_self_sufficient_org(low_turnover_org):
