@@ -480,7 +480,8 @@ class Case1Diagnostics:
 def _case1_pieces(spec: OrgSpec, plan: FlexPlan):
     """Level 1's wage terms (see _wage_terms), the demands C, its inflow G
     and the wage bill's denominator D."""
-    terms = mu, r, _, gap, decay, _ = _wage_terms(spec, 0)
+    terms = _wage_terms(spec, 0)
+    mu, r, _, gap, decay, _ = terms
     c = promotion_demands(spec, plan)
     # alpha_1 C_1 = mu_1 N_1 p_1 + C_2 regardless of the level-1 convention
     inflow = mu * spec.n[0] * plan.p[0] + c[1]
