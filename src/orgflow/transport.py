@@ -44,8 +44,12 @@ the closure's sweep (which also yields step's per-level terms), the step,
 and the metric row sums (sum rho, sum rho (s - tau)+ and, when the run has
 a stationary reference, sum |rho - steady|) written into row k of the
 trajectory arrays, which one elementwise pass after the loop turns into
-the ratios. close_policy_external_fraction and level_metrics apply the
-same kernels to one state.
+the ratios. The excess-wait numerator sum rho (s - tau)+ is one BLAS dot
+product per level row, summed in the BLAS's blocked order: deterministic
+for a given BLAS build and thread count, and within n eps relative of the
+exact sum. sum rho and sum |rho - steady| stay numpy's pairwise sums.
+close_policy_external_fraction and level_metrics apply the same kernels
+to one state.
 """
 
 from __future__ import annotations
@@ -532,14 +536,19 @@ def _metric_sums(density: np.ndarray, weight: np.ndarray,
                  wait_sum: np.ndarray) -> None:
     """The node-wise part of the metrics: sum rho, sum |rho - steady| (left
     as it is without a reference) and sum rho weight, per level, written
-    to the three given rows. scratch, shaped like density, holds the
-    node-wise terms; they get fresh arrays when it is None."""
+    to the three given rows.
+
+    The first two are pairwise sums; scratch, shaped like density, holds
+    the terms |rho - steady| (a fresh array when it is None). The last is
+    one BLAS dot product per row, with no array of products, so its
+    rounding follows the BLAS's blocked order: the same for a given BLAS
+    build and thread count."""
     total = np.add.reduce
     total(density, axis=1, out=mass_sum)
     if steady_density is not None:
         gap = np.subtract(density, steady_density, out=scratch)
         total(np.abs(gap, out=gap), axis=1, out=l1_sum)
-    total(np.multiply(density, weight, out=scratch), axis=1, out=wait_sum)
+    np.vecdot(density, weight, out=wait_sum)
 
 
 def _metric_ratios(ds: float, masses: np.ndarray, pool: np.ndarray,
@@ -582,9 +591,10 @@ def level_metrics(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
 
     Levels without mass divide by 1 instead of M_j, so their ratios are
     the plain numerators (0 for an empty level's zero density). The
-    excess-wait numerator is rho times the run's weight (s - tau)
-    1[s > tau], which equals ((s - tau) rho) 1[s > tau] bit for bit, signed
-    zeros included. run() uses the same two helpers.
+    excess-wait numerator is the BLAS dot product of each density row with
+    the weight (s - tau) 1[s > tau], within n eps relative of the exact
+    sum; run() uses the same two helpers, so its rows equal these bit for
+    bit under the same BLAS build and thread count.
     """
     ready, wait, l1, mass_err = (np.empty(spec.size) for _ in range(4))
     _metric_sums(density, _build_cuts(grid, spec).weight, steady_density,

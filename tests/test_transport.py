@@ -347,7 +347,8 @@ def test_buffered_step_matches_full_array_formula(high_turnover_org, dt, cap,
 def test_run_matches_full_array_replay(low_turnover_org, high_turnover_org,
                                        variant):
     # every run() array replayed step by step with the full-array formulas:
-    # boolean-mask pool sums, np.where ratios, ((s - tau) rho) 1[s > tau]
+    # boolean-mask pool sums, np.where ratios, and the excess-wait
+    # numerator as the dot product of rho with (s - tau) 1[s > tau]
     seed, which, policy, cap, f, initial, dt = variant
     org = high_turnover_org if which == "high" else low_turnover_org
     rng = np.random.default_rng(seed)
@@ -379,7 +380,7 @@ def test_run_matches_full_array_replay(low_turnover_org, high_turnover_org,
         with np.errstate(invalid="ignore", divide="ignore"):
             l1 = (np.full(5, np.nan) if steady is None else
                   grid.ds * np.sum(np.abs(density - steady), axis=1))
-            weighted = grid.ds * np.sum(past * density * ~mask, axis=1)
+            weighted = grid.ds * np.vecdot(density, past * ~mask)
             values = {
                 "promotion": state.promotion, "hiring": state.hiring,
                 "shortfall": state.shortfall, "pool": pools,
