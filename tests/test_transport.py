@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from orgflow import (
     CflViolationError,
@@ -202,39 +202,69 @@ def test_unit_courant_step_is_exact_shift(low_turnover_org, high_turnover_org):
             after, (upwind + np.where(pre, source, 0.0)) / decay)
 
 
+# the most levels a drawn org has; the strategies below draw every
+# per-level value for this many levels (and every density piece up to its
+# maximum count) and keep the first ones, so each example makes the same
+# number of choices and none outgrows hypothesis's size cap for its early
+# examples, which would reject it
+_MAX_LEVELS = 4
+
+
+def _level_values(draw, lo: float, hi: float, size: int) -> list[float]:
+    return [draw(st.floats(lo, hi)) for _ in range(_MAX_LEVELS)][:size]
+
+
+def _draw_well_posed_org(draw, plan: FlexPlan):
+    """An org well posed under plan by construction: attrition and
+    eligibility ages are drawn freely, then headcounts from the top down,
+    each level's N_j at least the bound N_j p_j > (e^{mu_j tau_j} - 1)
+    C_{j+1} / mu_j that keeps its pool positive, divided by a slack
+    fraction below 1. stationary_state checks the result."""
+    size, alpha, p = plan.p.size, plan.alpha.tolist(), plan.p.tolist()
+    mu, tau = (_level_values(draw, 0.05, 0.6, size),
+               _level_values(draw, 0.5, 6.0, size))
+    heads = _level_values(draw, 100.0, 5000.0, size)
+    slack = _level_values(draw, 0.1, 0.9, size)
+    demand = 0.0  # C_{j+1}, the flux the level above draws from level j
+    for j in range(size - 1, -1, -1):
+        need = math.expm1(mu[j] * tau[j]) * demand / (mu[j] * p[j])
+        heads[j] = max(heads[j], need / slack[j])
+        demand = mu[j] * heads[j] * p[j] + demand
+        if j:
+            demand /= alpha[j - 1]
+    spec = build_org(heads, mu, tau)
+    stationary_state(spec, plan)
+    return spec
+
+
 @st.composite
 def _orgs_and_jumpy_densities(draw):
     """A random well-posed org on a unit-Courant grid, with piecewise-flat
     nonnegative densities of exact mass N_j whose pieces jump by any
     factor, zeros included; the last node is empty, so nothing leaves the
     grid in one step."""
-    size = draw(st.integers(1, 4))
-    spec = build_org(draw(st.lists(st.floats(100.0, 5000.0), min_size=size,
-                                   max_size=size)),
-                     draw(st.lists(st.floats(0.05, 0.6), min_size=size,
-                                   max_size=size)),
-                     draw(st.lists(st.floats(0.5, 6.0), min_size=size,
-                                   max_size=size)))
-    try:
-        stationary_state(spec, FlexPlan.all_internal(size))
-    except IllPosedError:
-        assume(False)
+    size = draw(st.integers(1, _MAX_LEVELS))
+    spec = _draw_well_posed_org(draw, FlexPlan.all_internal(size))
     ds = draw(st.sampled_from([0.05, 0.1]))
     grid = SeniorityGrid(ds=ds, dt=ds, s_max=12.0)
-    value = st.one_of(st.just(0.0), st.floats(1e-6, 1e3))
     rows = []
-    for _ in range(size):
-        pieces = draw(st.lists(st.tuples(st.integers(1, 60), value),
-                               min_size=1, max_size=8))
-        flat = np.repeat([v for _, v in pieces],
-                         [w for w, _ in pieces])[:grid.n_nodes - 1]
-        if not flat.any():  # an empty level gets a one-node spike
-            flat[draw(st.integers(0, flat.size - 1))] = draw(
-                st.floats(1e-6, 1e3))
+    for _ in range(_MAX_LEVELS):
+        count = draw(st.integers(1, 8))
+        widths, values = [], []
+        for _ in range(8):
+            widths.append(draw(st.integers(1, 60)))
+            zero, value = draw(st.booleans()), draw(st.floats(1e-6, 1e3))
+            values.append(0.0 if zero else value)
+        # an empty level gets a one-node spike
+        spike = draw(st.integers(0, grid.n_nodes - 2)), draw(
+            st.floats(1e-6, 1e3))
+        flat = np.repeat(values[:count], widths[:count])[:grid.n_nodes - 1]
+        if not flat.any():
+            flat[spike[0] % flat.size] = spike[1]
         row = np.zeros(grid.n_nodes)
         row[:flat.size] = flat
         rows.append(row)
-    density = np.array(rows)
+    density = np.array(rows[:size])
     density *= (spec.n / (ds * density.sum(axis=1)))[:, np.newaxis]
     cap = draw(st.sampled_from([0.5, 2.0, np.inf]))
     return spec, grid, density, cap, draw(st.floats(0.0, 0.5))
@@ -263,27 +293,36 @@ def test_unit_courant_step_properties(case):
     assert np.all(after >= 0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_orgs_and_jumpy_densities())
+def test_metric_sums_against_exact_sums(case):
+    # the excess-wait numerator, a BLAS dot product per row, lies within
+    # n 2^-52 relative of the correctly rounded sum of the products: every
+    # product is nonnegative, so a blocked sum's error bound, n eps times
+    # the sum of |rho weight|, is relative to the sum itself (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2002, ch. 3-4);
+    # sum rho stays numpy's pairwise sum, bit for bit
+    spec, grid, density, _, _ = case
+    weight = transport._build_cuts(grid, spec).weight
+    mass, l1, wait = (np.full(spec.size, np.nan) for _ in range(3))
+    transport._metric_sums(density, weight, None, None, mass, l1, wait)
+    assert _bits(mass) == _bits(np.add.reduce(density, axis=1))
+    assert np.all(np.isnan(l1))
+    for rho, w, total in zip(density, weight, wait):
+        exact = math.fsum((rho * w).tolist())
+        assert abs(total - exact) <= grid.n_nodes * 2.0 ** -52 * exact
+
+
 @st.composite
 def _well_posed_orgs_and_plans(draw):
     """A random well-posed org of 1-4 levels, a plan it is well posed
-    under, and a unit-Courant grid whose uniform start leaves every
-    demanded pool nonempty."""
-    size = draw(st.integers(1, 4))
-
-    def values(lo, hi, n=size):
-        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n,
-                                      max_size=n)))
-
-    spec = build_org(values(100.0, 5000.0), values(0.05, 0.6),
-                     values(0.5, 6.0))
-    plan = FlexPlan(alpha=values(1.0, 2.0, size - 1), p=values(0.3, 1.0))
-    grid = SeniorityGrid(ds=0.1, dt=0.1, s_max=20.0)
-    try:
-        stationary_state(spec, plan)
-        make_initial_density(spec, plan, grid, "uniform")
-    except (IllPosedError, InfeasibleInitialDataError):
-        assume(False)
-    return spec, plan, grid
+    under, and a unit-Courant grid. The uniform start is flat on
+    [0, 2 tau_j] with tau_j >= 5 ds, so every pool starts near M_j / 2."""
+    size = draw(st.integers(1, _MAX_LEVELS))
+    plan = FlexPlan(alpha=np.array(_level_values(draw, 1.0, 2.0, size)[1:]),
+                    p=np.array(_level_values(draw, 0.3, 1.0, size)))
+    spec = _draw_well_posed_org(draw, plan)
+    return spec, plan, SeniorityGrid(ds=0.1, dt=0.1, s_max=20.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -477,13 +516,14 @@ def _bits(values) -> bytes:
 
 
 @pytest.mark.parametrize("case", ["zero-horizon", "zero-mass", "no-steady",
-                                  "no-l1"])
+                                  "no-l1", "long-rows"])
 def test_public_closure_and_metrics_match_run(low_turnover_org,
                                               high_turnover_org, case):
     # close_policy_external_fraction and level_metrics on the final
     # density give run()'s last rows bit for bit: the public functions and
     # the run share the pool sums, the sweep, the metric sums and the
-    # ratio pass
+    # ratio pass; with rows longer than 10,000 nodes a threaded BLAS such
+    # as OpenBLAS splits each excess-wait dot product across its threads
     org, plan, policy, f, cap = high_turnover_org, None, "max-internal", 0.0, 2.0
     horizon, grid = 1.5, SeniorityGrid(s_max=40.0)
     if case == "zero-horizon":
@@ -493,6 +533,10 @@ def test_public_closure_and_metrics_match_run(low_turnover_org,
     elif case == "no-steady":
         # level 2 drains more than level 1 can supply: no stationary profile
         org = build_org([100.0, 1000.0], [0.1, 0.5], [4.0, 1.0])
+    elif case == "long-rows":
+        org, horizon = low_turnover_org, 0.1
+        grid = SeniorityGrid(ds=0.004, dt=0.004, s_max=42.0)
+        assert grid.n_nodes > 10_000
     else:
         org, policy, f = low_turnover_org, "external-fraction", 0.3
     args = dict(plan=plan, grid=grid, policy=policy, horizon=horizon, cap=cap,
