@@ -522,8 +522,8 @@ def test_public_closure_and_metrics_match_run(low_turnover_org,
     # close_policy_external_fraction and level_metrics on the final
     # density give run()'s last rows bit for bit: the public functions and
     # the run share the pool sums, the sweep, the metric sums and the
-    # ratio pass; with rows longer than 10,000 nodes a threaded BLAS such
-    # as OpenBLAS splits each excess-wait dot product across its threads
+    # ratio pass; past 10,000 nodes a row, a threaded BLAS such as OpenBLAS
+    # may split each excess-wait dot product across its threads
     org, plan, policy, f, cap = high_turnover_org, None, "max-internal", 0.0, 2.0
     horizon, grid = 1.5, SeniorityGrid(s_max=40.0)
     if case == "zero-horizon":
