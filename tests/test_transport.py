@@ -221,8 +221,8 @@ def _draw_well_posed_org(draw, plan: FlexPlan):
     C_{j+1} / mu_j that keeps its pool positive, divided by a slack
     fraction below 1. stationary_state checks the result."""
     size, alpha, p = plan.p.size, plan.alpha.tolist(), plan.p.tolist()
-    mu, tau = (_level_values(draw, 0.05, 0.6, size),
-               _level_values(draw, 0.5, 6.0, size))
+    mu = _level_values(draw, 0.05, 0.6, size)
+    tau = _level_values(draw, 0.5, 6.0, size)
     heads = _level_values(draw, 100.0, 5000.0, size)
     slack = _level_values(draw, 0.1, 0.9, size)
     demand = 0.0  # C_{j+1}, the flux the level above draws from level j
@@ -256,11 +256,11 @@ def _orgs_and_jumpy_densities(draw):
             zero, value = draw(st.booleans()), draw(st.floats(1e-6, 1e3))
             values.append(0.0 if zero else value)
         # an empty level gets a one-node spike
-        spike = draw(st.integers(0, grid.n_nodes - 2)), draw(
-            st.floats(1e-6, 1e3))
+        at, spike = (draw(st.integers(0, grid.n_nodes - 2)),
+                     draw(st.floats(1e-6, 1e3)))
         flat = np.repeat(values[:count], widths[:count])[:grid.n_nodes - 1]
         if not flat.any():
-            flat[spike[0] % flat.size] = spike[1]
+            flat[at % flat.size] = spike
         row = np.zeros(grid.n_nodes)
         row[:flat.size] = flat
         rows.append(row)
