@@ -290,9 +290,10 @@ class PlanObjective:
     """Penalized org cost as a function of a flat gene vector.
 
     Genes are the free entries of (alpha_2..alpha_L, p_1..p_L); either
-    block can be frozen. Frozen entries come from fixed_plan, defaulting
-    to alpha = 1 and p = 1 (disabling temporaries altogether is the
-    optimize_p=False case). Exposes bounds, feasibility and decoding.
+    block, or both, can be frozen. Frozen entries come from fixed_plan,
+    defaulting to alpha = 1 and p = 1 (disabling temporaries altogether is
+    the optimize_p=False case). With no gene free the GA prices the one
+    frozen plan. Exposes bounds, feasibility and decoding.
 
     Calling it on genes of shape (..., n_genes) prices them in one array
     call: one gene vector gives a float, a (B, n_genes) population an
@@ -309,8 +310,6 @@ class PlanObjective:
     fixed_plan: FlexPlan | None = None
 
     def __post_init__(self):
-        if not (self.optimize_alpha or self.optimize_p):
-            raise ValueError("at least one gene block must be free")
         if self.alpha_max < 1.0:
             raise ValueError("alpha_max must be at least 1")
         self._pricing = _Pricing(self.spec)
@@ -360,13 +359,16 @@ class PlanObjective:
 
     def _level_first(self, genes: np.ndarray):
         """Level-first ratios and shares (a frozen block as a column) of
-        every gene vector, and the genes' leading shape."""
+        every gene vector, and the genes' leading shape. With no gene
+        free, the shares repeat the frozen column once per gene vector."""
         genes = self._genes(genes)
         lead = genes.shape[:-1]
         rows = genes.reshape(math.prod(lead), genes.shape[-1]).T
         alpha = (rows[:self.n_alpha] if self.optimize_alpha
                  else self._fixed.alpha[:, None])
         p = rows[self.n_alpha:] if self.optimize_p else self._fixed.p[:, None]
+        if not (self.optimize_alpha or self.optimize_p):
+            p = np.repeat(p, rows.shape[1], axis=1)
         return alpha, p, lead
 
     def __call__(self, genes: np.ndarray):

@@ -65,7 +65,8 @@ class OrgValidationError(ValueError):
 
 
 class IllPosedError(ValueError):
-    """A stationary profile would need a non-positive promotable pool."""
+    """A stationary profile would need a non-positive promotable pool, or
+    one too small for its promotion rate to be finite."""
 
     def __init__(self, levels: list[int], pools: list[float]):
         self.levels = list(levels)
@@ -429,7 +430,8 @@ def stationary_state(spec: OrgSpec, plan: FlexPlan | None = None) -> SteadyState
     """Assemble the stationary profile, or raise IllPosedError.
 
     Ill-posed means a pool A_j <= 0 while the flux C_{j+1} demanded from it
-    is positive; the exception lists every such level. A level facing no
+    is positive, or a positive pool so small that the rate C_{j+1} / A_j
+    overflows; the exception lists every such level. A level facing no
     demand gets P_j = 0, whatever its pool.
     """
     if plan is None:
@@ -438,7 +440,9 @@ def stationary_state(spec: OrgSpec, plan: FlexPlan | None = None) -> SteadyState
     c, pools, ill = stationary_pools(spec, plan)
     IllPosedError.check(pools, ill)
     rate = np.zeros(spec.size)
-    np.divide(c[1:], pools, out=rate, where=c[1:] > 0.0)
+    with np.errstate(over="ignore"):
+        np.divide(c[1:], pools, out=rate, where=c[1:] > 0.0)
+    IllPosedError.check(pools, ~np.isfinite(rate))
     inflow = spec.mu * spec.n * plan.p + c[1:]
     return SteadyState(
         spec=spec,

@@ -50,6 +50,26 @@ for a given BLAS build and thread count, and within n eps relative of the
 exact sum. sum rho and sum |rho - steady| stay numpy's pairwise sums.
 close_policy_external_fraction and level_metrics apply the same kernels
 to one state.
+
+At dt = ds run() keeps the nodes past the cut head as a delay line. No
+node there has a source term, so a step moves each of them one node on,
+divided by its level's divisor 1 + dt (mu + P). The tail is stored in
+per-level scaled units, rho = S u, in a ring twice the grid's width: a
+step slides the (L, n_nodes) window one column, divides S by the divisor
+and converts only the column entering the tail, and step computes only
+the head and that column. The head keeps the upwind arithmetic exactly,
+and the pools read only the head, so promotion, hiring, shortfall, pool
+and ready_ratio are bit for bit those of the full-array update. The
+metric sums read the head and add S times the tail's sums sum u and
+sum u (s - tau), which the line carries from step to step and recomputes
+from the ring at each copy of the window back to the ring's end (every
+n_nodes steps) and at each rescale (S below 1e-100, reset to 1). The
+snapshots, the final density and the l1 pass multiply S u out. The
+density, excess_wait, l1_to_steady and mass_error therefore differ from
+the full-array update's by a few eps per step, within the bounds that
+tests/test_transport.py states. With dt < ds no node is a plain shift of
+its neighbour, and run() updates the full array, as step does for a
+PolicyState.
 """
 
 from __future__ import annotations
@@ -227,27 +247,31 @@ class PolicyState:
 
 class _StepTerms:
     """What run() hands step in place of the closure's PolicyState: the
-    terms PolicyState._step_terms computes, set by the loop from the
-    sweep's Python floats and the pool sums' rho pre, so no numpy
-    arithmetic runs on L-vectors per step."""
+    terms PolicyState._step_terms computes. The loop sets the ghost
+    values, source rates and divisors, the rows of block, in one
+    assignment from the sweep's Python floats, and the pool sums set held
+    to rho pre, so no numpy arithmetic runs on L-vectors per step."""
 
     def __init__(self, held: np.ndarray):
-        self.ghost, self.held = np.empty(len(held)), held
-        self.rate, self.divisor = np.empty((2, len(held), 1))
+        self.held = held
+        self.block = np.empty((3, len(held)))
+        self.ghost = self.block[0]
+        self.rate, self.divisor = self.block[1:, :, np.newaxis]
 
     def _step_terms(self, density, spec, grid, masses) -> tuple:
         return self.ghost, self.rate, self.divisor, self.held
 
 
 def _pool_sums(density: np.ndarray, cuts: _Cuts, ds: float,
-               masses: np.ndarray, held: np.ndarray | None = None,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """A_j = M_j - ds * sum_i rho_ji pre_ji, written to out when given.
+               masses: list[float], held: np.ndarray | None = None
+               ) -> list[float]:
+    """A_j = M_j - ds * sum_i rho_ji pre_ji, as Python floats.
 
     pre is zero past the cut head, so only the first head columns are
     read; held, an (L, head) array, receives rho pre on them."""
     held = np.multiply(density[:, :cuts.head], cuts.pre_head, out=held)
-    return np.subtract(masses, ds * np.add.reduce(held, axis=1), out=out)
+    return [m - ds * a for m, a in
+            zip(masses, np.add.reduce(held, axis=1).tolist())]
 
 
 def _empty_floor(masses: np.ndarray) -> np.ndarray:
@@ -339,11 +363,12 @@ def close_policy_external_fraction(density: np.ndarray, spec: OrgSpec,
         masses = spec.n.copy()
     share = _shares(alpha_frac, spec.size, cap)
     cuts = _build_cuts(grid, spec)
-    pools = _pool_sums(density, cuts, grid.ds, masses)
+    mass = masses.tolist()
+    pools = _pool_sums(density, cuts, grid.ds, mass)
     floor = _empty_floor(masses)
     promotion, hiring, shortfall, _ = _sweep(
-        spec.mu.tolist(), masses.tolist(), pools.tolist(), floor.tolist(),
-        share, cap)
+        spec.mu.tolist(), mass, pools, floor.tolist(), share, cap)
+    pools = np.array(pools)
     return PolicyState(promotion=np.array(promotion), hiring=np.array(hiring),
                        shortfall=np.array(shortfall), pool=pools,
                        empty=pools <= floor, pre=cuts.pre, cap=cap)
@@ -362,9 +387,12 @@ def step(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
     with these masses, as run() calls it: its pool A is the promotable mass
     the ghost value needs, and its pre mask marks where the source acts.
 
-    The new densities are written to out, a C-contiguous array shaped like
-    density that must not overlap it, and returned; a new array is
-    allocated when out is not given.
+    The new densities are written to out, a C-contiguous array that must
+    not overlap density, and returned; a new array shaped like density is
+    allocated when out is not given. out may have fewer columns than
+    density, w: it then receives the first w columns of the new densities,
+    which depend only on the first w columns of density (run() at dt = ds
+    computes the head and the column entering its delay line this way).
     """
     if out is None:
         out = np.empty_like(density, order="C")
@@ -372,22 +400,28 @@ def step(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
         raise ValueError("out must be C-contiguous")
     ghost, rate, divisor, held = policy._step_terms(density, spec, grid,
                                                     masses)
-    # the advection runs over the flattened rows, one contiguous pass, and
-    # the first node of every row then takes its ghost value: at unit
-    # Courant number a shift by one node, else rho - lam (rho - rho_upwind)
-    flat, rho = out.reshape(-1), density.reshape(-1)
+    # the first node of every row takes its ghost value: at unit Courant
+    # number a shift by one node, else rho - lam (rho - rho_upwind); a
+    # full-width out gets the shift over the flattened rows, one
+    # contiguous pass
+    width = out.shape[1]
+    if width == density.shape[1]:
+        rho, shifted = density.reshape(-1), out.reshape(-1)[1:]
+    else:
+        rho, shifted = density[:, :width], out[:, 1:]
     lam = grid.dt / grid.ds
     if lam == 1.0:
-        flat[1:] = rho[:-1]
+        shifted[...] = rho[..., :-1]
         out[:, 0] = ghost
     else:
-        np.subtract(rho[1:], rho[:-1], out=flat[1:])
+        np.subtract(rho[..., 1:], rho[..., :-1], out=shifted)
         out[:, 0] = density[:, 0] - ghost
-        flat *= lam
-        np.subtract(rho, flat, out=flat)
+        out *= lam
+        np.subtract(density[:, :width], out, out=out)
     # the promotion source dt P rho 1[s <= tau] is added only on held's
     # columns, which run() cuts at its head; past the head it is +0, which
     # leaves nonnegative values unchanged
+    held = held[:, :width]
     held *= rate
     out[:, :held.shape[1]] += held
     out /= divisor
@@ -478,7 +512,8 @@ def make_initial_density(spec: OrgSpec, plan: FlexPlan | None,
         raise ValueError(
             f"unknown initial density kind {kind!r}; expected stationary, "
             "uniform, or truncated-exponential")
-    pools = _pool_sums(density, _build_cuts(grid, spec), grid.ds, masses)
+    pools = np.array(_pool_sums(density, _build_cuts(grid, spec), grid.ds,
+                                masses.tolist()))
     starved = [int(j) + 1 for j in np.flatnonzero(
         ill_posed(pools, promotion_demands(spec, plan)))]
     if starved:
@@ -504,7 +539,9 @@ class SimulationResult:
     run() fills ready_ratio, excess_wait, l1_to_steady and mass_error in
     two stages: every step writes its row sums into them (see the module
     docstring), and one elementwise pass after the last step turns them
-    into the ratios that level_metrics gives for each state, bit for bit.
+    into the ratios that level_metrics gives for each state: bit for bit
+    with dt < ds, and with dt = ds within the delay line's bounds (the
+    pools, hence ready_ratio, still bit for bit).
     """
 
     times: np.ndarray
@@ -543,12 +580,18 @@ def _metric_sums(density: np.ndarray, weight: np.ndarray,
     one BLAS dot product per row, with no array of products, so its
     rounding follows the BLAS's blocked order: the same for a given BLAS
     build and thread count."""
-    total = np.add.reduce
-    total(density, axis=1, out=mass_sum)
+    np.add.reduce(density, axis=1, out=mass_sum)
     if steady_density is not None:
-        gap = np.subtract(density, steady_density, out=scratch)
-        total(np.abs(gap, out=gap), axis=1, out=l1_sum)
+        _l1_sum(density, steady_density, scratch, l1_sum)
     np.vecdot(density, weight, out=wait_sum)
+
+
+def _l1_sum(density: np.ndarray, steady_density: np.ndarray,
+            scratch: np.ndarray | None, out: np.ndarray) -> None:
+    """sum |rho - steady| per level, pairwise, into out; scratch, shaped
+    like density, may be density itself."""
+    gap = np.subtract(density, steady_density, out=scratch)
+    np.add.reduce(np.abs(gap, out=gap), axis=1, out=out)
 
 
 def _metric_ratios(ds: float, masses: np.ndarray, pool: np.ndarray,
@@ -593,8 +636,11 @@ def level_metrics(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
     the plain numerators (0 for an empty level's zero density). The
     excess-wait numerator is the BLAS dot product of each density row with
     the weight (s - tau) 1[s > tau], within n eps relative of the exact
-    sum; run() uses the same two helpers, so its rows equal these bit for
-    bit under the same BLAS build and thread count.
+    sum; run() uses the same two helpers, so with dt < ds its rows equal
+    these bit for bit under the same BLAS build and thread count. At
+    dt = ds run() sums the tail as a delay line (see the module
+    docstring), and its excess_wait, l1_to_steady and mass_error rows are
+    within a few eps per step of these.
     """
     ready, wait, l1, mass_err = (np.empty(spec.size) for _ in range(4))
     _metric_sums(density, _build_cuts(grid, spec).weight, steady_density,
@@ -603,6 +649,113 @@ def level_metrics(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
                    steady_density is not None, ready, wait, l1, mass_err)
     return {"ready_ratio": ready, "excess_wait": wait, "l1_to_steady": l1,
             "mass_error": mass_err}
+
+
+# a level's scale S is reset to 1, its stored tail multiplied by S, once
+# it falls below this, so a stored value rho / S stays finite for every
+# density below 1e208
+_RESCALE_BELOW = 1e-100
+
+
+class _DelayLine:
+    """run()'s densities at unit Courant number, the nodes past the cut
+    head kept as a delay line.
+
+    No node past the head has a source term, so a step moves its value to
+    the next node divided by the level's divisor 1 + dt (mu + P). The
+    densities live in an (L, 2 n_nodes) ring; window, its (L, n_nodes)
+    view, holds the head columns as densities and the tail columns in
+    per-level scaled units u, rho = S u. A step slides the window one
+    column towards the ring's start, writes the step's new head there,
+    divides S by the divisor and converts only the column entering the
+    tail; the column leaving the grid drops out of the window. When the
+    window reaches the ring's start it is copied back to the ring's end.
+
+    The tail's sums sum u and sum u (s - tau) are carried from step to
+    step as Python floats, and recomputed from the ring at every copy and
+    at every rescale (a level's S below _RESCALE_BELOW, as where a
+    near-empty pool drives P to 1e11 per year). state lists them, then S,
+    level by level: S times the sums is the tail's part of run()'s mass
+    and excess-wait numerators.
+    """
+
+    def __init__(self, density: np.ndarray, cuts: _Cuts, ds: float):
+        size, n = density.shape
+        self.head, self.n, self.ds = cuts.head, n, ds
+        self.ring = np.empty((size, 2 * n))
+        self.start = n
+        self.window = self.ring[:, n:]
+        self.window[...] = density
+        # the tail's excess-wait weights, spaced by ds from the first one as
+        # the running sums age them, in place of s - tau, whose rounding
+        # would shift them by up to (s + tau) eps at every step
+        first = cuts.weight[:, cuts.head:cuts.head + 1]
+        self.weight = first + ds * np.arange(n - cuts.head)
+        self.weight_in = first[:, 0].tolist()
+        self.weight_out = self.weight[:, -1].tolist()
+        self._resum([1.0] * size)
+
+    def _resum(self, scale: list[float]) -> None:
+        tail = self.window[:, self.head:]
+        self.peak = np.vecdot(tail, self.weight).tolist()
+        self.state = np.add.reduce(tail, axis=1).tolist() + self.peak + scale
+
+    def advance(self, fresh: np.ndarray, divisor: list[float]) -> None:
+        """One step: fresh holds the step's new head columns and, after
+        them, the column entering the tail, all as densities; divisor the
+        levels' 1 + dt (mu + P)."""
+        head, n, ds, ring = self.head, self.n, self.ds, self.ring
+        start = self.start - 1
+        ring[:, start:start + head] = fresh[:, :head]
+        size = len(divisor)
+        state = self.state
+        u_sum, w_sum, scale, peak, entering = [], [], [], [], []
+        shrunk = False
+        # the window's old last column, at ring column start + n, leaves;
+        # the ones kept move one node on, their weights up by ds
+        for u, w, s, top, d, rho, gone, w_in, w_out in zip(
+                state[:size], state[size:2 * size], state[2 * size:],
+                self.peak, divisor, fresh[:, head].tolist(),
+                ring[:, start + n].tolist(), self.weight_in, self.weight_out):
+            s /= d
+            rho /= s
+            u -= gone
+            w = (w - gone * w_out) + ds * u + rho * w_in
+            if w > top:
+                top = w
+            elif w < 0.5 * top:
+                shrunk = True
+            u_sum.append(u + rho)
+            w_sum.append(w)
+            scale.append(s)
+            peak.append(top)
+            entering.append(rho)
+        ring[:, start + head] = entering
+        self.state, self.peak = u_sum + w_sum + scale, peak
+        if start == 0:
+            ring[:, n:] = ring[:, :n]
+            start = n
+        self.start = start
+        self.window = ring[:, start:start + n]
+        if min(scale) < _RESCALE_BELOW:
+            self.window[:, head:] *= np.array(scale)[:, np.newaxis]
+            self._resum([1.0] * size)
+        elif start == n or shrunk:
+            self._resum(scale)
+
+    def density(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The densities, the tail's S u multiplied out, written to out (a
+        new array when it is None)."""
+        window, head = self.window, self.head
+        if out is None:
+            out = np.empty(window.shape)
+        out[:, :head] = window[:, :head]
+        # row by row with a Python float scale: numpy broadcasts an (L, 1)
+        # column over the rows at about twice the cost
+        for u, rho, scale in zip(window[:, head:], out[:, head:],
+                                 self.state[2 * len(window):]):
+            np.multiply(u, scale, out=rho)
+        return out
 
 
 def _policy_fractions(policy: str, spec: OrgSpec, plan: FlexPlan,
@@ -674,35 +827,65 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
     n_steps = int(round(horizon / grid.dt))
     times = grid.dt * np.arange(n_steps + 1)
     snap_steps = {int(round(t / grid.dt)) for t in snapshot_times}
-    promotion, hiring, shortfall, pool, ready, wait, l1, mass_err = (
-        np.zeros((n_steps + 1, spec.size)) for _ in range(8))
     snapshots: dict[float, np.ndarray] = {}
-    # the next density, made once; before each step it is the metric sums'
-    # scratch
-    spare = np.empty_like(density)
     # the sweep's and step's per-run constants, as Python floats
     floor = _empty_floor(masses)
     mu, mass, floors = spec.mu.tolist(), masses.tolist(), floor.tolist()
     dt = grid.dt
     terms = _StepTerms(np.empty((spec.size, cuts.head)))
+    # at unit Courant number the nodes past the head are a delay line: step
+    # computes the head and the column entering the tail, the metric sums
+    # read the head, and the line carries the tail's sums
+    line = (_DelayLine(density, cuts, grid.ds)
+            if dt / grid.ds == 1.0 and cuts.head < grid.n_nodes else None)
+    width = cuts.head if line else grid.n_nodes
+    weight = cuts.weight[:, :width]
+    # row k of record holds step k's Python floats in one assignment: the
+    # promotion, hiring and shortfall rates, the pools and, with a delay
+    # line, its state (the tail's sums and scales)
+    record = np.empty((n_steps + 1, 7 if line else 4, spec.size))
+    promotion, hiring, shortfall, pool = record.transpose(1, 0, 2)[:4]
+    rows = record.reshape(n_steps + 1, -1)
+    ready, wait, l1, mass_err = (np.zeros((n_steps + 1, spec.size))
+                                 for _ in range(4))
+    if line:
+        fresh = np.empty((spec.size, width + 1))
+    # the next density, made once, without a delay line; before each step
+    # it is the l1 sum's scratch
+    spare = np.empty_like(density) if not line or steady is not None else None
 
     for k in range(n_steps + 1):
-        pools = _pool_sums(density, cuts, grid.ds, masses, terms.held,
-                           out=pool[k])
-        rates, hiring[k], shortfall[k], demand = _sweep(
-            mu, mass, pools.tolist(), floors, share, cap)
-        promotion[k] = rates
-        _metric_sums(density, cuts.weight, steady, spare, mass_err[k],
+        if line:
+            density = line.window
+        pools = _pool_sums(density, cuts, grid.ds, mass, terms.held)
+        rates, hires, shorts, demand = _sweep(mu, mass, pools, floors, share,
+                                              cap)
+        rows[k] = rates + hires + shorts + pools + (line.state if line
+                                                    else [])
+        _metric_sums(density[:, :width], weight, None, None, mass_err[k],
                      l1[k], wait[k])
+        if steady is not None:
+            _l1_sum(line.density(spare) if line else density, steady, spare,
+                    l1[k])
         if k in snap_steps:
-            snapshots[float(times[k])] = density.copy()
+            snapshots[float(times[k])] = (line.density() if line
+                                          else density.copy())
         if k == n_steps:
             break
-        terms.ghost[:] = demand
-        terms.rate[:, 0] = [dt * p for p in rates]
-        terms.divisor[:, 0] = [1.0 + dt * (m + p) for m, p in zip(mu, rates)]
-        step(density, spec, grid, terms, masses, out=spare)
-        density, spare = spare, density
+        divisor = [1.0 + dt * (m + p) for m, p in zip(mu, rates)]
+        terms.block[...] = demand, [dt * p for p in rates], divisor
+        if line:
+            step(density, spec, grid, terms, masses, out=fresh)
+            line.advance(fresh, divisor)
+        else:
+            step(density, spec, grid, terms, masses, out=spare)
+            density, spare = spare, density
+    if line:
+        density = line.density()
+        sums = record[:, 4:6]
+        sums *= record[:, 6:]
+        mass_err += sums[:, 0]
+        wait += sums[:, 1]
     _metric_ratios(grid.ds, masses, pool, pool <= floor, steady is not None,
                    ready, wait, l1, mass_err)
     return SimulationResult(

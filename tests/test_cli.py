@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,6 +100,30 @@ def test_steady_ill_posed_prints_remedy(tmp_path, capsys):
     assert "ill-posed stationary problem:" in captured.out
     assert "alpha_2=24.5913" in captured.out
     assert "ill-posed model:" in captured.err
+
+
+def test_steady_rejects_overflowing_promotion_rate(tmp_path, capsys):
+    # level 1 has tau = 0, so its pool is N_1 p_1: positive at this p_1, but
+    # so small that C_2 / A_1 overflows; it is ill posed (exit 3), with no
+    # RuntimeWarning and no infinite rate printed
+    data = {
+        "org": {"levels": [
+            {"headcount": 7623.87, "attrition": 0.5, "base_wage": 157},
+            {"headcount": 9211.3, "attrition": 0.38, "eligibility_age": 5.57,
+             "base_wage": 147}]},
+        "plan": {"alpha": [1.0], "p": [2.2250738585e-313, 0.6]},
+        "cost": {"premium": 0.2},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    path = write_scenario(tmp_path, data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["steady", "--config", path]) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    captured = capsys.readouterr()
+    assert "ill-posed stationary problem:" in captured.out
+    assert "level 1: pool" in captured.err
+    assert "inf" not in captured.out
 
 
 def test_simulate_writes_csv_outputs(tmp_path, capsys):
@@ -251,6 +276,14 @@ def test_optimize_with_no_free_gene(tmp_path, capsys):
     assert cli.main(["optimize", "--config", path]) == 0
     assert "best plan (seed 1, 8x4)" in capsys.readouterr().out
     assert (tmp_path / "out" / "ga_history.csv").exists()
+    # on five levels, optimize_alpha and optimize_p false freeze every gene
+    data["org"] = plain_org(wages=True)
+    data["optimizer"]["optimize_alpha"] = False
+    data["output"]["directory"] = str(tmp_path / "out5")
+    path = write_scenario(tmp_path, data, name="five.json")
+    assert cli.main(["optimize", "--config", path]) == 0
+    assert "best plan (seed 1, 8x4)" in capsys.readouterr().out
+    assert (tmp_path / "out5" / "best_plan_cost.csv").exists()
 
 
 def test_dump_config_round_trip(tmp_path, capsys):

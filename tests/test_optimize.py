@@ -83,6 +83,18 @@ def test_ga_prices_the_frozen_plan_when_no_gene_is_free():
     cost = org_cost(spec, FlexPlan.all_internal(1)).total
     assert result.best.fitness == cost
     assert result.best_history.tolist() == [cost] * 3
+    # on five levels with both blocks frozen, once per gene vector
+    spec = costed_org(premium=0.2)
+    objective = PlanObjective(spec, optimize_alpha=False, optimize_p=False)
+    assert objective.bounds.shape == (0, 2)
+    cost = org_cost(spec, FlexPlan.all_internal(5)).total
+    assert objective(np.zeros(0)) == cost
+    assert objective(np.zeros((3, 0))).tolist() == [cost] * 3
+    result = ga_minimize(objective, GaConfig(bounds=objective.bounds,
+                                             population_size=8,
+                                             generations=3, seed=1))
+    assert result.best.fitness == cost
+    assert result.best_history.tolist() == [cost] * 3
 
 
 def test_ga_zero_elitism_still_tracks_best():

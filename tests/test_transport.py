@@ -375,49 +375,75 @@ def test_buffered_step_matches_full_array_formula(high_turnover_org, dt, cap,
                                   expected)
 
 
-@pytest.mark.parametrize("variant", [
-    # (seed, org, policy, cap, external fraction, initial, dt)
-    (1, "high", "max-internal", 1.0, 0.0, "uniform", 0.05),
-    (2, "high", "max-internal", np.inf, 0.0, "truncated-exponential", 0.05),
-    (3, "low", "external-fraction", 5.0, 0.25, "uniform", 0.05),
-    (4, "low", "fixed-plan", 2.0, 0.0, "truncated-exponential", 0.03),
-    (5, "low", "external-fraction", np.inf, 0.4, "stationary", 0.02),
-])
-def test_run_matches_full_array_replay(low_turnover_org, high_turnover_org,
-                                       variant):
-    # every run() array replayed step by step with the full-array formulas:
-    # boolean-mask pool sums, np.where ratios, and the excess-wait
-    # numerator as the dot product of rho with (s - tau) 1[s > tau]
-    seed, which, policy, cap, f, initial, dt = variant
-    org = high_turnover_org if which == "high" else low_turnover_org
-    rng = np.random.default_rng(seed)
-    plan = FlexPlan(alpha=1.0 + 0.3 * rng.random(4),
-                    p=np.concatenate((rng.uniform(0.7, 1.0, 4), [1.0])))
-    grid = SeniorityGrid(ds=0.05, dt=dt, s_max=40.0)
-    horizon = 2.0
-    result = run(org, plan=plan, grid=grid, policy=policy, horizon=horizon,
-                 cap=cap, external_fraction=f, initial=initial)
+# the arrays of run() that the pools alone set, bit for bit whatever the
+# step, and those that also read the density past the cut head
+_POLICY_ARRAYS = ("promotion", "hiring", "shortfall", "pool", "ready_ratio")
+_TAIL_ARRAYS = ("excess_wait", "l1_to_steady", "mass_error")
 
-    fractions = {"max-internal": np.zeros(5), "external-fraction": np.full(5, f),
-                 "fixed-plan": np.concatenate(([0.0], plan.alpha - 1.0))}[policy]
+
+def _delay_line_bounds(n_steps: int, n_nodes: int) -> dict[str, float]:
+    """What run()'s delay line at dt = ds may move, against the full-array
+    update, after n_steps steps on n_nodes nodes, from float64's eps.
+
+    density, relative, with the smallest normal float as the floor of the
+    scale: a tail node's value is rounded at most 2 n_steps + 2 times on
+    the way (its level's scale is divided once per step, the value is
+    converted once, multiplied out once and rescaled at most once per
+    step), against n_steps divisions in the full-array update.
+    mass_error and l1_to_steady, absolute, as both are relative to the
+    level mass: the density's bound, plus the tail's sums, carried over at
+    most n_nodes steps between recomputations and added to the head's sum
+    in another order. excess_wait, relative: the same, plus the tail's
+    weights, spaced by ds from the first one (within (s + tau) eps, below
+    2 n_nodes eps of the weight past the first tail node), and the carried
+    sum's few roundings per step, at most doubled by the sum's fall since
+    its last recomputation, which is kept above half its peak."""
+    eps = np.finfo(float).eps
+    sums = 2 * (n_steps + n_nodes + 1) * eps
+    return {"density": 2 * (n_steps + 1) * eps, "mass_error": sums,
+            "l1_to_steady": sums,
+            "excess_wait": 2 * (n_steps + 8 * n_nodes + 1) * eps}
+
+
+def _assert_within(name: str, got, want, bound: float) -> None:
+    """got and want agree on NaNs and differ elsewhere by at most bound,
+    times max(|got|, |want|, tiny) for density and excess_wait."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.array_equal(np.isnan(got), np.isnan(want)), name
+    gap = np.abs(np.nan_to_num(got) - np.nan_to_num(want))
+    scale = 1.0
+    if name in ("density", "excess_wait"):
+        scale = np.maximum(np.maximum(np.abs(got), np.abs(want)),
+                           np.finfo(float).tiny)
+    assert np.all(gap <= bound * scale), (
+        f"{name}: {float(np.nanmax(gap / scale)):.3g} > {bound:.3g}")
+
+
+def _replay(org, plan, grid, fractions, cap, initial, horizon, steady):
+    """run()'s arrays replayed step by step with the full-array formulas:
+    boolean-mask pool sums, np.where ratios, the excess-wait numerator as
+    the dot product of rho with (s - tau) 1[s > tau] and the upwind update
+    over every node. Returns the rows by name and the density of every
+    step. The pool sums stop where the mask does, as their pairwise
+    order depends on the row's length."""
     masses = org.n * plan.p
     mask = grid.pre_eligibility_mask(org)
+    head = int(np.count_nonzero(mask.any(axis=0)))
     past = grid.s - org.tau[:, np.newaxis]
-    steady = result.steady_density
     lam = grid.dt / grid.ds
     density = make_initial_density(org, plan, grid, initial)
-    rows = {name: [] for name in ("promotion", "hiring", "shortfall", "pool",
-                                  "ready_ratio", "excess_wait",
-                                  "l1_to_steady", "mass_error")}
+    rows = {name: [] for name in _POLICY_ARRAYS + _TAIL_ARRAYS}
+    densities = []
     n_steps = int(round(horizon / grid.dt))
     for k in range(n_steps + 1):
-        pools = masses - grid.ds * np.sum(density * mask, axis=1)
+        densities.append(density)
+        pools = masses - grid.ds * np.sum((density * mask)[:, :head], axis=1)
         state = close_policy_external_fraction(density, org, grid, cap=cap,
                                                alpha_frac=fractions,
                                                masses=masses)
         np.testing.assert_array_equal(state.pool, pools)
         with np.errstate(invalid="ignore", divide="ignore"):
-            l1 = (np.full(5, np.nan) if steady is None else
+            l1 = (np.full(org.size, np.nan) if steady is None else
                   grid.ds * np.sum(np.abs(density - steady), axis=1))
             weighted = grid.ds * np.vecdot(density, past * ~mask)
             values = {
@@ -427,7 +453,8 @@ def test_run_matches_full_array_replay(low_turnover_org, high_turnover_org,
                 "excess_wait": np.where(state.empty, 0.0, weighted / pools),
                 "l1_to_steady": np.where(masses > 0, l1 / masses, l1),
                 "mass_error": np.abs(grid.ds * np.sum(density, axis=1)
-                                     - masses) / masses,
+                                     - masses) / np.where(masses > 0, masses,
+                                                          1.0),
             }
         for name, value in values.items():
             rows[name].append(value)
@@ -440,10 +467,117 @@ def test_run_matches_full_array_replay(low_turnover_org, high_turnover_org,
         advected = upwind if lam == 1.0 else density - lam * (density - upwind)
         density = ((advected + grid.dt * rate * mask * density)
                    / (1.0 + grid.dt * (org.mu[:, np.newaxis] + rate)))
-    for name, replayed in rows.items():
-        np.testing.assert_array_equal(getattr(result, name), replayed,
+    return {name: np.array(v) for name, v in rows.items()}, densities
+
+
+def _assert_matches_replay(result, rows, densities) -> None:
+    """The policy arrays bit for bit; the density and the arrays that read
+    it bit for bit with dt < ds and within the delay line's bounds at
+    dt = ds."""
+    for name in _POLICY_ARRAYS:
+        np.testing.assert_array_equal(getattr(result, name), rows[name],
                                       err_msg=name)
-    np.testing.assert_array_equal(result.density, density)
+    grid = result.grid
+    pairs = [(name, getattr(result, name), rows[name])
+             for name in _TAIL_ARRAYS]
+    pairs.append(("density", result.density, densities[-1]))
+    if grid.dt < grid.ds:
+        for name, got, want in pairs:
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        return
+    bounds = _delay_line_bounds(result.times.size - 1, grid.n_nodes)
+    for name, got, want in pairs:
+        _assert_within(name, got, want, bounds[name])
+
+
+@pytest.mark.parametrize("variant", [
+    # (seed, org, policy, cap, external fraction, initial, dt)
+    (1, "high", "max-internal", 1.0, 0.0, "uniform", 0.05),
+    (2, "high", "max-internal", np.inf, 0.0, "truncated-exponential", 0.05),
+    (3, "low", "external-fraction", 5.0, 0.25, "uniform", 0.05),
+    (4, "low", "fixed-plan", 2.0, 0.0, "truncated-exponential", 0.03),
+    (5, "low", "external-fraction", np.inf, 0.4, "stationary", 0.02),
+])
+def test_run_matches_full_array_replay(low_turnover_org, high_turnover_org,
+                                       variant):
+    # every run() array replayed step by step with the full-array formulas
+    # (_replay): the pools and rates bit for bit, and the arrays that read
+    # the density past the cut head bit for bit with dt < ds, within the
+    # delay line's bounds at dt = ds
+    seed, which, policy, cap, f, initial, dt = variant
+    org = high_turnover_org if which == "high" else low_turnover_org
+    rng = np.random.default_rng(seed)
+    plan = FlexPlan(alpha=1.0 + 0.3 * rng.random(4),
+                    p=np.concatenate((rng.uniform(0.7, 1.0, 4), [1.0])))
+    grid = SeniorityGrid(ds=0.05, dt=dt, s_max=40.0)
+    horizon = 2.0
+    result = run(org, plan=plan, grid=grid, policy=policy, horizon=horizon,
+                 cap=cap, external_fraction=f, initial=initial)
+    fractions = {"max-internal": np.zeros(5), "external-fraction": np.full(5, f),
+                 "fixed-plan": np.concatenate(([0.0], plan.alpha - 1.0))}[policy]
+    rows, densities = _replay(org, plan, grid, fractions, cap, initial,
+                              horizon, result.steady_density)
+    _assert_matches_replay(result, rows, densities)
+
+
+@st.composite
+def _delay_line_runs(draw):
+    """run() arguments that reach every path of the delay line: dt = ds
+    (and dt < ds, the full-array update), horizons past n_nodes steps (the
+    window's copies back to the ring's end), the high-turnover ladder
+    uncapped (near-empty pools, P to 1e11 per year, rescales), eligibility
+    ages all 0 (an empty head) and a one-column tail."""
+    kind = draw(st.sampled_from(["random", "no-head", "ladder"]))
+    if kind == "ladder":
+        spec = build_org([8000, 4000, 2500, 1000, 500],
+                         [0.16, 0.16, 0.16, 0.16, 0.5], [4.0] * 5)
+        plan = FlexPlan.all_internal(5)
+    else:
+        size = draw(st.integers(1, _MAX_LEVELS))
+        plan = FlexPlan(
+            alpha=np.array(_level_values(draw, 1.0, 2.0, size)[1:]),
+            p=np.array(_level_values(draw, 0.3, 1.0, size)))
+        spec = _draw_well_posed_org(draw, plan)
+        if kind == "no-head":
+            # a level with tau = 0 has pool N p > 0: still well posed
+            spec = build_org(spec.n, spec.mu, [0.0] * size)
+    ds = draw(st.sampled_from([0.1, 0.25]))
+    dt = ds * draw(st.sampled_from([1.0, 1.0, 1.0, 0.6]))
+    head = int(np.max(SeniorityGrid(ds=ds, dt=ds).eligibility_index(spec.tau)))
+    tail = draw(st.sampled_from([1, 2, 30]))
+    grid = SeniorityGrid(ds=ds, dt=dt, s_max=ds * max(head + tail, 2))
+    n_steps = draw(st.integers(1, int(2.5 * grid.n_nodes)))
+    cap = draw(st.sampled_from([1.0, np.inf]))
+    f = draw(st.sampled_from([0.0, 0.25]))
+    initial = draw(st.sampled_from(["uniform", "truncated-exponential"]))
+    return spec, plan, grid, n_steps * grid.dt, cap, f, initial
+
+
+@settings(max_examples=40, deadline=None)
+@given(_delay_line_runs())
+def test_delay_line_matches_full_array_replay(case):
+    # over random well-posed orgs and grids, run() against the full-array
+    # replay: the policy arrays bit for bit, the rest within the delay
+    # line's bounds; every step's materialized density (a snapshot at
+    # every step) is the replayed one, and run()'s mass_error is its mass
+    # error, within those bounds
+    spec, plan, grid, horizon, cap, f, initial = case
+    times = grid.dt * np.arange(int(round(horizon / grid.dt)) + 1)
+    result = run(spec, plan=plan, grid=grid, policy="external-fraction",
+                 horizon=horizon, cap=cap, external_fraction=f,
+                 initial=initial, snapshot_times=times)
+    rows, densities = _replay(spec, plan, grid, np.full(spec.size, f), cap,
+                              initial, horizon, result.steady_density)
+    _assert_matches_replay(result, rows, densities)
+    bounds = _delay_line_bounds(times.size - 1, grid.n_nodes)
+    masses = result.masses
+    per = np.where(masses > 0, masses, 1.0)
+    for k, t in enumerate(times):
+        snapshot = result.snapshots[float(t)]
+        _assert_within("density", snapshot, densities[k], bounds["density"])
+        _assert_within("mass_error", result.mass_error[k],
+                       np.abs(grid.ds * snapshot.sum(axis=1) - masses) / per,
+                       bounds["mass_error"])
 
 
 def test_eligibility_mask_built_once_per_run(monkeypatch, low_turnover_org):
@@ -520,10 +654,12 @@ def _bits(values) -> bytes:
 def test_public_closure_and_metrics_match_run(low_turnover_org,
                                               high_turnover_org, case):
     # close_policy_external_fraction and level_metrics on the final
-    # density give run()'s last rows bit for bit: the public functions and
-    # the run share the pool sums, the sweep, the metric sums and the
-    # ratio pass; past 10,000 nodes a row, a threaded BLAS such as OpenBLAS
-    # may split each excess-wait dot product across its threads
+    # density give run()'s last rows: the public functions and the run
+    # share the pool sums, the sweep, the metric sums and the ratio pass,
+    # so the rows the pools set agree bit for bit, and those that read the
+    # tail, which run() sums as a delay line at dt = ds, within its bounds;
+    # past 10,000 nodes a row, a threaded BLAS such as OpenBLAS may split
+    # each excess-wait dot product across its threads
     org, plan, policy, f, cap = high_turnover_org, None, "max-internal", 0.0, 2.0
     horizon, grid = 1.5, SeniorityGrid(s_max=40.0)
     if case == "zero-horizon":
@@ -565,8 +701,13 @@ def test_public_closure_and_metrics_match_run(low_turnover_org,
         assert _bits(getattr(state, name)) == _bits(getattr(result, name)[-1]), name
     metrics = level_metrics(result.density, org, grid, state, result.masses,
                             result.steady_density)
+    bounds = _delay_line_bounds(result.times.size - 1, grid.n_nodes)
     for name, value in metrics.items():
-        assert _bits(value) == _bits(getattr(result, name)[-1]), name
+        if name in _TAIL_ARRAYS:
+            _assert_within(name, getattr(result, name)[-1], value,
+                           bounds[name])
+        else:
+            assert _bits(value) == _bits(getattr(result, name)[-1]), name
     if case in ("no-steady", "no-l1"):
         assert np.all(np.isnan(result.l1_to_steady))
     if case == "zero-mass":
