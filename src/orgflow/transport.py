@@ -63,8 +63,9 @@ and ready_ratio are bit for bit those of the full-array update. The
 metric sums read the head and add S times the tail's sums sum u and
 sum u (s - tau), which the line carries from step to step and recomputes
 from the ring at each copy of the window back to the ring's end (every
-n_nodes steps) and at each rescale (S below 1e-100, reset to 1). The
-snapshots, the final density and the l1 pass multiply S u out. The
+n_nodes steps), at each rescale (S below 1e-100, reset to 1) and when a
+carried sum u (s - tau) falls below half its peak. The snapshots, the
+final density and the l1 pass multiply S u out. The
 density, excess_wait, l1_to_steady and mass_error therefore differ from
 the full-array update's by a few eps per step, within the bounds that
 tests/test_transport.py states. With dt < ds no node is a plain shift of
@@ -568,28 +569,22 @@ class SimulationResult:
 
 
 def _metric_sums(density: np.ndarray, weight: np.ndarray,
-                 steady_density: np.ndarray | None, scratch: np.ndarray | None,
-                 mass_sum: np.ndarray, l1_sum: np.ndarray,
-                 wait_sum: np.ndarray) -> None:
-    """The node-wise part of the metrics: sum rho, sum |rho - steady| (left
-    as it is without a reference) and sum rho weight, per level, written
-    to the three given rows.
+                 mass_sum: np.ndarray, wait_sum: np.ndarray) -> None:
+    """The node-wise part of the metrics but the l1 sum: sum rho and
+    sum rho weight, per level, written to the two given rows.
 
-    The first two are pairwise sums; scratch, shaped like density, holds
-    the terms |rho - steady| (a fresh array when it is None). The last is
-    one BLAS dot product per row, with no array of products, so its
-    rounding follows the BLAS's blocked order: the same for a given BLAS
-    build and thread count."""
+    The first is a pairwise sum. The second is one BLAS dot product per
+    row, with no array of products, so its rounding follows the BLAS's
+    blocked order: the same for a given BLAS build and thread count."""
     np.add.reduce(density, axis=1, out=mass_sum)
-    if steady_density is not None:
-        _l1_sum(density, steady_density, scratch, l1_sum)
     np.vecdot(density, weight, out=wait_sum)
 
 
 def _l1_sum(density: np.ndarray, steady_density: np.ndarray,
             scratch: np.ndarray | None, out: np.ndarray) -> None:
     """sum |rho - steady| per level, pairwise, into out; scratch, shaped
-    like density, may be density itself."""
+    like density, may be density itself (a fresh array when it is
+    None)."""
     gap = np.subtract(density, steady_density, out=scratch)
     np.add.reduce(np.abs(gap, out=gap), axis=1, out=out)
 
@@ -599,7 +594,7 @@ def _metric_ratios(ds: float, masses: np.ndarray, pool: np.ndarray,
                    wait: np.ndarray, l1: np.ndarray,
                    mass_err: np.ndarray) -> None:
     """The elementwise part of the metrics, in place over the sums of
-    _metric_sums: one row per state, or any number of rows at once, since
+    _metric_sums and _l1_sum: one row per state, or any number of rows at once, since
     each element gets the same double operations whatever the shape.
 
     ready holds nothing on entry and receives A / M; pool and empty are the
@@ -643,8 +638,9 @@ def level_metrics(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
     within a few eps per step of these.
     """
     ready, wait, l1, mass_err = (np.empty(spec.size) for _ in range(4))
-    _metric_sums(density, _build_cuts(grid, spec).weight, steady_density,
-                 None, mass_err, l1, wait)
+    _metric_sums(density, _build_cuts(grid, spec).weight, mass_err, wait)
+    if steady_density is not None:
+        _l1_sum(density, steady_density, None, l1)
     _metric_ratios(grid.ds, masses, policy.pool, policy.empty,
                    steady_density is not None, ready, wait, l1, mass_err)
     return {"ready_ratio": ready, "excess_wait": wait, "l1_to_steady": l1,
@@ -672,11 +668,13 @@ class _DelayLine:
     window reaches the ring's start it is copied back to the ring's end.
 
     The tail's sums sum u and sum u (s - tau) are carried from step to
-    step as Python floats, and recomputed from the ring at every copy and
-    at every rescale (a level's S below _RESCALE_BELOW, as where a
-    near-empty pool drives P to 1e11 per year). state lists them, then S,
-    level by level: S times the sums is the tail's part of run()'s mass
-    and excess-wait numerators.
+    step as Python floats, and recomputed from the ring at every copy, at
+    every rescale (a level's S below _RESCALE_BELOW, as where a near-empty
+    pool drives P to 1e11 per year) and when a level's sum u (s - tau)
+    falls below half its peak since the last recomputation, which keeps
+    its rounding relative to its value. state lists them, then S, level
+    by level: S times the sums is the tail's part of run()'s mass and
+    excess-wait numerators.
     """
 
     def __init__(self, density: np.ndarray, cuts: _Cuts, ds: float):
@@ -686,9 +684,10 @@ class _DelayLine:
         self.start = n
         self.window = self.ring[:, n:]
         self.window[...] = density
-        # the tail's excess-wait weights, spaced by ds from the first one as
-        # the running sums age them, in place of s - tau, whose rounding
-        # would shift them by up to (s + tau) eps at every step
+        # the tail's excess-wait weights, spaced by ds from the first one,
+        # as the carried sums age them: the grid's s - tau are spaced by ds
+        # only to within (s + tau) eps, and that gap would add up in the
+        # carried sum at every step
         first = cuts.weight[:, cuts.head:cuts.head + 1]
         self.weight = first + ds * np.arange(n - cuts.head)
         self.weight_in = first[:, 0].tolist()
@@ -862,8 +861,7 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
                                               cap)
         rows[k] = rates + hires + shorts + pools + (line.state if line
                                                     else [])
-        _metric_sums(density[:, :width], weight, None, None, mass_err[k],
-                     l1[k], wait[k])
+        _metric_sums(density[:, :width], weight, mass_err[k], wait[k])
         if steady is not None:
             _l1_sum(line.density(spare) if line else density, steady, spare,
                     l1[k])

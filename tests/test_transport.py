@@ -304,10 +304,9 @@ def test_metric_sums_against_exact_sums(case):
     # sum rho stays numpy's pairwise sum, bit for bit
     spec, grid, density, _, _ = case
     weight = transport._build_cuts(grid, spec).weight
-    mass, l1, wait = (np.full(spec.size, np.nan) for _ in range(3))
-    transport._metric_sums(density, weight, None, None, mass, l1, wait)
+    mass, wait = (np.full(spec.size, np.nan) for _ in range(2))
+    transport._metric_sums(density, weight, mass, wait)
     assert _bits(mass) == _bits(np.add.reduce(density, axis=1))
-    assert np.all(np.isnan(l1))
     for rho, w, total in zip(density, weight, wait):
         exact = math.fsum((rho * w).tolist())
         assert abs(total - exact) <= grid.n_nodes * 2.0 ** -52 * exact
