@@ -647,9 +647,9 @@ def level_metrics(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
             "mass_error": mass_err}
 
 
-# a level's scale S is reset to 1, its stored tail multiplied by S, once
-# it falls below this, so a stored value rho / S stays finite for every
-# density below 1e208
+# a level's scale S is reset to its unit, the stored tail multiplied by
+# S / unit, once S / unit falls below this, so a stored value rho / S stays
+# below about 1e100 rho / unit
 _RESCALE_BELOW = 1e-100
 
 
@@ -667,23 +667,31 @@ class _DelayLine:
     tail; the column leaving the grid drops out of the window. When the
     window reaches the ring's start it is copied back to the ring's end.
 
-    The tail's sums sum u and sum u (s - tau) are carried from step to
-    step as Python floats, and recomputed from the ring at every copy, at
-    every rescale (a level's S below _RESCALE_BELOW, as where a near-empty
-    pool drives P to 1e11 per year) and when a level's sum u (s - tau)
-    falls below half its peak since the last recomputation, which keeps
-    its rounding relative to its value. state lists them, then S, level
-    by level: S times the sums is the tail's part of run()'s mass and
+    A level's S starts at its unit, the power of 2 at most max(M, 1)
+    within a factor 2, so that the stored values stay near rho / M however
+    large the headcount, and dividing by it is exact. The tail's sums
+    sum u and sum u (s - tau) are carried from step to step as Python
+    floats, and recomputed from the ring at every copy, at every rescale
+    (a level's S / unit below _RESCALE_BELOW, as where a near-empty pool
+    drives P to 1e11 per year) and when a level's sum u (s - tau) falls
+    below half its peak since the last recomputation, which keeps its
+    rounding relative to its value. state lists them, then S, level by
+    level: S times the sums is the tail's part of run()'s mass and
     excess-wait numerators.
     """
 
-    def __init__(self, density: np.ndarray, cuts: _Cuts, ds: float):
+    def __init__(self, density: np.ndarray, cuts: _Cuts, ds: float,
+                 masses: list[float]):
         size, n = density.shape
         self.head, self.n, self.ds = cuts.head, n, ds
+        self.unit = [math.ldexp(1.0, math.frexp(max(m, 1.0))[1] - 1)
+                     for m in masses]
+        self.floor = [_RESCALE_BELOW * unit for unit in self.unit]
         self.ring = np.empty((size, 2 * n))
         self.start = n
         self.window = self.ring[:, n:]
         self.window[...] = density
+        self.window[:, cuts.head:] /= np.array(self.unit)[:, np.newaxis]
         # the tail's excess-wait weights, spaced by ds from the first one,
         # as the carried sums age them: the grid's s - tau are spaced by ds
         # only to within (s + tau) eps, and that gap would add up in the
@@ -692,7 +700,7 @@ class _DelayLine:
         self.weight = first + ds * np.arange(n - cuts.head)
         self.weight_in = first[:, 0].tolist()
         self.weight_out = self.weight[:, -1].tolist()
-        self._resum([1.0] * size)
+        self._resum(self.unit)
 
     def _resum(self, scale: list[float]) -> None:
         tail = self.window[:, self.head:]
@@ -736,9 +744,10 @@ class _DelayLine:
             start = n
         self.start = start
         self.window = ring[:, start:start + n]
-        if min(scale) < _RESCALE_BELOW:
-            self.window[:, head:] *= np.array(scale)[:, np.newaxis]
-            self._resum([1.0] * size)
+        if any(s < low for s, low in zip(scale, self.floor)):
+            self.window[:, head:] *= (np.array(scale)
+                                      / self.unit)[:, np.newaxis]
+            self._resum(self.unit)
         elif start == n or shrunk:
             self._resum(scale)
 
@@ -835,7 +844,7 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
     # at unit Courant number the nodes past the head are a delay line: step
     # computes the head and the column entering the tail, the metric sums
     # read the head, and the line carries the tail's sums
-    line = (_DelayLine(density, cuts, grid.ds)
+    line = (_DelayLine(density, cuts, grid.ds, mass)
             if dt / grid.ds == 1.0 and cuts.head < grid.n_nodes else None)
     width = cuts.head if line else grid.n_nodes
     weight = cuts.weight[:, :width]

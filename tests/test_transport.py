@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orgflow import (
     CflViolationError,
@@ -554,6 +554,12 @@ def _delay_line_runs(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(_delay_line_runs())
+# the uncapped ladder on a 46-node grid for 115 steps: four rescales and
+# two copies of the window, whatever hypothesis draws
+@example((build_org([8000, 4000, 2500, 1000, 500],
+                    [0.16, 0.16, 0.16, 0.16, 0.5], [4.0] * 5),
+          FlexPlan.all_internal(5), SeniorityGrid(ds=0.25, dt=0.25, s_max=11.5),
+          28.75, np.inf, 0.0, "uniform"))
 def test_delay_line_matches_full_array_replay(case):
     # over random well-posed orgs and grids, run() against the full-array
     # replay: the policy arrays bit for bit, the rest within the delay
@@ -577,6 +583,35 @@ def test_delay_line_matches_full_array_replay(case):
         _assert_within("mass_error", result.mass_error[k],
                        np.abs(grid.ds * snapshot.sum(axis=1) - masses) / per,
                        bounds["mass_error"])
+
+
+@pytest.mark.parametrize("cap", [np.inf, 2.0])
+def test_run_scales_with_headcounts(low_turnover_org, high_turnover_org, cap):
+    # the model is linear in the headcounts and run()'s arithmetic scales
+    # exactly by a power of 2, the delay line's units and rescales
+    # included: at headcounts near 1e293 every rate and ratio is bit for
+    # bit that of the plain org, and every pool and density that times
+    # 2^960, with nothing overflowing; only where the plain org's tail
+    # has decayed below the normal floats (P near 1e11 uncapped) does each
+    # of its 400 steps round to a multiple of 2^-1074
+    grid = SeniorityGrid(s_max=40.0)
+    tiny = np.finfo(float).tiny
+    for org in (low_turnover_org, high_turnover_org):
+        huge = build_org(np.ldexp(org.n, 960), org.mu, org.tau)
+        args = dict(grid=grid, horizon=20.0, cap=cap,
+                    snapshot_times=[0.0, 10.0, 20.0])
+        plain, scaled = run(org, **args), run(huge, **args)
+        for name in ("promotion", "hiring", "shortfall", "ready_ratio",
+                     "excess_wait", "l1_to_steady", "mass_error"):
+            assert _bits(getattr(scaled, name)) == _bits(getattr(plain, name)), name
+        pairs = [(plain.pool, scaled.pool), (plain.density, scaled.density)]
+        pairs += [(density, scaled.snapshots[t])
+                  for t, density in plain.snapshots.items()]
+        for small, large in pairs:
+            down = np.ldexp(large, -960)
+            normal = np.abs(small) >= tiny
+            assert _bits(down[normal]) == _bits(small[normal])
+            assert np.all(np.abs(down - small) <= 400 * 2.0 ** -1074)
 
 
 def test_eligibility_mask_built_once_per_run(monkeypatch, low_turnover_org):
