@@ -63,8 +63,9 @@ and ready_ratio are bit for bit those of the full-array update. The
 metric sums read the head and add S times the tail's sums sum u and
 sum u (s - tau), which the line carries from step to step and recomputes
 from the ring at each copy of the window back to the ring's end (every
-n_nodes steps), at each rescale (S below 1e-100, reset to 1) and when a
-carried sum u (s - tau) falls below half its peak. The snapshots, the
+n_nodes steps), at each rescale (S 1e-100 below its level's unit, a
+power of 2 near the level's mass, and reset to it) and when a carried
+sum u (s - tau) falls below half its peak. The snapshots, the
 final density and the l1 pass multiply S u out. The
 density, excess_wait, l1_to_steady and mass_error therefore differ from
 the full-array update's by a few eps per step, within the bounds that
@@ -667,9 +668,9 @@ class _DelayLine:
     tail; the column leaving the grid drops out of the window. When the
     window reaches the ring's start it is copied back to the ring's end.
 
-    A level's S starts at its unit, the power of 2 at most max(M, 1)
-    within a factor 2, so that the stored values stay near rho / M however
-    large the headcount, and dividing by it is exact. The tail's sums
+    A level's S starts at its unit, the largest power of 2 not above
+    max(M, 1), so that the stored values stay near rho / M however large
+    the headcount, and dividing by it is exact. The tail's sums
     sum u and sum u (s - tau) are carried from step to step as Python
     floats, and recomputed from the ring at every copy, at every rescale
     (a level's S / unit below _RESCALE_BELOW, as where a near-empty pool
