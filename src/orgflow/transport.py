@@ -60,15 +60,15 @@ and converts only the column entering the tail, and step computes only
 the head and that column. The head keeps the upwind arithmetic exactly,
 and the pools read only the head, so promotion, hiring, shortfall, pool
 and ready_ratio are bit for bit those of the full-array update. The
-metric sums read the head and add S times the tail's sums sum u and
-sum u (s - tau), which the line carries from step to step and recomputes
+metric sums read the head and add S times the tail's sums sum u and sum
+u (s - tau), which the line carries from step to step and recomputes
 from the ring at each copy of the window back to the ring's end (every
 n_nodes steps), at each rescale (S 1e-100 below its level's unit, a
 power of 2 near the level's mass, and reset to it) and when a carried
-sum u (s - tau) falls below half its peak. The snapshots, the
-final density and the l1 pass multiply S u out. The
-density, excess_wait, l1_to_steady and mass_error therefore differ from
-the full-array update's by a few eps per step, within the bounds that
+sum u (s - tau) falls below half its peak. The snapshots, the final
+density and the l1 pass multiply S u out. The density, excess_wait,
+l1_to_steady and mass_error therefore differ from the full-array
+update's by a few eps per step, within the bounds that
 tests/test_transport.py states. With dt < ds no node is a plain shift of
 its neighbour, and run() updates the full array, as step does for a
 PolicyState.
