@@ -338,6 +338,19 @@ def ill_posed(pools: np.ndarray, demands: np.ndarray) -> np.ndarray:
     return (pools <= 0.0) & (demands[..., 1:] > 0.0)
 
 
+def _promotion_rates(c: np.ndarray, pools: np.ndarray, ill: np.ndarray
+                     ) -> np.ndarray:
+    """P_j = C_{j+1} / A_j, 0 where no flux is demanded, from one plan's
+    demands, pools and ill_posed mask. Raises IllPosedError for the levels
+    ill flags, else for every pool so small that its rate overflows."""
+    IllPosedError.check(pools, ill)
+    rate = np.zeros(pools.shape)
+    with np.errstate(over="ignore"):
+        np.divide(c[1:], pools, out=rate, where=c[1:] > 0.0)
+    IllPosedError.check(pools, ~np.isfinite(rate))
+    return rate
+
+
 def steady_promotable_pool(spec: OrgSpec,
                            plan: FlexPlan | None = None) -> np.ndarray:
     """Stationary promotable masses A_1..A_L beyond the eligibility ages
@@ -438,11 +451,7 @@ def stationary_state(spec: OrgSpec, plan: FlexPlan | None = None) -> SteadyState
         plan = FlexPlan.all_internal(spec.size)
     plan.check(spec)
     c, pools, ill = stationary_pools(spec, plan)
-    IllPosedError.check(pools, ill)
-    rate = np.zeros(spec.size)
-    with np.errstate(over="ignore"):
-        np.divide(c[1:], pools, out=rate, where=c[1:] > 0.0)
-    IllPosedError.check(pools, ~np.isfinite(rate))
+    rate = _promotion_rates(c, pools, ill)
     inflow = spec.mu * spec.n * plan.p + c[1:]
     return SteadyState(
         spec=spec,

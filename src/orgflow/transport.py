@@ -70,8 +70,7 @@ density and the l1 pass multiply S u out. The density, excess_wait,
 l1_to_steady and mass_error therefore differ from the full-array
 update's by a few eps per step, within the bounds that
 tests/test_transport.py states. With dt < ds no node is a plain shift of
-its neighbour, and run() updates the full array, as step does for a
-PolicyState.
+its neighbour, and run() has step update the full array.
 """
 
 from __future__ import annotations
@@ -87,6 +86,8 @@ from .org import (
     FlexPlan,
     IllPosedError,
     OrgSpec,
+    _level_first_pools,
+    _promotion_rates,
     ill_posed,
     promotion_demands,
     stationary_state,
@@ -94,13 +95,10 @@ from .org import (
 
 __all__ = [
     "SeniorityGrid",
-    "PolicyState",
     "SimulationResult",
     "CflViolationError",
     "InfeasibleInitialDataError",
-    "discrete_stationary_density",
     "make_initial_density",
-    "step",
     "close_policy_external_fraction",
     "run",
     "level_metrics",
@@ -180,15 +178,13 @@ class _Cuts:
     """Constants of the eligibility cut; they depend only on (grid,
     spec.tau).
 
-    pre       (L, n_nodes) 1.0 on the nodes s_i <= tau_j, 0.0 past them
-    head      nodes up to the last pre-eligibility node of any level (pre
-              marks a prefix of every row, so it is zero past them)
-    pre_head  (L, head) contiguous copy of pre's first head columns
+    head      nodes up to the last pre-eligibility node of any level (the
+              nodes s_i <= tau_j are a prefix of every row)
+    pre_head  (L, head) 1.0 on the nodes s_i <= tau_j, 0.0 past them
     weight    (L, n_nodes) (s_i - tau_j) 1[s_i > tau_j], the excess-wait
               weight; -0.0 where s_i < tau_j
     """
 
-    pre: np.ndarray
     head: int
     pre_head: np.ndarray
     weight: np.ndarray
@@ -198,70 +194,9 @@ def _build_cuts(grid: SeniorityGrid, spec: OrgSpec) -> _Cuts:
     mask = grid.pre_eligibility_mask(spec)
     weight = np.subtract(grid.s, spec.tau[:, np.newaxis])
     weight *= ~mask
-    pre = mask.astype(float)
     head = int(np.count_nonzero(mask.any(axis=0)))
-    return _Cuts(pre=pre, head=head, pre_head=pre[:, :head].copy(),
+    return _Cuts(head=head, pre_head=mask[:, :head].astype(float),
                  weight=weight)
-
-
-@dataclass
-class PolicyState:
-    """Per-level promotion and hiring rates closing the balance law.
-
-    promotion  P_j per year, applied to the promotable pool; top level 0
-    hiring     h_j per year, external inflow relative to the level mass
-    shortfall  delta_j >= 0, the hiring beyond the imposed external
-               fraction, needed when the promotion cap binds
-    pool       discrete promotable mass A_j used by the closure
-    empty      pools the closure treats as empty, A_j <= 1e-12 max(M_j, 1):
-               no promotion flow is drawn from them, and level_metrics
-               reports no excess wait there
-    pre        (L, n_nodes) 0/1 float mask of the nodes s_i <= tau_j still
-               below eligibility, from which the pools were computed
-    cap        the promotion-rate ceiling in force
-    """
-
-    promotion: np.ndarray
-    hiring: np.ndarray
-    shortfall: np.ndarray
-    pool: np.ndarray
-    empty: np.ndarray
-    pre: np.ndarray
-    cap: float
-
-    def balance_residual(self, spec: OrgSpec, masses: np.ndarray) -> np.ndarray:
-        """h_j M_j + P_{j-1} A_{j-1} - mu_j M_j - P_j A_j, per level."""
-        promoted_in = np.concatenate(
-            ([0.0], self.promotion[:-1] * self.pool[:-1]))
-        return (self.hiring * masses + promoted_in
-                - spec.mu * masses - self.promotion * self.pool)
-
-    def _step_terms(self, density: np.ndarray, spec: OrgSpec,
-                    grid: SeniorityGrid, masses: np.ndarray) -> tuple:
-        """What step needs besides the density: the ghost values
-        mu M + P A, the source rates dt P and the divisors 1 + dt (mu + P),
-        the last two as (L, 1) columns, and rho pre."""
-        return (spec.mu * masses + self.promotion * self.pool,
-                (grid.dt * self.promotion)[:, np.newaxis],
-                (1.0 + grid.dt * (spec.mu + self.promotion))[:, np.newaxis],
-                density * self.pre)
-
-
-class _StepTerms:
-    """What run() hands step in place of the closure's PolicyState: the
-    terms PolicyState._step_terms computes. The loop sets the ghost
-    values, source rates and divisors, the rows of block, in one
-    assignment from the sweep's Python floats, and the pool sums set held
-    to rho pre, so no numpy arithmetic runs on L-vectors per step."""
-
-    def __init__(self, held: np.ndarray):
-        self.held = held
-        self.block = np.empty((3, len(held)))
-        self.ghost = self.block[0]
-        self.rate, self.divisor = self.block[1:, :, np.newaxis]
-
-    def _step_terms(self, density, spec, grid, masses) -> tuple:
-        return self.ghost, self.rate, self.divisor, self.held
 
 
 def _pool_sums(density: np.ndarray, cuts: _Cuts, ds: float,
@@ -342,7 +277,7 @@ def close_policy_external_fraction(density: np.ndarray, spec: OrgSpec,
                                    cap: float = DEFAULT_PROMOTION_CAP,
                                    alpha_frac=0.0,
                                    masses: np.ndarray | None = None
-                                   ) -> PolicyState:
+                                   ) -> dict[str, np.ndarray]:
     """Close promotion and hiring rates, imposing an external-hiring share.
 
     Sweeps levels from the top down with the top promotion rate fixed at
@@ -359,25 +294,23 @@ def close_policy_external_fraction(density: np.ndarray, spec: OrgSpec,
     bottom level that nobody is promoted into, is ignored. With
     alpha_frac = 0 this is exactly the maximize-internal-promotion rule.
     An empty pool below a positive demand forces the cap (or zero when the
-    cap is infinite) with hiring absorbing the whole demand.
+    cap is infinite) with hiring absorbing the whole demand; a pool counts
+    as empty at or below 1e-12 max(M_j, 1). Returns P, h, delta and the
+    discrete pools A under the keys of SimulationResult.final_policy.
     """
-    if masses is None:
-        masses = spec.n.copy()
+    masses = spec.n if masses is None else masses
     share = _shares(alpha_frac, spec.size, cap)
-    cuts = _build_cuts(grid, spec)
     mass = masses.tolist()
-    pools = _pool_sums(density, cuts, grid.ds, mass)
-    floor = _empty_floor(masses)
+    pools = _pool_sums(density, _build_cuts(grid, spec), grid.ds, mass)
     promotion, hiring, shortfall, _ = _sweep(
-        spec.mu.tolist(), mass, pools, floor.tolist(), share, cap)
-    pools = np.array(pools)
-    return PolicyState(promotion=np.array(promotion), hiring=np.array(hiring),
-                       shortfall=np.array(shortfall), pool=pools,
-                       empty=pools <= floor, pre=cuts.pre, cap=cap)
+        spec.mu.tolist(), mass, pools, _empty_floor(masses).tolist(), share,
+        cap)
+    return {"promotion": np.array(promotion), "hiring": np.array(hiring),
+            "shortfall": np.array(shortfall), "pool": np.array(pools)}
 
 
-def step(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
-         policy: PolicyState, masses: np.ndarray,
+def step(density: np.ndarray, grid: SeniorityGrid, ghost: np.ndarray,
+         rate: np.ndarray, divisor: np.ndarray, held: np.ndarray,
          out: np.ndarray | None = None) -> np.ndarray:
     """Advance every level by one time step.
 
@@ -385,9 +318,10 @@ def step(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
     with the promotion source active below the eligibility age and the
     ghost boundary value rho_0 = mu M + P A restoring each level's discrete
     mass (see module docstring). Levels interact only through the policy
-    closure between steps. policy must be the closure of this same density
-    with these masses, as run() calls it: its pool A is the promotable mass
-    the ghost value needs, and its pre mask marks where the source acts.
+    closure between steps, which sets the terms: ghost, the (L,) values
+    mu M + P A; rate and divisor, the (L, 1) columns dt P and
+    1 + dt (mu + P); held, rho 1[s <= tau] on density's first columns (the
+    mask is zero past them), which step overwrites.
 
     The new densities are written to out, a C-contiguous array that must
     not overlap density, and returned; a new array shaped like density is
@@ -395,13 +329,13 @@ def step(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
     density, w: it then receives the first w columns of the new densities,
     which depend only on the first w columns of density (run() at dt = ds
     computes the head and the column entering its delay line this way).
+    It keeps a public name since run() looks it up once per time step, so
+    a wrapper put in its place (a tracer counting node-steps) sees them all.
     """
     if out is None:
         out = np.empty_like(density, order="C")
     elif not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
-    ghost, rate, divisor, held = policy._step_terms(density, spec, grid,
-                                                    masses)
     # the first node of every row takes its ghost value: at unit Courant
     # number a shift by one node, else rho - lam (rho - rho_upwind); a
     # full-width out gets the shift over the flattened rows, one
@@ -430,32 +364,31 @@ def step(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
     return out
 
 
-def discrete_stationary_density(spec: OrgSpec, plan: FlexPlan,
-                                grid: SeniorityGrid
-                                ) -> tuple[np.ndarray, np.ndarray]:
+def _discrete_stationary_density(spec: OrgSpec, plan: FlexPlan,
+                                 grid: SeniorityGrid
+                                 ) -> tuple[np.ndarray, np.ndarray]:
     """The scheme's exact fixed point under the plan's promotion demands.
 
     Node values decay geometrically with ratio 1/(1 + mu ds) below the
     eligibility age and 1/(1 + (mu + P) ds) above it, the discrete
     counterparts of the continuum exponentials. The promotion rates solve
-    the closure self-consistently: with E_d the pre-eligibility decay
-    factor and X = C_{j+1} the demanded flux,
+    the closure self-consistently: with E_d = (1 + mu_j ds)^-n the decay
+    over the n nodes below tau_j and X = C_{j+1} the demanded flux,
 
-        A_j = ((mu_j M_j + X) E_d - X) / mu_j,    P_j = X / A_j,
+        A_j = (mu_j M_j E_d - (1 - E_d) X) / mu_j,    P_j = X / A_j,
 
-    mirroring the continuum pool formula with E_d in place of
-    e^{-mu tau}. Returns (density, promotion_rates); raises IllPosedError
-    when a needed pool comes out non-positive. The top level (and any
-    level without demand from above) is a plain geometric profile.
+    the continuum pools' kernel (org._level_first_pools) with E_d in place
+    of e^{-mu tau}. Returns (density, promotion_rates); raises
+    IllPosedError when a needed pool comes out non-positive or too small
+    for its rate to be finite. The top level (and any level without
+    demand from above) is a plain geometric profile.
     """
     masses = spec.n * plan.p
-    c = promotion_demands(spec, plan)
     cuts = grid.eligibility_index(spec.tau)
     decay_pre = (1.0 + spec.mu * grid.ds) ** -cuts
-    pools = ((spec.mu * masses + c[1:]) * decay_pre - c[1:]) / spec.mu
-    IllPosedError.check(pools, ill_posed(pools, c))
-    rates = np.zeros(spec.size)
-    np.divide(c[1:], pools, out=rates, where=c[1:] > 0.0)
+    c, pools, ill = _level_first_pools(spec.mu * masses, plan.alpha, spec.mu,
+                                       decay_pre, 1.0 - decay_pre)
+    rates = _promotion_rates(c, pools, ill)
     # one row per level; an empty level has zero inflow, hence a zero row
     mu, n_tau = spec.mu[:, np.newaxis], cuts[:, np.newaxis]
     inflow = mu * masses[:, np.newaxis] + c[1:, np.newaxis]
@@ -481,7 +414,7 @@ def make_initial_density(spec: OrgSpec, plan: FlexPlan | None,
 
     kinds:
       stationary             the scheme's own fixed point (see
-                             discrete_stationary_density)
+                             _discrete_stationary_density)
       uniform                flat on [0, 2 tau_j] (on [0, 1/mu_j] where
                              tau_j = 0), the support's edge node absorbing
                              the rounding remainder
@@ -498,7 +431,7 @@ def make_initial_density(spec: OrgSpec, plan: FlexPlan | None,
             f"to {float(np.max(spec.tau))}")
     masses = spec.n * plan.p
     if kind == "stationary":
-        density, _ = discrete_stationary_density(spec, plan, grid)
+        density, _ = _discrete_stationary_density(spec, plan, grid)
     elif kind == "uniform":
         width = np.where(spec.tau > 0, 2.0 * spec.tau, 1.0 / spec.mu)
         edge = np.maximum(1, grid.eligibility_index(np.minimum(width, grid.s_max)))
@@ -559,6 +492,7 @@ class SimulationResult:
     mass_error: np.ndarray
     snapshots: dict[float, np.ndarray]
     steady_density: np.ndarray | None
+    spec: OrgSpec
     grid: SeniorityGrid
     policy: str
     cap: float
@@ -567,6 +501,16 @@ class SimulationResult:
     def final_policy(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name)[-1]
                 for name in ("promotion", "hiring", "shortfall", "pool")}
+
+    @property
+    def balance_residual(self) -> np.ndarray:
+        """h_j M_j + P_{j-1} A_{j-1} - mu_j M_j - P_j A_j, shaped
+        (n_steps + 1, L): zero up to rounding in every state."""
+        out = self.promotion * self.pool
+        promoted_in = np.zeros_like(out)
+        promoted_in[:, 1:] = out[:, :-1]
+        return (self.hiring * self.masses + promoted_in
+                - self.spec.mu * self.masses - out)
 
 
 def _metric_sums(density: np.ndarray, weight: np.ndarray,
@@ -618,31 +562,29 @@ def _metric_ratios(ds: float, masses: np.ndarray, pool: np.ndarray,
 
 
 def level_metrics(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
-                  policy: PolicyState, masses: np.ndarray,
+                  policy: dict[str, np.ndarray], masses: np.ndarray,
                   steady_density: np.ndarray | None = None) -> dict:
-    """Per-level snapshot metrics.
+    """Per-level snapshot metrics of a density and its closure, policy (as
+    close_policy_external_fraction returns it; only its pools are read).
 
     ready_ratio   promotable share A_j / M_j
     excess_wait   mean seniority past tau_j among promotable staff (years),
-                  0 where the closure found the pool empty
+                  0 where the closure counts the pool as empty,
+                  A_j <= 1e-12 max(M_j, 1)
     l1_to_steady  ds * sum |rho - steady| / M_j, NaN without a reference
     mass_error    |ds * sum rho - M_j| / M_j
 
     Levels without mass divide by 1 instead of M_j, so their ratios are
-    the plain numerators (0 for an empty level's zero density). The
-    excess-wait numerator is the BLAS dot product of each density row with
-    the weight (s - tau) 1[s > tau], within n eps relative of the exact
-    sum; run() uses the same two helpers, so with dt < ds its rows equal
-    these bit for bit under the same BLAS build and thread count. At
-    dt = ds run() sums the tail as a delay line (see the module
-    docstring), and its excess_wait, l1_to_steady and mass_error rows are
-    within a few eps per step of these.
+    the plain numerators (0 for an empty level's zero density). run()
+    shares these sums and ratios (see SimulationResult for how its rows
+    compare).
     """
     ready, wait, l1, mass_err = (np.empty(spec.size) for _ in range(4))
     _metric_sums(density, _build_cuts(grid, spec).weight, mass_err, wait)
     if steady_density is not None:
         _l1_sum(density, steady_density, None, l1)
-    _metric_ratios(grid.ds, masses, policy.pool, policy.empty,
+    pool = policy["pool"]
+    _metric_ratios(grid.ds, masses, pool, pool <= _empty_floor(masses),
                    steady_density is not None, ready, wait, l1, mass_err)
     return {"ready_ratio": ready, "excess_wait": wait, "l1_to_steady": l1,
             "mass_error": mass_err}
@@ -841,7 +783,12 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
     floor = _empty_floor(masses)
     mu, mass, floors = spec.mu.tolist(), masses.tolist(), floor.tolist()
     dt = grid.dt
-    terms = _StepTerms(np.empty((spec.size, cuts.head)))
+    # step's terms: the pool sums write rho pre into held, and each sweep's
+    # Python floats set the rows of block in one assignment
+    held = np.empty((spec.size, cuts.head))
+    block = np.empty((3, spec.size))
+    ghost = block[0]
+    source, decay = block[1:, :, np.newaxis]
     # at unit Courant number the nodes past the head are a delay line: step
     # computes the head and the column entering the tail, the metric sums
     # read the head, and the line carries the tail's sums
@@ -866,7 +813,7 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
     for k in range(n_steps + 1):
         if line:
             density = line.window
-        pools = _pool_sums(density, cuts, grid.ds, mass, terms.held)
+        pools = _pool_sums(density, cuts, grid.ds, mass, held)
         rates, hires, shorts, demand = _sweep(mu, mass, pools, floors, share,
                                               cap)
         rows[k] = rates + hires + shorts + pools + (line.state if line
@@ -881,12 +828,12 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
         if k == n_steps:
             break
         divisor = [1.0 + dt * (m + p) for m, p in zip(mu, rates)]
-        terms.block[...] = demand, [dt * p for p in rates], divisor
+        block[...] = demand, [dt * p for p in rates], divisor
         if line:
-            step(density, spec, grid, terms, masses, out=fresh)
+            step(density, grid, ghost, source, decay, held, out=fresh)
             line.advance(fresh, divisor)
         else:
-            step(density, spec, grid, terms, masses, out=spare)
+            step(density, grid, ghost, source, decay, held, out=spare)
             density, spare = spare, density
     if line:
         density = line.density()
@@ -900,7 +847,7 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
         times=times, density=density, masses=masses, promotion=promotion,
         hiring=hiring, shortfall=shortfall, pool=pool, ready_ratio=ready,
         excess_wait=wait, l1_to_steady=l1, mass_error=mass_err,
-        snapshots=snapshots, steady_density=steady, grid=grid,
+        snapshots=snapshots, steady_density=steady, spec=spec, grid=grid,
         policy=policy, cap=cap)
 
 

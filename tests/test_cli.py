@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import orgflow
-from orgflow import cli
+from orgflow import cli, transport
 from orgflow.config import ConfigError, dump_config, load_config, parse_config
 
 
@@ -124,6 +124,40 @@ def test_steady_rejects_overflowing_promotion_rate(tmp_path, capsys):
     assert "ill-posed stationary problem:" in captured.out
     assert "level 1: pool" in captured.err
     assert "inf" not in captured.out
+
+
+@pytest.mark.parametrize("p1,code", [(1e-17, 0), (2.2250738585e-313, 3)])
+def test_simulate_from_stationary_start_on_tiny_pool(tmp_path, capsys, p1,
+                                                     code):
+    # level 1 has tau = 0, so its discrete pool is N_1 p_1 as in the
+    # continuum: at p_1 = 1e-17 simulate accepts what steady accepts, and
+    # (mu M + C) E - C would have cancelled mu M to a pool of 0; at the
+    # subnormal p_1 the rate C_2 / A_1 overflows, which is ill posed (exit
+    # 3), with no RuntimeWarning
+    data = {
+        "org": {"levels": [
+            {"headcount": 7623.87, "attrition": 0.5},
+            {"headcount": 9211.3, "attrition": 0.38,
+             "eligibility_age": 5.57}]},
+        "plan": {"alpha": [1.0], "p": [p1, 0.6]},
+        "grid": {"ds": 0.05, "dt": 0.05, "s_max": 30.0, "horizon": 1.0},
+        "policy": {"mode": "max-internal", "initial_density": "stationary"},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    path = write_scenario(tmp_path, data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["simulate", "--config", path]) == code
+        assert cli.main(["steady", "--config", path]) == code
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if code:
+        assert "level 1: pool" in capsys.readouterr().err
+        return
+    config = load_config(path)
+    _, rates = transport._discrete_stationary_density(
+        config.spec, config.plan, config.grid)
+    demand = 0.38 * 9211.3 * 0.6  # C_2, all of level 2's attrition
+    assert demand / rates[0] == pytest.approx(7623.87 * p1, rel=1e-12)
 
 
 def test_simulate_writes_csv_outputs(tmp_path, capsys):

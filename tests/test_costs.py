@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orgflow import (
     BusinessUnitPlan,
@@ -24,7 +25,12 @@ from orgflow import (
     reduce_floaters,
     write_cost_csv,
 )
-from conftest import build_org, costed_org
+from conftest import (
+    MAX_LEVELS,
+    build_org,
+    costed_org,
+    well_posed_orgs_and_plans,
+)
 
 MIXED_PLAN = FlexPlan(alpha=np.array([1.32, 1.04, 1.02, 1.00]),
                       p=np.array([0.23, 0.22, 0.22, 0.39, 0.99]))
@@ -60,61 +66,51 @@ def test_level_cost_matches_quadrature(costed_org_20):
         assert closed == pytest.approx(quad, rel=1e-8)
 
 
-def test_quadrature_agreement_on_random_orgs():
-    rng = np.random.default_rng(3)
-    # draws for the business-unit identities, kept apart from rng so the
-    # sequence of sampled orgs stays fixed
-    units = np.random.default_rng(4)
-    for _ in range(60):
-        size = int(rng.integers(2, 5))
-        heads = rng.uniform(200.0, 5000.0, size)
-        mus = rng.uniform(0.05, 0.6, size)
-        taus = rng.uniform(0.5, 6.0, size)
-        base = rng.uniform(20.0, 150.0, size)
-        growth = rng.uniform(0.0, 0.9) * mus.min()
-        spec = build_org(heads, mus, taus, base=base,
-                         temp=1.5 * base, growth=growth)
-        plan = FlexPlan(alpha=1.0 + rng.random(size - 1),
-                        p=rng.uniform(0.3, 1.0, size))
-        try:
-            bd = org_cost(spec, plan)
-        except IllPosedError:
-            continue
-        for level in range(1, size + 1):
-            oracle = cost_quadrature_oracle(spec, plan, level)
-            assert bd.per_level[level - 1] == pytest.approx(oracle, rel=1e-6)
+@settings(max_examples=60, deadline=None)
+@given(well_posed_orgs_and_plans(wages=True),
+       st.lists(st.floats(1.0, 2.0), min_size=MAX_LEVELS,
+                max_size=MAX_LEVELS),
+       st.lists(st.floats(0.3, 0.7), min_size=MAX_LEVELS,
+                max_size=MAX_LEVELS))
+def test_quadrature_agreement_on_random_orgs(case, floater_factor, split):
+    spec, plan = case
+    size = spec.size
+    bd = org_cost(spec, plan)
+    for level in range(1, size + 1):
+        oracle = cost_quadrature_oracle(spec, plan, level)
+        assert bd.per_level[level - 1] == pytest.approx(oracle, rel=1e-6)
 
-        # business units promote internally: one unit is the organization
-        # under alpha = 1, and both sides share the ill-posedness rule
-        internal = FlexPlan(alpha=np.ones(size - 1), p=plan.p.copy())
-        whole = BusinessUnitPlan(headcounts=spec.n[np.newaxis],
-                                 permanent_share=plan.p[np.newaxis],
-                                 floater_share=np.zeros((1, size)))
-        try:
-            expected = org_cost(spec, internal).total
-        except IllPosedError:
-            with pytest.raises(IllPosedError):
-                business_unit_cost(spec, whole)
-            continue
-        assert business_unit_cost(spec, whole).total == pytest.approx(
-            expected, rel=1e-12)
+    # business units promote internally: one unit is the organization
+    # under alpha = 1, and both sides share the ill-posedness rule
+    internal = FlexPlan(alpha=np.ones(size - 1), p=plan.p.copy())
+    whole = BusinessUnitPlan(headcounts=spec.n[np.newaxis],
+                             permanent_share=plan.p[np.newaxis],
+                             floater_share=np.zeros((1, size)))
+    try:
+        expected = org_cost(spec, internal).total
+    except IllPosedError:
+        with pytest.raises(IllPosedError):
+            business_unit_cost(spec, whole)
+        return
+    assert business_unit_cost(spec, whole).total == pytest.approx(
+        expected, rel=1e-12)
 
-        # the floater reduction prices the units at its own floater shares
-        for lv, mu, w in zip(spec.levels, mus, base):
-            lv.floater_wage = ConstantWage(mu * w * units.uniform(1.0, 2.0))
-        split = units.uniform(0.3, 0.7, size)
-        bu = BusinessUnitPlan(headcounts=np.vstack([split, 1.0 - split]) * heads,
-                              permanent_share=np.vstack([plan.p, plan.p]),
-                              floater_share=np.zeros((2, size)))
-        reduction = reduce_floaters(spec, bu)
-        at_shares = BusinessUnitPlan(headcounts=bu.headcounts,
-                                     permanent_share=bu.permanent_share,
-                                     floater_share=reduction.floater_share)
-        try:
-            expected = business_unit_cost(spec, at_shares).total
-        except IllPosedError:  # a unit too small to promote internally
-            continue
-        assert reduction.total_cost() == pytest.approx(expected, rel=1e-12)
+    # the floater reduction prices the units at its own floater shares
+    for lv, factor in zip(spec.levels, floater_factor):
+        lv.floater_wage = ConstantWage(lv.attrition * lv.base_wage * factor)
+    split = np.array(split[:size])
+    bu = BusinessUnitPlan(headcounts=np.vstack([split, 1.0 - split]) * spec.n,
+                          permanent_share=np.vstack([plan.p, plan.p]),
+                          floater_share=np.zeros((2, size)))
+    reduction = reduce_floaters(spec, bu)
+    at_shares = BusinessUnitPlan(headcounts=bu.headcounts,
+                                 permanent_share=bu.permanent_share,
+                                 floater_share=reduction.floater_share)
+    try:
+        expected = business_unit_cost(spec, at_shares).total
+    except IllPosedError:  # a unit too small to promote internally
+        return
+    assert reduction.total_cost() == pytest.approx(expected, rel=1e-12)
 
 
 def test_wage_bill_finite_where_exp_mu_tau_overflows():

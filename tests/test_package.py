@@ -1,3 +1,4 @@
+import ast
 import importlib
 import sys
 from pathlib import Path
@@ -28,3 +29,18 @@ def test_exported_names_exist(name):
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert not missing
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_package_reexports_only_public_names():
+    # every name orgflow/__init__.py imports from a submodule is in that
+    # submodule's __all__, so a name taken off a submodule's surface cannot
+    # linger in the package namespace
+    tree = ast.parse(Path(orgflow.__file__).read_text())
+    imports = [node for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        public = importlib.import_module(f"orgflow.{node.module}").__all__
+        stray = [alias.name for alias in node.names
+                 if alias.name not in public]
+        assert not stray, (node.module, stray)

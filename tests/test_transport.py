@@ -13,18 +13,33 @@ from orgflow import (
     InfeasibleInitialDataError,
     SeniorityGrid,
     close_policy_external_fraction,
-    discrete_stationary_density,
     level_metrics,
     make_initial_density,
     promotion_demands,
     run,
     stationary_state,
-    step,
     write_snapshot_csv,
     write_trajectory_csv,
 )
 from orgflow import transport
-from conftest import build_org
+from orgflow.transport import _discrete_stationary_density, step
+from conftest import (
+    MAX_LEVELS,
+    build_org,
+    draw_well_posed_org,
+    well_posed_orgs_and_plans,
+)
+
+
+def _step_args(density, spec, grid, policy, masses):
+    """step's terms after a closure of density, as run() builds them: the
+    ghost values mu M + P A, the columns dt P and 1 + dt (mu + P), and rho
+    on the nodes below eligibility (a new array, which step overwrites)."""
+    rate = policy["promotion"]
+    return (spec.mu * masses + rate * policy["pool"],
+            (grid.dt * rate)[:, np.newaxis],
+            (1.0 + grid.dt * (spec.mu + rate))[:, np.newaxis],
+            density * grid.pre_eligibility_mask(spec))
 
 
 def test_grid_rejects_time_step_above_space_step():
@@ -92,12 +107,13 @@ def test_single_level_fixed_point_is_stationary():
     org = build_org([500.0], [0.5], [4.0])
     grid = SeniorityGrid(ds=0.05, dt=0.05, s_max=50.0)
     masses = np.array([500.0])
-    density, rates = discrete_stationary_density(
+    density, rates = _discrete_stationary_density(
         org, FlexPlan.all_internal(1), grid)
     assert rates[0] == 0.0
     state = close_policy_external_fraction(density, org, grid, cap=np.inf,
                                            masses=masses)
-    after = step(density, org, grid, state, masses)
+    after = step(density, grid,
+                 *_step_args(density, org, grid, state, masses))
     np.testing.assert_allclose(after, density, atol=1e-6)
     assert abs(grid.ds * after.sum() - 500.0) / 500.0 < 1e-10
 
@@ -114,10 +130,10 @@ def test_coupled_fixed_point_holds_under_simulation(low_turnover_org):
 def test_fixed_point_pools_match_closed_form(low_turnover_org):
     # geometric pre-eligibility decay replaces the continuum exponential
     grid = SeniorityGrid(ds=0.05, dt=0.05, s_max=70.0)
-    density, rates = discrete_stationary_density(
+    density, rates = _discrete_stationary_density(
         low_turnover_org, FlexPlan.all_internal(5), grid)
     pools = close_policy_external_fraction(density, low_turnover_org,
-                                           grid).pool
+                                           grid)["pool"]
     decay = (1.0 + 0.08 * 0.05) ** (-80)
     c = promotion_demands(low_turnover_org)
     expected_4 = ((0.08 * 1800 + c[4]) * decay - c[4]) / 0.08
@@ -132,40 +148,40 @@ def test_stationary_kind_requires_well_posed_demands():
         make_initial_density(org, None, SeniorityGrid(), kind="stationary")
 
 
-def test_mass_restored_every_step(low_turnover_org):
-    grid = SeniorityGrid(s_max=70.0)
-    # the ladder plus seeded random well-posed orgs, sampled as in
-    # test_quadrature_agreement_on_random_orgs, under their plans' shares
-    rng = np.random.default_rng(5)
-    cases = [(low_turnover_org, FlexPlan.all_internal(5))]
-    while len(cases) < 13:
-        size = int(rng.integers(2, 5))
-        spec = build_org(rng.uniform(200.0, 5000.0, size),
-                         rng.uniform(0.05, 0.6, size),
-                         rng.uniform(0.5, 6.0, size))
-        plan = FlexPlan(alpha=1.0 + rng.random(size - 1),
-                        p=rng.uniform(0.3, 1.0, size))
-        try:
-            stationary_state(spec, plan)
-            make_initial_density(spec, plan, grid, "uniform")
-        except (IllPosedError, InfeasibleInitialDataError):
-            continue
-        cases.append((spec, plan))
-    for spec, plan in cases:
-        masses = spec.n * plan.p
-        frac = np.concatenate(([0.0], plan.alpha - 1.0))
-        for cap in (1.0, np.inf):
-            density = make_initial_density(spec, plan, grid, "uniform")
-            for _ in range(40):
-                state = close_policy_external_fraction(
-                    density, spec, grid, cap=cap, alpha_frac=frac,
-                    masses=masses)
-                residual = state.balance_residual(spec, masses)
-                assert np.all(np.abs(residual) <= 1e-9 * spec.mu * masses)
-                density = step(density, spec, grid, state, masses)
-                err = np.abs(grid.ds * density.sum(axis=1) - masses) / masses
-                assert np.max(err) < 1e-12
-                assert np.all(density >= 0.0)
+# the grid of the drawn orgs: the uniform start is flat on [0, 2 tau_j]
+# with tau_j >= 5 ds, so every pool starts near M_j / 2
+_UNIT_GRID = SeniorityGrid(ds=0.1, dt=0.1, s_max=20.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(well_posed_orgs_and_plans())
+@example((build_org([5500, 5200, 3800, 1800, 500],
+                    [0.08, 0.08, 0.08, 0.08, 0.5], [4.0] * 5),
+          FlexPlan.all_internal(5)))
+def test_mass_restored_every_step(case):
+    # over random well-posed orgs under their plans' shares, and the
+    # low-turnover ladder: 40 closures and steps from a uniform start, each
+    # closure balancing h_j M_j + P_{j-1} A_{j-1} = mu_j M_j + P_j A_j and
+    # each step restoring every level's mass and keeping rho >= 0
+    spec, plan = case
+    grid = _UNIT_GRID
+    masses = spec.n * plan.p
+    frac = np.concatenate(([0.0], plan.alpha - 1.0))
+    for cap in (1.0, np.inf):
+        density = make_initial_density(spec, plan, grid, "uniform")
+        for _ in range(40):
+            state = close_policy_external_fraction(
+                density, spec, grid, cap=cap, alpha_frac=frac, masses=masses)
+            out = state["promotion"] * state["pool"]
+            residual = (state["hiring"] * masses
+                        + np.concatenate(([0.0], out[:-1]))
+                        - spec.mu * masses - out)
+            assert np.all(np.abs(residual) <= 1e-9 * spec.mu * masses)
+            density = step(density, grid,
+                           *_step_args(density, spec, grid, state, masses))
+            err = np.abs(grid.ds * density.sum(axis=1) - masses) / masses
+            assert np.max(err) < 1e-12
+            assert np.all(density >= 0.0)
 
 
 def test_unit_courant_step_is_exact_shift(low_turnover_org, high_turnover_org):
@@ -187,11 +203,12 @@ def test_unit_courant_step_is_exact_shift(low_turnover_org, high_turnover_org):
         masses = org.n.astype(float)
         state = close_policy_external_fraction(density, org, grid, cap=cap,
                                                alpha_frac=f, masses=masses)
-        after = step(density, org, grid, state, masses)
-        rate = state.promotion
+        after = step(density, grid,
+                     *_step_args(density, org, grid, state, masses))
+        rate = state["promotion"]
         decay = 1.0 + grid.dt * (org.mu + rate)[:, np.newaxis]
         # node 1 comes from the mass-restoring ghost value (module docstring)
-        ghost = org.mu * masses + rate * state.pool
+        ghost = org.mu * masses + rate * state["pool"]
         pre = grid.pre_eligibility_mask(org)
         held = grid.ds * np.sum(density * pre, axis=1)
         np.testing.assert_allclose(
@@ -202,53 +219,18 @@ def test_unit_courant_step_is_exact_shift(low_turnover_org, high_turnover_org):
             after, (upwind + np.where(pre, source, 0.0)) / decay)
 
 
-# the most levels a drawn org has; the strategies below draw every
-# per-level value for this many levels (and every density piece up to its
-# maximum count) and keep the first ones, so each example makes the same
-# number of choices and none outgrows hypothesis's size cap for its early
-# examples, which would reject it
-_MAX_LEVELS = 4
-
-
-def _level_values(draw, lo: float, hi: float, size: int) -> list[float]:
-    return [draw(st.floats(lo, hi)) for _ in range(_MAX_LEVELS)][:size]
-
-
-def _draw_well_posed_org(draw, plan: FlexPlan):
-    """An org well posed under plan by construction: attrition and
-    eligibility ages are drawn freely, then headcounts from the top down,
-    each level's N_j at least the bound N_j p_j > (e^{mu_j tau_j} - 1)
-    C_{j+1} / mu_j that keeps its pool positive, divided by a slack
-    fraction below 1. stationary_state checks the result."""
-    size, alpha, p = plan.p.size, plan.alpha.tolist(), plan.p.tolist()
-    mu = _level_values(draw, 0.05, 0.6, size)
-    tau = _level_values(draw, 0.5, 6.0, size)
-    heads = _level_values(draw, 100.0, 5000.0, size)
-    slack = _level_values(draw, 0.1, 0.9, size)
-    demand = 0.0  # C_{j+1}, the flux the level above draws from level j
-    for j in range(size - 1, -1, -1):
-        need = math.expm1(mu[j] * tau[j]) * demand / (mu[j] * p[j])
-        heads[j] = max(heads[j], need / slack[j])
-        demand = mu[j] * heads[j] * p[j] + demand
-        if j:
-            demand /= alpha[j - 1]
-    spec = build_org(heads, mu, tau)
-    stationary_state(spec, plan)
-    return spec
-
-
 @st.composite
 def _orgs_and_jumpy_densities(draw):
     """A random well-posed org on a unit-Courant grid, with piecewise-flat
     nonnegative densities of exact mass N_j whose pieces jump by any
     factor, zeros included; the last node is empty, so nothing leaves the
     grid in one step."""
-    size = draw(st.integers(1, _MAX_LEVELS))
-    spec = _draw_well_posed_org(draw, FlexPlan.all_internal(size))
+    size = draw(st.integers(1, MAX_LEVELS))
+    spec = draw_well_posed_org(draw, FlexPlan.all_internal(size))
     ds = draw(st.sampled_from([0.05, 0.1]))
     grid = SeniorityGrid(ds=ds, dt=ds, s_max=12.0)
     rows = []
-    for _ in range(_MAX_LEVELS):
+    for _ in range(MAX_LEVELS):
         count = draw(st.integers(1, 8))
         widths, values = [], []
         for _ in range(8):
@@ -280,9 +262,10 @@ def test_unit_courant_step_properties(case):
     masses = spec.n.astype(float)
     state = close_policy_external_fraction(density, spec, grid, cap=cap,
                                            alpha_frac=f, masses=masses)
-    after = step(density, spec, grid, state, masses)
-    rate = state.promotion
-    upwind = np.column_stack((spec.mu * masses + rate * state.pool,
+    after = step(density, grid,
+                 *_step_args(density, spec, grid, state, masses))
+    rate = state["promotion"]
+    upwind = np.column_stack((spec.mu * masses + rate * state["pool"],
                               density[:, :-1]))
     source = grid.dt * rate[:, np.newaxis] * density
     np.testing.assert_array_equal(
@@ -312,34 +295,19 @@ def test_metric_sums_against_exact_sums(case):
         assert abs(total - exact) <= grid.n_nodes * 2.0 ** -52 * exact
 
 
-@st.composite
-def _well_posed_orgs_and_plans(draw):
-    """A random well-posed org of 1-4 levels, a plan it is well posed
-    under, and a unit-Courant grid. The uniform start is flat on
-    [0, 2 tau_j] with tau_j >= 5 ds, so every pool starts near M_j / 2."""
-    size = draw(st.integers(1, _MAX_LEVELS))
-    plan = FlexPlan(alpha=np.array(_level_values(draw, 1.0, 2.0, size)[1:]),
-                    p=np.array(_level_values(draw, 0.3, 1.0, size)))
-    spec = _draw_well_posed_org(draw, plan)
-    return spec, plan, SeniorityGrid(ds=0.1, dt=0.1, s_max=20.0)
-
-
 @settings(max_examples=40, deadline=None)
-@given(_well_posed_orgs_and_plans())
+@given(well_posed_orgs_and_plans())
 def test_recorded_trajectory_balances(case):
     # every row run() records closes the balance law
     # h_j M_j + P_{j-1} A_{j-1} = mu_j M_j + P_j A_j, whether the cap binds
     # (shortfall hiring) or not
-    spec, plan, grid = case
+    spec, plan = case
     for cap in (1.0, np.inf):
-        result = run(spec, plan=plan, grid=grid, policy="fixed-plan",
+        result = run(spec, plan=plan, grid=_UNIT_GRID, policy="fixed-plan",
                      horizon=3.0, cap=cap)
-        masses = result.masses
-        out = result.promotion * result.pool
-        promoted_in = np.zeros_like(out)
-        promoted_in[:, 1:] = out[:, :-1]
-        residual = result.hiring * masses + promoted_in - spec.mu * masses - out
-        assert np.all(np.abs(residual) <= 1e-9 * spec.mu * masses)
+        assert result.balance_residual.shape == result.pool.shape
+        assert np.all(np.abs(result.balance_residual)
+                      <= 1e-9 * spec.mu * result.masses)
 
 
 @pytest.mark.parametrize("dt,cap,kind", [
@@ -355,23 +323,26 @@ def test_buffered_step_matches_full_array_formula(high_turnover_org, dt, cap,
     density = make_initial_density(org, None, grid, kind)
     state = close_policy_external_fraction(density, org, grid, cap=cap,
                                            masses=masses)
-    lam, rate = grid.dt / grid.ds, state.promotion[:, np.newaxis]
+    lam, rate = grid.dt / grid.ds, state["promotion"][:, np.newaxis]
     upwind = np.empty_like(density)
-    upwind[:, 0] = org.mu * masses + state.promotion * state.pool
+    upwind[:, 0] = org.mu * masses + state["promotion"] * state["pool"]
     upwind[:, 1:] = density[:, :-1]
     # at unit Courant number the advected density is the shifted one
     advected = upwind if lam == 1.0 else density - lam * (density - upwind)
-    expected = ((advected + grid.dt * rate * state.pre * density)
+    pre = grid.pre_eligibility_mask(org)
+    expected = ((advected + grid.dt * rate * pre * density)
                 / (1.0 + grid.dt * (org.mu[:, np.newaxis] + rate)))
+
+    def terms():  # held is overwritten, so each call gets its own
+        return _step_args(density, org, grid, state, masses)
+
     out = np.full_like(density, np.nan)
-    assert step(density, org, grid, state, masses, out=out) is out
+    assert step(density, grid, *terms(), out=out) is out
     np.testing.assert_array_equal(out, expected)
     # the flattened-row pass needs an out that is one block of memory
     with pytest.raises(ValueError):
-        step(density, org, grid, state, masses,
-             out=np.empty(density.shape[::-1]).T)
-    np.testing.assert_array_equal(step(density, org, grid, state, masses),
-                                  expected)
+        step(density, grid, *terms(), out=np.empty(density.shape[::-1]).T)
+    np.testing.assert_array_equal(step(density, grid, *terms()), expected)
 
 
 # the arrays of run() that the pools alone set, bit for bit whatever the
@@ -440,16 +411,17 @@ def _replay(org, plan, grid, fractions, cap, initial, horizon, steady):
         state = close_policy_external_fraction(density, org, grid, cap=cap,
                                                alpha_frac=fractions,
                                                masses=masses)
-        np.testing.assert_array_equal(state.pool, pools)
+        np.testing.assert_array_equal(state["pool"], pools)
         with np.errstate(invalid="ignore", divide="ignore"):
             l1 = (np.full(org.size, np.nan) if steady is None else
                   grid.ds * np.sum(np.abs(density - steady), axis=1))
             weighted = grid.ds * np.vecdot(density, past * ~mask)
+            empty = pools <= 1e-12 * np.maximum(masses, 1.0)
             values = {
-                "promotion": state.promotion, "hiring": state.hiring,
-                "shortfall": state.shortfall, "pool": pools,
+                "promotion": state["promotion"], "hiring": state["hiring"],
+                "shortfall": state["shortfall"], "pool": pools,
                 "ready_ratio": np.where(masses > 0, pools / masses, 0.0),
-                "excess_wait": np.where(state.empty, 0.0, weighted / pools),
+                "excess_wait": np.where(empty, 0.0, weighted / pools),
                 "l1_to_steady": np.where(masses > 0, l1 / masses, l1),
                 "mass_error": np.abs(grid.ds * np.sum(density, axis=1)
                                      - masses) / np.where(masses > 0, masses,
@@ -459,9 +431,9 @@ def _replay(org, plan, grid, fractions, cap, initial, horizon, steady):
             rows[name].append(value)
         if k == n_steps:
             break
-        rate = state.promotion[:, np.newaxis]
+        rate = state["promotion"][:, np.newaxis]
         upwind = np.empty_like(density)
-        upwind[:, 0] = org.mu * masses + state.promotion * pools
+        upwind[:, 0] = org.mu * masses + state["promotion"] * pools
         upwind[:, 1:] = density[:, :-1]
         advected = upwind if lam == 1.0 else density - lam * (density - upwind)
         density = ((advected + grid.dt * rate * mask * density)
@@ -532,14 +504,10 @@ def _delay_line_runs(draw):
                          [0.16, 0.16, 0.16, 0.16, 0.5], [4.0] * 5)
         plan = FlexPlan.all_internal(5)
     else:
-        size = draw(st.integers(1, _MAX_LEVELS))
-        plan = FlexPlan(
-            alpha=np.array(_level_values(draw, 1.0, 2.0, size)[1:]),
-            p=np.array(_level_values(draw, 0.3, 1.0, size)))
-        spec = _draw_well_posed_org(draw, plan)
+        spec, plan = draw(well_posed_orgs_and_plans())
         if kind == "no-head":
             # a level with tau = 0 has pool N p > 0: still well posed
-            spec = build_org(spec.n, spec.mu, [0.0] * size)
+            spec = build_org(spec.n, spec.mu, [0.0] * spec.size)
     ds = draw(st.sampled_from([0.1, 0.25]))
     dt = ds * draw(st.sampled_from([1.0, 1.0, 1.0, 0.6]))
     head = int(np.max(SeniorityGrid(ds=ds, dt=ds).eligibility_index(spec.tau)))
@@ -634,29 +602,23 @@ def test_eligibility_mask_built_once_per_run(monkeypatch, low_turnover_org):
             cap=np.inf)
         assert built == [grid, grid]
 
-    masses = low_turnover_org.n.astype(float)
-    density = make_initial_density(low_turnover_org, None, grid, "uniform")
-    state = close_policy_external_fraction(density, low_turnover_org, grid,
-                                           masses=masses)
     cuts = original(grid, low_turnover_org)
     mask = grid.pre_eligibility_mask(low_turnover_org)
-    np.testing.assert_array_equal(state.pre, mask)
-    np.testing.assert_array_equal(cuts.pre, mask)
     np.testing.assert_array_equal(cuts.pre_head, mask[:, :cuts.head])
+    assert not mask[:, cuts.head:].any()
     np.testing.assert_array_equal(
         cuts.weight, (grid.s - low_turnover_org.tau[:, np.newaxis]) * ~mask)
     assert cuts.head == grid.eligibility_index(4.0)
 
     # another grid, or other eligibility ages, give their own cuts
     other_grid = SeniorityGrid(ds=0.1, dt=0.1, s_max=30.0)
-    fresh = original(other_grid, low_turnover_org)
-    np.testing.assert_array_equal(
-        fresh.pre, other_grid.pre_eligibility_mask(low_turnover_org))
     later = build_org(low_turnover_org.n, low_turnover_org.mu, [6.0] * 5)
-    moved = original(other_grid, later)
-    assert moved.head == other_grid.eligibility_index(6.0) != fresh.head
-    np.testing.assert_array_equal(moved.pre,
-                                  other_grid.pre_eligibility_mask(later))
+    for spec in (low_turnover_org, later):
+        cuts = original(other_grid, spec)
+        assert cuts.head == other_grid.eligibility_index(spec.tau[0])
+        np.testing.assert_array_equal(
+            cuts.pre_head,
+            other_grid.pre_eligibility_mask(spec)[:, :cuts.head])
 
 
 def test_run_calls_step_once_per_step(monkeypatch, low_turnover_org):
@@ -731,8 +693,9 @@ def test_public_closure_and_metrics_match_run(low_turnover_org,
                 assert _bits(value) == _bits(getattr(result, name)), name
     state = close_policy_external_fraction(result.density, org, grid, cap=cap,
                                            alpha_frac=f, masses=result.masses)
-    for name in ("promotion", "hiring", "shortfall", "pool"):
-        assert _bits(getattr(state, name)) == _bits(getattr(result, name)[-1]), name
+    assert state.keys() == result.final_policy.keys()
+    for name, value in result.final_policy.items():
+        assert _bits(state[name]) == _bits(value), name
     metrics = level_metrics(result.density, org, grid, state, result.masses,
                             result.steady_density)
     bounds = _delay_line_bounds(result.times.size - 1, grid.n_nodes)
@@ -779,8 +742,8 @@ def test_closure_checks_fractions_and_cap(low_turnover_org):
     # a scalar, a one-entry list and a per-level array give the same rates
     per_level = close(alpha_frac=np.full(5, 0.2))
     for frac in (0.2, [0.2]):
-        np.testing.assert_array_equal(close(alpha_frac=frac).promotion,
-                                      per_level.promotion)
+        np.testing.assert_array_equal(close(alpha_frac=frac)["promotion"],
+                                      per_level["promotion"])
     for frac in (-0.1, [0.0, 0.1, -1e-300, 0.0, 0.0], math.nan,
                  [0.0, 0.1, math.nan, 0.0, 0.0]):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -808,31 +771,26 @@ def test_run_rejects_nan_and_infinite_arguments(low_turnover_org, kwargs,
 
 
 def test_policy_closure_balances_exactly(low_turnover_org):
-    grid = SeniorityGrid(s_max=70.0)
-    masses = low_turnover_org.n.astype(float)
-    density = make_initial_density(low_turnover_org, None, grid, "uniform")
-    state = close_policy_external_fraction(density, low_turnover_org, grid,
-                                           cap=np.inf, masses=masses)
-    np.testing.assert_allclose(
-        state.balance_residual(low_turnover_org, masses), 0.0, atol=1e-9)
-    assert state.promotion[-1] == 0.0
+    # row 0 of a run is the closure of its uniform start
+    result = run(low_turnover_org, grid=SeniorityGrid(s_max=70.0),
+                 horizon=0.0, cap=np.inf)
+    np.testing.assert_allclose(result.balance_residual, 0.0, atol=1e-9)
+    state = result.final_policy
+    assert state["promotion"][-1] == 0.0
     # unclipped pure-internal closure hires only at the bottom
-    assert np.all(state.hiring[1:] == 0.0)
-    assert state.hiring[0] > 0.0
+    assert np.all(state["hiring"][1:] == 0.0)
+    assert state["hiring"][0] > 0.0
 
 
 def test_promotion_cap_forces_shortfall_hiring(high_turnover_org):
-    grid = SeniorityGrid(s_max=70.0)
-    masses = high_turnover_org.n.astype(float)
-    density = make_initial_density(high_turnover_org, None, grid, "uniform")
-    state = close_policy_external_fraction(density, high_turnover_org, grid,
-                                           cap=0.3, masses=masses)
-    assert np.all(state.promotion[:-1] <= 0.3 + 1e-12)
-    clipped = state.promotion[:-1] >= 0.3 - 1e-12
+    result = run(high_turnover_org, grid=SeniorityGrid(s_max=70.0),
+                 horizon=0.0, cap=0.3)
+    state = result.final_policy
+    assert np.all(state["promotion"][:-1] <= 0.3 + 1e-12)
+    clipped = state["promotion"][:-1] >= 0.3 - 1e-12
     assert np.any(clipped)
-    assert np.all(state.shortfall[1:][clipped] > 0.0)
-    np.testing.assert_allclose(
-        state.balance_residual(high_turnover_org, masses), 0.0, atol=1e-9)
+    assert np.all(state["shortfall"][1:][clipped] > 0.0)
+    np.testing.assert_allclose(result.balance_residual, 0.0, atol=1e-9)
 
 
 def test_empty_pool_policy_degenerates_gracefully():
@@ -846,12 +804,12 @@ def test_empty_pool_policy_degenerates_gracefully():
     masses = np.array([100.0, 50.0])
     capped = close_policy_external_fraction(density, org, grid, cap=5.0,
                                             masses=masses)
-    assert capped.promotion[0] == 5.0
-    assert capped.hiring[1] > 0.0
+    assert capped["promotion"][0] == 5.0
+    assert capped["hiring"][1] > 0.0
     uncapped = close_policy_external_fraction(density, org, grid, cap=np.inf,
                                               masses=masses)
-    assert uncapped.promotion[0] == 0.0
-    assert uncapped.hiring[1] > 0.0
+    assert uncapped["promotion"][0] == 0.0
+    assert uncapped["hiring"][1] > 0.0
 
 
 def test_near_empty_pool_has_no_excess_wait():
@@ -867,8 +825,8 @@ def test_near_empty_pool_has_no_excess_wait():
     density[1] *= 500.0 / (grid.ds * density[1].sum())
     state = close_policy_external_fraction(density, org, grid, cap=np.inf,
                                            masses=masses)
-    assert 0.0 < state.pool[0] < 1e-12 * masses[0]
-    assert state.empty[0] and state.promotion[0] == 0.0
+    assert 0.0 < state["pool"][0] < 1e-12 * masses[0]
+    assert state["promotion"][0] == 0.0
     wait = level_metrics(density, org, grid, state, masses)["excess_wait"]
     assert wait[0] == 0.0
     assert wait[1] > 0.0
@@ -877,16 +835,16 @@ def test_near_empty_pool_has_no_excess_wait():
 def test_external_fraction_sets_hiring_share(low_turnover_org):
     grid = SeniorityGrid(s_max=70.0)
     masses = low_turnover_org.n.astype(float)
-    density, _ = discrete_stationary_density(
+    density, _ = _discrete_stationary_density(
         low_turnover_org, FlexPlan.all_internal(5), grid)
     f = 0.25
     state = close_policy_external_fraction(density, low_turnover_org, grid,
                                            cap=np.inf, alpha_frac=f,
                                            masses=masses)
-    promoted = state.promotion[:-1] * state.pool[:-1]
-    np.testing.assert_allclose(state.hiring[1:] * masses[1:], f * promoted,
+    promoted = state["promotion"][:-1] * state["pool"][:-1]
+    np.testing.assert_allclose(state["hiring"][1:] * masses[1:], f * promoted,
                                rtol=1e-9)
-    np.testing.assert_allclose(state.shortfall[1:], 0.0, atol=1e-12)
+    np.testing.assert_allclose(state["shortfall"][1:], 0.0, atol=1e-12)
 
 
 def test_simulation_converges_to_external_fraction_steady(low_turnover_org):
@@ -911,7 +869,7 @@ def test_simulation_converges_to_fixed_plan_demands(low_turnover_org):
                     p=np.array([0.6, 0.8, 0.9, 1.0, 1.0]))
     result = run(low_turnover_org, plan=plan, grid=grid, policy="fixed-plan",
                  horizon=200.0, cap=np.inf, initial="uniform")
-    density, rates = discrete_stationary_density(low_turnover_org, plan, grid)
+    density, rates = _discrete_stationary_density(low_turnover_org, plan, grid)
     np.testing.assert_allclose(result.promotion[-1], rates, rtol=1e-6,
                                atol=1e-9)
     np.testing.assert_allclose(
@@ -932,7 +890,7 @@ def test_long_run_relaxes_to_continuum_profile(low_turnover_org):
 def test_metrics_at_discrete_fixed_point(low_turnover_org):
     grid = SeniorityGrid(s_max=70.0)
     masses = low_turnover_org.n.astype(float)
-    density, rates = discrete_stationary_density(
+    density, rates = _discrete_stationary_density(
         low_turnover_org, FlexPlan.all_internal(5), grid)
     state = close_policy_external_fraction(density, low_turnover_org, grid,
                                            cap=np.inf, masses=masses)
@@ -941,7 +899,7 @@ def test_metrics_at_discrete_fixed_point(low_turnover_org):
     np.testing.assert_allclose(metrics["excess_wait"], expected_wait,
                                rtol=1e-6)
     np.testing.assert_allclose(metrics["mass_error"], 0.0, atol=1e-12)
-    np.testing.assert_allclose(metrics["ready_ratio"], state.pool / masses,
+    np.testing.assert_allclose(metrics["ready_ratio"], state["pool"] / masses,
                                rtol=1e-12)
     assert np.all(np.isnan(metrics["l1_to_steady"]))
 
