@@ -12,7 +12,13 @@ checkout's, each in its own subprocess:
 - the benchmark's seed-7 `sweep-capped` variants (twenty library `run()`
   calls), the `simulate-fine` scenario (one library `run()` with its
   snapshots, and one `orgflow simulate`) and that scenario at ds = 0.05,
-  dt = 0.03 for 30 years (`dt-below-ds`, the full-array update);
+  dt = 0.03 for 30 years (`dt-below-ds`, the full-array update) and,
+  uncapped from its stationary start, at ds = dt = 0.05 for 5 years
+  (`stationary-start`);
+- the two-level org of ROADMAP defect 3, whose level 1 has tau = 0 and so
+  the pool N_1 p_1, from a stationary start: one library `run()` at
+  p_1 = 1e-9 (`defect-3`), and `orgflow steady`, `cost` and `simulate`
+  at p_1 = 1e-9, 1e-17 and 1e-300;
 - the seed-7 `optimize-readme` scenario through `orgflow optimize`;
 - seeded `ga_minimize` runs (60 x 40) on that scenario's org, for four
   seeds, elitism 0, 0.05 and 0.2, and two objectives (every gene free,
@@ -80,6 +86,11 @@ CLOSED_FORM_RTOL = 1e-12
 EPS = np.finfo(float).eps
 # the simulate-fine scenario on a grid where dt < ds
 DT_BELOW_DS = {"ds": 0.05, "dt": 0.03, "s_max": 70.0, "horizon": 30.0}
+# the simulate-fine scenario from its stationary start
+STATIONARY_START = {"ds": 0.05, "dt": 0.05, "s_max": 70.0, "horizon": 5.0}
+# level 1's permanent shares on the defect-3 org: a pool above its empty
+# floor, one under it, and one whose rate C_2 / A_1 is 2.75e299
+DEFECT_3_P1 = (1e-9, 1e-17, 1e-300)
 # a plan with temporaries and external hiring for orgflow steady
 STEADY_PLAN = {"alpha": [1.2, 1.0, 1.1, 1.0], "p": [0.9, 0.8, 1.0, 1.0, 1.0]}
 ARRAYS = ("times", "density", "masses", "promotion", "hiring", "shortfall",
@@ -130,6 +141,19 @@ def delay_line_bound(name: str, arrays) -> tuple[float, bool] | None:
     if field == "excess_wait":
         return 2 * (steps + 8 * nodes + 1) * EPS, True
     return None
+
+
+def defect_3_scenario(p1: float) -> dict:
+    """The two-level org whose level 1 has tau = 0, so its pool is N_1 p_1,
+    under the plan p = [p1, 0.6], from a stationary start."""
+    return {"org": {"levels": [
+        {"headcount": 7623.87, "attrition": 0.5, "base_wage": 157},
+        {"headcount": 9211.3, "attrition": 0.38, "eligibility_age": 5.57,
+         "base_wage": 147}]},
+        "plan": {"alpha": [1.0], "p": [p1, 0.6]},
+        "grid": {"ds": 0.05, "dt": 0.05, "s_max": 30.0, "horizon": 1.0},
+        "policy": {"mode": "max-internal", "initial_density": "stationary"},
+        "cost": {"premium": 0.2}}
 
 
 def invalid_scenarios(base: dict) -> dict[str, dict]:
@@ -237,6 +261,12 @@ def dump(src: Path, out: Path) -> None:
     below["grid"] = dict(DT_BELOW_DS)
     below["policy"]["snapshot_times"] = [0.0, DT_BELOW_DS["horizon"]]
     runs["dt-below-ds"] = [below]
+    start = copy.deepcopy(runs["simulate-fine"][0])
+    start["grid"] = dict(STATIONARY_START)
+    start["policy"].update(initial_density="stationary",
+                           snapshot_times=[0.0, STATIONARY_START["horizon"]])
+    runs["stationary-start"] = [start]
+    runs["defect-3"] = [defect_3_scenario(DEFECT_3_P1[0])]
     for name, scenarios in runs.items():
         for i, scenario in enumerate(scenarios):
             path = inputs / f"{name}_{i:02d}.json"
@@ -283,6 +313,17 @@ def dump(src: Path, out: Path) -> None:
         run_cli([command, "--config", "inputs/invalid/wage-tiny-attrition.json",
                  "--out", "priced"],
                 out / "cli" / "invalid" / f"wage-tiny-attrition.{command}.txt")
+    # the defect-3 org: only stdout is compared, its arrays at p_1 = 1e-9
+    # come from the library run above
+    (inputs / "defect-3").mkdir()
+    for p1 in DEFECT_3_P1:
+        name = f"p1={p1:g}"
+        (inputs / "defect-3" / f"{name}.json").write_text(
+            json.dumps(defect_3_scenario(p1)))
+        for command in ("steady", "cost", "simulate"):
+            run_cli([command, "--config", f"inputs/defect-3/{name}.json",
+                     "--out", "priced"],
+                    out / "cli" / "defect-3" / f"{name}.{command}.txt")
 
 
 def closed_form_arrays(workloads) -> dict[str, np.ndarray]:

@@ -26,6 +26,7 @@ from .org import (
     FlexPlan,
     IllPosedError,
     OrgSpec,
+    _level_index,
     min_permanent_share,
     promotion_demands,
     stationary_pools,
@@ -158,9 +159,7 @@ def cost_quadrature_oracle(spec: OrgSpec, plan: FlexPlan, level: int) -> float:
     truncation point. Serves as an independent check of org_cost's
     per-level costs.
     """
-    j = level - 1
-    if not 1 <= level <= spec.size:
-        raise ValueError(f"level {level} outside 1..{spec.size}")
+    j = _level_index(spec, level)
     mu, tau, r, w0 = spec.mu[j], spec.tau[j], spec.wage_growth, spec.w0[j]
     _check_growth(spec, level)
     c, pools, ill = stationary_pools(spec, plan)
@@ -303,9 +302,7 @@ def floater_average_cost(spec: OrgSpec, level: int) -> float:
     exactly in this unnormalized form, so its value carries a factor 1/mu_j
     relative to a per-head average wage.
     """
-    j = level - 1
-    if not 1 <= level <= spec.size:
-        raise ValueError(f"level {level} outside 1..{spec.size}")
+    j = _level_index(spec, level)
     curve = spec.levels[j].floater_wage
     if curve is None:
         raise MissingFloaterCurveError(f"level {level} has no floater wage curve")

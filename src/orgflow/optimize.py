@@ -270,10 +270,10 @@ class _Pricing:
 def penalized_cost(spec: OrgSpec, plan: FlexPlan):
     """org_cost total for well-posed plans; a dominating penalty otherwise.
 
-    Ill-posed, as in org_cost, means a pool A_j <= 0 while the flux C_{j+1}
-    demanded from it is positive. The penalty starts at the feasible cost
-    ceiling and grows with the total pool deficit, so it exceeds every
-    feasible cost and stays monotone in the violation magnitude. A plan
+    Ill-posed is org.ill_posed, as in org_cost. The penalty starts at the
+    feasible cost ceiling and grows with the total pool deficit, so it
+    exceeds every feasible cost and stays monotone in the violation
+    magnitude. A plan
     whose alpha and p carry leading axes is priced row by row, and the
     result is an array of that leading shape; one plan gives a float.
     """

@@ -16,9 +16,9 @@ seniority profiles and the promotable pools they imply, and the feasibility
 bounds (minimal permanent shares, minimal external hiring ratios) that keep
 those pools positive.
 
-One well-posedness rule (ill_posed) serves every stationary caller: level j
-is ill posed when its pool A_j <= 0 while the flux C_{j+1} demanded from it
-is positive, so a level nobody promotes from may be empty.
+One well-posedness rule (ill_posed) serves every caller: level j is ill
+posed when its pool A_j <= 1e-12 max(N_j, 1), the empty floor, while
+C_{j+1} > 0; the transient closure counts such a pool as empty.
 """
 
 from __future__ import annotations
@@ -51,9 +51,12 @@ __all__ = [
     "FEASIBILITY_MARGIN",
 ]
 
-# Relative pool margin used when inverting feasibility bounds: a pool is
-# treated as safely positive only when A_j >= FEASIBILITY_MARGIN * N_j.
+# The advice margin of min_external_ratios, not the emptiness rule: a pool
+# is treated as safely positive only when A_j >= FEASIBILITY_MARGIN * N_j.
 FEASIBILITY_MARGIN = 1e-6
+
+# a pool at or below this fraction of max(N_j, 1) counts as empty
+_POOL_EPS = 1e-12
 
 
 class OrgValidationError(ValueError):
@@ -65,8 +68,8 @@ class OrgValidationError(ValueError):
 
 
 class IllPosedError(ValueError):
-    """A stationary profile would need a non-positive promotable pool, or
-    one too small for its promotion rate to be finite."""
+    """A stationary profile would need a promotable pool at or below its
+    empty floor, or one too small for its promotion rate to be finite."""
 
     def __init__(self, levels: list[int], pools: list[float]):
         self.levels = list(levels)
@@ -292,8 +295,8 @@ def stationary_pools(spec: OrgSpec, plan: FlexPlan,
     the plain exponential tail at the top, where C_{L+1} = 0. heads (say,
     the (K, L) rows of K business units) replaces N_j, and plan.p and
     plan.alpha may carry leading axes too (say, a (B, L) batch of plans):
-    each row is then an organization of its own, and the leading axes of
-    heads, p and alpha broadcast against each other.
+    each row is then an organization of its own, with its level's empty
+    floor, and the leading axes of heads, p and alpha broadcast.
     """
     heads = spec.n if heads is None else heads
     outflow = spec.mu * heads * plan.p
@@ -306,21 +309,27 @@ def stationary_pools(spec: OrgSpec, plan: FlexPlan,
                  for a in (c, pools, ill))
 
 
+def _empty_floor(spec: OrgSpec) -> np.ndarray:
+    """Pools at or below 1e-12 max(N_j, 1) count as empty."""
+    return _POOL_EPS * np.maximum(spec.n, 1.0)
+
+
 def _level_columns(spec: OrgSpec, ndim: int) -> tuple[np.ndarray, ...]:
-    """mu_j, e^{-mu_j tau_j} and 1 - e^{-mu_j tau_j} as level columns of
-    ndim axes: the per-level constants of _level_first_pools."""
+    """mu_j, e^{-mu_j tau_j}, 1 - e^{-mu_j tau_j} and the empty floor as
+    level columns of ndim axes: the constants of _level_first_pools."""
     shape = (spec.size,) + (1,) * (ndim - 1)
     rate = -spec.mu * spec.tau
-    return tuple(a.reshape(shape)
-                 for a in (spec.mu, np.exp(rate), -np.expm1(rate)))
+    return tuple(a.reshape(shape) for a in (
+        spec.mu, np.exp(rate), -np.expm1(rate), _empty_floor(spec)))
 
 
 def _level_first_pools(outflow: np.ndarray, alpha: np.ndarray,
-                       mu: np.ndarray, decay: np.ndarray, filled: np.ndarray
+                       mu: np.ndarray, decay: np.ndarray, filled: np.ndarray,
+                       floor: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The kernel of stationary_pools, level first: outflow holds the rows
-    mu_j N_j p_j and alpha the rows alpha_2..alpha_L; mu, decay and filled
-    are the level columns of _level_columns. Returns C, A and the
+    mu_j N_j p_j and alpha the rows alpha_2..alpha_L; mu, decay, filled and
+    floor are the level columns of _level_columns. Returns C, A and the
     ill_posed mask, level first."""
     size = outflow.shape[0]
     c = np.zeros((size + 1,)
@@ -330,19 +339,20 @@ def _level_first_pools(outflow: np.ndarray, alpha: np.ndarray,
         if j:  # level 1 has alpha_1 = 1, and x / 1.0 is x
             c[j] /= alpha[j - 1]
     pools = (outflow * decay - filled * c[1:]) / mu
-    return c, pools, ill_posed(pools.T, c.T).T  # .T: levels last
+    return c, pools, ill_posed(pools.T, c.T, floor.T).T  # .T: levels last
 
 
-def ill_posed(pools: np.ndarray, demands: np.ndarray) -> np.ndarray:
-    """The well-posedness rule, per level: A_j <= 0 while C_{j+1} > 0."""
-    return (pools <= 0.0) & (demands[..., 1:] > 0.0)
+def ill_posed(pools: np.ndarray, demands: np.ndarray,
+              floor: np.ndarray) -> np.ndarray:
+    """Ill posed per level (levels last): A_j <= floor_j while C_{j+1} > 0."""
+    return (pools <= floor) & (demands[..., 1:] > 0.0)
 
 
 def _promotion_rates(c: np.ndarray, pools: np.ndarray, ill: np.ndarray
                      ) -> np.ndarray:
     """P_j = C_{j+1} / A_j, 0 where no flux is demanded, from one plan's
     demands, pools and ill_posed mask. Raises IllPosedError for the levels
-    ill flags, else for every pool so small that its rate overflows."""
+    ill flags, else where a rate C / A overflows (a C near 1e300 can)."""
     IllPosedError.check(pools, ill)
     rate = np.zeros(pools.shape)
     with np.errstate(over="ignore"):
@@ -363,11 +373,12 @@ def steady_promotable_pool(spec: OrgSpec,
 def min_permanent_share(spec: OrgSpec, plan: FlexPlan) -> np.ndarray:
     """Smallest permanent shares keeping each level's promotable pool positive.
 
-    p_j^min = (1 - e^{-mu_j tau_j}) C_{j+1} / (mu_j N_j e^{-mu_j tau_j}),
+    p_j^min = (1 - E_j) C_{j+1} / (mu_j N_j E_j), with E_j = e^{-mu_j tau_j},
     for every level j at once; each depends only on the plan entries of
-    the levels above. A share strictly above it is equivalent to A_j > 0.
+    the levels above. A share strictly above it keeps A_j > 0; A_j above
+    the empty floor f_j needs one above it by more than f_j / (N_j E_j).
     """
-    mu, decay, filled = _level_columns(spec, 1)
+    mu, decay, filled, _ = _level_columns(spec, 1)
     c_next = promotion_demands(spec, plan)[1:]
     # 0, not the 0/0 of an underflowed e^{-mu tau}, where no flux is demanded
     return np.divide(filled * c_next, mu * spec.n * decay,
@@ -390,7 +401,7 @@ def min_external_ratios(spec: OrgSpec) -> np.ndarray:
     """
     if spec.size < 2:
         return np.zeros(0)
-    mu, decay, filled = _level_columns(spec, 1)
+    mu, decay, filled, _ = _level_columns(spec, 1)
     ratios = np.ones(spec.size - 1)
     c_next = 0.0  # C_{j+1} built from the minimal ratios above
     for j in range(spec.size - 1, 0, -1):  # 0-based level j, promoting j-1
@@ -442,10 +453,10 @@ class SteadyState:
 def stationary_state(spec: OrgSpec, plan: FlexPlan | None = None) -> SteadyState:
     """Assemble the stationary profile, or raise IllPosedError.
 
-    Ill-posed means a pool A_j <= 0 while the flux C_{j+1} demanded from it
-    is positive, or a positive pool so small that the rate C_{j+1} / A_j
-    overflows; the exception lists every such level. A level facing no
-    demand gets P_j = 0, whatever its pool.
+    Ill-posed means a pool A_j at or below its empty floor 1e-12 max(N_j, 1)
+    while the flux C_{j+1} demanded from it is positive, or a pool so small
+    that the rate C_{j+1} / A_j overflows; the exception lists every such
+    level. A level facing no demand gets P_j = 0, whatever its pool.
     """
     if plan is None:
         plan = FlexPlan.all_internal(spec.size)
@@ -468,8 +479,8 @@ class InitialConditionReport:
     """Worst-case pool margins for a starting density, per level.
 
     margin[j] is the minimum over the sampled window of the promotable
-    pool the transported data would produce; holds[j] says it stayed
-    strictly positive, so promotion rates remain finite for all time.
+    pool the transported data would produce; holds[j] says it stayed above
+    the empty floor, so promotion rates remain finite for all time.
     """
 
     margins: np.ndarray
@@ -483,7 +494,7 @@ class InitialConditionReport:
 def check_initial_condition(spec: OrgSpec, plan: FlexPlan,
                             rho0: Sequence[Callable[[np.ndarray], np.ndarray]]
                             ) -> InitialConditionReport:
-    """Check that starting densities keep every promotable pool positive.
+    """Check that starting densities keep every pool above its empty floor.
 
     Before the first cohort of new entrants reaches the eligibility age,
     the pool at time t is driven by the transported initial data:
@@ -491,7 +502,7 @@ def check_initial_condition(spec: OrgSpec, plan: FlexPlan,
         A_j(t) = N_j p_j - e^{-mu_j t} int_0^{tau_j - t} rho0_j(u) du
                  - (1 - e^{-mu_j t}) (mu_j N_j p_j + C_{j+1}) / mu_j,
 
-    and positivity on t in [0, tau_j] guarantees it for all later times.
+    and staying above the floor on [0, tau_j] guarantees it for all time.
     The margin is evaluated on 101 uniformly spaced points. Callables must
     accept numpy arrays. Raises MassMismatchError when a density's
     integral misses its permanent pool N_j p_j by more than 1e-3 relative.
@@ -526,4 +537,5 @@ def check_initial_condition(spec: OrgSpec, plan: FlexPlan,
         filled = -np.expm1(-spec.mu[j] * times)
         lhs = np.exp(-spec.mu[j] * times) * carried + filled * inflow / spec.mu[j]
         margins[j] = float(np.min(mass_goal - lhs))
-    return InitialConditionReport(margins=margins, holds=margins > 0.0)
+    return InitialConditionReport(margins=margins,
+                                  holds=margins > _empty_floor(spec))

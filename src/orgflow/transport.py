@@ -86,6 +86,7 @@ from .org import (
     FlexPlan,
     IllPosedError,
     OrgSpec,
+    _empty_floor,
     _level_first_pools,
     _promotion_rates,
     ill_posed,
@@ -109,9 +110,6 @@ __all__ = [
 
 # promotion-rate ceiling applied when none is given
 DEFAULT_PROMOTION_CAP = 5.0
-
-# a pool below this fraction of the level mass counts as empty
-_POOL_EPS = 1e-12
 
 
 class CflViolationError(ValueError):
@@ -211,11 +209,6 @@ def _pool_sums(density: np.ndarray, cuts: _Cuts, ds: float,
             zip(masses, np.add.reduce(held, axis=1).tolist())]
 
 
-def _empty_floor(masses: np.ndarray) -> np.ndarray:
-    """Pools at or below 1e-12 max(M_j, 1) count as empty."""
-    return _POOL_EPS * np.maximum(masses, 1.0)
-
-
 def _shares(alpha_frac, size: int, cap: float) -> list[float]:
     """The closure's per-level external fractions as Python floats, after
     checking them and the cap."""
@@ -295,7 +288,7 @@ def close_policy_external_fraction(density: np.ndarray, spec: OrgSpec,
     alpha_frac = 0 this is exactly the maximize-internal-promotion rule.
     An empty pool below a positive demand forces the cap (or zero when the
     cap is infinite) with hiring absorbing the whole demand; a pool counts
-    as empty at or below 1e-12 max(M_j, 1). Returns P, h, delta and the
+    as empty at or below 1e-12 max(N_j, 1). Returns P, h, delta and the
     discrete pools A under the keys of SimulationResult.final_policy.
     """
     masses = spec.n if masses is None else masses
@@ -303,7 +296,7 @@ def close_policy_external_fraction(density: np.ndarray, spec: OrgSpec,
     mass = masses.tolist()
     pools = _pool_sums(density, _build_cuts(grid, spec), grid.ds, mass)
     promotion, hiring, shortfall, _ = _sweep(
-        spec.mu.tolist(), mass, pools, _empty_floor(masses).tolist(), share,
+        spec.mu.tolist(), mass, pools, _empty_floor(spec).tolist(), share,
         cap)
     return {"promotion": np.array(promotion), "hiring": np.array(hiring),
             "shortfall": np.array(shortfall), "pool": np.array(pools)}
@@ -379,15 +372,16 @@ def _discrete_stationary_density(spec: OrgSpec, plan: FlexPlan,
 
     the continuum pools' kernel (org._level_first_pools) with E_d in place
     of e^{-mu tau}. Returns (density, promotion_rates); raises
-    IllPosedError when a needed pool comes out non-positive or too small
-    for its rate to be finite. The top level (and any level without
-    demand from above) is a plain geometric profile.
+    IllPosedError when a needed pool comes out at or below its empty floor
+    or too small for its rate to be finite. The top level (and any level
+    without demand from above) is a plain geometric profile.
     """
     masses = spec.n * plan.p
     cuts = grid.eligibility_index(spec.tau)
     decay_pre = (1.0 + spec.mu * grid.ds) ** -cuts
     c, pools, ill = _level_first_pools(spec.mu * masses, plan.alpha, spec.mu,
-                                       decay_pre, 1.0 - decay_pre)
+                                       decay_pre, 1.0 - decay_pre,
+                                       _empty_floor(spec))
     rates = _promotion_rates(c, pools, ill)
     # one row per level; an empty level has zero inflow, hence a zero row
     mu, n_tau = spec.mu[:, np.newaxis], cuts[:, np.newaxis]
@@ -420,8 +414,8 @@ def make_initial_density(spec: OrgSpec, plan: FlexPlan | None,
                              the rounding remainder
       truncated-exponential  exp(-mu_j s) over the whole grid, rescaled
 
-    Raises InfeasibleInitialDataError when a level ends up with an empty
-    promotable pool while the plan demands promotions from it.
+    Raises InfeasibleInitialDataError when a level's pool ends up empty
+    (see org.ill_posed) while the plan demands promotions from it.
     """
     if plan is None:
         plan = FlexPlan.all_internal(spec.size)
@@ -450,7 +444,7 @@ def make_initial_density(spec: OrgSpec, plan: FlexPlan | None,
     pools = np.array(_pool_sums(density, _build_cuts(grid, spec), grid.ds,
                                 masses.tolist()))
     starved = [int(j) + 1 for j in np.flatnonzero(
-        ill_posed(pools, promotion_demands(spec, plan)))]
+        ill_posed(pools, promotion_demands(spec, plan), _empty_floor(spec)))]
     if starved:
         raise InfeasibleInitialDataError(
             "initial data leaves no promotable staff at level"
@@ -570,7 +564,7 @@ def level_metrics(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
     ready_ratio   promotable share A_j / M_j
     excess_wait   mean seniority past tau_j among promotable staff (years),
                   0 where the closure counts the pool as empty,
-                  A_j <= 1e-12 max(M_j, 1)
+                  A_j <= 1e-12 max(N_j, 1)
     l1_to_steady  ds * sum |rho - steady| / M_j, NaN without a reference
     mass_error    |ds * sum rho - M_j| / M_j
 
@@ -584,7 +578,7 @@ def level_metrics(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
     if steady_density is not None:
         _l1_sum(density, steady_density, None, l1)
     pool = policy["pool"]
-    _metric_ratios(grid.ds, masses, pool, pool <= _empty_floor(masses),
+    _metric_ratios(grid.ds, masses, pool, pool <= _empty_floor(spec),
                    steady_density is not None, ready, wait, l1, mass_err)
     return {"ready_ratio": ready, "excess_wait": wait, "l1_to_steady": l1,
             "mass_error": mass_err}
@@ -780,7 +774,7 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
     snap_steps = {int(round(t / grid.dt)) for t in snapshot_times}
     snapshots: dict[float, np.ndarray] = {}
     # the sweep's and step's per-run constants, as Python floats
-    floor = _empty_floor(masses)
+    floor = _empty_floor(spec)
     mu, mass, floors = spec.mu.tolist(), masses.tolist(), floor.tolist()
     dt = grid.dt
     # step's terms: the pool sums write rho pre into held, and each sweep's

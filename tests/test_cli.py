@@ -3,13 +3,14 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import orgflow
 from orgflow import cli, transport
@@ -126,14 +127,16 @@ def test_steady_rejects_overflowing_promotion_rate(tmp_path, capsys):
     assert "inf" not in captured.out
 
 
-@pytest.mark.parametrize("p1,code", [(1e-17, 0), (2.2250738585e-313, 3)])
+@pytest.mark.parametrize("p1,code", [(1e-9, 0), (1e-17, 3),
+                                     (2.2250738585e-313, 3)])
 def test_simulate_from_stationary_start_on_tiny_pool(tmp_path, capsys, p1,
                                                      code):
     # level 1 has tau = 0, so its discrete pool is N_1 p_1 as in the
-    # continuum: at p_1 = 1e-17 simulate accepts what steady accepts, and
-    # (mu M + C) E - C would have cancelled mu M to a pool of 0; at the
-    # subnormal p_1 the rate C_2 / A_1 overflows, which is ill posed (exit
-    # 3), with no RuntimeWarning
+    # continuum: at p_1 = 1e-9 simulate accepts what steady accepts, and
+    # (mu M + C) E - C would have cancelled mu M, an error growing like
+    # 1 / p_1; at p_1 = 1e-17 the pool lies below the empty floor
+    # 1e-12 N_1, and at the subnormal p_1 the rate C_2 / A_1 overflows:
+    # both are ill posed (exit 3), with no RuntimeWarning
     data = {
         "org": {"levels": [
             {"headcount": 7623.87, "attrition": 0.5},
@@ -476,6 +479,53 @@ def test_non_finite_number_anywhere_is_config_error(data):
         with contextlib.redirect_stderr(io.StringIO()) as err:
             assert cli.main(["steady", "--config", config]) == 2
     assert f"configuration error: {path}: " in err.getvalue()
+
+
+def _defect_3(p1):
+    # level 1 has tau = 0, so its pool is N_1 p_1: at p_1 = 1e-300 it is
+    # positive but under its empty floor, and its rate C_2 / A_1 is 2.75e299
+    return {"org": {"levels": [
+        {"headcount": 7623.87, "attrition": 0.5, "base_wage": 157},
+        {"headcount": 9211.3, "attrition": 0.38, "eligibility_age": 5.57,
+         "base_wage": 147}]},
+        "plan": {"alpha": [1.0], "p": [p1, 0.6]},
+        "cost": {"premium": 0.2}}
+
+
+# a number as steady and cost print it; inf and nan are whole words
+_PRINTED_NUMBER = re.compile(
+    r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:inf|nan)\b", re.I)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenarios())
+@example(_defect_3(0.0))
+@example(_defect_3(5e-324))
+@example(_defect_3(1e-17))
+@example(_defect_3(1e-300))
+def test_steady_and_cost_exit_named_or_print_finite_numbers(data):
+    # every scenario the parser accepts either prints finite numbers of a
+    # sensible length or ends in a named error (2 config, 3 ill posed),
+    # with no RuntimeWarning on the way
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "scenario.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        for command in ("steady", "cost"):
+            stdout = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                warnings.simplefilter("always")
+                code = cli.main([command, "--config", path, "--out", out])
+            assert code in (0, 2, 3), command
+            assert not [w for w in caught
+                        if issubclass(w.category, RuntimeWarning)], command
+            if code:
+                continue
+            for number in _PRINTED_NUMBER.findall(stdout.getvalue()):
+                assert math.isfinite(float(number)), (command, number)
+                assert len(number) <= 30, (command, number)
 
 
 DEFAULTS_DUMP = """\

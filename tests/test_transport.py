@@ -148,6 +148,37 @@ def test_stationary_kind_requires_well_posed_demands():
         make_initial_density(org, None, SeniorityGrid(), kind="stationary")
 
 
+def _defect_3_case(p1):
+    """The two-level org whose level 1 has tau = 0, so its pool is N_1 p_1,
+    under the plan p = [p1, 0.6]."""
+    return (build_org([7623.87, 9211.3], [0.5, 0.38], [0.0, 5.57]),
+            FlexPlan(alpha=[1.0], p=[p1, 0.6]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(well_posed_orgs_and_plans())
+@example(_defect_3_case(1e-9))
+@example(_defect_3_case(1e-17))
+def test_stationary_start_is_fixed_point_of_run(case):
+    # row 0 of an uncapped fixed-plan run from the discrete fixed point
+    # promotes at the fixed point's own rates, or the fixed point is ill
+    # posed and the run raises; at p_1 = 1e-17 level 1's pool 7.6e-14 lies
+    # under its empty floor 1e-12 N_1, where the closure promotes nothing
+    spec, plan = case
+    grid = _UNIT_GRID
+    try:
+        _, rates = _discrete_stationary_density(spec, plan, grid)
+    except IllPosedError:
+        with pytest.raises(IllPosedError):
+            run(spec, plan=plan, grid=grid, policy="fixed-plan", cap=np.inf,
+                initial="stationary", horizon=0.0)
+        return
+    result = run(spec, plan=plan, grid=grid, policy="fixed-plan", cap=np.inf,
+                 initial="stationary", horizon=0.0)
+    np.testing.assert_allclose(result.promotion[0], rates, rtol=1e-12,
+                               atol=0.0)
+
+
 # the grid of the drawn orgs: the uniform start is flat on [0, 2 tau_j]
 # with tau_j >= 5 ds, so every pool starts near M_j / 2
 _UNIT_GRID = SeniorityGrid(ds=0.1, dt=0.1, s_max=20.0)
@@ -416,7 +447,7 @@ def _replay(org, plan, grid, fractions, cap, initial, horizon, steady):
             l1 = (np.full(org.size, np.nan) if steady is None else
                   grid.ds * np.sum(np.abs(density - steady), axis=1))
             weighted = grid.ds * np.vecdot(density, past * ~mask)
-            empty = pools <= 1e-12 * np.maximum(masses, 1.0)
+            empty = pools <= 1e-12 * np.maximum(org.n, 1.0)
             values = {
                 "promotion": state["promotion"], "hiring": state["hiring"],
                 "shortfall": state["shortfall"], "pool": pools,
