@@ -62,6 +62,17 @@ def tiny_attrition_org():
     ]}
 
 
+def defect_3_scenario(p1):
+    # level 1 has tau = 0, so its pool is N_1 p_1: at p_1 = 1e-300 it is
+    # positive but under its empty floor, and its rate C_2 / A_1 is 2.75e299
+    return {"org": {"levels": [
+        {"headcount": 7623.87, "attrition": 0.5, "base_wage": 157},
+        {"headcount": 9211.3, "attrition": 0.38, "eligibility_age": 5.57,
+         "base_wage": 147}]},
+        "plan": {"alpha": [1.0], "p": [p1, 0.6]},
+        "cost": {"premium": 0.2}}
+
+
 def write_scenario(tmp_path, data, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -107,15 +118,8 @@ def test_steady_rejects_overflowing_promotion_rate(tmp_path, capsys):
     # level 1 has tau = 0, so its pool is N_1 p_1: positive at this p_1, but
     # so small that C_2 / A_1 overflows; it is ill posed (exit 3), with no
     # RuntimeWarning and no infinite rate printed
-    data = {
-        "org": {"levels": [
-            {"headcount": 7623.87, "attrition": 0.5, "base_wage": 157},
-            {"headcount": 9211.3, "attrition": 0.38, "eligibility_age": 5.57,
-             "base_wage": 147}]},
-        "plan": {"alpha": [1.0], "p": [2.2250738585e-313, 0.6]},
-        "cost": {"premium": 0.2},
-        "output": {"directory": str(tmp_path / "out")},
-    }
+    data = dict(defect_3_scenario(2.2250738585e-313),
+                output={"directory": str(tmp_path / "out")})
     path = write_scenario(tmp_path, data)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -481,17 +485,6 @@ def test_non_finite_number_anywhere_is_config_error(data):
     assert f"configuration error: {path}: " in err.getvalue()
 
 
-def _defect_3(p1):
-    # level 1 has tau = 0, so its pool is N_1 p_1: at p_1 = 1e-300 it is
-    # positive but under its empty floor, and its rate C_2 / A_1 is 2.75e299
-    return {"org": {"levels": [
-        {"headcount": 7623.87, "attrition": 0.5, "base_wage": 157},
-        {"headcount": 9211.3, "attrition": 0.38, "eligibility_age": 5.57,
-         "base_wage": 147}]},
-        "plan": {"alpha": [1.0], "p": [p1, 0.6]},
-        "cost": {"premium": 0.2}}
-
-
 # a number as steady and cost print it; inf and nan are whole words
 _PRINTED_NUMBER = re.compile(
     r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:inf|nan)\b", re.I)
@@ -499,10 +492,10 @@ _PRINTED_NUMBER = re.compile(
 
 @settings(max_examples=100, deadline=None)
 @given(scenarios())
-@example(_defect_3(0.0))
-@example(_defect_3(5e-324))
-@example(_defect_3(1e-17))
-@example(_defect_3(1e-300))
+@example(defect_3_scenario(0.0))
+@example(defect_3_scenario(5e-324))
+@example(defect_3_scenario(1e-17))
+@example(defect_3_scenario(1e-300))
 def test_steady_and_cost_exit_named_or_print_finite_numbers(data):
     # every scenario the parser accepts either prints finite numbers of a
     # sensible length or ends in a named error (2 config, 3 ill posed),
