@@ -12,9 +12,12 @@ checkout's, each in its own subprocess:
 - the benchmark's seed-7 `sweep-capped` variants (twenty library `run()`
   calls), the `simulate-fine` scenario (one library `run()` with its
   snapshots, and one `orgflow simulate`) and that scenario at ds = 0.05,
-  dt = 0.03 for 30 years (`dt-below-ds`, the full-array update) and,
-  uncapped from its stationary start, at ds = dt = 0.05 for 5 years
-  (`stationary-start`);
+  dt = 0.03 for 30 years (`dt-below-ds`, whose delay line has an empty
+  tail) and, uncapped from its stationary start, at ds = dt = 0.05 for 5
+  years (`stationary-start`);
+- a five-level ladder at ds = dt = 0.25 whose cut head covers all 10
+  nodes, so that its delay line's tail is empty at dt = ds, uncapped and
+  at cap 1 (`empty-tail`);
 - the two-level org of ROADMAP defect 3, whose level 1 has tau = 0 and so
   the pool N_1 p_1, from a stationary start: one library `run()` at
   p_1 = 1e-9 (`defect-3`), and `orgflow steady`, `cost` and `simulate`
@@ -86,6 +89,17 @@ CLOSED_FORM_RTOL = 1e-12
 EPS = np.finfo(float).eps
 # the simulate-fine scenario on a grid where dt < ds
 DT_BELOW_DS = {"ds": 0.05, "dt": 0.03, "s_max": 70.0, "horizon": 30.0}
+# a ladder whose top eligibility age puts the cut head on the last of the
+# grid's 10 nodes: an empty delay-line tail at dt = ds
+EMPTY_TAIL = {
+    "org": {"levels": [
+        {"headcount": n, "attrition": mu, "eligibility_age": tau}
+        for n, mu, tau in zip([8000, 4000, 2500, 1000, 500],
+                              [0.16] * 4 + [0.5],
+                              [1.0, 1.0, 1.5, 1.0, 2.5 - 1e-11])]},
+    "grid": {"ds": 0.25, "dt": 0.25, "s_max": 2.5, "horizon": 10.0},
+    "policy": {"mode": "external-fraction", "external_fraction": 0.25,
+               "promotion_cap": None, "snapshot_times": [0.0, 5.0, 10.0]}}
 # the simulate-fine scenario from its stationary start
 STATIONARY_START = {"ds": 0.05, "dt": 0.05, "s_max": 70.0, "horizon": 5.0}
 # level 1's permanent shares on the defect-3 org: a pool above its empty
@@ -267,6 +281,9 @@ def dump(src: Path, out: Path) -> None:
                            snapshot_times=[0.0, STATIONARY_START["horizon"]])
     runs["stationary-start"] = [start]
     runs["defect-3"] = [defect_3_scenario(DEFECT_3_P1[0])]
+    capped = copy.deepcopy(EMPTY_TAIL)
+    capped["policy"]["promotion_cap"] = 1.0
+    runs["empty-tail"] = [EMPTY_TAIL, capped]
     for name, scenarios in runs.items():
         for i, scenario in enumerate(scenarios):
             path = inputs / f"{name}_{i:02d}.json"

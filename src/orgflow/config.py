@@ -200,7 +200,6 @@ class ScenarioConfig:
     external_fraction: float
     initial_density: str
     snapshot_times: tuple[float, ...]
-    premium: float | None
     temporaries: bool
     optimizer: OptimizerSettings
     output_dir: str
@@ -379,9 +378,8 @@ def parse_config(data: Any) -> ScenarioConfig:
         spec=spec, plan=plan, grid=grid, horizon=horizon, policy_mode=mode,
         promotion_cap=math.inf if cap is None else cap,
         external_fraction=fraction, initial_density=initial,
-        snapshot_times=tuple(snaps), premium=premium,
-        temporaries=temporaries, optimizer=optimizer, output_dir=out_dir,
-        _normal=top.normal,
+        snapshot_times=tuple(snaps), temporaries=temporaries,
+        optimizer=optimizer, output_dir=out_dir, _normal=top.normal,
     )
 
 

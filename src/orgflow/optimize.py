@@ -348,14 +348,10 @@ class PlanObjective:
     def decode(self, genes: np.ndarray) -> FlexPlan:
         """The plan of one gene vector, or of each row of a (..., n_genes)
         array; frozen blocks are repeated along the leading axes."""
-        genes = self._genes(genes)
-        base = self._fixed
-        lead = genes.shape[:-1]
-        alpha = (genes[..., :self.n_alpha] if self.optimize_alpha
-                 else np.broadcast_to(base.alpha, lead + base.alpha.shape))
-        p = (genes[..., self.n_alpha:] if self.optimize_p
-             else np.broadcast_to(base.p, lead + base.p.shape))
-        return FlexPlan(alpha=alpha.copy(), p=p.copy())
+        alpha, p, lead = self._level_first(genes)
+        alpha, p = (np.broadcast_to(a.T, (math.prod(lead), len(a)))
+                    .reshape(lead + (len(a),)).copy() for a in (alpha, p))
+        return FlexPlan(alpha=alpha, p=p)
 
     def _level_first(self, genes: np.ndarray):
         """Level-first ratios and shares (a frozen block as a column) of

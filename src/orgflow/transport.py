@@ -51,26 +51,27 @@ exact sum. sum rho and sum |rho - steady| stay numpy's pairwise sums.
 close_policy_external_fraction and level_metrics apply the same kernels
 to one state.
 
-At dt = ds run() keeps the nodes past the cut head as a delay line. No
-node there has a source term, so a step moves each of them one node on,
-divided by its level's divisor 1 + dt (mu + P). The tail is stored in
-per-level scaled units, rho = S u, in a ring twice the grid's width: a
-step slides the (L, n_nodes) window one column, divides S by the divisor
-and converts only the column entering the tail, and step computes only
-the head and that column. The head keeps the upwind arithmetic exactly,
-and the pools read only the head, so promotion, hiring, shortfall, pool
-and ready_ratio are bit for bit those of the full-array update. The
-metric sums read the head and add S times the tail's sums sum u and sum
-u (s - tau), which the line carries from step to step and recomputes
-from the ring at each copy of the window back to the ring's end (every
-n_nodes steps), at each rescale (S 1e-100 below its level's unit, a
-power of 2 near the level's mass, and reset to it) and when a carried
-sum u (s - tau) falls below half its peak. The snapshots, the final
-density and the l1 pass multiply S u out. The density, excess_wait,
-l1_to_steady and mass_error therefore differ from the full-array
-update's by a few eps per step, within the bounds that
-tests/test_transport.py states. With dt < ds no node is a plain shift of
-its neighbour, and run() has step update the full array.
+run() keeps the densities as a delay line: a head that step updates and
+a tail past it. At dt = ds the head is the cut head; no node past it has
+a source term, so a step moves each of them one node on, divided by its
+level's divisor 1 + dt (mu + P). The tail is stored in per-level scaled
+units, rho = S u, in a ring twice the grid's width: a step slides the
+(L, n_nodes) window one column, divides S by the divisor and converts
+only the column entering the tail, and step computes only the head and
+that column. The head keeps the upwind arithmetic exactly, and the pools
+read only the head, so promotion, hiring, shortfall, pool and ready_ratio
+are bit for bit those of the full-array update. The metric sums read the
+head and add S times the tail's sums sum u and sum u (s - tau), which the
+line carries from step to step and recomputes from the ring at each copy
+of the window back to the ring's end (every n_nodes steps), at each
+rescale (S 1e-100 below its level's unit, a power of 2 near the level's
+mass, and reset to it) and when a carried sum u (s - tau) falls below
+half its peak. The snapshots, the final density and the l1 pass multiply
+S u out. The density, excess_wait, l1_to_steady and mass_error therefore
+differ from the full-array update's by a few eps per step, within the
+bounds that tests/test_transport.py states. With dt < ds no node is a
+plain shift of its neighbour: the head is the whole grid and the tail
+empty, with sums 0, so every array is bit for bit the full-array one.
 """
 
 from __future__ import annotations
@@ -316,8 +317,8 @@ def step(density: np.ndarray, grid: SeniorityGrid, ghost: np.ndarray,
     1 + dt (mu + P); held, rho 1[s <= tau] on density's first columns (the
     mask is zero past them), which step overwrites.
 
-    The new densities are written to out, a C-contiguous array that must
-    not overlap density, and returned; a new array shaped like density is
+    The new densities are written to out, of any memory layout but not
+    overlapping density, and returned; a new array shaped like density is
     allocated when out is not given. out may have fewer columns than
     density, w: it then receives the first w columns of the new densities,
     which depend only on the first w columns of density (run() at dt = ds
@@ -326,27 +327,20 @@ def step(density: np.ndarray, grid: SeniorityGrid, ghost: np.ndarray,
     a wrapper put in its place (a tracer counting node-steps) sees them all.
     """
     if out is None:
-        out = np.empty_like(density, order="C")
-    elif not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
+        out = np.empty_like(density)
     # the first node of every row takes its ghost value: at unit Courant
-    # number a shift by one node, else rho - lam (rho - rho_upwind); a
-    # full-width out gets the shift over the flattened rows, one
-    # contiguous pass
+    # number a shift by one node, else rho - lam (rho - rho_upwind)
     width = out.shape[1]
-    if width == density.shape[1]:
-        rho, shifted = density.reshape(-1), out.reshape(-1)[1:]
-    else:
-        rho, shifted = density[:, :width], out[:, 1:]
+    rho, shifted = density[:, :width], out[:, 1:]
     lam = grid.dt / grid.ds
     if lam == 1.0:
-        shifted[...] = rho[..., :-1]
+        shifted[...] = rho[:, :-1]
         out[:, 0] = ghost
     else:
-        np.subtract(rho[..., 1:], rho[..., :-1], out=shifted)
+        np.subtract(rho[:, 1:], rho[:, :-1], out=shifted)
         out[:, 0] = density[:, 0] - ghost
         out *= lam
-        np.subtract(density[:, :width], out, out=out)
+        np.subtract(rho, out, out=out)
     # the promotion source dt P rho 1[s <= tau] is added only on held's
     # columns, which run() cuts at its head; past the head it is +0, which
     # leaves nonnegative values unchanged
@@ -469,8 +463,9 @@ class SimulationResult:
     two stages: every step writes its row sums into them (see the module
     docstring), and one elementwise pass after the last step turns them
     into the ratios that level_metrics gives for each state: bit for bit
-    with dt < ds, and with dt = ds within the delay line's bounds (the
-    pools, hence ready_ratio, still bit for bit).
+    where the delay line's tail is empty (dt < ds, or a cut head covering
+    every node), and otherwise within the delay line's bounds (the pools,
+    hence ready_ratio, still bit for bit).
     """
 
     times: np.ndarray
@@ -519,12 +514,9 @@ def _metric_sums(density: np.ndarray, weight: np.ndarray,
     np.vecdot(density, weight, out=wait_sum)
 
 
-def _l1_sum(density: np.ndarray, steady_density: np.ndarray,
-            scratch: np.ndarray | None, out: np.ndarray) -> None:
-    """sum |rho - steady| per level, pairwise, into out; scratch, shaped
-    like density, may be density itself (a fresh array when it is
-    None)."""
-    gap = np.subtract(density, steady_density, out=scratch)
+def _l1_sum(gap: np.ndarray, out: np.ndarray) -> None:
+    """sum |rho - steady| per level, pairwise, into out, from gap = rho -
+    steady, which it overwrites."""
     np.add.reduce(np.abs(gap, out=gap), axis=1, out=out)
 
 
@@ -576,7 +568,7 @@ def level_metrics(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
     ready, wait, l1, mass_err = (np.empty(spec.size) for _ in range(4))
     _metric_sums(density, _build_cuts(grid, spec).weight, mass_err, wait)
     if steady_density is not None:
-        _l1_sum(density, steady_density, None, l1)
+        _l1_sum(density - steady_density, l1)
     pool = policy["pool"]
     _metric_ratios(grid.ds, masses, pool, pool <= _empty_floor(spec),
                    steady_density is not None, ready, wait, l1, mass_err)
@@ -591,18 +583,20 @@ _RESCALE_BELOW = 1e-100
 
 
 class _DelayLine:
-    """run()'s densities at unit Courant number, the nodes past the cut
-    head kept as a delay line.
+    """run()'s densities, the nodes past a given head kept as a delay line.
 
-    No node past the head has a source term, so a step moves its value to
-    the next node divided by the level's divisor 1 + dt (mu + P). The
-    densities live in an (L, 2 n_nodes) ring; window, its (L, n_nodes)
-    view, holds the head columns as densities and the tail columns in
-    per-level scaled units u, rho = S u. A step slides the window one
-    column towards the ring's start, writes the step's new head there,
-    divides S by the divisor and converts only the column entering the
-    tail; the column leaving the grid drops out of the window. When the
-    window reaches the ring's start it is copied back to the ring's end.
+    At dt = ds no node past the cut head has a source term, so a step
+    moves its value to the next node divided by the level's divisor
+    1 + dt (mu + P). The densities live in an (L, 2 n_nodes) ring; window,
+    its (L, n_nodes) view, holds the head columns as densities and the
+    tail columns in per-level scaled units u, rho = S u. A step slides the
+    window one column towards the ring's start, writes the new head there
+    from fresh (where step puts it), divides S by the divisor and converts
+    only the column entering the tail; the column leaving the grid drops
+    out of the window. When the window reaches the ring's start it is
+    copied back to the ring's end. An empty tail (a head of n_nodes) has
+    no ring: the window, the given density taken over, and fresh, an array
+    like it, swap at each step, and the tail's sums stay 0.
 
     A level's S starts at its unit, the largest power of 2 not above
     max(M, 1), so that the stored values stay near rho / M however large
@@ -618,25 +612,28 @@ class _DelayLine:
     """
 
     def __init__(self, density: np.ndarray, cuts: _Cuts, ds: float,
-                 masses: list[float]):
+                 masses: list[float], head: int):
         size, n = density.shape
-        self.head, self.n, self.ds = cuts.head, n, ds
+        self.head, self.n, self.ds = head, n, ds
         self.unit = [math.ldexp(1.0, math.frexp(max(m, 1.0))[1] - 1)
                      for m in masses]
         self.floor = [_RESCALE_BELOW * unit for unit in self.unit]
-        self.ring = np.empty((size, 2 * n))
-        self.start = n
-        self.window = self.ring[:, n:]
-        self.window[...] = density
-        self.window[:, cuts.head:] /= np.array(self.unit)[:, np.newaxis]
+        if head < n:
+            self.ring, self.start = np.empty((size, 2 * n)), n
+            self.window = self.ring[:, n:]
+            self.window[...] = density
+            self.window[:, head:] /= np.array(self.unit)[:, np.newaxis]
+            self.fresh = np.empty((size, head + 1))
+        else:
+            self.window, self.fresh = density, np.empty_like(density)
         # the tail's excess-wait weights, spaced by ds from the first one,
         # as the carried sums age them: the grid's s - tau are spaced by ds
         # only to within (s + tau) eps, and that gap would add up in the
         # carried sum at every step
-        first = cuts.weight[:, cuts.head:cuts.head + 1]
-        self.weight = first + ds * np.arange(n - cuts.head)
-        self.weight_in = first[:, 0].tolist()
-        self.weight_out = self.weight[:, -1].tolist()
+        first = cuts.weight[:, head:head + 1]
+        self.weight = first + ds * np.arange(n - head)
+        self.weight_in = first.ravel().tolist()
+        self.weight_out = self.weight[:, -1:].ravel().tolist()
         self._resum(self.unit)
 
     def _resum(self, scale: list[float]) -> None:
@@ -644,12 +641,15 @@ class _DelayLine:
         self.peak = np.vecdot(tail, self.weight).tolist()
         self.state = np.add.reduce(tail, axis=1).tolist() + self.peak + scale
 
-    def advance(self, fresh: np.ndarray, divisor: list[float]) -> None:
-        """One step: fresh holds the step's new head columns and, after
-        them, the column entering the tail, all as densities; divisor the
-        levels' 1 + dt (mu + P)."""
-        head, n, ds, ring = self.head, self.n, self.ds, self.ring
-        start = self.start - 1
+    def advance(self, divisor: list[float]) -> None:
+        """One step, once fresh holds the step's new head columns and,
+        after them, the column entering the tail, all as densities; divisor
+        holds the levels' 1 + dt (mu + P)."""
+        head, n, ds, fresh = self.head, self.n, self.ds, self.fresh
+        if head == n:
+            self.window, self.fresh = fresh, self.window
+            return
+        ring, start = self.ring, self.start - 1
         ring[:, start:start + head] = fresh[:, :head]
         size = len(divisor)
         state = self.state
@@ -688,18 +688,28 @@ class _DelayLine:
         elif start == n or shrunk:
             self._resum(scale)
 
-    def density(self, out: np.ndarray | None = None) -> np.ndarray:
+    def density(self, out: np.ndarray | None = None,
+                less: np.ndarray | None = None) -> np.ndarray:
         """The densities, the tail's S u multiplied out, written to out (a
-        new array when it is None)."""
+        new array when it is None); with less given, the densities less
+        it, with no copy of the head first."""
         window, head = self.window, self.head
         if out is None:
             out = np.empty(window.shape)
-        out[:, :head] = window[:, :head]
+        if less is None:
+            out[:, :head] = window[:, :head]
+        else:
+            np.subtract(window[:, :head], less[:, :head], out=out[:, :head])
+        if head == self.n:
+            return out
+        tail = out[:, head:]
         # row by row with a Python float scale: numpy broadcasts an (L, 1)
         # column over the rows at about twice the cost
-        for u, rho, scale in zip(window[:, head:], out[:, head:],
+        for u, rho, scale in zip(window[:, head:], tail,
                                  self.state[2 * len(window):]):
             np.multiply(u, scale, out=rho)
+        if less is not None:
+            np.subtract(tail, less[:, head:], out=tail)
         return out
 
 
@@ -783,58 +793,45 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
     block = np.empty((3, spec.size))
     ghost = block[0]
     source, decay = block[1:, :, np.newaxis]
-    # at unit Courant number the nodes past the head are a delay line: step
-    # computes the head and the column entering the tail, the metric sums
-    # read the head, and the line carries the tail's sums
-    line = (_DelayLine(density, cuts, grid.ds, mass)
-            if dt / grid.ds == 1.0 and cuts.head < grid.n_nodes else None)
-    width = cuts.head if line else grid.n_nodes
-    weight = cuts.weight[:, :width]
+    # step computes the line's head and the column entering its tail, the
+    # metric sums read the head, and the line carries the tail's sums; with
+    # dt < ds the head is the whole grid and the tail empty
+    line = _DelayLine(density, cuts, grid.ds, mass,
+                      cuts.head if dt / grid.ds == 1.0 else grid.n_nodes)
+    weight = cuts.weight[:, :line.head]
     # row k of record holds step k's Python floats in one assignment: the
-    # promotion, hiring and shortfall rates, the pools and, with a delay
-    # line, its state (the tail's sums and scales)
-    record = np.empty((n_steps + 1, 7 if line else 4, spec.size))
+    # promotion, hiring and shortfall rates, the pools and the line's state
+    # (the tail's sums and scales)
+    record = np.empty((n_steps + 1, 7, spec.size))
     promotion, hiring, shortfall, pool = record.transpose(1, 0, 2)[:4]
     rows = record.reshape(n_steps + 1, -1)
     ready, wait, l1, mass_err = (np.zeros((n_steps + 1, spec.size))
                                  for _ in range(4))
-    if line:
-        fresh = np.empty((spec.size, width + 1))
-    # the next density, made once, without a delay line; before each step
-    # it is the l1 sum's scratch
-    spare = np.empty_like(density) if not line or steady is not None else None
+    # the l1 sum's scratch
+    spare = np.empty_like(density) if steady is not None else None
 
     for k in range(n_steps + 1):
-        if line:
-            density = line.window
+        density = line.window
         pools = _pool_sums(density, cuts, grid.ds, mass, held)
         rates, hires, shorts, demand = _sweep(mu, mass, pools, floors, share,
                                               cap)
-        rows[k] = rates + hires + shorts + pools + (line.state if line
-                                                    else [])
-        _metric_sums(density[:, :width], weight, mass_err[k], wait[k])
+        rows[k] = rates + hires + shorts + pools + line.state
+        _metric_sums(density[:, :line.head], weight, mass_err[k], wait[k])
         if steady is not None:
-            _l1_sum(line.density(spare) if line else density, steady, spare,
-                    l1[k])
+            _l1_sum(line.density(spare, steady), l1[k])
         if k in snap_steps:
-            snapshots[float(times[k])] = (line.density() if line
-                                          else density.copy())
+            snapshots[float(times[k])] = line.density()
         if k == n_steps:
             break
         divisor = [1.0 + dt * (m + p) for m, p in zip(mu, rates)]
         block[...] = demand, [dt * p for p in rates], divisor
-        if line:
-            step(density, grid, ghost, source, decay, held, out=fresh)
-            line.advance(fresh, divisor)
-        else:
-            step(density, grid, ghost, source, decay, held, out=spare)
-            density, spare = spare, density
-    if line:
-        density = line.density()
-        sums = record[:, 4:6]
-        sums *= record[:, 6:]
-        mass_err += sums[:, 0]
-        wait += sums[:, 1]
+        step(density, grid, ghost, source, decay, held, out=line.fresh)
+        line.advance(divisor)
+    density = line.density()
+    sums = record[:, 4:6]
+    sums *= record[:, 6:]
+    mass_err += sums[:, 0]
+    wait += sums[:, 1]
     _metric_ratios(grid.ds, masses, pool, pool <= floor, steady is not None,
                    ready, wait, l1, mass_err)
     return SimulationResult(

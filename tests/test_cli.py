@@ -501,24 +501,77 @@ def test_steady_and_cost_exit_named_or_print_finite_numbers(data):
     # sensible length or ends in a named error (2 config, 3 ill posed),
     # with no RuntimeWarning on the way
     with tempfile.TemporaryDirectory() as out:
-        path = os.path.join(out, "scenario.json")
-        with open(path, "w") as fh:
-            json.dump(data, fh)
         for command in ("steady", "cost"):
-            stdout = io.StringIO()
-            with warnings.catch_warnings(record=True) as caught, \
-                    contextlib.redirect_stdout(stdout), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                warnings.simplefilter("always")
-                code = cli.main([command, "--config", path, "--out", out])
-            assert code in (0, 2, 3), command
-            assert not [w for w in caught
-                        if issubclass(w.category, RuntimeWarning)], command
+            code, stdout = _run_checked(command, data, out)
             if code:
                 continue
-            for number in _PRINTED_NUMBER.findall(stdout.getvalue()):
+            for number in _PRINTED_NUMBER.findall(stdout):
                 assert math.isfinite(float(number)), (command, number)
                 assert len(number) <= 30, (command, number)
+
+
+def _run_checked(command, data, out):
+    """Exit code and stdout of command on the scenario data, written into
+    out, which also receives the command's files; the code must be 0, 2
+    or 3 and the run raise no RuntimeWarning."""
+    path = os.path.join(out, "scenario.json")
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    stdout = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("always")
+        code = cli.main([command, "--config", path, "--out", out])
+    assert code in (0, 2, 3), command
+    assert not [w for w in caught
+                if issubclass(w.category, RuntimeWarning)], command
+    return code, stdout.getvalue()
+
+
+def _bounded(data):
+    """The scenario cut down to a short run: ds >= 0.05, dt in
+    [0.1 ds, ds], a horizon of at most 2 years with the snapshot times
+    clipped to it, and a GA of at most 10 x 5."""
+    grid = data.setdefault("grid", {})
+    ds = grid["ds"] = max(grid.get("ds", 0.05), 0.05)
+    grid["dt"] = min(max(grid.get("dt", ds), 0.1 * ds), ds)
+    horizon = grid["horizon"] = min(grid.get("horizon", 60.0), 2.0)
+    policy = data["policy"]
+    if "snapshot_times" in policy:
+        policy["snapshot_times"] = [min(t, horizon)
+                                    for t in policy["snapshot_times"]]
+    optimizer = data["optimizer"]
+    optimizer["population_size"] = min(optimizer.get("population_size", 200),
+                                       10)
+    optimizer["generations"] = min(optimizer.get("generations", 250), 5)
+    return data
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios().map(_bounded))
+def test_simulate_and_optimize_exit_named_or_write_finite_numbers(data):
+    # the same contract for the commands that run the transport and the
+    # GA: on exit 0 every number printed and every CSV cell written is
+    # finite; simulate prints its promotion cap, inf when none is set,
+    # and the trajectory file's path, whose digits are no result
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in ("simulate", "optimize"):
+            out = os.path.join(tmp, command)
+            os.mkdir(out)
+            code, stdout = _run_checked(command, data, out)
+            if code:
+                continue
+            lines = [line.replace(", cap inf)", ")")
+                     for line in stdout.splitlines()
+                     if not line.startswith("trajectory written to ")]
+            for name in os.listdir(out):
+                if name.endswith(".csv"):
+                    with open(os.path.join(out, name)) as fh:
+                        lines += [line for line in fh
+                                  if not line.startswith("#")]
+            for number in _PRINTED_NUMBER.findall("\n".join(lines)):
+                assert math.isfinite(float(number)), (command, number)
 
 
 DEFAULTS_DUMP = """\

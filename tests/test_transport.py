@@ -370,9 +370,10 @@ def test_buffered_step_matches_full_array_formula(high_turnover_org, dt, cap,
     out = np.full_like(density, np.nan)
     assert step(density, grid, *terms(), out=out) is out
     np.testing.assert_array_equal(out, expected)
-    # the flattened-row pass needs an out that is one block of memory
-    with pytest.raises(ValueError):
-        step(density, grid, *terms(), out=np.empty(density.shape[::-1]).T)
+    # any memory layout of out gives the same densities
+    transposed = np.empty(density.shape[::-1]).T
+    assert step(density, grid, *terms(), out=transposed) is transposed
+    np.testing.assert_array_equal(transposed, expected)
     np.testing.assert_array_equal(step(density, grid, *terms()), expected)
 
 
@@ -525,10 +526,11 @@ def test_run_matches_full_array_replay(low_turnover_org, high_turnover_org,
 @st.composite
 def _delay_line_runs(draw):
     """run() arguments that reach every path of the delay line: dt = ds
-    (and dt < ds, the full-array update), horizons past n_nodes steps (the
-    window's copies back to the ring's end), the high-turnover ladder
-    uncapped (near-empty pools, P to 1e11 per year, rescales), eligibility
-    ages all 0 (an empty head) and a one-column tail."""
+    (and dt < ds, whose head is the whole grid and tail empty), horizons
+    past n_nodes steps (the window's copies back to the ring's end), the
+    high-turnover ladder uncapped (near-empty pools, P to 1e11 per year,
+    rescales), eligibility ages all 0 (an empty head) and a one-column
+    tail."""
     kind = draw(st.sampled_from(["random", "no-head", "ladder"]))
     if kind == "ladder":
         spec = build_org([8000, 4000, 2500, 1000, 500],
@@ -559,6 +561,12 @@ def _delay_line_runs(draw):
                     [0.16, 0.16, 0.16, 0.16, 0.5], [4.0] * 5),
           FlexPlan.all_internal(5), SeniorityGrid(ds=0.25, dt=0.25, s_max=11.5),
           28.75, np.inf, 0.0, "uniform"))
+# at dt = ds, a cut head that covers all 10 nodes: an empty tail, which the
+# strategy's tails never give at dt = ds
+@example((build_org([8000, 4000, 2500, 1000, 500], [0.16] * 4 + [0.5],
+                    [1.0, 1.0, 1.5, 1.0, 2.5 - 1e-11]),
+          FlexPlan.all_internal(5), SeniorityGrid(ds=0.25, dt=0.25, s_max=2.5),
+          10.0, np.inf, 0.25, "uniform"))
 def test_delay_line_matches_full_array_replay(case):
     # over random well-posed orgs and grids, run() against the full-array
     # replay: the policy arrays bit for bit, the rest within the delay
