@@ -7,7 +7,9 @@ search never needs explicit constraint repair.
 
 An objective maps genes of shape (..., n_genes) to costs of the leading
 shape: the GA prices each generation with one call on its (n, n_genes)
-population. PlanObjective follows this contract through one array kernel.
+population. PlanObjective follows this contract through one array kernel,
+org._pools and the wage bills, with the levels last as in FlexPlan; the
+population is read column-major, for the reason _pools gives.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from .org import (
     MissingWageError,
     OrgSpec,
     _check_ranges,
-    _level_columns,
-    _level_first_pools,
+    _level_constants,
+    _pools,
     steady_promotable_pool,  # noqa: F401  (perfbench wraps optimize.* names)
 )
 
@@ -228,9 +230,9 @@ def feasible_cost_ceiling(spec: OrgSpec) -> float:
 class _Pricing:
     """The one evaluation kernel behind penalized_cost and PlanObjective.
 
-    Prices B plans given level first: (L - 1, B) ratios alpha_2..alpha_L
-    and (L, B) shares, either of which may be one (L, 1) column for all
-    plans. The spec's level constants are (L, 1) columns. A cost is
+    Prices plans given levels last: ratios alpha_2..alpha_L and shares
+    p_1..p_L whose leading axes broadcast (a frozen block is one (L,)
+    array for all plans), against the spec's (L,) constants. A cost is
     org_cost(spec, plan).total, bit for bit, where a plan is well posed,
     and ceiling * (1 + sum_j max(0, -A_j) / N_j) where it is not; the
     ceiling is feasible_cost_ceiling, which checks the wage bill's domain.
@@ -240,31 +242,32 @@ class _Pricing:
     def __init__(self, spec: OrgSpec):
         self.spec = spec
         self.ceiling = feasible_cost_ceiling(spec)
-        self.n = spec.n[:, None]
-        self.outflow = (spec.mu * spec.n)[:, None]
-        self.pool_terms = _level_columns(spec, 2)
-        self.wage_terms = tuple(a[:, None] if np.ndim(a) else a
-                                for a in _wage_terms(spec))
+        self.n = spec.n
+        self.outflow = spec.mu * spec.n
+        self.pool_terms = _level_constants(spec)
+        self.wage_terms = _wage_terms(spec)
 
     def pools(self, alpha: np.ndarray, p: np.ndarray):
-        """C, A and the ill_posed mask of the plans, level first."""
-        return _level_first_pools(self.outflow * p, alpha, *self.pool_terms)
+        """C, A and the ill_posed mask of the plans."""
+        return _pools(self.outflow * p, alpha, *self.pool_terms)
 
-    def costs(self, alpha: np.ndarray, p: np.ndarray, lead: tuple):
-        """Penalized costs of the plans, shaped lead (a float for ())."""
+    def costs(self, alpha: np.ndarray, p: np.ndarray):
+        """Penalized costs of the plans, of their leading shape (a float
+        for one plan)."""
         c, pools, ill = self.pools(alpha, p)
-        bad = ill.any(axis=0)
+        bad = ill.any(axis=-1, keepdims=True)
         # ill-posed plans are priced by the penalty; their bracket may divide
         # by a vanishing denominator and is discarded
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            perm = _permanent_wage_bill(self.wage_terms, self.n * p, c[1:])
-        temp = _temporary_bill(self.spec, np.where(bad, 1.0, p).T).T
+            perm = _permanent_wage_bill(self.wage_terms, self.n * p,
+                                        c[..., 1:])
+        temp = _temporary_bill(self.spec, np.where(bad, 1.0, p))
         levels = np.where(bad, np.maximum(0.0, -pools) / self.n, perm + temp)
         # each plan's levels summed as one contiguous row: the pairwise sum
         # that org_cost's total takes
-        total = levels.T.copy().sum(axis=1)
-        costs = np.where(bad, self.ceiling * (1.0 + total), total)
-        return float(costs[0]) if lead == () else costs.reshape(lead)
+        total = np.ascontiguousarray(levels).sum(axis=-1)
+        costs = np.where(bad[..., 0], self.ceiling * (1.0 + total), total)
+        return float(costs) if costs.ndim == 0 else costs
 
 
 def penalized_cost(spec: OrgSpec, plan: FlexPlan):
@@ -278,11 +281,7 @@ def penalized_cost(spec: OrgSpec, plan: FlexPlan):
     result is an array of that leading shape; one plan gives a float.
     """
     plan.check(spec)
-    lead = np.broadcast_shapes(plan.alpha.shape[:-1], plan.p.shape[:-1])
-    alpha, p = (np.broadcast_to(a, lead + a.shape[-1:])
-                .reshape(math.prod(lead), a.shape[-1]).T
-                for a in (plan.alpha, plan.p))
-    return _Pricing(spec).costs(alpha, p, lead)
+    return _Pricing(spec).costs(plan.alpha, plan.p)
 
 
 @dataclass
@@ -298,9 +297,10 @@ class PlanObjective:
     Calling it on genes of shape (..., n_genes) prices them in one array
     call: one gene vector gives a float, a (B, n_genes) population an
     array of B costs equal to [objective(g) for g in pop] exactly,
-    through the kernel of penalized_cost on level-first rows, with its
-    constants, the feasible cost ceiling and the checks of wage growth and
-    fixed_plan done once here.
+    through the kernel of penalized_cost, with its constants, the feasible
+    cost ceiling and the checks of wage growth and fixed_plan done once
+    here. The genes are read column-major, so each gene's column is
+    contiguous (see org._pools).
     """
 
     spec: OrgSpec
@@ -348,33 +348,31 @@ class PlanObjective:
     def decode(self, genes: np.ndarray) -> FlexPlan:
         """The plan of one gene vector, or of each row of a (..., n_genes)
         array; frozen blocks are repeated along the leading axes."""
-        alpha, p, lead = self._level_first(genes)
-        alpha, p = (np.broadcast_to(a.T, (math.prod(lead), len(a)))
-                    .reshape(lead + (len(a),)).copy() for a in (alpha, p))
-        return FlexPlan(alpha=alpha, p=p)
+        alpha, p = self._blocks(genes)
+        lead = np.broadcast_shapes(alpha.shape[:-1], p.shape[:-1])
+        return FlexPlan(*(np.broadcast_to(a, lead + a.shape[-1:]).copy()
+                          for a in (alpha, p)))
 
-    def _level_first(self, genes: np.ndarray):
-        """Level-first ratios and shares (a frozen block as a column) of
-        every gene vector, and the genes' leading shape. With no gene
-        free, the shares repeat the frozen column once per gene vector."""
-        genes = self._genes(genes)
-        lead = genes.shape[:-1]
-        rows = genes.reshape(math.prod(lead), genes.shape[-1]).T
-        alpha = (rows[:self.n_alpha] if self.optimize_alpha
-                 else self._fixed.alpha[:, None])
-        p = rows[self.n_alpha:] if self.optimize_p else self._fixed.p[:, None]
+    def _blocks(self, genes: np.ndarray):
+        """Ratios and shares of every gene vector, levels last: slices of
+        the genes taken column-major, or the fixed plan's (L,) array for a
+        frozen block. With no gene free, the shares are broadcast to the
+        genes' leading shape."""
+        genes = np.asfortranarray(self._genes(genes))
+        alpha = (genes[..., :self.n_alpha] if self.optimize_alpha
+                 else self._fixed.alpha)
+        p = genes[..., self.n_alpha:] if self.optimize_p else self._fixed.p
         if not (self.optimize_alpha or self.optimize_p):
-            p = np.repeat(p, rows.shape[1], axis=1)
-        return alpha, p, lead
+            p = np.broadcast_to(p, genes.shape[:-1] + p.shape)
+        return alpha, p
 
     def __call__(self, genes: np.ndarray):
-        alpha, p, lead = self._level_first(genes)
+        alpha, p = self._blocks(genes)
         _check_ranges(alpha, p)
-        return self._pricing.costs(alpha, p, lead)
+        return self._pricing.costs(alpha, p)
 
     def is_feasible(self, genes: np.ndarray) -> bool:
-        alpha, p, _ = self._level_first(genes)
-        return not self._pricing.pools(alpha, p)[2].any()
+        return not self._pricing.pools(*self._blocks(genes))[2].any()
 
 
 def write_ga_csv(path: str, result: GaResult,

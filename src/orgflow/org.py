@@ -296,17 +296,12 @@ def stationary_pools(spec: OrgSpec, plan: FlexPlan,
     the (K, L) rows of K business units) replaces N_j, and plan.p and
     plan.alpha may carry leading axes too (say, a (B, L) batch of plans):
     each row is then an organization of its own, with its level's empty
-    floor, and the leading axes of heads, p and alpha broadcast.
+    floor, and the leading axes of heads, p and alpha broadcast. Levels
+    are last in every result; C is stored column-major (see _pools).
     """
     heads = spec.n if heads is None else heads
-    outflow = spec.mu * heads * plan.p
-    lead = np.broadcast_shapes(outflow.shape[:-1], plan.alpha.shape[:-1])
-    c, pools, ill = _level_first_pools(
-        *(np.moveaxis(np.broadcast_to(a, lead + a.shape[-1:]), -1, 0)
-          for a in (outflow, plan.alpha)),
-        *_level_columns(spec, 1 + len(lead)))
-    return tuple(np.ascontiguousarray(np.moveaxis(a, 0, -1))
-                 for a in (c, pools, ill))
+    return _pools(spec.mu * heads * plan.p, plan.alpha,
+                  *_level_constants(spec))
 
 
 def _empty_floor(spec: OrgSpec) -> np.ndarray:
@@ -314,32 +309,34 @@ def _empty_floor(spec: OrgSpec) -> np.ndarray:
     return _POOL_EPS * np.maximum(spec.n, 1.0)
 
 
-def _level_columns(spec: OrgSpec, ndim: int) -> tuple[np.ndarray, ...]:
-    """mu_j, e^{-mu_j tau_j}, 1 - e^{-mu_j tau_j} and the empty floor as
-    level columns of ndim axes: the constants of _level_first_pools."""
-    shape = (spec.size,) + (1,) * (ndim - 1)
+def _level_constants(spec: OrgSpec) -> tuple[np.ndarray, ...]:
+    """mu_j, e^{-mu_j tau_j}, 1 - e^{-mu_j tau_j} and the empty floor, each
+    of shape (L,): the constants of _pools."""
     rate = -spec.mu * spec.tau
-    return tuple(a.reshape(shape) for a in (
-        spec.mu, np.exp(rate), -np.expm1(rate), _empty_floor(spec)))
+    return spec.mu, np.exp(rate), -np.expm1(rate), _empty_floor(spec)
 
 
-def _level_first_pools(outflow: np.ndarray, alpha: np.ndarray,
-                       mu: np.ndarray, decay: np.ndarray, filled: np.ndarray,
-                       floor: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The kernel of stationary_pools, level first: outflow holds the rows
-    mu_j N_j p_j and alpha the rows alpha_2..alpha_L; mu, decay, filled and
-    floor are the level columns of _level_columns. Returns C, A and the
-    ill_posed mask, level first."""
-    size = outflow.shape[0]
-    c = np.zeros((size + 1,)
-                 + np.broadcast_shapes(outflow.shape[1:], alpha.shape[1:]))
+def _pools(outflow: np.ndarray, alpha: np.ndarray, mu: np.ndarray,
+           decay: np.ndarray, filled: np.ndarray, floor: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel of stationary_pools, levels last: outflow holds
+    mu_j N_j p_j and alpha the ratios alpha_2..alpha_L, their leading axes
+    broadcasting; mu, decay, filled and floor are the (L,) constants of
+    _level_constants. Returns C, A and the ill_posed mask.
+
+    C is stored column-major, and the GA hands in its genes column-major
+    too, so that each level's column of a batch is contiguous: the
+    recursion over the levels then runs numpy's inner loops over the
+    plans, not over the few levels."""
+    size = outflow.shape[-1]
+    lead = np.broadcast_shapes(outflow.shape[:-1], alpha.shape[:-1])
+    c = np.zeros(lead + (size + 1,), order="F")
     for j in range(size - 1, -1, -1):
-        c[j] = outflow[j] + c[j + 1]
+        c[..., j] = outflow[..., j] + c[..., j + 1]
         if j:  # level 1 has alpha_1 = 1, and x / 1.0 is x
-            c[j] /= alpha[j - 1]
-    pools = (outflow * decay - filled * c[1:]) / mu
-    return c, pools, ill_posed(pools.T, c.T, floor.T).T  # .T: levels last
+            c[..., j] /= alpha[..., j - 1]
+    pools = (outflow * decay - filled * c[..., 1:]) / mu
+    return c, pools, ill_posed(pools, c, floor)
 
 
 def ill_posed(pools: np.ndarray, demands: np.ndarray,
@@ -378,7 +375,7 @@ def min_permanent_share(spec: OrgSpec, plan: FlexPlan) -> np.ndarray:
     the levels above. A share strictly above it keeps A_j > 0; A_j above
     the empty floor f_j needs one above it by more than f_j / (N_j E_j).
     """
-    mu, decay, filled, _ = _level_columns(spec, 1)
+    mu, decay, filled, _ = _level_constants(spec)
     c_next = promotion_demands(spec, plan)[1:]
     # 0, not the 0/0 of an underflowed e^{-mu tau}, where no flux is demanded
     return np.divide(filled * c_next, mu * spec.n * decay,
@@ -401,7 +398,7 @@ def min_external_ratios(spec: OrgSpec) -> np.ndarray:
     """
     if spec.size < 2:
         return np.zeros(0)
-    mu, decay, filled, _ = _level_columns(spec, 1)
+    mu, decay, filled, _ = _level_constants(spec)
     ratios = np.ones(spec.size - 1)
     c_next = 0.0  # C_{j+1} built from the minimal ratios above
     for j in range(spec.size - 1, 0, -1):  # 0-based level j, promoting j-1

@@ -88,7 +88,7 @@ from .org import (
     IllPosedError,
     OrgSpec,
     _empty_floor,
-    _level_first_pools,
+    _pools,
     _promotion_rates,
     ill_posed,
     promotion_demands,
@@ -364,7 +364,7 @@ def _discrete_stationary_density(spec: OrgSpec, plan: FlexPlan,
 
         A_j = (mu_j M_j E_d - (1 - E_d) X) / mu_j,    P_j = X / A_j,
 
-    the continuum pools' kernel (org._level_first_pools) with E_d in place
+    the continuum pools' kernel (org._pools) with E_d in place
     of e^{-mu tau}. Returns (density, promotion_rates); raises
     IllPosedError when a needed pool comes out at or below its empty floor
     or too small for its rate to be finite. The top level (and any level
@@ -373,9 +373,8 @@ def _discrete_stationary_density(spec: OrgSpec, plan: FlexPlan,
     masses = spec.n * plan.p
     cuts = grid.eligibility_index(spec.tau)
     decay_pre = (1.0 + spec.mu * grid.ds) ** -cuts
-    c, pools, ill = _level_first_pools(spec.mu * masses, plan.alpha, spec.mu,
-                                       decay_pre, 1.0 - decay_pre,
-                                       _empty_floor(spec))
+    c, pools, ill = _pools(spec.mu * masses, plan.alpha, spec.mu, decay_pre,
+                           1.0 - decay_pre, _empty_floor(spec))
     rates = _promotion_rates(c, pools, ill)
     # one row per level; an empty level has zero inflow, hence a zero row
     mu, n_tau = spec.mu[:, np.newaxis], cuts[:, np.newaxis]
@@ -421,7 +420,9 @@ def make_initial_density(spec: OrgSpec, plan: FlexPlan | None,
     if kind == "stationary":
         density, _ = _discrete_stationary_density(spec, plan, grid)
     elif kind == "uniform":
-        width = np.where(spec.tau > 0, 2.0 * spec.tau, 1.0 / spec.mu)
+        width = 2.0 * spec.tau
+        # 1 / mu only where tau = 0: elsewhere it may overflow for nothing
+        np.divide(1.0, spec.mu, out=width, where=spec.tau == 0.0)
         edge = np.maximum(1, grid.eligibility_index(np.minimum(width, grid.s_max)))
         idx = np.arange(1, grid.n_nodes + 1)
         density = np.where(idx <= edge[:, np.newaxis],

@@ -548,8 +548,26 @@ def _bounded(data):
     return data
 
 
+def tiny_attrition_readme(level):
+    # the README scenario at wage growth 0, with attrition 1e-310 at one
+    # level: 1 / mu overflows there, though the uniform start needs it
+    # only at tau = 0
+    org = plain_org(wages=True)
+    org["wage_growth"] = 0.0
+    org["levels"][level]["attrition"] = 1e-310
+    return {"org": org,
+            "grid": {"ds": 0.05, "dt": 0.05, "s_max": 70.0, "horizon": 60.0},
+            "policy": {"mode": "max-internal", "promotion_cap": None,
+                       "initial_density": "uniform",
+                       "snapshot_times": [0.0, 60.0]},
+            "cost": {"premium": 0.2},
+            "optimizer": {"mode": "ga", "seed": 7}}
+
+
 @settings(max_examples=60, deadline=None)
 @given(scenarios().map(_bounded))
+@example(_bounded(tiny_attrition_readme(0)))
+@example(_bounded(tiny_attrition_readme(4)))
 def test_simulate_and_optimize_exit_named_or_write_finite_numbers(data):
     # the same contract for the commands that run the transport and the
     # GA: on exit 0 every number printed and every CSV cell written is

@@ -280,6 +280,14 @@ def test_batch_matches_serial_objective(mode):
         assert 0 < bad_rows < 64  # both kinds of rows
     serial = [objective(g) for g in pop]
     assert objective(pop).tolist() == serial
+    # the same population column-major, as a strided column slice of a
+    # wider array and under two leading axes
+    wide = np.zeros((64, 3 * pop.shape[1]))
+    wide[:, ::3] = pop
+    for layout in (np.asfortranarray(pop), wide[:, ::3]):
+        assert objective(layout).tolist() == serial
+    assert (objective(pop.reshape(2, 32, -1)).tolist()
+            == np.reshape(serial, (2, 32)).tolist())
     assert penalized_cost(spec, plans).tolist() == serial
     for b, genes in enumerate(pop):
         row_c, row_pools, row_ill = stationary_pools(spec,

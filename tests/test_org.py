@@ -21,6 +21,7 @@ from orgflow import (
     steady_promotable_pool,
     validate,
 )
+from orgflow.org import stationary_pools
 from conftest import build_org, costed_org
 
 
@@ -121,6 +122,26 @@ def test_steady_pools_match_closed_form(low_turnover_org):
         atol=5e-4)
     # the top level has no outflow: its pool is the plain exponential tail
     assert pools[-1] == pytest.approx(500.0 * math.exp(-0.5 * 4.0))
+
+
+def test_stationary_pools_on_unit_heads_match_row_calls(low_turnover_org):
+    # (K, L) business-unit heads under (K, L) shares: every unit's row is
+    # the organization of its own row-by-row call, bit for bit
+    spec = low_turnover_org
+    rng = np.random.default_rng(8)
+    heads = (rng.uniform(0.05, 0.3, (12, 1)) * spec.n
+             * rng.uniform(0.9, 1.1, (12, 5)))
+    plan = FlexPlan(alpha=1.0 + 0.2 * rng.random(4),
+                    p=rng.uniform(0.5, 1.0, (12, 5)))
+    c, pools, ill = stationary_pools(spec, plan, heads)
+    assert c.shape == (12, 6)
+    assert pools.shape == ill.shape == (12, 5)
+    assert 0 < ill.any(axis=-1).sum() < 12  # both kinds of rows
+    for k in range(12):
+        row = stationary_pools(spec, FlexPlan(alpha=plan.alpha, p=plan.p[k]),
+                               heads[k])
+        for got, want in zip((c[k], pools[k], ill[k]), row):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_min_permanent_share_marks_pool_sign_change(low_turnover_org):

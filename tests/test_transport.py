@@ -387,11 +387,17 @@ def _delay_line_bounds(n_steps: int, n_nodes: int) -> dict[str, float]:
     """What run()'s delay line at dt = ds may move, against the full-array
     update, after n_steps steps on n_nodes nodes, from float64's eps.
 
-    density, relative, with the smallest normal float as the floor of the
-    scale: a tail node's value is rounded at most 2 n_steps + 2 times on
-    the way (its level's scale is divided once per step, the value is
-    converted once, multiplied out once and rescaled at most once per
-    step), against n_steps divisions in the full-array update.
+    density, relative, with tiny x unit as the floor of the scale
+    (_density_floor; unit is the level's unit, the largest power of 2 not
+    above max(M_j, 1)): a tail node's value is rounded at most
+    2 n_steps + 2 times on the way (its level's scale is divided once per
+    step, the value is converted once, multiplied out once and rescaled at
+    most once per step), against n_steps divisions in the full-array
+    update. Each rounding moves a value by at most eps / 2 relative, or,
+    where the value is subnormal, by half of 2^-1074 = tiny eps. Below
+    tiny x unit the stored u = rho / S may be subnormal, with S at most
+    the unit, so that rho = S u rounds to multiples of S tiny eps: each
+    rounding then moves rho by at most eps / 2 relative to the floor.
     mass_error and l1_to_steady, absolute, as both are relative to the
     level mass: the density's bound, plus the tail's sums, carried over at
     most n_nodes steps between recomputations and added to the head's sum
@@ -407,16 +413,23 @@ def _delay_line_bounds(n_steps: int, n_nodes: int) -> dict[str, float]:
             "excess_wait": 2 * (n_steps + 8 * n_nodes + 1) * eps}
 
 
-def _assert_within(name: str, got, want, bound: float) -> None:
+def _density_floor(masses) -> np.ndarray:
+    """tiny x unit per level, as a column: the floor of the density
+    bound's scale (see _delay_line_bounds)."""
+    unit = [math.ldexp(1.0, math.frexp(max(m, 1.0))[1] - 1) for m in masses]
+    return np.finfo(float).tiny * np.array(unit)[:, np.newaxis]
+
+
+def _assert_within(name: str, got, want, bound: float,
+                   floor=np.finfo(float).tiny) -> None:
     """got and want agree on NaNs and differ elsewhere by at most bound,
-    times max(|got|, |want|, tiny) for density and excess_wait."""
+    times max(|got|, |want|, floor) for density and excess_wait."""
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     assert np.array_equal(np.isnan(got), np.isnan(want)), name
     gap = np.abs(np.nan_to_num(got) - np.nan_to_num(want))
     scale = 1.0
     if name in ("density", "excess_wait"):
-        scale = np.maximum(np.maximum(np.abs(got), np.abs(want)),
-                           np.finfo(float).tiny)
+        scale = np.maximum(np.maximum(np.abs(got), np.abs(want)), floor)
     assert np.all(gap <= bound * scale), (
         f"{name}: {float(np.nanmax(gap / scale)):.3g} > {bound:.3g}")
 
@@ -489,8 +502,10 @@ def _assert_matches_replay(result, rows, densities) -> None:
             np.testing.assert_array_equal(got, want, err_msg=name)
         return
     bounds = _delay_line_bounds(result.times.size - 1, grid.n_nodes)
+    floor = _density_floor(result.masses)
     for name, got, want in pairs:
-        _assert_within(name, got, want, bounds[name])
+        _assert_within(name, got, want, bounds[name],
+                       floor if name == "density" else np.finfo(float).tiny)
 
 
 @pytest.mark.parametrize("variant", [
@@ -567,6 +582,13 @@ def _delay_line_runs(draw):
                     [1.0, 1.0, 1.5, 1.0, 2.5 - 1e-11]),
           FlexPlan.all_internal(5), SeniorityGrid(ds=0.25, dt=0.25, s_max=2.5),
           10.0, np.inf, 0.25, "uniform"))
+# level 1's tail falls to about 1.5e-311 (P near 1e11 per year), where its
+# stored values are subnormal: the density bound's floor of tiny x unit
+@example((build_org([512.4138701806015, 482.87373560164025, 480.05374031809487,
+                     370.0], [0.5, 0.25, 0.5, 0.5], [1.0, 1.0, 1.0, 4.0]),
+          FlexPlan(alpha=[1.0, 2.0, 1.0], p=np.ones(4)),
+          SeniorityGrid(ds=0.1, dt=0.1, s_max=7.0), 68 * 0.1, np.inf, 0.0,
+          "uniform"))
 def test_delay_line_matches_full_array_replay(case):
     # over random well-posed orgs and grids, run() against the full-array
     # replay: the policy arrays bit for bit, the rest within the delay
@@ -586,7 +608,8 @@ def test_delay_line_matches_full_array_replay(case):
     per = np.where(masses > 0, masses, 1.0)
     for k, t in enumerate(times):
         snapshot = result.snapshots[float(t)]
-        _assert_within("density", snapshot, densities[k], bounds["density"])
+        _assert_within("density", snapshot, densities[k], bounds["density"],
+                       _density_floor(masses))
         _assert_within("mass_error", result.mass_error[k],
                        np.abs(grid.ds * snapshot.sum(axis=1) - masses) / per,
                        bounds["mass_error"])
