@@ -23,6 +23,8 @@ checkout's, each in its own subprocess:
   p_1 = 1e-9 (`defect-3`), and `orgflow steady`, `cost` and `simulate`
   at p_1 = 1e-9, 1e-17 and 1e-300;
 - the seed-7 `optimize-readme` scenario through `orgflow optimize`;
+- `orgflow cost` on the README scenario under a plan with permanent
+  shares below 1 and hiring ratios above 1;
 - seeded `ga_minimize` runs (60 x 40) on that scenario's org, for four
   seeds, elitism 0, 0.05 and 0.2, and two objectives (every gene free,
   and hiring ratios only), plus the objective's costs of random batches
@@ -46,8 +48,10 @@ perfbench/workloads.py, so they run the same inputs.
 For every result array it prints the largest absolute and relative
 difference and whether the two arrays are bit-identical (signed zeros
 and NaNs included); for the CLI runs it compares stdout and every CSV
-file byte for byte; for the parser, the dumped text and the exit code,
-stdout and stderr of each invalid scenario. Two kinds of array may also
+file byte for byte (`simulate`, `cost` and `optimize` run twice into one
+directory, and the second run, which is compared, writes over stale
+files longer than its own); for the parser, the dumped text and the exit
+code, stdout and stderr of each invalid scenario. Two kinds of array may also
 differ within a named bound, set beforehand from float64's eps:
 
 - the closed-form analyses, by 1e-12 relative, since numpy's vector exp
@@ -257,6 +261,17 @@ def run_cli(argv: list[str], path: Path) -> None:
                     f"stderr:\n{stderr.getvalue()}")
 
 
+def run_cli_over_stale(argv: list[str], out_dir: Path, path: Path) -> None:
+    """run_cli(argv, path) twice: before the second run every file the
+    first wrote into out_dir is overwritten with junk twice its length,
+    so the second run's files, which are compared, must replace it."""
+    run_cli(argv, path)
+    for written in out_dir.glob("*.csv"):
+        size = written.stat().st_size
+        written.write_bytes(b"stale\n" * (size // 3 + 1))
+    run_cli(argv, path)
+
+
 def dump(src: Path, out: Path) -> None:
     """One side: every array into out/arrays.npz, the CLI runs into out/cli."""
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
@@ -309,9 +324,11 @@ def dump(src: Path, out: Path) -> None:
     # sides
     os.chdir(out)
     for command, scenario in (("simulate", "simulate-fine_00"),
+                              ("cost", "readme-plan_00"),
                               ("optimize", "optimize-readme_00")):
-        run_cli([command, "--config", f"inputs/{scenario}.json",
-                 "--out", f"cli/{command}"], out / "cli" / command / "stdout.txt")
+        run_cli_over_stale([command, "--config", f"inputs/{scenario}.json",
+                            "--out", f"cli/{command}"], out / "cli" / command,
+                           out / "cli" / command / "stdout.txt")
     for path in sorted(inputs.glob("*.json")):
         run_cli(["--config", f"inputs/{path.name}", "--dump-config"],
                 out / "cli" / "dump-config" / f"{path.stem}.txt")

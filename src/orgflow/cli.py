@@ -5,9 +5,12 @@
     orgflow cost     --config scenario.json --format csv
     orgflow optimize --config scenario.json --seed 11
 
-One scenario file drives every command. Tables go to stdout; trajectory,
-snapshot, cost, and optimizer-history CSV files go to the output
-directory, each with the seed recorded in its comment header. Exit codes:
+One scenario file drives every command. Tables go to stdout, where
+`steady`, `cost` and the plan table of `optimize` print a number of
+magnitude 1e15 or more in exponent notation (see _output.fixed);
+trajectory, snapshot, cost, and optimizer-history CSV files go to the
+output directory, each created new (see _output.new_csv) with the seed
+recorded in its comment header. Exit codes:
 0 success, 2 bad configuration, 3 ill-posed model or no feasible plan,
 4 runtime failure.
 """
@@ -22,6 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from ._output import fixed
 from .config import ConfigError, ScenarioConfig, dump_config, load_config
 from .costs import (
     BusinessUnitPlan,
@@ -114,7 +118,7 @@ def cmd_steady(config: ScenarioConfig, fmt: str) -> int:
             print("  a no-temporaries organization stays well posed with "
                   "hiring ratios of at least:")
             print("    " + "  ".join(
-                f"alpha_{j + 2}={r:.4f}" for j, r in enumerate(ratios)))
+                f"alpha_{j + 2}={fixed(r, 4)}" for j, r in enumerate(ratios)))
         raise
     external = state.inflow - np.concatenate(([0.0], state.demands[1:-1]))
     floors = min_permanent_share(spec, plan)
@@ -124,14 +128,14 @@ def cmd_steady(config: ScenarioConfig, fmt: str) -> int:
     rows = []
     for j in range(spec.size):
         ratio = "-" if j == 0 else (
-            f"{ratios[j - 1]:.4f}" if ratios is not None else "n/a")
+            fixed(ratios[j - 1], 4) if ratios is not None else "n/a")
         rows.append([
             str(j + 1), f"{spec.n[j]:g}", f"{spec.mu[j]:g}",
-            f"{spec.tau[j]:g}", f"{state.pool[j]:.4f}",
-            f"{state.promotion_rate[j]:.6f}",
-            f"{state.pool[j] / spec.n[j]:.6f}",
-            f"{external[j] / spec.n[j]:.6f}",
-            f"{floors[j]:.6f}",
+            f"{spec.tau[j]:g}", fixed(state.pool[j], 4),
+            fixed(state.promotion_rate[j], 6),
+            fixed(state.pool[j] / spec.n[j], 6),
+            fixed(external[j] / spec.n[j], 6),
+            fixed(floors[j], 6),
             ratio,
         ])
     _print_rows(header, rows, fmt)
@@ -199,16 +203,16 @@ def cmd_cost(config: ScenarioConfig, fmt: str) -> int:
     breakdown = org_cost(spec, plan)
     if fmt == "csv":
         header = ["level", "permanent", "temporary", "floater", "total"]
-        rows = [[str(j + 1), f"{breakdown.permanent[j]:.4f}",
-                 f"{breakdown.temporary[j]:.4f}",
-                 f"{breakdown.floater[j]:.4f}",
-                 f"{breakdown.per_level[j]:.4f}"]
+        rows = [[str(j + 1), fixed(breakdown.permanent[j], 4),
+                 fixed(breakdown.temporary[j], 4),
+                 fixed(breakdown.floater[j], 4),
+                 fixed(breakdown.per_level[j], 4)]
                 for j in range(spec.size)]
         _print_rows(header, rows, fmt)
     else:
         print(format_cost_table(breakdown))
-    print(f"total: {breakdown.total:.2f} per hour "
-          f"({breakdown.total / 1e6:.4f} M/h)")
+    print(f"total: {fixed(breakdown.total, 2)} per hour "
+          f"({fixed(breakdown.total / 1e6, 4)} M/h)")
     out_dir = _ensure_out(config)
     write_cost_csv(os.path.join(out_dir, "cost.csv"), breakdown,
                    _header_lines(config, "cost"))
@@ -221,11 +225,11 @@ def cmd_cost(config: ScenarioConfig, fmt: str) -> int:
             floater_share=np.zeros_like(shares))
         base = business_unit_cost(spec, bu_plan).total
         reduction = reduce_floaters(spec, bu_plan)
-        print(f"business units, temporaries only: {base:.2f} per hour")
+        print(f"business units, temporaries only: {fixed(base, 2)} per hour")
         print(f"business units, optimal floater mix: "
-              f"{reduction.total_cost():.2f} per hour")
+              f"{fixed(reduction.total_cost(), 2)} per hour")
         for j in range(spec.size):
-            mix = ", ".join(f"{g:.2f}" for g in reduction.floater_share[:, j])
+            mix = ", ".join(fixed(g, 2) for g in reduction.floater_share[:, j])
             print(f"  level {j + 1} floater shares by unit: {mix}")
     return EXIT_OK
 

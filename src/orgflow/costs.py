@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._output import fixed, new_csv
 from .org import (
     FlexPlan,
     IllPosedError,
@@ -589,9 +590,7 @@ def write_cost_csv(path: str, breakdown: CostBreakdown,
                    header_lines: Sequence[str] = ()) -> None:
     """Write per-level costs as CSV columns level, permanent, temporary,
     floater, total, with a final total row."""
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
+    with new_csv(path, header_lines) as fh:
         writer = csv.writer(fh)
         writer.writerow(["level", "permanent", "temporary", "floater", "total"])
         per = breakdown.per_level
@@ -605,14 +604,17 @@ def write_cost_csv(path: str, breakdown: CostBreakdown,
 
 
 def format_cost_table(breakdown: CostBreakdown) -> str:
-    """Plain-text per-level cost table."""
+    """Plain-text per-level cost table (numbers as _output.fixed prints
+    them)."""
     rows = ["level  permanent      temporary      floater        total"]
     per = breakdown.per_level
     for j in range(per.size):
-        rows.append(f"{j + 1:>5}  {breakdown.permanent[j]:>13.2f}  "
-                    f"{breakdown.temporary[j]:>13.2f}  "
-                    f"{breakdown.floater[j]:>13.2f}  {per[j]:>13.2f}")
-    rows.append(f"total  {'':13}  {'':13}  {'':13}  {breakdown.total:>13.2f}")
+        rows.append(f"{j + 1:>5}  {fixed(breakdown.permanent[j], 2):>13}  "
+                    f"{fixed(breakdown.temporary[j], 2):>13}  "
+                    f"{fixed(breakdown.floater[j], 2):>13}  "
+                    f"{fixed(per[j], 2):>13}")
+    rows.append(f"total  {'':13}  {'':13}  {'':13}  "
+                f"{fixed(breakdown.total, 2):>13}")
     return "\n".join(rows)
 
 
@@ -620,7 +622,8 @@ def format_plan_table(entries: Sequence[tuple[str, FlexPlan, float]]) -> str:
     """Plain-text table of staffing plans and their total hourly costs.
 
     One block per entry: a row of hiring ratios (level 1 has none) and a
-    row of permanent shares across levels, then the cost in M currency/h.
+    row of permanent shares across levels, then the cost in M currency/h
+    (as _output.fixed prints it).
     """
     lines = []
     for label, plan, total in entries:
@@ -632,6 +635,6 @@ def format_plan_table(entries: Sequence[tuple[str, FlexPlan, float]]) -> str:
         lines.append("alpha".ljust(14) + "".join(alpha))
         lines.append("perm share".ljust(14)
                      + "".join(f"{p:>9.2f}" for p in plan.p))
-        lines.append(f"total cost    {total / 1e6:.4f} M/h")
+        lines.append(f"total cost    {fixed(total / 1e6, 4)} M/h")
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"

@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._output import new_csv
 from .costs import (
     _check_growth,
     _permanent_wage_bill,
@@ -52,6 +53,8 @@ __all__ = [
 
 # Gaussian mutation step, as a fraction of each gene's bound span
 _GAUSSIAN_SCALE = 0.08
+# the cap on an ill-posed plan's penalty
+_LARGEST = np.finfo(float).max
 
 
 class NoFeasibleCandidateError(RuntimeError):
@@ -234,8 +237,9 @@ class _Pricing:
     p_1..p_L whose leading axes broadcast (a frozen block is one (L,)
     array for all plans), against the spec's (L,) constants. A cost is
     org_cost(spec, plan).total, bit for bit, where a plan is well posed,
-    and ceiling * (1 + sum_j max(0, -A_j) / N_j) where it is not; the
-    ceiling is feasible_cost_ceiling, which checks the wage bill's domain.
+    and ceiling * (1 + sum_j max(0, -A_j) / N_j), at most the largest
+    float, where it is not; the ceiling is feasible_cost_ceiling, which
+    checks the wage bill's domain.
     spec.wt is touched only when some well-posed plan has a share below 1.
     """
 
@@ -266,7 +270,11 @@ class _Pricing:
         # each plan's levels summed as one contiguous row: the pairwise sum
         # that org_cost's total takes
         total = np.ascontiguousarray(levels).sum(axis=-1)
-        costs = np.where(bad[..., 0], self.ceiling * (1.0 + total), total)
+        # at headcounts or wages near 1e300 the penalty would overflow:
+        # it stops at the largest float, and every finite one is unchanged
+        with np.errstate(over="ignore"):
+            penalty = np.minimum(self.ceiling * (1.0 + total), _LARGEST)
+        costs = np.where(bad[..., 0], penalty, total)
         return float(costs) if costs.ndim == 0 else costs
 
 
@@ -276,8 +284,8 @@ def penalized_cost(spec: OrgSpec, plan: FlexPlan):
     Ill-posed is org.ill_posed, as in org_cost. The penalty starts at the
     feasible cost ceiling and grows with the total pool deficit, so it
     exceeds every feasible cost and stays monotone in the violation
-    magnitude. A plan
-    whose alpha and p carry leading axes is priced row by row, and the
+    magnitude, up to the largest float, where it stops. A plan whose
+    alpha and p carry leading axes is priced row by row, and the
     result is an array of that leading shape; one plan gives a float.
     """
     plan.check(spec)
@@ -378,9 +386,7 @@ class PlanObjective:
 def write_ga_csv(path: str, result: GaResult,
                  header_lines: Sequence[str] = ()) -> None:
     """Write per-generation best and mean fitness as CSV."""
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
+    with new_csv(path, header_lines) as fh:
         writer = csv.writer(fh)
         writer.writerow(["generation", "best_cost", "mean_cost"])
         for g, (b, m) in enumerate(zip(result.best_history,

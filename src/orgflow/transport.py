@@ -83,6 +83,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._output import new_csv
 from .org import (
     FlexPlan,
     IllPosedError,
@@ -861,9 +862,7 @@ def write_trajectory_csv(path: str, result: SimulationResult,
     rows = _TRAJECTORY_ROW * result.masses.size
     # a row's cells: t, the level (a float, which %d prints alike), fields
     levels = np.arange(1.0, result.masses.size + 1)
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
+    with new_csv(path, header_lines) as fh:
         fh.write("t,level,promotion_rate,hiring_rate,shortfall,pool,"
                  "ready_ratio,excess_wait,mass_error\r\n")
         for k in range(0, result.times.size, _TRAJECTORY_BLOCK):
@@ -889,9 +888,7 @@ def write_snapshot_csv(path: str, result: SimulationResult, time: float,
     density = result.snapshots[key]
     size = density.shape[0]
     row = "%.6g" + ",%.8g" * size + "\r\n"
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
+    with new_csv(path, header_lines) as fh:
         fh.write(",".join(["s"] + [f"rho_{j + 1}" for j in range(size)])
                  + "\r\n")
         for i in range(0, result.grid.n_nodes, _SNAPSHOT_BLOCK):

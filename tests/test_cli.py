@@ -73,6 +73,17 @@ def defect_3_scenario(p1):
         "cost": {"premium": 0.2}}
 
 
+def huge_readme(heads=(1e300, 9e299, 7e299, 3e299, 1e299), wage_scale=1.0):
+    # the README scenario with headcounts or wages near the largest float:
+    # its pools, costs and the GA's penalty for ill-posed plans reach 1e300
+    org = plain_org(wages=True)
+    for level, n in zip(org["levels"], heads):
+        level["headcount"] = n
+        level["base_wage"] *= wage_scale
+    return {"org": org, "policy": {}, "cost": {"premium": 0.2},
+            "optimizer": {"mode": "ga", "seed": 7}}
+
+
 def write_scenario(tmp_path, data, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -182,6 +193,69 @@ def test_simulate_writes_csv_outputs(tmp_path, capsys):
     assert any(line.startswith("# seed = ") for line in lines[:4])
     assert (tmp_path / "out_sim" / "snapshot_t0.csv").exists()
     assert (tmp_path / "out_sim" / "snapshot_t1.csv").exists()
+    # a second run into the same directory replaces each file with the
+    # same bytes
+    files = {p.name: p.read_bytes() for p in (tmp_path / "out_sim").iterdir()}
+    assert cli.main(["simulate", "--config", path]) == 0
+    assert capsys.readouterr().out == out
+    assert {p.name: p.read_bytes()
+            for p in (tmp_path / "out_sim").iterdir()} == files
+
+
+@pytest.fixture(scope="module")
+def csv_writers():
+    """Each CSV writer as write(path), on small results of the README org."""
+    config = parse_config({
+        "org": plain_org(wages=True), "cost": {"premium": 0.2},
+        "grid": {"ds": 0.1, "dt": 0.1, "s_max": 20.0, "horizon": 1.0},
+        "policy": {"snapshot_times": [0.0, 1.0]}})
+    spec = config.spec
+    result = transport.run(spec, grid=config.grid, horizon=config.horizon,
+                           snapshot_times=config.snapshot_times)
+    objective = orgflow.PlanObjective(spec)
+    history = orgflow.ga_minimize(objective, orgflow.GaConfig(
+        bounds=objective.bounds, population_size=8, generations=3, seed=7))
+    breakdown = orgflow.org_cost(spec, objective.decode(history.best.genes))
+    headers = ["orgflow test", "seed = 7"]
+    return {
+        "trajectory": lambda path: orgflow.write_trajectory_csv(
+            path, result, headers),
+        "snapshot": lambda path: orgflow.write_snapshot_csv(
+            path, result, 1.0, headers),
+        "cost": lambda path: orgflow.write_cost_csv(path, breakdown, headers),
+        "ga": lambda path: orgflow.write_ga_csv(path, history, headers),
+    }
+
+
+@pytest.mark.parametrize("writer", ["trajectory", "snapshot", "cost", "ga"])
+def test_csv_writers_replace_the_file_at_their_path(tmp_path, csv_writers,
+                                                    writer):
+    # each writer creates its file new: what held the path before is
+    # replaced, never written through, and a directory there still raises
+    write = csv_writers[writer]
+    write(str(tmp_path / "fresh.csv"))
+    fresh = (tmp_path / "fresh.csv").read_bytes()
+    # a longer, stale file, read-only, in a writable directory
+    stale = tmp_path / "stale.csv"
+    stale.write_bytes(b"stale\n" * len(fresh))
+    stale.chmod(0o444)
+    write(str(stale))
+    assert stale.read_bytes() == fresh
+    # a symlink and a hard link: their target keeps its bytes
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"target\n")
+    symlink, hardlink = tmp_path / "symlink.csv", tmp_path / "hardlink.csv"
+    symlink.symlink_to(target)
+    os.link(target, hardlink)
+    for link in (symlink, hardlink):
+        write(str(link))
+        assert not link.is_symlink()
+        assert link.read_bytes() == fresh
+    assert target.read_bytes() == b"target\n"
+    assert hardlink.stat().st_ino != target.stat().st_ino
+    (tmp_path / "directory.csv").mkdir()
+    with pytest.raises(OSError):
+        write(str(tmp_path / "directory.csv"))
 
 
 def test_simulate_builds_no_stationary_profile(tmp_path, capsys, monkeypatch):
@@ -496,6 +570,8 @@ _PRINTED_NUMBER = re.compile(
 @example(defect_3_scenario(5e-324))
 @example(defect_3_scenario(1e-17))
 @example(defect_3_scenario(1e-300))
+@example(huge_readme())
+@example(huge_readme(heads=HEADS, wage_scale=1e298))
 def test_steady_and_cost_exit_named_or_print_finite_numbers(data):
     # every scenario the parser accepts either prints finite numbers of a
     # sensible length or ends in a named error (2 config, 3 ill posed),
@@ -568,6 +644,7 @@ def tiny_attrition_readme(level):
 @given(scenarios().map(_bounded))
 @example(_bounded(tiny_attrition_readme(0)))
 @example(_bounded(tiny_attrition_readme(4)))
+@example(_bounded(huge_readme()))
 def test_simulate_and_optimize_exit_named_or_write_finite_numbers(data):
     # the same contract for the commands that run the transport and the
     # GA: on exit 0 every number printed and every CSV cell written is
