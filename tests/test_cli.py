@@ -253,9 +253,11 @@ def test_csv_writers_replace_the_file_at_their_path(tmp_path, csv_writers,
         assert link.read_bytes() == fresh
     assert target.read_bytes() == b"target\n"
     assert hardlink.stat().st_ino != target.stat().st_ino
-    (tmp_path / "directory.csv").mkdir()
+    directory = tmp_path / "directory.csv"
+    directory.mkdir()
     with pytest.raises(OSError):
-        write(str(tmp_path / "directory.csv"))
+        write(str(directory))
+    assert directory.is_dir()
 
 
 def test_simulate_builds_no_stationary_profile(tmp_path, capsys, monkeypatch):
