@@ -15,6 +15,11 @@ checkout's, each in its own subprocess:
   dt = 0.03 for 30 years (`dt-below-ds`, whose delay line has an empty
   tail) and, uncapped from its stationary start, at ds = dt = 0.05 for 5
   years (`stationary-start`);
+- the README scenario, uncapped from its uniform start, at ds = dt = 0.1
+  on 80 nodes for 40 years, with its l1 reference and snapshots at 3.3,
+  10 and 40 years (`readme-l1`): 400 steps cross five copies of the delay
+  line's tail and many of run()'s blocks, and two snapshots fall inside
+  a block;
 - a five-level ladder at ds = dt = 0.25 whose cut head covers all 10
   nodes, so that its delay line's tail is empty at dt = ds, uncapped and
   at cap 1 (`empty-tail`);
@@ -106,6 +111,9 @@ EMPTY_TAIL = {
                "promotion_cap": None, "snapshot_times": [0.0, 5.0, 10.0]}}
 # the simulate-fine scenario from its stationary start
 STATIONARY_START = {"ds": 0.05, "dt": 0.05, "s_max": 70.0, "horizon": 5.0}
+# the README scenario on a short grid, for a library run with l1 sums
+README_L1 = {"ds": 0.1, "dt": 0.1, "s_max": 8.0, "horizon": 40.0}
+README_L1_SNAPSHOTS = [3.3, 10.0, 40.0]
 # level 1's permanent shares on the defect-3 org: a pool above its empty
 # floor, one under it, and one whose rate C_2 / A_1 is 2.75e299
 DEFECT_3_P1 = (1e-9, 1e-17, 1e-300)
@@ -295,6 +303,10 @@ def dump(src: Path, out: Path) -> None:
     start["policy"].update(initial_density="stationary",
                            snapshot_times=[0.0, STATIONARY_START["horizon"]])
     runs["stationary-start"] = [start]
+    readme = module.readme_scenario(SEED)
+    readme["grid"] = dict(README_L1)
+    readme["policy"]["snapshot_times"] = list(README_L1_SNAPSHOTS)
+    runs["readme-l1"] = [readme]
     runs["defect-3"] = [defect_3_scenario(DEFECT_3_P1[0])]
     capped = copy.deepcopy(EMPTY_TAIL)
     capped["policy"]["promotion_cap"] = 1.0

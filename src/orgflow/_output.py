@@ -3,10 +3,10 @@ printed number switches to exponent notation at a stated magnitude.
 
 Every CSV writer (`transport.write_trajectory_csv`, `write_snapshot_csv`,
 `costs.write_cost_csv`, `optimize.write_ga_csv`) opens its path through
-`new_csv`, and the stdout tables of `orgflow steady` and `cost`
-(`costs.format_cost_table` among them) and `costs.format_plan_table`'s
-total format their numbers through `fixed`, so each rule is decided here
-only.
+`new_csv`; the stdout tables of `orgflow steady` and `cost`
+(`costs.format_cost_table` among them), `costs.format_plan_table`'s
+total and the cells of `write_cost_csv` and `write_ga_csv` format their
+numbers through `fixed`, so each rule is decided here only.
 """
 
 from __future__ import annotations

@@ -40,6 +40,10 @@ _INITIAL_KINDS = ("stationary", "uniform", "truncated-exponential")
 _OPTIMIZER_MODES = ("ga", "evaluate")
 _WAGE_CURVES = {"constant": ConstantWage, "exponential": ExponentialWage,
                 "piecewise-linear": PiecewiseLinearWage}
+# a level's densities hold about headcount / ds over the grid, and a run
+# sums them: sum rho about N / ds, sum |rho - steady| up to 2 N / ds; this
+# bound on N / ds keeps both finite, with room for their rounding
+_MAX_HEADCOUNT_PER_DS = np.finfo(float).max / 4
 
 
 class ConfigError(ValueError):
@@ -360,6 +364,13 @@ def parse_config(data: Any) -> ScenarioConfig:
         grid = SeniorityGrid(ds=ds, dt=dt, s_max=s_max)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from None
+    for i, lv in enumerate(levels):
+        if not lv.headcount / ds <= _MAX_HEADCOUNT_PER_DS:
+            raise ConfigError(
+                f"org.levels[{i}].headcount: must be at most "
+                f"{_MAX_HEADCOUNT_PER_DS * ds:.6g} at grid.ds = {ds}, so that "
+                "the sums of the level's densities (about headcount / ds) "
+                f"stay finite; got {lv.headcount}")
     if plan is not None:
         try:
             plan.check(spec)

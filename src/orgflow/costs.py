@@ -103,8 +103,13 @@ def _check_growth(spec: OrgSpec, *levels: int) -> np.ndarray:
                 f"level {level}: wage growth {r} must stay below attrition {mu}"
             )
         if not np.isfinite(ceiling[level - 1]):
+            j = level - 1
             raise GrowthExceedsAttritionError(
-                f"level {level}: the wage bill overflows at attrition {mu}")
+                f"level {level}: the wage bill overflows at attrition {mu}: "
+                f"base wage {spec.w0[j]:g} times the level's inflow "
+                f"{demand[j]:.6g} (from headcount {spec.n[j]:g} and the "
+                f"levels above), over attrition less wage growth {r}, "
+                "exceeds the largest float")
     return ceiling
 
 
@@ -589,18 +594,19 @@ def case2_residuals(spec: OrgSpec, plan: FlexPlan) -> tuple[float, float]:
 def write_cost_csv(path: str, breakdown: CostBreakdown,
                    header_lines: Sequence[str] = ()) -> None:
     """Write per-level costs as CSV columns level, permanent, temporary,
-    floater, total, with a final total row."""
+    floater, total, with a final total row (numbers as _output.fixed
+    prints them, with 6 decimals)."""
     with new_csv(path, header_lines) as fh:
         writer = csv.writer(fh)
         writer.writerow(["level", "permanent", "temporary", "floater", "total"])
         per = breakdown.per_level
         for j in range(per.size):
             writer.writerow([j + 1,
-                             f"{breakdown.permanent[j]:.6f}",
-                             f"{breakdown.temporary[j]:.6f}",
-                             f"{breakdown.floater[j]:.6f}",
-                             f"{per[j]:.6f}"])
-        writer.writerow(["total", "", "", "", f"{breakdown.total:.6f}"])
+                             fixed(breakdown.permanent[j], 6),
+                             fixed(breakdown.temporary[j], 6),
+                             fixed(breakdown.floater[j], 6),
+                             fixed(per[j], 6)])
+        writer.writerow(["total", "", "", "", fixed(breakdown.total, 6)])
 
 
 def format_cost_table(breakdown: CostBreakdown) -> str:

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._output import new_csv
+from ._output import fixed, new_csv
 from .costs import (
     _check_growth,
     _permanent_wage_bill,
@@ -385,10 +385,11 @@ class PlanObjective:
 
 def write_ga_csv(path: str, result: GaResult,
                  header_lines: Sequence[str] = ()) -> None:
-    """Write per-generation best and mean fitness as CSV."""
+    """Write per-generation best and mean fitness as CSV (numbers as
+    _output.fixed prints them, with 6 decimals)."""
     with new_csv(path, header_lines) as fh:
         writer = csv.writer(fh)
         writer.writerow(["generation", "best_cost", "mean_cost"])
         for g, (b, m) in enumerate(zip(result.best_history,
                                        result.mean_history)):
-            writer.writerow([g, f"{b:.6f}", f"{m:.6f}"])
+            writer.writerow([g, fixed(b, 6), fixed(m, 6)])

@@ -38,16 +38,21 @@ The eligibility cut (the mask 1[s <= tau], its head and the excess-wait
 weight (s - tau) 1[s > tau]) depends only on the grid and the eligibility
 ages, so run() builds it once for its loop, and each single-state helper
 builds its own; the pools and run()'s promotion source read only its head
-columns, where some level is still below its cut. A step of run()
-is its node-wise passes plus a little work on Python floats: the pool sums,
-the closure's sweep (which also yields step's per-level terms), the step,
-and the metric row sums (sum rho, sum rho (s - tau)+ and, when the run has
-a stationary reference, sum |rho - steady|) written into row k of the
-trajectory arrays, which one elementwise pass after the loop turns into
-the ratios. The excess-wait numerator sum rho (s - tau)+ is one BLAS dot
-product per level row, summed in the BLAS's blocked order: deterministic
-for a given BLAS build and thread count, and within n eps relative of the
-exact sum. sum rho and sum |rho - steady| stay numpy's pairwise sums.
+columns, where some level is still below its cut. Of what a step of run()
+computes, only one chain feeds the next step: the pool sums, the
+closure's sweep on Python floats (which also yields step's per-level
+terms) and the step. The loop runs that chain alone, and step writes each
+new head into the next slot of a tape. The metric sums (sum rho,
+sum rho (s - tau)+ and, when the run has a stationary reference,
+sum |rho - steady|) feed nothing back, so they run once per block of
+steps, before a snapshot and after the last step, over the block's
+states at once, into rows of the trajectory arrays; one elementwise pass
+after the loop turns them into the ratios. numpy sums each row of a block
+as it sums one state's row, so no number depends on the block's length.
+The excess-wait numerator sum rho (s - tau)+ is one BLAS dot product per
+level row, summed in the BLAS's blocked order: deterministic for a given
+BLAS build and thread count, and within n eps relative of the exact sum.
+sum rho and sum |rho - steady| stay numpy's pairwise sums.
 close_policy_external_fraction and level_metrics apply the same kernels
 to one state.
 
@@ -55,23 +60,26 @@ run() keeps the densities as a delay line: a head that step updates and
 a tail past it. At dt = ds the head is the cut head; no node past it has
 a source term, so a step moves each of them one node on, divided by its
 level's divisor 1 + dt (mu + P). The tail is stored in per-level scaled
-units, rho = S u, in a ring twice the grid's width: a step slides the
-(L, n_nodes) window one column, divides S by the divisor and converts
-only the column entering the tail, and step computes only the head and
-that column. The head keeps the upwind arithmetic exactly, and the pools
-read only the head, so promotion, hiring, shortfall, pool and ready_ratio
-are bit for bit those of the full-array update. The metric sums read the
-head and add S times the tail's sums sum u and sum u (s - tau), which the
-line carries from step to step and recomputes from the ring at each copy
-of the window back to the ring's end (every n_nodes steps), at each
-rescale (S 1e-100 below its level's unit, a power of 2 near the level's
-mass, and reset to it) and when a carried sum u (s - tau) falls below
-half its peak. The snapshots, the final density and the l1 pass multiply
-S u out. The density, excess_wait, l1_to_steady and mass_error therefore
-differ from the full-array update's by a few eps per step, within the
-bounds that tests/test_transport.py states. With dt < ds no node is a
-plain shift of its neighbour: the head is the whole grid and the tail
-empty, with sums 0, so every array is bit for bit the full-array one.
+units, rho = S u, in a ring: a step moves the tail one column, divides S
+by the divisor and converts only the column entering the tail, and step
+computes only the head and that column. The head keeps the upwind
+arithmetic exactly, and the pools read only the head, so promotion,
+hiring, shortfall, pool and ready_ratio are bit for bit those of the
+full-array update. The metric sums read the head and add S times the
+tail's sums sum u and sum u (s - tau), which the line carries from step
+to step and recomputes from the ring at each copy of the tail back to
+the ring's end (every n_nodes steps), at each rescale (S 1e-100 below
+its level's unit, a power of 2 near the level's mass, and reset to it)
+and when a carried sum u (s - tau) falls below half its peak. The tail
+never feeds the head either, so the line advances it once per block too,
+vectorized over the block's steps with the double operations of a
+step-by-step update in the same order (see _DelayLine). The snapshots,
+the final density and the l1 pass multiply S u out. The density,
+excess_wait, l1_to_steady and mass_error therefore differ from the
+full-array update's by a few eps per step, within the bounds that
+tests/test_transport.py states. With dt < ds no node is a plain shift of
+its neighbour: the head is the whole grid and the tail empty, with sums
+0, so every array is bit for bit the full-array one.
 """
 
 from __future__ import annotations
@@ -319,11 +327,13 @@ def step(density: np.ndarray, grid: SeniorityGrid, ghost: np.ndarray,
     mask is zero past them), which step overwrites.
 
     The new densities are written to out, of any memory layout but not
-    overlapping density, and returned; a new array shaped like density is
-    allocated when out is not given. out may have fewer columns than
-    density, w: it then receives the first w columns of the new densities,
-    which depend only on the first w columns of density (run() at dt = ds
-    computes the head and the column entering its delay line this way).
+    overlapping the columns of density that it reads, and returned; a new
+    array shaped like density is allocated when out is not given. out may
+    have fewer columns than density, w: it then receives the first w
+    columns of the new densities, which depend only on the first w columns
+    of density (run() at dt = ds computes the head and the column entering
+    its delay line this way, from one slot of its head tape into the next
+    slot's first w columns).
     It keeps a public name since run() looks it up once per time step, so
     a wrapper put in its place (a tracer counting node-steps) sees them all.
     """
@@ -462,12 +472,12 @@ class SimulationResult:
     (L, n_nodes) density copies.
 
     run() fills ready_ratio, excess_wait, l1_to_steady and mass_error in
-    two stages: every step writes its row sums into them (see the module
-    docstring), and one elementwise pass after the last step turns them
-    into the ratios that level_metrics gives for each state: bit for bit
-    where the delay line's tail is empty (dt < ds, or a cut head covering
-    every node), and otherwise within the delay line's bounds (the pools,
-    hence ready_ratio, still bit for bit).
+    two stages: each block of steps writes its rows' sums into them (see
+    the module docstring), and one elementwise pass after the last step
+    turns them into the ratios that level_metrics gives for each state:
+    bit for bit where the delay line's tail is empty (dt < ds, or a cut
+    head covering every node), and otherwise within the delay line's
+    bounds (the pools, hence ready_ratio, still bit for bit).
     """
 
     times: np.ndarray
@@ -507,19 +517,21 @@ class SimulationResult:
 def _metric_sums(density: np.ndarray, weight: np.ndarray,
                  mass_sum: np.ndarray, wait_sum: np.ndarray) -> None:
     """The node-wise part of the metrics but the l1 sum: sum rho and
-    sum rho weight, per level, written to the two given rows.
+    sum rho weight over density's last axis, per level, written to the
+    given rows; density may be one state, (L, n), or a block of states,
+    (steps, L, n), whose rows numpy sums as it sums one state's.
 
     The first is a pairwise sum. The second is one BLAS dot product per
     row, with no array of products, so its rounding follows the BLAS's
     blocked order: the same for a given BLAS build and thread count."""
-    np.add.reduce(density, axis=1, out=mass_sum)
+    np.add.reduce(density, axis=-1, out=mass_sum)
     np.vecdot(density, weight, out=wait_sum)
 
 
 def _l1_sum(gap: np.ndarray, out: np.ndarray) -> None:
-    """sum |rho - steady| per level, pairwise, into out, from gap = rho -
-    steady, which it overwrites."""
-    np.add.reduce(np.abs(gap, out=gap), axis=1, out=out)
+    """sum |rho - steady| per level, pairwise over the last axis, into out,
+    from gap = rho - steady, which it overwrites."""
+    np.add.reduce(np.abs(gap, out=gap), axis=-1, out=out)
 
 
 def _metric_ratios(ds: float, masses: np.ndarray, pool: np.ndarray,
@@ -582,136 +594,217 @@ def level_metrics(density: np.ndarray, spec: OrgSpec, grid: SeniorityGrid,
 # S / unit, once S / unit falls below this, so a stored value rho / S stays
 # below about 1e100 rho / unit
 _RESCALE_BELOW = 1e-100
+# run()'s steps per block: the loop writes each step's new head to the
+# next slot of a tape of this many, and the metric sums and the tail's
+# advance run once per block; any length gives the same numbers
+_BLOCK = 32
+# the most values of a head tape, which shortens the blocks where a head
+# is wide (the whole grid with dt < ds)
+_TAPE_VALUES = 1 << 18
+# density values the l1 pass holds at once
+_L1_VALUES = 1 << 15
 
 
 class _DelayLine:
-    """run()'s densities, the nodes past a given head kept as a delay line.
+    """run()'s densities: a tape of a block's heads, and the nodes past the
+    head kept as a delay line.
 
-    At dt = ds no node past the cut head has a source term, so a step
-    moves its value to the next node divided by the level's divisor
-    1 + dt (mu + P). The densities live in an (L, 2 n_nodes) ring; window,
-    its (L, n_nodes) view, holds the head columns as densities and the
-    tail columns in per-level scaled units u, rho = S u. A step slides the
-    window one column towards the ring's start, writes the new head there
-    from fresh (where step puts it), divides S by the divisor and converts
-    only the column entering the tail; the column leaving the grid drops
-    out of the window. When the window reaches the ring's start it is
-    copied back to the ring's end. An empty tail (a head of n_nodes) has
-    no ring: the window, the given density taken over, and fresh, an array
-    like it, swap at each step, and the tail's sums stay 0.
+    The tape has block + 1 slots, block = _BLOCK or fewer for a wide head
+    (see _TAPE_VALUES). Slot i is its (L, n_nodes) view from
+    column i width on and owns the first width columns: the head and the
+    column entering the tail (width = head + 1), or the whole grid where
+    the tail is empty (width = n_nodes). run() steps slot i into fresh[i +
+    1]; once per block advance brings the tail up to the last slot written,
+    and restart copies that slot's head to slot 0.
 
-    A level's S starts at its unit, the largest power of 2 not above
-    max(M, 1), so that the stored values stay near rho / M however large
-    the headcount, and dividing by it is exact. The tail's sums
-    sum u and sum u (s - tau) are carried from step to step as Python
-    floats, and recomputed from the ring at every copy, at every rescale
-    (a level's S / unit below _RESCALE_BELOW, as where a near-empty pool
-    drives P to 1e11 per year) and when a level's sum u (s - tau) falls
-    below half its peak since the last recomputation, which keeps its
-    rounding relative to its value. state lists them, then S, level by
-    level: S times the sums is the tail's part of run()'s mass and
-    excess-wait numerators.
+    The tail lives in per-level scaled units u, rho = S u, in the columns
+    start to start + tail of an (L, n_nodes + tail) ring. A step moves
+    start one column down, divides S by the divisor 1 + dt (mu + P) and
+    converts only the entering column; the column leaving the grid drops
+    out. When start reaches 0 the tail is copied back to column n_nodes,
+    once every n_nodes steps. A level's S starts at its unit, the largest
+    power of 2 not above max(M, 1), so that the stored values stay near
+    rho / M however large the headcount, and dividing by it is exact.
+    state holds the tail's sums sum u and sum u (s - tau), and S, one row
+    each; the sums are carried from step to step and recomputed from the
+    ring at every copy, at every rescale (a level's S / unit below
+    _RESCALE_BELOW, as where a near-empty pool drives P to 1e11 per year)
+    and when a level's sum u (s - tau) falls below half its peak since the
+    last recomputation, which keeps its rounding relative to its value.
+
+    advance takes a block in segments, each vectorized over its steps with
+    the double operations of a step-by-step update in the same order, so
+    that no number depends on the block's length: np.divide.accumulate
+    gives S / d_1 / d_2 ... in turn, and the carried sums are
+    np.add.accumulate over interleaved rows, [u, -gone, entering, -gone,
+    ...] and [w, -gone w_out, ds (u - gone), entering w_in, ...], the
+    update's additions (a - b is a + (-b) in IEEE arithmetic); the peak is
+    a running maximum, and the shrink test makes the update's comparisons,
+    w > peak first, then w < peak / 2. A segment ends at its first step
+    that copies, rescales or re-sums: the next one starts from the state
+    after it. It is at most min(start, tail) steps long, so the column
+    leaving at each of its steps was in the tail when it began, and no
+    copy falls inside it. Its steps past the end are discarded; as their
+    scales may underflow to 0 and their sums overflow, the segment is
+    computed under np.errstate(all="ignore"). Its l1 sums multiply S u out
+    from the ring's windows before the last step rescales them.
     """
 
     def __init__(self, density: np.ndarray, cuts: _Cuts, ds: float,
-                 masses: list[float], head: int):
+                 masses: np.ndarray, head: int, steady: np.ndarray | None):
         size, n = density.shape
-        self.head, self.n, self.ds = head, n, ds
-        self.unit = [math.ldexp(1.0, math.frexp(max(m, 1.0))[1] - 1)
-                     for m in masses]
-        self.floor = [_RESCALE_BELOW * unit for unit in self.unit]
-        if head < n:
-            self.ring, self.start = np.empty((size, 2 * n)), n
-            self.window = self.ring[:, n:]
-            self.window[...] = density
-            self.window[:, head:] /= np.array(self.unit)[:, np.newaxis]
-            self.fresh = np.empty((size, head + 1))
-        else:
-            self.window, self.fresh = density, np.empty_like(density)
+        tail = n - head
+        width = head + 1 if tail else n
+        self.head, self.tail, self.n, self.ds = head, tail, n, ds
+        self.block = block = max(1, min(_BLOCK,
+                                        _TAPE_VALUES // (size * width) - 1))
+        self.tape = np.empty((size, block * width + n))
+        self.slots = [self.tape[:, i * width:i * width + n]
+                      for i in range(block + 1)]
+        self.fresh = [slot[:, :width] for slot in self.slots]
+        # the slots' own columns, (block + 1, L, width)
+        self.heads = self.tape[:, :(block + 1) * width].reshape(
+            size, block + 1, width).transpose(1, 0, 2)
+        self.slots[0][:, :head] = density[:, :head]
+        self.unit = np.ldexp(1.0, np.frexp(np.maximum(masses, 1.0))[1] - 1)
+        self.floor = _RESCALE_BELOW * self.unit
+        self.ring, self.start = np.empty((size, n + tail)), n
+        np.divide(density[:, head:], self.unit[:, np.newaxis],
+                  out=self.ring[:, n:])
+        # the tail at each start
+        self.windows = np.lib.stride_tricks.sliding_window_view(
+            self.ring, tail, axis=1)
         # the tail's excess-wait weights, spaced by ds from the first one,
         # as the carried sums age them: the grid's s - tau are spaced by ds
         # only to within (s + tau) eps, and that gap would add up in the
         # carried sum at every step
         first = cuts.weight[:, head:head + 1]
-        self.weight = first + ds * np.arange(n - head)
-        self.weight_in = first.ravel().tolist()
-        self.weight_out = self.weight[:, -1:].ravel().tolist()
+        self.weight = first + ds * np.arange(tail)
+        self.weight_in = first.ravel()
+        self.weight_out = -self.weight[:, -1:].ravel()
+        self.steady = steady
+        if steady is not None:
+            self.gap = np.empty((max(1, _L1_VALUES // steady.size), size, n))
         self._resum(self.unit)
 
-    def _resum(self, scale: list[float]) -> None:
-        tail = self.window[:, self.head:]
-        self.peak = np.vecdot(tail, self.weight).tolist()
-        self.state = np.add.reduce(tail, axis=1).tolist() + self.peak + scale
+    def _resum(self, scale: np.ndarray) -> None:
+        tail = self.ring[:, self.start:self.start + self.tail]
+        self.peak = np.vecdot(tail, self.weight)
+        self.state = np.stack((np.add.reduce(tail, axis=1), self.peak, scale))
 
-    def advance(self, divisor: list[float]) -> None:
-        """One step, once fresh holds the step's new head columns and,
-        after them, the column entering the tail, all as densities; divisor
-        holds the levels' 1 + dt (mu + P)."""
-        head, n, ds, fresh = self.head, self.n, self.ds, self.fresh
-        if head == n:
-            self.window, self.fresh = fresh, self.window
+    def advance(self, count: int, divisor: np.ndarray, state: np.ndarray,
+                l1: np.ndarray | None) -> None:
+        """Bring the tail up to slot count, once slots 1 to count hold the
+        steps' new heads and entering columns as densities; divisor,
+        (count, L), holds the steps' 1 + dt (mu + P). state, (count, 3, L),
+        receives each new state's sums and scales, and l1, when given,
+        (count, L), its sums |rho - steady|."""
+        heads = self.heads[1:count + 1]
+        if not self.tail:
+            state[...] = self.state
+            if l1 is not None:
+                self._l1(heads, heads[:, :, :0], state[:, 2], l1)
             return
-        ring, start = self.ring, self.start - 1
-        ring[:, start:start + head] = fresh[:, :head]
-        size = len(divisor)
-        state = self.state
-        u_sum, w_sum, scale, peak, entering = [], [], [], [], []
-        shrunk = False
-        # the window's old last column, at ring column start + n, leaves;
-        # the ones kept move one node on, their weights up by ds
-        for u, w, s, top, d, rho, gone, w_in, w_out in zip(
-                state[:size], state[size:2 * size], state[2 * size:],
-                self.peak, divisor, fresh[:, head].tolist(),
-                ring[:, start + n].tolist(), self.weight_in, self.weight_out):
-            s /= d
-            rho /= s
-            u -= gone
-            w = (w - gone * w_out) + ds * u + rho * w_in
-            if w > top:
-                top = w
-            elif w < 0.5 * top:
-                shrunk = True
-            u_sum.append(u + rho)
-            w_sum.append(w)
-            scale.append(s)
-            peak.append(top)
-            entering.append(rho)
-        ring[:, start + head] = entering
-        self.state, self.peak = u_sum + w_sum + scale, peak
-        if start == 0:
-            ring[:, n:] = ring[:, :n]
-            start = n
-        self.start = start
-        self.window = ring[:, start:start + n]
-        if any(s < low for s, low in zip(scale, self.floor)):
-            self.window[:, head:] *= (np.array(scale)
-                                      / self.unit)[:, np.newaxis]
-            self._resum(self.unit)
-        elif start == n or shrunk:
-            self._resum(scale)
+        done = 0
+        while done < count:
+            done += self._segment(heads[done:], divisor[done:], state[done:],
+                                  None if l1 is None else l1[done:])
 
-    def density(self, out: np.ndarray | None = None,
-                less: np.ndarray | None = None) -> np.ndarray:
-        """The densities, the tail's S u multiplied out, written to out (a
-        new array when it is None); with less given, the densities less
-        it, with no copy of the head first."""
-        window, head = self.window, self.head
-        if out is None:
-            out = np.empty(window.shape)
-        if less is None:
-            out[:, :head] = window[:, :head]
-        else:
-            np.subtract(window[:, :head], less[:, :head], out=out[:, :head])
-        if head == self.n:
-            return out
-        tail = out[:, head:]
-        # row by row with a Python float scale: numpy broadcasts an (L, 1)
-        # column over the rows at about twice the cost
-        for u, rho, scale in zip(window[:, head:], tail,
-                                 self.state[2 * len(window):]):
-            np.multiply(u, scale, out=rho)
-        if less is not None:
-            np.subtract(tail, less[:, head:], out=tail)
+    def _segment(self, heads: np.ndarray, divisor: np.ndarray,
+                 state: np.ndarray, l1: np.ndarray | None) -> int:
+        """advance's steps up to the first that copies, rescales or
+        re-sums the tail, or up to min(start, tail) steps; returns their
+        number."""
+        tail, ring, start = self.tail, self.ring, self.start
+        count = min(len(divisor), start, tail)
+        u_sum, w_sum, scale = self.state
+        size = len(scale)
+        with np.errstate(all="ignore"):
+            scale = np.divide.accumulate(
+                np.concatenate((scale[np.newaxis], divisor[:count])))[1:]
+            entering = heads[:count, :, self.head] / scale
+            # the column leaving at step j was the tail's j-th from last
+            gone = ring[:, start + tail - count:start + tail].T[::-1]
+            u = np.empty((2 * count + 1, size))
+            u[0] = u_sum
+            np.negative(gone, out=u[1::2])
+            u[2::2] = entering
+            np.add.accumulate(u, axis=0, out=u)
+            w = np.empty((3 * count + 1, size))
+            w[0] = w_sum
+            np.multiply(gone, self.weight_out, out=w[1::3])
+            np.multiply(u[1::2], self.ds, out=w[2::3])
+            np.multiply(entering, self.weight_in, out=w[3::3])
+            np.add.accumulate(w, axis=0, out=w)
+            w = w[3::3]
+            peak = np.fmax.accumulate(
+                np.concatenate((self.peak[np.newaxis], w)))
+            shrunk = (w < 0.5 * peak[:-1]) & ~(w > peak[:-1])
+            low = scale < self.floor
+        # the steps that rescale or re-sum, by the levels of either
+        hit = (shrunk | low).any(axis=1)
+        stop = int(hit.argmax()) + 1
+        if not hit[stop - 1]:
+            stop = count
+        ring[:, start - stop:start] = entering[stop - 1::-1].T
+        state[:stop, 0] = u[2:2 * stop + 1:2]
+        state[:stop, 1] = w[:stop]
+        state[:stop, 2] = scale[:stop]
+        if l1 is not None:
+            self._l1(heads, self.windows[:, start - 1:start - stop:-1]
+                     .transpose(1, 0, 2), scale, l1[:stop - 1])
+        self.start = start - stop
+        self.state, self.peak = state[stop - 1].copy(), peak[stop]
+        copied = self.start == 0
+        if copied:
+            ring[:, self.n:] = ring[:, :tail]
+            self.start = self.n
+        if hit[stop - 1] and low[stop - 1].any():
+            ring[:, self.start:self.start + tail] *= (
+                scale[stop - 1] / self.unit)[:, np.newaxis]
+            self._resum(self.unit)
+        elif copied or hit[stop - 1]:
+            self._resum(scale[stop - 1])
+        state[stop - 1] = self.state
+        if l1 is not None:
+            self.l1(heads[stop - 1:stop], l1[stop - 1:stop])
+        return stop
+
+    def l1(self, heads: np.ndarray, out: np.ndarray) -> None:
+        """The sums |rho - steady| of heads, (1, L, width), with the
+        current tail, into out, (1, L)."""
+        self._l1(heads, self.windows[:, self.start:self.start + 1]
+                 .transpose(1, 0, 2), self.state[2][np.newaxis], out)
+
+    def _l1(self, heads: np.ndarray, tails: np.ndarray, scales: np.ndarray,
+            out: np.ndarray) -> None:
+        """The sums |rho - steady| of the first len(out) states, with heads
+        from heads and the tails S u from tails and scales, in chunks of
+        states."""
+        head, steady, gap = self.head, self.steady, self.gap
+        for i in range(0, len(out), len(gap)):
+            rows = out[i:i + len(gap)]
+            part = gap[:len(rows)]
+            np.subtract(heads[i:i + len(rows), :, :head], steady[:, :head],
+                        out=part[:, :, :head])
+            np.multiply(tails[i:i + len(rows)],
+                        scales[i:i + len(rows), :, np.newaxis],
+                        out=part[:, :, head:])
+            np.subtract(part[:, :, head:], steady[:, head:],
+                        out=part[:, :, head:])
+            _l1_sum(part, rows)
+
+    def restart(self, slot: int) -> None:
+        """Copy the head in slot to slot 0, where the next block starts."""
+        self.slots[0][:, :self.head] = self.slots[slot][:, :self.head]
+
+    def density(self, slot: int) -> np.ndarray:
+        """A new array of the densities, slot's head and the current tail's
+        S u multiplied out."""
+        out = np.empty(self.slots[slot].shape)
+        out[:, :self.head] = self.slots[slot][:, :self.head]
+        np.multiply(self.ring[:, self.start:self.start + self.tail],
+                    self.state[2][:, np.newaxis], out=out[:, self.head:])
         return out
 
 
@@ -790,46 +883,60 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
     mu, mass, floors = spec.mu.tolist(), masses.tolist(), floor.tolist()
     dt = grid.dt
     # step's terms: the pool sums write rho pre into held, and each sweep's
-    # Python floats set the rows of block in one assignment
+    # Python floats set the rows of terms in one assignment
     held = np.empty((spec.size, cuts.head))
-    block = np.empty((3, spec.size))
-    ghost = block[0]
-    source, decay = block[1:, :, np.newaxis]
-    # step computes the line's head and the column entering its tail, the
-    # metric sums read the head, and the line carries the tail's sums; with
-    # dt < ds the head is the whole grid and the tail empty
-    line = _DelayLine(density, cuts, grid.ds, mass,
-                      cuts.head if dt / grid.ds == 1.0 else grid.n_nodes)
-    weight = cuts.weight[:, :line.head]
-    # row k of record holds step k's Python floats in one assignment: the
-    # promotion, hiring and shortfall rates, the pools and the line's state
-    # (the tail's sums and scales)
+    terms = np.empty((3, spec.size))
+    ghost = terms[0]
+    source, decay = terms[1:, :, np.newaxis]
+    # step computes each new head and the column entering the tail into the
+    # line's next slot; the pools read only the head, so the loop is only
+    # pool sums, sweep and step, and the metric sums and the tail's advance
+    # run once per block; with dt < ds the head is the whole grid and the
+    # tail empty
+    line = _DelayLine(density, cuts, grid.ds, masses,
+                      cuts.head if dt / grid.ds == 1.0 else grid.n_nodes,
+                      steady)
+    head, length = line.head, line.block
+    weight = cuts.weight[:, :head]
+    # row k of record holds step k's Python floats, the promotion, hiring
+    # and shortfall rates and the pools, in one assignment, and the line's
+    # state (the tail's sums and scales)
     record = np.empty((n_steps + 1, 7, spec.size))
     promotion, hiring, shortfall, pool = record.transpose(1, 0, 2)[:4]
-    rows = record.reshape(n_steps + 1, -1)
+    rows = record.reshape(n_steps + 1, -1)[:, :4 * spec.size]
+    states = record[:, 4:]
     ready, wait, l1, mass_err = (np.zeros((n_steps + 1, spec.size))
                                  for _ in range(4))
-    # the l1 sum's scratch
-    spare = np.empty_like(density) if steady is not None else None
+    states[0] = line.state
+    _metric_sums(line.heads[:1, :, :head], weight, mass_err[:1], wait[:1])
+    if steady is not None:
+        line.l1(line.heads[:1], l1[:1])
 
+    slot = 0  # state k's slot
     for k in range(n_steps + 1):
-        density = line.window
-        pools = _pool_sums(density, cuts, grid.ds, mass, held)
+        pools = _pool_sums(line.slots[slot], cuts, grid.ds, mass, held)
         rates, hires, shorts, demand = _sweep(mu, mass, pools, floors, share,
                                               cap)
-        rows[k] = rates + hires + shorts + pools + line.state
-        _metric_sums(density[:, :line.head], weight, mass_err[k], wait[k])
-        if steady is not None:
-            _l1_sum(line.density(spare, steady), l1[k])
-        if k in snap_steps:
-            snapshots[float(times[k])] = line.density()
-        if k == n_steps:
-            break
+        rows[k] = rates + hires + shorts + pools
+        if slot == length or k == n_steps or k in snap_steps:
+            # the states of slots 1 to slot: k - slot + 1 to k
+            new = slice(k - slot + 1, k + 1)
+            _metric_sums(line.heads[1:slot + 1, :, :head], weight,
+                         mass_err[new], wait[new])
+            line.advance(slot, 1.0 + dt * (spec.mu + promotion[k - slot:k]),
+                         states[new], None if steady is None else l1[new])
+            if k in snap_steps:
+                snapshots[float(times[k])] = line.density(slot)
+            if k == n_steps:
+                break
+            line.restart(slot)
+            slot = 0
         divisor = [1.0 + dt * (m + p) for m, p in zip(mu, rates)]
-        block[...] = demand, [dt * p for p in rates], divisor
-        step(density, grid, ghost, source, decay, held, out=line.fresh)
-        line.advance(divisor)
-    density = line.density()
+        terms[...] = demand, [dt * p for p in rates], divisor
+        step(line.slots[slot], grid, ghost, source, decay, held,
+             out=line.fresh[slot + 1])
+        slot += 1
+    density = line.density(slot)
     sums = record[:, 4:6]
     sums *= record[:, 6:]
     mass_err += sums[:, 0]

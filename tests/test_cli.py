@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -71,6 +72,11 @@ def defect_3_scenario(p1):
          "base_wage": 147}]},
         "plan": {"alpha": [1.0], "p": [p1, 0.6]},
         "cost": {"premium": 0.2}}
+
+
+# level 1 at 1.7e308: its densities, about N / ds, cannot be summed
+# finitely on any grid the parser accepts
+HUGE_LEVEL_1 = [1.7e308] + HEADS[1:]
 
 
 def huge_readme(heads=(1e300, 9e299, 7e299, 3e299, 1e299), wage_scale=1.0):
@@ -574,18 +580,35 @@ _PRINTED_NUMBER = re.compile(
 @example(defect_3_scenario(1e-300))
 @example(huge_readme())
 @example(huge_readme(heads=HEADS, wage_scale=1e298))
+@example(huge_readme(heads=HUGE_LEVEL_1))
 def test_steady_and_cost_exit_named_or_print_finite_numbers(data):
     # every scenario the parser accepts either prints finite numbers of a
-    # sensible length or ends in a named error (2 config, 3 ill posed),
-    # with no RuntimeWarning on the way
+    # sensible length, and writes them so into cost's CSV file, or ends in
+    # a named error (2 config, 3 ill posed), with no RuntimeWarning on the
+    # way
     with tempfile.TemporaryDirectory() as out:
         for command in ("steady", "cost"):
             code, stdout = _run_checked(command, data, out)
             if code:
                 continue
-            for number in _PRINTED_NUMBER.findall(stdout):
+            numbers = _PRINTED_NUMBER.findall(stdout)
+            for number in numbers + _csv_cells(out):
                 assert math.isfinite(float(number)), (command, number)
                 assert len(number) <= 30, (command, number)
+
+
+def _csv_cells(out):
+    """The cells of the CSV files in out but their header rows and '#'
+    lines: every one a number, as orgflow writes them."""
+    cells = []
+    for name in sorted(os.listdir(out)):
+        if name.endswith(".csv"):
+            with open(os.path.join(out, name), newline="") as fh:
+                rows = list(csv.reader(line for line in fh
+                                       if not line.startswith("#")))
+            cells += [cell for row in rows[1:] for cell in row
+                      if cell and cell != "total"]
+    return cells
 
 
 def _run_checked(command, data, out):
@@ -647,11 +670,13 @@ def tiny_attrition_readme(level):
 @example(_bounded(tiny_attrition_readme(0)))
 @example(_bounded(tiny_attrition_readme(4)))
 @example(_bounded(huge_readme()))
+@example(_bounded(huge_readme(heads=HUGE_LEVEL_1)))
 def test_simulate_and_optimize_exit_named_or_write_finite_numbers(data):
     # the same contract for the commands that run the transport and the
     # GA: on exit 0 every number printed and every CSV cell written is
-    # finite; simulate prints its promotion cap, inf when none is set,
-    # and the trajectory file's path, whose digits are no result
+    # finite, and every cell at most 30 characters long; simulate prints
+    # its promotion cap, inf when none is set, and the trajectory file's
+    # path, whose digits are no result
     with tempfile.TemporaryDirectory() as tmp:
         for command in ("simulate", "optimize"):
             out = os.path.join(tmp, command)
@@ -662,13 +687,11 @@ def test_simulate_and_optimize_exit_named_or_write_finite_numbers(data):
             lines = [line.replace(", cap inf)", ")")
                      for line in stdout.splitlines()
                      if not line.startswith("trajectory written to ")]
-            for name in os.listdir(out):
-                if name.endswith(".csv"):
-                    with open(os.path.join(out, name)) as fh:
-                        lines += [line for line in fh
-                                  if not line.startswith("#")]
-            for number in _PRINTED_NUMBER.findall("\n".join(lines)):
+            cells = _csv_cells(out)
+            for number in _PRINTED_NUMBER.findall("\n".join(lines)) + cells:
                 assert math.isfinite(float(number)), (command, number)
+            for cell in cells:
+                assert len(cell) <= 30, (command, cell)
 
 
 DEFAULTS_DUMP = """\
@@ -994,6 +1017,39 @@ def test_invalid_scenarios_exit_config(tmp_path, capsys, blocks):
         assert (f"configuration error: {key}: expected an object, got "
                 f"{type(value).__name__}") in err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["steady", "cost", "simulate",
+                                     "optimize"])
+def test_headcount_beyond_summable_densities_is_config_error(tmp_path,
+                                                            capsys, command):
+    # a level's densities hold about N / ds; at N = 1.7e308 their sum
+    # overflows (the uniform start's, the pools'), so the parser names the
+    # headcount and every command exits 2, where simulate exited 3 after
+    # an overflow warning and cost and optimize named the attrition
+    data = _bounded(huge_readme(heads=HUGE_LEVEL_1))
+    path = write_scenario(tmp_path, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main([command, "--config", path,
+                         "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert ("configuration error: org.levels[0].headcount: must be at most "
+            "2.24712e+306 at grid.ds = 0.05") in err
+
+
+def test_wage_bill_overflow_names_headcount_and_base_wage(tmp_path, capsys):
+    # N / ds is summable, but w0 C / (mu - r) is not: the error names the
+    # attrition, base wage and headcount that set it
+    data = huge_readme(heads=[1e300] + HEADS[1:])
+    data["org"]["levels"][0]["base_wage"] = 1e10
+    path = write_scenario(tmp_path, data)
+    assert cli.main(["cost", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert ("configuration error: level 1: the wage bill overflows at "
+            "attrition 0.08: base wage 1e+10 times the level's inflow "
+            "8e+298 (from headcount 1e+300 and the levels above)"
+            ) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("curve", [

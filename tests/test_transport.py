@@ -707,6 +707,75 @@ def _bits(values) -> bytes:
     return np.ascontiguousarray(values, dtype=float).tobytes()
 
 
+# (org, ds, dt, s_max, horizon, cap, snapshot times) of each run whose
+# arrays must not depend on run()'s block length
+_BLOCK_CASES = {
+    # near-empty pools drive P to 1e11 per year: rescales, and steps past
+    # them whose scales overflow or underflow to 0
+    "uncapped": ("high", 0.1, 0.1, 8.0, 30.0, np.inf, ()),
+    # 200 steps on 80 nodes: copies of the tail back to the ring's end
+    "copy-back": ("low", 0.1, 0.1, 8.0, 20.0, 5.0, ()),
+    # snapshots inside blocks of every length tried
+    "snapshot": ("low", 0.1, 0.1, 8.0, 12.0, 5.0, (0.0, 0.5, 4.5, 4.6, 10.3)),
+    # with dt < ds the head is the whole grid and the tail empty
+    "dt-below-ds": ("low", 0.1, 0.06, 8.0, 6.0, 5.0, (3.0,)),
+    # a 3-node tail, narrower than the blocks
+    "narrow-tail": ("high", 0.25, 0.25, 4.75, 20.0, np.inf, (7.25,)),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
+@pytest.mark.parametrize("l1", [True, False])
+def test_block_length_changes_nothing(monkeypatch, low_turnover_org,
+                                      high_turnover_org, case, l1):
+    # run() sums the metrics and advances the delay line's tail once per
+    # block of steps: blocks of 1, 2, 7 and the default length give every
+    # array and snapshot bit for bit, with no floating-point warning (the
+    # steps a block computes past a rescale are discarded)
+    which, ds, dt, s_max, horizon, cap, times = _BLOCK_CASES[case]
+    org = high_turnover_org if which == "high" else low_turnover_org
+    grid = SeniorityGrid(ds=ds, dt=dt, s_max=s_max)
+    results = []
+    for length in (1, 2, 7, transport._BLOCK):
+        monkeypatch.setattr(transport, "_BLOCK", length)
+        results.append(run(org, grid=grid, horizon=horizon, cap=cap,
+                           snapshot_times=times, l1_to_steady=l1))
+    first = results[0]
+    # the low-turnover ladder has a stationary reference, so its runs take
+    # the l1 sums when asked
+    assert (first.steady_density is not None) == (l1 and which == "low")
+    assert len(first.snapshots) == len(times)
+    for result in results[1:]:
+        for name in ("times", "density", "masses", "promotion", "hiring",
+                     "shortfall", "pool", "ready_ratio", "excess_wait",
+                     "l1_to_steady", "mass_error"):
+            assert _bits(getattr(result, name)) == _bits(
+                getattr(first, name)), name
+        for t, density in first.snapshots.items():
+            assert _bits(result.snapshots[t]) == _bits(density), t
+
+
+def test_head_tape_shortens_blocks_of_wide_heads(monkeypatch,
+                                                 low_turnover_org):
+    # the tape holds a block's heads: the cut head's 801 columns at dt = ds
+    # fit 32 of them, the whole grid of 14,000 nodes with dt < ds only 2
+    lines = []
+
+    class Recorded(transport._DelayLine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            lines.append(self)
+
+    monkeypatch.setattr(transport, "_DelayLine", Recorded)
+    for dt, block in ((0.005, transport._BLOCK), (0.004, 2)):
+        grid = SeniorityGrid(ds=0.005, dt=dt, s_max=70.0)
+        run(low_turnover_org, grid=grid, horizon=5 * dt, l1_to_steady=False)
+        line = lines.pop()
+        assert line.block == block
+        assert line.tape.size <= transport._TAPE_VALUES + 5 * grid.n_nodes
+
+
 @pytest.mark.parametrize("case", ["zero-horizon", "zero-mass", "no-steady",
                                   "no-l1", "long-rows"])
 def test_public_closure_and_metrics_match_run(low_turnover_org,
