@@ -610,12 +610,14 @@ class _DelayLine:
     head kept as a delay line.
 
     The tape has block + 1 slots, block = _BLOCK or fewer for a wide head
-    (see _TAPE_VALUES). Slot i is its (L, n_nodes) view from
-    column i width on and owns the first width columns: the head and the
-    column entering the tail (width = head + 1), or the whole grid where
-    the tail is empty (width = n_nodes). run() steps slot i into fresh[i +
-    1]; once per block advance brings the tail up to the last slot written,
-    and restart copies that slot's head to slot 0.
+    (see _TAPE_VALUES). Slot i owns fresh[i], a contiguous (L, width)
+    block: the head and the column entering the tail (width = head + 1),
+    or the whole grid where the tail is empty (width = n_nodes). slots[i]
+    is a read-only (L, n_nodes) view from fresh[i]'s start, rows width
+    apart, of which step reads the first width columns: run() steps
+    slots[i] into fresh[i + 1], so a wrapper of step counts L n_nodes
+    node-steps. Once per block advance brings the tail up to the last
+    slot written, and restart copies that slot's head to slot 0.
 
     The tail lives in per-level scaled units u, rho = S u, in the columns
     start to start + tail of an (L, n_nodes + tail) ring. A step moves
@@ -658,14 +660,16 @@ class _DelayLine:
         self.head, self.tail, self.n, self.ds = head, tail, n, ds
         self.block = block = max(1, min(_BLOCK,
                                         _TAPE_VALUES // (size * width) - 1))
-        self.tape = np.empty((size, block * width + n))
-        self.slots = [self.tape[:, i * width:i * width + n]
-                      for i in range(block + 1)]
-        self.fresh = [slot[:, :width] for slot in self.slots]
-        # the slots' own columns, (block + 1, L, width)
-        self.heads = self.tape[:, :(block + 1) * width].reshape(
-            size, block + 1, width).transpose(1, 0, 2)
-        self.slots[0][:, :head] = density[:, :head]
+        # the slots' own columns, (block + 1, L, width), each slot's one
+        # contiguous block, then n_nodes values that the last slot's view
+        # reaches into
+        self.tape = np.empty((block + 1) * size * width + n)
+        self.heads = self.tape[:-n].reshape(block + 1, size, width)
+        self.fresh = list(self.heads)
+        self.slots = [np.lib.stride_tricks.as_strided(
+            fresh, (size, n), (fresh.strides[0], fresh.itemsize),
+            writeable=False) for fresh in self.fresh]
+        self.fresh[0][:, :head] = density[:, :head]
         self.unit = np.ldexp(1.0, np.frexp(np.maximum(masses, 1.0))[1] - 1)
         self.floor = _RESCALE_BELOW * self.unit
         self.ring, self.start = np.empty((size, n + tail)), n
@@ -796,13 +800,13 @@ class _DelayLine:
 
     def restart(self, slot: int) -> None:
         """Copy the head in slot to slot 0, where the next block starts."""
-        self.slots[0][:, :self.head] = self.slots[slot][:, :self.head]
+        self.fresh[0][:, :self.head] = self.fresh[slot][:, :self.head]
 
     def density(self, slot: int) -> np.ndarray:
         """A new array of the densities, slot's head and the current tail's
         S u multiplied out."""
         out = np.empty(self.slots[slot].shape)
-        out[:, :self.head] = self.slots[slot][:, :self.head]
+        out[:, :self.head] = self.fresh[slot][:, :self.head]
         np.multiply(self.ring[:, self.start:self.start + self.tail],
                     self.state[2][:, np.newaxis], out=out[:, self.head:])
         return out

@@ -756,6 +756,102 @@ def test_block_length_changes_nothing(monkeypatch, low_turnover_org,
             assert _bits(result.snapshots[t]) == _bits(density), t
 
 
+def _per_step_delay_line(result, densities, steps):
+    """run()'s tail arrays at dt = ds as a step-by-step delay line gives
+    them, from the heads and entering columns of the full-array replay
+    (bit for bit run()'s): each level's scale S and carried sums sum u and
+    sum u (s - tau) on Python floats, one step at a time, re-summed at
+    the same copies (every n_nodes steps), rescales and shrinks. Returns
+    mass_error, excess_wait and l1_to_steady after run()'s ratio pass,
+    and the densities (head, then S u) at the given steps."""
+    spec, grid, masses = result.spec, result.grid, result.masses
+    ds, dt, n = grid.ds, grid.dt, grid.n_nodes
+    cuts = transport._build_cuts(grid, spec)
+    head, size = cuts.head, spec.size
+    unit = [math.ldexp(1.0, math.frexp(max(m, 1.0))[1] - 1)
+            for m in masses.tolist()]
+    weight = cuts.weight[:, head:head + 1] + ds * np.arange(n - head)
+    tails = list(densities[0][:, head:] / np.array(unit)[:, np.newaxis])
+    carried, peak = [None] * size, [None] * size
+
+    def resum(j, scale):
+        peak[j] = float(np.vecdot(tails[j], weight[j]))
+        carried[j] = (float(np.add.reduce(tails[j])), peak[j], scale)
+
+    for j in range(size):
+        resum(j, unit[j])
+    steady = result.steady_density
+    mass, wait, l1 = (np.empty((len(densities), size)) for _ in range(3))
+    chosen = {}
+    for k, density in enumerate(densities):
+        if k:
+            shrunk = False
+            for j in range(size):
+                u, w, s = carried[j]
+                s /= 1.0 + dt * (spec.mu[j] + result.promotion[k - 1, j])
+                rho = density[j, head] / s
+                gone = tails[j][-1]
+                u -= gone
+                w = (w - gone * weight[j, -1]) + ds * u + rho * weight[j, 0]
+                if w > peak[j]:
+                    peak[j] = w
+                elif w < 0.5 * peak[j]:
+                    shrunk = True
+                carried[j] = (u + rho, w, s)
+                tails[j] = np.concatenate(([rho], tails[j][:-1]))
+            if any(c[2] < 1e-100 * m for c, m in zip(carried, unit)):
+                for j in range(size):
+                    tails[j] = tails[j] * (carried[j][2] / unit[j])
+                    resum(j, unit[j])
+            elif k % n == 0 or shrunk:
+                for j in range(size):
+                    resum(j, carried[j][2])
+        full = np.concatenate((density[:, :head], np.array(
+            [tails[j] * carried[j][2] for j in range(size)])), axis=1)
+        for j, (u, w, s) in enumerate(carried):
+            mass[k, j] = np.add.reduce(density[j, :head]) + u * s
+            wait[k, j] = np.vecdot(density[j, :head],
+                                   cuts.weight[j, :head]) + w * s
+            if steady is not None:
+                l1[k, j] = np.add.reduce(np.abs(full[j] - steady[j]))
+        if k in steps:
+            chosen[k] = full
+    pool = result.pool
+    transport._metric_ratios(ds, masses, pool,
+                             pool <= transport._empty_floor(spec),
+                             steady is not None, np.empty_like(mass), wait,
+                             l1, mass)
+    return mass, wait, l1, chosen
+
+
+@pytest.mark.parametrize("case", sorted(set(_BLOCK_CASES) - {"dt-below-ds"}))
+@pytest.mark.parametrize("l1", [True, False])
+def test_blocks_match_per_step_delay_line(low_turnover_org,
+                                          high_turnover_org, case, l1):
+    # at dt = ds every array that reads the tail is bit for bit that of a
+    # delay line advanced one step at a time (_per_step_delay_line)
+    which, ds, dt, s_max, horizon, cap, times = _BLOCK_CASES[case]
+    org = high_turnover_org if which == "high" else low_turnover_org
+    grid = SeniorityGrid(ds=ds, dt=dt, s_max=s_max)
+    result = run(org, grid=grid, horizon=horizon, cap=cap,
+                 snapshot_times=times, l1_to_steady=l1)
+    fractions = np.zeros(org.size)
+    _, densities = _replay(org, FlexPlan.all_internal(org.size), grid,
+                           fractions, cap, "uniform", horizon,
+                           result.steady_density)
+    steps = {int(round(t / dt)): t for t in times}
+    last = len(densities) - 1
+    mass, wait, l1_sums, chosen = _per_step_delay_line(
+        result, densities, set(steps) | {last})
+    assert _bits(result.mass_error) == _bits(mass)
+    assert _bits(result.excess_wait) == _bits(wait)
+    assert _bits(result.l1_to_steady) == _bits(l1_sums)
+    assert _bits(result.density) == _bits(chosen[last])
+    for k, t in steps.items():
+        assert _bits(result.snapshots[float(result.times[k])]) == _bits(
+            chosen[k]), t
+
+
 def test_head_tape_shortens_blocks_of_wide_heads(monkeypatch,
                                                  low_turnover_org):
     # the tape holds a block's heads: the cut head's 801 columns at dt = ds
