@@ -745,7 +745,7 @@ class _DelayLine:
                 np.concatenate((self.peak[np.newaxis], w)))
             shrunk = (w < 0.5 * peak[:-1]) & ~(w > peak[:-1])
             low = scale < self.floor
-        # the steps that rescale or re-sum, by the levels of either
+        # the steps at which some level rescales or its sum shrinks
         hit = (shrunk | low).any(axis=1)
         stop = int(hit.argmax()) + 1
         if not hit[stop - 1]:
