@@ -27,7 +27,10 @@ checkout's, each in its own subprocess:
   the pool N_1 p_1, from a stationary start: one library `run()` at
   p_1 = 1e-9 (`defect-3`), and `orgflow steady`, `cost` and `simulate`
   at p_1 = 1e-9, 1e-17 and 1e-300;
-- the seed-7 `optimize-readme` scenario through `orgflow optimize`;
+- the seed-7 `optimize-readme` scenario through `orgflow optimize`, and
+  the README scenario with level 1 at headcount 1e306 and a GA of
+  10 x 5 (`defect-9`, ROADMAP defect 9), whose generations' costs sum
+  past the largest float;
 - `orgflow cost` on the README scenario under a plan with permanent
   shares below 1 and hiring ratios above 1;
 - seeded `ga_minimize` runs (60 x 40) on that scenario's org, for four
@@ -117,6 +120,9 @@ README_L1_SNAPSHOTS = [3.3, 10.0, 40.0]
 # level 1's permanent shares on the defect-3 org: a pool above its empty
 # floor, one under it, and one whose rate C_2 / A_1 is 2.75e299
 DEFECT_3_P1 = (1e-9, 1e-17, 1e-300)
+# README level 1's headcount and the GA size of the defect-9 run
+DEFECT_9_HEADCOUNT = 1e306
+DEFECT_9_GA = {"population_size": 10, "generations": 5}
 # a plan with temporaries and external hiring for orgflow steady
 STEADY_PLAN = {"alpha": [1.2, 1.0, 1.1, 1.0], "p": [0.9, 0.8, 1.0, 1.0, 1.0]}
 ARRAYS = ("times", "density", "masses", "promotion", "hiring", "shortfall",
@@ -332,15 +338,21 @@ def dump(src: Path, out: Path) -> None:
     base = module.readme_scenario(SEED)
     (inputs / "readme-plan_00.json").write_text(
         json.dumps(dict(base, plan=STEADY_PLAN)))
+    huge = copy.deepcopy(base)
+    huge["org"]["levels"][0]["headcount"] = DEFECT_9_HEADCOUNT
+    huge["optimizer"].update(DEFECT_9_GA)
+    (inputs / "defect-9_00.json").write_text(json.dumps(huge))
     # the CLI runs from out, so the paths it prints are the same on both
     # sides
     os.chdir(out)
-    for command, scenario in (("simulate", "simulate-fine_00"),
-                              ("cost", "readme-plan_00"),
-                              ("optimize", "optimize-readme_00")):
+    for command, scenario, name in (
+            ("simulate", "simulate-fine_00", "simulate"),
+            ("cost", "readme-plan_00", "cost"),
+            ("optimize", "optimize-readme_00", "optimize"),
+            ("optimize", "defect-9_00", "optimize-defect-9")):
         run_cli_over_stale([command, "--config", f"inputs/{scenario}.json",
-                            "--out", f"cli/{command}"], out / "cli" / command,
-                           out / "cli" / command / "stdout.txt")
+                            "--out", f"cli/{name}"], out / "cli" / name,
+                           out / "cli" / name / "stdout.txt")
     for path in sorted(inputs.glob("*.json")):
         run_cli(["--config", f"inputs/{path.name}", "--dump-config"],
                 out / "cli" / "dump-config" / f"{path.stem}.txt")

@@ -243,7 +243,7 @@ def cmd_optimize(config: ScenarioConfig, fmt: str) -> int:
     if settings.mode == "evaluate":
         plan = _effective_plan(config)
         breakdown = org_cost(spec, plan)
-        print(format_plan_table([("configured plan", plan, breakdown.total)]))
+        print(format_plan_table("configured plan", plan, breakdown.total))
         write_cost_csv(os.path.join(out_dir, "cost.csv"), breakdown, headers)
         return EXIT_OK
     objective = PlanObjective(
@@ -276,11 +276,10 @@ def cmd_optimize(config: ScenarioConfig, fmt: str) -> int:
         raise
     best_plan = objective.decode(result.best.genes)
     breakdown = org_cost(spec, best_plan)
-    print(format_plan_table([
-        (f"best plan (seed {settings.seed}, "
-         f"{settings.population_size}x{settings.generations})",
-         best_plan, breakdown.total),
-    ]))
+    print(format_plan_table(
+        f"best plan (seed {settings.seed}, "
+        f"{settings.population_size}x{settings.generations})",
+        best_plan, breakdown.total))
     if fmt == "csv":
         header = ["level", "alpha", "p"]
         rows = [["1", "-", f"{best_plan.p[0]:.6f}"]]

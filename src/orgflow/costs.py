@@ -566,7 +566,7 @@ def case2_residuals(spec: OrgSpec, plan: FlexPlan) -> tuple[float, float]:
     if inflow1 <= 0.0:
         raise ValueError("two-level diagnostics need permanent staff at level 1")
     mu2, _, w02, gap2, decay2, boost2 = _wage_terms(spec, 1)
-    n2, alpha2 = spec.n[1], plan.alpha_full[1]
+    n2, alpha2 = spec.n[1], plan.alpha[0]
     level1 = (w0 / gap) * (
         -mu * inflow1 * boost1 / denom1
         + inflow1 * mu * c2 * boost1 * r / denom1 ** 2
@@ -624,23 +624,19 @@ def format_cost_table(breakdown: CostBreakdown) -> str:
     return "\n".join(rows)
 
 
-def format_plan_table(entries: Sequence[tuple[str, FlexPlan, float]]) -> str:
-    """Plain-text table of staffing plans and their total hourly costs.
+def format_plan_table(label: str, plan: FlexPlan, total: float) -> str:
+    """Plain-text table of a staffing plan and its total hourly cost.
 
-    One block per entry: a row of hiring ratios (level 1 has none) and a
-    row of permanent shares across levels, then the cost in M currency/h
-    (as _output.fixed prints it).
+    Under the label, a row of hiring ratios (level 1 has none) and a row
+    of permanent shares across levels, then the cost in M currency/h (as
+    _output.fixed prints it).
     """
-    lines = []
-    for label, plan, total in entries:
-        levels = plan.p.size
-        head = "level".ljust(14) + "".join(f"{j:>9}" for j in range(1, levels + 1))
-        alpha = ["        -"] + [f"{a:>9.2f}" for a in plan.alpha]
-        lines.append(f"{label}")
-        lines.append(head)
-        lines.append("alpha".ljust(14) + "".join(alpha))
-        lines.append("perm share".ljust(14)
-                     + "".join(f"{p:>9.2f}" for p in plan.p))
-        lines.append(f"total cost    {fixed(total / 1e6, 4)} M/h")
-        lines.append("")
-    return "\n".join(lines).rstrip() + "\n"
+    levels = range(1, plan.p.size + 1)
+    alpha = ["        -"] + [f"{a:>9.2f}" for a in plan.alpha]
+    return "\n".join([
+        label,
+        "level".ljust(14) + "".join(f"{j:>9}" for j in levels),
+        "alpha".ljust(14) + "".join(alpha),
+        "perm share".ljust(14) + "".join(f"{p:>9.2f}" for p in plan.p),
+        f"total cost    {fixed(total / 1e6, 4)} M/h",
+    ]) + "\n"

@@ -35,6 +35,7 @@ from .org import (
     OrgSpec,
     _check_ranges,
     _level_constants,
+    _level_list,
     _pools,
     steady_promotable_pool,  # noqa: F401  (perfbench wraps optimize.* names)
 )
@@ -58,7 +59,18 @@ _LARGEST = np.finfo(float).max
 
 
 class NoFeasibleCandidateError(RuntimeError):
-    """The search never sampled a feasible candidate."""
+    """The search never sampled a feasible candidate. best is the sample
+    of least cost, and levels, which the message names, those whose pools
+    its plan leaves empty, where the objective names them."""
+
+    def __init__(self, best: Candidate, generations: int,
+                 levels: Sequence[int] = ()):
+        self.best, self.levels = best, list(levels)
+        empty = (f"; the best leaves the promotable pool empty at "
+                 f"{_level_list(levels)}" if levels else "")
+        super().__init__(
+            f"no feasible candidate sampled in {generations} generations"
+            + empty)
 
 
 @dataclass
@@ -129,8 +141,10 @@ def ga_minimize(objective: Callable[[np.ndarray], np.ndarray],
     objective may expose is_feasible(genes) for one gene vector; it is
     called on the final best, and NoFeasibleCandidateError is raised if
     that is infeasible (for a penalized objective: no feasible candidate
-    was sampled). Uniform draws are lo + span * U[0, 1), the doubles of
-    rng.uniform(lo, hi) without its per-call broadcasting of the bounds.
+    was sampled), naming the levels that the objective's
+    empty_levels(genes), if it has one, gives for the best. Uniform draws
+    are lo + span * U[0, 1), the doubles of rng.uniform(lo, hi) without
+    its per-call broadcasting of the bounds.
     """
     rng = np.random.default_rng(config.seed)
     lo = config.bounds[:, 0]
@@ -169,7 +183,13 @@ def ga_minimize(objective: Callable[[np.ndarray], np.ndarray],
             best_fit = float(fitness[order[0]])
             best_genes = pop[order[0]].copy()
         best_hist[gen] = best_fit
-        mean_hist[gen] = fitness.sum() / n_pop
+        with np.errstate(over="ignore"):
+            total = fitness.sum()
+            # costs near the largest float sum past it, though their mean
+            # lies between the smallest and the largest of them
+            mean_hist[gen] = (total / n_pop if math.isfinite(total) else
+                              np.clip((fitness / n_pop).sum(),
+                                      fitness[order[0]], fitness[order[-1]]))
         if gen == config.generations - 1:
             break
 
@@ -199,12 +219,11 @@ def ga_minimize(objective: Callable[[np.ndarray], np.ndarray],
     is_feasible = getattr(objective, "is_feasible", None)
     best_feasible = best_genes is not None and (
         is_feasible is None or bool(is_feasible(best_genes)))
-    if not best_feasible and is_feasible is not None:
-        raise NoFeasibleCandidateError(
-            "no feasible candidate sampled in "
-            f"{config.generations} generations"
-        )
     best = Candidate(genes=best_genes, fitness=best_fit, feasible=best_feasible)
+    if not best_feasible and is_feasible is not None:
+        levels = getattr(objective, "empty_levels", None)
+        raise NoFeasibleCandidateError(best, config.generations, levels(
+            best_genes) if levels and best_genes is not None else ())
     return GaResult(best=best, best_history=best_hist, mean_history=mean_hist)
 
 
@@ -297,32 +316,30 @@ class PlanObjective:
     """Penalized org cost as a function of a flat gene vector.
 
     Genes are the free entries of (alpha_2..alpha_L, p_1..p_L); either
-    block, or both, can be frozen. Frozen entries come from fixed_plan,
-    defaulting to alpha = 1 and p = 1 (disabling temporaries altogether is
-    the optimize_p=False case). With no gene free the GA prices the one
-    frozen plan. Exposes bounds, feasibility and decoding.
+    block, or both, can be frozen at the all-internal plan's alpha = 1 and
+    p = 1 (disabling temporaries altogether is the optimize_p=False case).
+    With no gene free the GA prices the one frozen plan. Exposes bounds,
+    feasibility and decoding.
 
     Calling it on genes of shape (..., n_genes) prices them in one array
     call: one gene vector gives a float, a (B, n_genes) population an
     array of B costs equal to [objective(g) for g in pop] exactly,
     through the kernel of penalized_cost, with its constants, the feasible
-    cost ceiling and the checks of wage growth and fixed_plan done once
-    here. The genes are read column-major, so each gene's column is
-    contiguous (see org._pools).
+    cost ceiling and the check of wage growth done once here. The genes
+    are read column-major, so each gene's column is contiguous (see
+    org._pools).
     """
 
     spec: OrgSpec
     optimize_alpha: bool = True
     optimize_p: bool = True
     alpha_max: float = 10.0
-    fixed_plan: FlexPlan | None = None
 
     def __post_init__(self):
         if self.alpha_max < 1.0:
             raise ValueError("alpha_max must be at least 1")
         self._pricing = _Pricing(self.spec)
-        self._fixed = (self.fixed_plan
-                       or FlexPlan.all_internal(self.spec.size)).check(self.spec)
+        self._fixed = FlexPlan.all_internal(self.spec.size)
 
     @property
     def n_alpha(self) -> int:
@@ -337,14 +354,6 @@ class PlanObjective:
         rows = [[1.0, self.alpha_max]] * self.n_alpha + [[0.0, 1.0]] * self.n_p
         # (0, 2) when no gene is free: the GA then prices the frozen plan
         return np.array(rows).reshape(len(rows), 2)
-
-    def default_genes(self) -> np.ndarray:
-        parts = []
-        if self.optimize_alpha:
-            parts.append(self._fixed.alpha)
-        if self.optimize_p:
-            parts.append(self._fixed.p)
-        return np.concatenate(parts) if parts else np.zeros(0)
 
     def _genes(self, genes: np.ndarray) -> np.ndarray:
         genes = np.asarray(genes, dtype=float)
@@ -363,9 +372,9 @@ class PlanObjective:
 
     def _blocks(self, genes: np.ndarray):
         """Ratios and shares of every gene vector, levels last: slices of
-        the genes taken column-major, or the fixed plan's (L,) array for a
-        frozen block. With no gene free, the shares are broadcast to the
-        genes' leading shape."""
+        the genes taken column-major, or the all-internal plan's (L,) array
+        for a frozen block. With no gene free, the shares are broadcast to
+        the genes' leading shape."""
         genes = np.asfortranarray(self._genes(genes))
         alpha = (genes[..., :self.n_alpha] if self.optimize_alpha
                  else self._fixed.alpha)
@@ -380,7 +389,13 @@ class PlanObjective:
         return self._pricing.costs(alpha, p)
 
     def is_feasible(self, genes: np.ndarray) -> bool:
-        return not self._pricing.pools(*self._blocks(genes))[2].any()
+        return not self.empty_levels(genes)
+
+    def empty_levels(self, genes: np.ndarray) -> list[int]:
+        """The levels, from 1, whose pools the plan of one gene vector
+        leaves empty (see org.ill_posed)."""
+        ill = self._pricing.pools(*self._blocks(genes))[2]
+        return [int(j) + 1 for j in np.flatnonzero(ill)]
 
 
 def write_ga_csv(path: str, result: GaResult,

@@ -29,6 +29,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+# steady_promotable_pool keeps its module-level name, off this list, only
+# because perfbench/tracing.py wraps it by name (as costs.* and optimize.*)
 __all__ = [
     "LevelSpec",
     "OrgSpec",
@@ -41,7 +43,6 @@ __all__ = [
     "MissingWageError",
     "validate",
     "promotion_demands",
-    "steady_promotable_pool",
     "stationary_pools",
     "ill_posed",
     "min_permanent_share",
@@ -153,17 +154,25 @@ class OrgSpec:
 
     @cached_property
     def w0(self) -> np.ndarray:
-        wages = [lv.base_wage for lv in self.levels]
-        if any(w is None for w in wages):
-            raise MissingWageError("base_wage is not set on every level")
-        return np.array(wages, dtype=float)
+        return self._wages("base_wage")
 
     @cached_property
     def wt(self) -> np.ndarray:
-        wages = [lv.temp_wage for lv in self.levels]
-        if any(w is None for w in wages):
-            raise MissingWageError("temp_wage is not set on every level")
+        return self._wages("temp_wage")
+
+    def _wages(self, key: str) -> np.ndarray:
+        wages = [getattr(lv, key) for lv in self.levels]
+        missing = [j for j, w in enumerate(wages, start=1) if w is None]
+        if missing:
+            raise MissingWageError(
+                f"{key} is not set on {_level_list(missing)}")
         return np.array(wages, dtype=float)
+
+
+def _level_list(levels: Sequence[int]) -> str:
+    """'level 2' or 'levels 2, 3', for messages that name levels."""
+    return ("level" + "s" * (len(levels) > 1) + " "
+            + ", ".join(str(j) for j in levels))
 
 
 @dataclass
@@ -185,18 +194,6 @@ class FlexPlan:
     @classmethod
     def all_internal(cls, size: int) -> "FlexPlan":
         return cls(alpha=np.ones(max(size - 1, 0)), p=np.ones(size))
-
-    @property
-    def alpha_full(self) -> np.ndarray:
-        """Ratios padded with the level-1 convention alpha_1 = 1.
-
-        Level 1 has no promotions feeding it, so its ratio never enters any
-        balance; with the padding, alpha_j * C_j = mu_j N_j p_j + C_{j+1}
-        holds uniformly for j = 1..L. alpha may carry leading axes (a batch
-        of plans); the pad goes on the last, level axis.
-        """
-        level1 = np.ones(self.alpha.shape[:-1] + (1,))
-        return np.concatenate((level1, self.alpha), axis=-1)
 
     def check(self, spec: OrgSpec) -> "FlexPlan":
         """Shapes and bounds of every plan, across any leading axes."""
@@ -441,10 +438,6 @@ class SteadyState:
         excess = np.maximum(s - self.spec.tau[j], 0.0)
         return self.inflow[j] * np.exp(-self.spec.mu[j] * s
                                        - self.promotion_rate[j] * excess)
-
-    @property
-    def permanent_mass(self) -> np.ndarray:
-        return self.spec.n * self.plan.p
 
 
 def stationary_state(spec: OrgSpec, plan: FlexPlan | None = None) -> SteadyState:

@@ -104,15 +104,15 @@ from .org import (
     stationary_state,
 )
 
+# close_policy_external_fraction, level_metrics and make_initial_density
+# keep their module-level names, off this list, only because
+# perfbench/tracing.py wraps them by name
 __all__ = [
     "SeniorityGrid",
     "SimulationResult",
     "CflViolationError",
     "InfeasibleInitialDataError",
-    "make_initial_density",
-    "close_policy_external_fraction",
     "run",
-    "level_metrics",
     "write_trajectory_csv",
     "write_snapshot_csv",
     "DEFAULT_PROMOTION_CAP",

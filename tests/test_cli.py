@@ -90,6 +90,44 @@ def huge_readme(heads=(1e300, 9e299, 7e299, 3e299, 1e299), wage_scale=1.0):
             "optimizer": {"mode": "ga", "seed": 7}}
 
 
+def edge_readme(levels=None, **blocks):
+    """The README scenario (GA seed 7) at an edge of the schema: each
+    level key in levels set to its five values, and blocks replaced."""
+    data = huge_readme(heads=HEADS)
+    for key, values in (levels or {}).items():
+        for level, value in zip(data["org"]["levels"], values):
+            level[key] = value
+    data.update(blocks)
+    return data
+
+
+def fixed_plan_readme(p1):
+    # level 1's permanent share at 0, the smallest subnormal and 1e-300,
+    # under the fixed-plan policy and the evaluate mode
+    return edge_readme(plan={"alpha": [1.0] * 4, "p": [p1] + [1.0] * 4},
+                       policy={"mode": "fixed-plan"},
+                       optimizer={"mode": "evaluate"})
+
+
+def edge_examples(cut=lambda data: data):
+    """An @example of each edge of the schema that the scenarios strategy
+    does not draw, each passed through cut."""
+    def add(test):
+        for data in (
+                fixed_plan_readme(0.0),
+                fixed_plan_readme(5e-324),
+                fixed_plan_readme(1e-300),
+                edge_readme({"eligibility_age": [0.0] * 5}),
+                # the grid's end just past the largest eligibility age, 4
+                edge_readme(grid={"s_max": math.nextafter(4.0, 5.0)}),
+                edge_readme(grid={"ds": 2.0, "dt": 2.0, "s_max": 4.5}),
+                edge_readme({"base_wage": [8.5e307] * 5}),
+                edge_readme({"base_wage": BASE[:4] + [1.7e308]})):
+            test = example(cut(data))(test)
+        return test
+    return add
+
+
 def write_scenario(tmp_path, data, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -383,6 +421,39 @@ def test_optimize_infeasible_search_exits_ill_posed(tmp_path, capsys):
     assert "ill-posed model:" in captured.err
 
 
+def test_infeasible_search_names_the_empty_levels(tmp_path, capsys):
+    # at eligibility age 30 no sampled share keeps every pool of the
+    # all-internal ladder filled: the one stderr line names the levels
+    # whose pools the best sampled plan leaves empty
+    org = plain_org(wages=True)
+    for level in org["levels"]:
+        level["eligibility_age"] = 30.0
+    path = base_scenario(
+        tmp_path, org=org, cost={"premium": 0.2},
+        optimizer={"mode": "ga", "population_size": 10, "generations": 3,
+                   "seed": 7, "optimize_alpha": False})
+    assert cli.main(["optimize", "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert "no sampled plan kept every promotable pool positive" in captured.out
+    assert captured.err == (
+        "ill-posed model: no feasible candidate sampled in 3 generations; "
+        "the best leaves the promotable pool empty at levels 1, 2, 4\n")
+
+
+@pytest.mark.parametrize("command", ["cost", "optimize"])
+def test_missing_base_wage_names_the_levels(tmp_path, capsys, command):
+    path = base_scenario(tmp_path)
+    assert cli.main([command, "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: base_wage is not set on levels 1, 2, 3, 4, 5\n")
+    org = plain_org(wages=True)
+    del org["levels"][1]["base_wage"]
+    path = base_scenario(tmp_path, org=org)
+    assert cli.main([command, "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: base_wage is not set on level 2\n")
+
+
 def test_optimize_with_no_free_gene(tmp_path, capsys):
     # one level and optimize_p false leave no gene to search: the GA
     # prices the frozen all-permanent plan
@@ -581,6 +652,7 @@ _PRINTED_NUMBER = re.compile(
 @example(huge_readme())
 @example(huge_readme(heads=HEADS, wage_scale=1e298))
 @example(huge_readme(heads=HUGE_LEVEL_1))
+@edge_examples()
 def test_steady_and_cost_exit_named_or_print_finite_numbers(data):
     # every scenario the parser accepts either prints finite numbers of a
     # sensible length, and writes them so into cost's CSV file, or ends in
@@ -611,22 +683,37 @@ def _csv_cells(out):
     return cells
 
 
+# what follows the kind of error on its stderr line: a message that names
+# a key of the scenario or a level
+_ERROR_LINE = re.compile(r"(?:configuration error|ill-posed model): (.*)")
+_NAMED = re.compile(r"\b(?:org|grid|policy|plan|cost|optimizer)[.:]|\bconfig"
+                    r"|\blevels? \[?\d")
+
+
 def _run_checked(command, data, out):
     """Exit code and stdout of command on the scenario data, written into
     out, which also receives the command's files; the code must be 0, 2
-    or 3 and the run raise no RuntimeWarning."""
+    or 3, the run raise no RuntimeWarning, and a nonzero exit write one
+    stderr line, which names a key or a level (nothing on exit 0)."""
     path = os.path.join(out, "scenario.json")
     with open(path, "w") as fh:
         json.dump(data, fh)
-    stdout = io.StringIO()
+    stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(stdout), \
-            contextlib.redirect_stderr(io.StringIO()):
+            contextlib.redirect_stderr(stderr):
         warnings.simplefilter("always")
         code = cli.main([command, "--config", path, "--out", out])
     assert code in (0, 2, 3), command
     assert not [w for w in caught
                 if issubclass(w.category, RuntimeWarning)], command
+    lines = stderr.getvalue().splitlines()
+    if code:
+        assert len(lines) == 1, (command, lines)
+        message = _ERROR_LINE.fullmatch(lines[0])
+        assert message and _NAMED.search(message[1]), (command, lines[0])
+    else:
+        assert not lines, (command, lines)
     return code, stdout.getvalue()
 
 
@@ -671,6 +758,10 @@ def tiny_attrition_readme(level):
 @example(_bounded(tiny_attrition_readme(4)))
 @example(_bounded(huge_readme()))
 @example(_bounded(huge_readme(heads=HUGE_LEVEL_1)))
+# ROADMAP defect 9: the GA's mean cost summed past the largest float
+@example(_bounded(huge_readme(heads=[1e306] + HEADS[1:])))
+@example(_bounded(huge_readme(heads=[2.2e306] + HEADS[1:])))
+@edge_examples(_bounded)
 def test_simulate_and_optimize_exit_named_or_write_finite_numbers(data):
     # the same contract for the commands that run the transport and the
     # GA: on exit 0 every number printed and every CSV cell written is
@@ -1075,7 +1166,8 @@ def test_missing_temp_wage_is_config_error(tmp_path, capsys):
                          plan={"alpha": [1.0, 1.0, 1.0, 1.0],
                                "p": [0.9, 1.0, 1.0, 1.0, 1.0]})
     assert cli.main(["cost", "--config", path]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "configuration error: temp_wage is not set on levels 1, 2, 3, 4, 5\n")
 
 
 def test_unreadable_config_path(tmp_path, capsys):

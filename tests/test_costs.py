@@ -415,5 +415,5 @@ def test_tables_format_without_errors(costed_org_20):
     bd = org_cost(costed_org_20, MIXED_PLAN)
     table = format_cost_table(bd)
     assert "level" in table and "total" in table
-    plans = format_plan_table([("base", MIXED_PLAN, bd.total)])
+    plans = format_plan_table("base", MIXED_PLAN, bd.total)
     assert "perm share" in plans and "M/h" in plans

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,9 @@ from orgflow import (
     org_cost,
     penalized_cost,
     stationary_state,
-    steady_promotable_pool,
     write_ga_csv,
 )
-from orgflow.org import stationary_pools
+from orgflow.org import stationary_pools, steady_promotable_pool
 from conftest import build_org, costed_org
 
 
@@ -172,8 +173,7 @@ def test_empty_levels_nobody_promotes_from_are_well_posed():
 def test_plan_objective_decode_round_trip():
     spec = costed_org(premium=0.2)
     objective = PlanObjective(spec)
-    genes = objective.default_genes()
-    assert genes.shape == (9,)
+    genes = np.ones(9)
     plan = objective.decode(genes)
     np.testing.assert_array_equal(plan.alpha, 1.0)
     np.testing.assert_array_equal(plan.p, 1.0)
@@ -205,8 +205,31 @@ def test_no_feasible_candidate_error():
 
     config = GaConfig(bounds=Hopeless.bounds, population_size=10,
                       generations=5, seed=1)
-    with pytest.raises(NoFeasibleCandidateError):
+    with pytest.raises(NoFeasibleCandidateError) as raised:
         ga_minimize(Hopeless(), config)
+    # the error carries the best sample; Hopeless names no level
+    best = raised.value.best
+    assert not best.feasible
+    assert best.fitness == np.sum(best.genes)
+    assert raised.value.levels == []
+    assert str(raised.value) == "no feasible candidate sampled in 5 generations"
+
+
+def test_no_feasible_plan_names_its_empty_levels():
+    # with every ratio at 1, a two-level org whose level 1 cannot feed
+    # level 2: the error names level 1, as empty_levels does for the best
+    spec = build_org([100, 1000], [0.1, 0.5], [4.0, 0.0], base=[30.0, 60.0],
+                     growth=0.04)
+    objective = PlanObjective(spec, optimize_p=False)
+    config = GaConfig(bounds=objective.bounds, population_size=8,
+                      generations=4, seed=1)
+    with pytest.raises(NoFeasibleCandidateError) as raised:
+        ga_minimize(objective, config)
+    best = raised.value.best
+    assert raised.value.levels == objective.empty_levels(best.genes) == [1]
+    assert best.fitness == objective(best.genes)
+    assert str(raised.value).endswith(
+        "; the best leaves the promotable pool empty at level 1")
 
 
 def test_ga_improves_on_all_permanent_baseline():
@@ -220,6 +243,27 @@ def test_ga_improves_on_all_permanent_baseline():
     assert result.best.fitness < baseline
     plan = objective.decode(result.best.genes)
     assert org_cost(spec, plan).total == pytest.approx(result.best.fitness)
+
+
+@pytest.mark.parametrize("low", [1.0, 0.5])
+def test_mean_cost_stays_finite_near_the_largest_float(low):
+    # ROADMAP defect 9: costs near the largest float sum past it, but their
+    # mean lies between the least and the largest of them; at three costs
+    # of the largest float, even their thirds sum past it
+    top = np.finfo(float).max
+
+    def costs(genes):
+        return top * (low + (1.0 - low) * genes[:, 0])
+
+    config = GaConfig(bounds=np.array([[0.0, 1.0]]), population_size=3,
+                      generations=6, seed=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = ga_minimize(costs, config)
+    assert np.all(np.isfinite(result.mean_history))
+    assert np.all(result.mean_history >= result.best_history)
+    if low == 1.0:
+        assert np.all(result.mean_history == top)
 
 
 def test_ga_csv_layout(tmp_path):
@@ -242,7 +286,6 @@ def _objective_modes():
     ladder = build_org([8000, 4000, 2500, 1000, 500],
                        [0.16, 0.16, 0.16, 0.16, 0.5], [4.0] * 5,
                        base=base, growth=0.04)
-    fixed = FlexPlan(alpha=[1.2, 1.0, 1.5, 1.1], p=np.ones(5))
     nine_base = [30.0 + 12.0 * j for j in range(9)]
     nine = build_org([9000, 7000, 5200, 3900, 2800, 1900, 1200, 700, 300],
                      [0.09] * 8 + [0.3], [3.0] * 9, base=nine_base,
@@ -250,8 +293,7 @@ def _objective_modes():
     return {
         "full": PlanObjective(costed_org(premium=0.2)),
         "alpha": PlanObjective(ladder, optimize_p=False, alpha_max=3.0),
-        "p": PlanObjective(costed_org(premium=0.2), optimize_alpha=False,
-                           fixed_plan=fixed),
+        "p": PlanObjective(costed_org(premium=0.2), optimize_alpha=False),
         "nine": PlanObjective(nine, alpha_max=3.0),
         "one": PlanObjective(build_org([400], [0.2], [2.0], base=[50.0],
                                        temp=[60.0], growth=0.05)),
@@ -315,7 +357,7 @@ def test_batch_without_temp_wages_prices_permanent_plans(costed_org_plain):
     full = PlanObjective(costed_org_plain)
     genes = np.concatenate([np.ones(4), [0.9, 1.0, 1.0, 1.0, 1.0]])
     with pytest.raises(MissingWageError):
-        full(np.vstack([full.default_genes(), genes]))
+        full(np.vstack([np.ones(9), genes]))
 
 
 def test_ga_prices_each_generation_in_one_batch_call():

@@ -18,10 +18,9 @@ from orgflow import (
     org_cost,
     promotion_demands,
     stationary_state,
-    steady_promotable_pool,
     validate,
 )
-from orgflow.org import stationary_pools
+from orgflow.org import stationary_pools, steady_promotable_pool
 from conftest import build_org, costed_org
 
 
@@ -59,11 +58,6 @@ def test_all_internal_plan_shape_and_values():
     assert plan.p.shape == (4,)
     assert np.all(plan.alpha == 1.0)
     assert np.all(plan.p == 1.0)
-    assert plan.alpha_full[0] == 1.0
-    assert plan.alpha_full.shape == (4,)
-    batch = FlexPlan(alpha=[[1.5, 2.0, 3.0], [4.0, 5.0, 6.0]], p=np.ones(4))
-    np.testing.assert_array_equal(batch.alpha_full,
-                                  [[1.0, 1.5, 2.0, 3.0], [1.0, 4.0, 5.0, 6.0]])
 
 
 def test_plan_check_rejects_bad_entries(low_turnover_org):
@@ -109,7 +103,8 @@ def test_promotion_demands_satisfy_descending_recursion(low_turnover_org):
     for _ in range(50):
         plan = FlexPlan(alpha=1.0 + 3.0 * rng.random(4), p=rng.random(5))
         c = promotion_demands(spec, plan)
-        alpha = plan.alpha_full
+        # level 1 has no internal inflow: its ratio is 1
+        alpha = np.r_[1.0, plan.alpha]
         lhs = alpha * c[:-1]
         rhs = spec.mu * spec.n * plan.p + c[1:]
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
@@ -191,8 +186,6 @@ def test_stationary_density_integrates_to_permanent_mass(low_turnover_org):
     for j in range(5):
         mass = np.trapezoid(state.density(j + 1, s), s)
         assert mass == pytest.approx(spec.n[j] * plan.p[j], rel=1e-6)
-    np.testing.assert_allclose(state.permanent_mass, spec.n * plan.p,
-                               rtol=1e-12)
 
 
 def test_stationary_pool_equals_density_tail(low_turnover_org):

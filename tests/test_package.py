@@ -44,3 +44,17 @@ def test_package_reexports_only_public_names():
         stray = [alias.name for alias in node.names
                  if alias.name not in public]
         assert not stray, (node.module, stray)
+
+
+def test_transport_exports_what_the_cli_and_run_use():
+    # the per-state closure, metrics and start stay module-level only for
+    # perfbench's tracer, off the public surface
+    from orgflow import transport
+    assert sorted(transport.__all__) == sorted([
+        "SeniorityGrid", "SimulationResult", "CflViolationError",
+        "InfeasibleInitialDataError", "run", "write_trajectory_csv",
+        "write_snapshot_csv", "DEFAULT_PROMOTION_CAP"])
+    for name in ("close_policy_external_fraction", "level_metrics",
+                 "make_initial_density", "steady_promotable_pool"):
+        assert name not in orgflow.__all__
+        assert not hasattr(orgflow, name)

@@ -12,9 +12,6 @@ from orgflow import (
     IllPosedError,
     InfeasibleInitialDataError,
     SeniorityGrid,
-    close_policy_external_fraction,
-    level_metrics,
-    make_initial_density,
     promotion_demands,
     run,
     stationary_state,
@@ -22,7 +19,13 @@ from orgflow import (
     write_trajectory_csv,
 )
 from orgflow import transport
-from orgflow.transport import _discrete_stationary_density, step
+from orgflow.transport import (
+    _discrete_stationary_density,
+    close_policy_external_fraction,
+    level_metrics,
+    make_initial_density,
+    step,
+)
 from conftest import (
     MAX_LEVELS,
     build_org,
