@@ -32,7 +32,9 @@ checkout's, each in its own subprocess:
   10 x 5 (`defect-9`, ROADMAP defect 9), whose generations' costs sum
   past the largest float;
 - `orgflow cost` on the README scenario under a plan with permanent
-  shares below 1 and hiring ratios above 1;
+  shares below 1 and hiring ratios above 1, and under p = 0.8 with two
+  business units and a floater wage on every level, so that the
+  business-unit lines print (`cost-units`);
 - seeded `ga_minimize` runs (60 x 40) on that scenario's org, for four
   seeds, elitism 0, 0.05 and 0.2, and two objectives (every gene free,
   and hiring ratios only), plus the objective's costs of random batches
@@ -44,8 +46,11 @@ checkout's, each in its own subprocess:
   at the edges of the schema: schema and cross-block errors, an unknown
   key, missing and non-finite numbers, a zero premium, a block that is
   not an object, a floater wage at attrition 1e-310, piecewise
-  floater-wage knots 1e-310 apart, and a base wage at attrition 1e-310,
-  which `orgflow cost` and `orgflow optimize` also price;
+  floater-wage knots 1e-310 apart, a base wage at attrition 1e-310,
+  which `orgflow cost` and `orgflow optimize` also price, and
+  business-unit rows that miss the top level's headcount; and
+  `orgflow optimize --seed -1`, and `simulate`, `cost` and `optimize`
+  with an output directory that names a file;
 - the closed-form analyses `case1_diagnostics`, `case2_residuals`,
   `min_external_ratios` and `min_permanent_share` on four wage-bearing
   orgs, under four plans each.
@@ -125,6 +130,11 @@ DEFECT_9_HEADCOUNT = 1e306
 DEFECT_9_GA = {"population_size": 10, "generations": 5}
 # a plan with temporaries and external hiring for orgflow steady
 STEADY_PLAN = {"alpha": [1.2, 1.0, 1.1, 1.0], "p": [0.9, 0.8, 1.0, 1.0, 1.0]}
+# the shares of each level's headcount held by two business units, and
+# each level's constant floater wage as a share of its base wage: floaters
+# undercut temporaries on all levels but the top
+UNIT_SHARES = (0.3, 0.7)
+FLOATER_WAGE_SHARES = (0.05, 0.05, 0.05, 0.05, 0.5)
 ARRAYS = ("times", "density", "masses", "promotion", "hiring", "shortfall",
           "pool", "ready_ratio", "excess_wait", "l1_to_steady", "mass_error",
           "steady_density")
@@ -207,6 +217,12 @@ def invalid_scenarios(base: dict) -> dict[str, dict]:
                                      "growth": levels[0]["attrition"]}
         s["org"]["business_units"] = [[lv["headcount"] / 2 for lv in levels]] * 2
 
+    def units_miss(s):
+        # the second unit holds 40 % of the top level, not 50 %
+        levels = s["org"]["levels"]
+        half = [lv["headcount"] / 2 for lv in levels]
+        s["org"]["business_units"] = [half, half[:-1] + [0.8 * half[-1]]]
+
     def premium_zero(s):
         s["org"] = {"levels": [{"headcount": 1, "attrition": 0.5,
                                 "base_wage": 5.0}]}
@@ -260,6 +276,7 @@ def invalid_scenarios(base: dict) -> dict[str, dict]:
         "floater-tiny-attrition": variant(tiny_attrition),
         "close-knots": variant(close_knots),
         "wage-tiny-attrition": variant(tiny_attrition_wage),
+        "units-miss": variant(units_miss),
     }
 
 
@@ -338,6 +355,16 @@ def dump(src: Path, out: Path) -> None:
     base = module.readme_scenario(SEED)
     (inputs / "readme-plan_00.json").write_text(
         json.dumps(dict(base, plan=STEADY_PLAN)))
+    units = copy.deepcopy(base)
+    levels = units["org"]["levels"]
+    for level, share in zip(levels, FLOATER_WAGE_SHARES):
+        level["floater_wage"] = {"kind": "constant",
+                                 "value": share * level["base_wage"]}
+    units["org"]["business_units"] = [[share * lv["headcount"]
+                                       for lv in levels]
+                                      for share in UNIT_SHARES]
+    units["plan"] = {"alpha": [1.0] * 4, "p": [0.8] * 5}
+    (inputs / "readme-units_00.json").write_text(json.dumps(units))
     huge = copy.deepcopy(base)
     huge["org"]["levels"][0]["headcount"] = DEFECT_9_HEADCOUNT
     huge["optimizer"].update(DEFECT_9_GA)
@@ -348,6 +375,7 @@ def dump(src: Path, out: Path) -> None:
     for command, scenario, name in (
             ("simulate", "simulate-fine_00", "simulate"),
             ("cost", "readme-plan_00", "cost"),
+            ("cost", "readme-units_00", "cost-units"),
             ("optimize", "optimize-readme_00", "optimize"),
             ("optimize", "defect-9_00", "optimize-defect-9")):
         run_cli_over_stale([command, "--config", f"inputs/{scenario}.json",
@@ -366,6 +394,14 @@ def dump(src: Path, out: Path) -> None:
         path.write_text(json.dumps(scenario))
         run_cli(["steady", "--config", f"inputs/invalid/{name}.json"],
                 out / "cli" / "invalid" / f"{name}.txt")
+    # failures of the command line rather than of the scenario file
+    run_cli(["optimize", "--config", "inputs/readme-plan_00.json",
+             "--seed", "-1"], out / "cli" / "invalid" / "seed-negative.txt")
+    (out / "taken").write_text("")
+    for command in ("simulate", "cost", "optimize"):
+        run_cli([command, "--config", "inputs/readme-plan_00.json",
+                 "--out", "taken"],
+                out / "cli" / "invalid" / f"out-is-file.{command}.txt")
     # their CSV files, if any, go outside cli/: only stdout is compared
     for command in ("cost", "optimize"):
         run_cli([command, "--config", "inputs/invalid/wage-tiny-attrition.json",

@@ -11,8 +11,8 @@ magnitude 1e15 or more in exponent notation (see _output.fixed);
 trajectory, snapshot, cost, and optimizer-history CSV files go to the
 output directory, each created new (see _output.new_csv) with the seed
 recorded in its comment header. Exit codes:
-0 success, 2 bad configuration, 3 ill-posed model or no feasible plan,
-4 runtime failure.
+0 success, 2 bad configuration or output directory (before any output),
+3 ill-posed model or no feasible plan, 4 runtime failure.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .org import (
     FlexPlan,
     IllPosedError,
     MissingWageError,
+    OrgSpec,
     min_external_ratios,
     min_permanent_share,
     stationary_state,
@@ -90,9 +91,12 @@ def _header_lines(config: ScenarioConfig, command: str) -> list[str]:
     ]
 
 
-def _ensure_out(config: ScenarioConfig) -> str:
-    os.makedirs(config.output_dir, exist_ok=True)
-    return config.output_dir
+def _external_ratios(spec: OrgSpec) -> np.ndarray | None:
+    """min_external_ratios, or None where they are undefined."""
+    try:
+        return min_external_ratios(spec)
+    except ValueError:
+        return None
 
 
 def cmd_steady(config: ScenarioConfig, fmt: str) -> int:
@@ -105,10 +109,7 @@ def cmd_steady(config: ScenarioConfig, fmt: str) -> int:
     """
     spec = config.spec
     plan = config.plan or FlexPlan.all_internal(spec.size)
-    try:
-        ratios = min_external_ratios(spec)
-    except ValueError:
-        ratios = None
+    ratios = _external_ratios(spec)
     try:
         state = stationary_state(spec, plan)
     except IllPosedError as exc:
@@ -161,7 +162,7 @@ def cmd_simulate(config: ScenarioConfig, fmt: str) -> int:
         # no table or CSV file holds l1_to_steady, so the run skips it
         l1_to_steady=False,
     )
-    out_dir = _ensure_out(config)
+    out_dir = config.output_dir
     headers = _header_lines(config, "simulate")
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), result,
                          headers)
@@ -213,14 +214,13 @@ def cmd_cost(config: ScenarioConfig, fmt: str) -> int:
         print(format_cost_table(breakdown))
     print(f"total: {fixed(breakdown.total, 2)} per hour "
           f"({fixed(breakdown.total / 1e6, 4)} M/h)")
-    out_dir = _ensure_out(config)
-    write_cost_csv(os.path.join(out_dir, "cost.csv"), breakdown,
+    write_cost_csv(os.path.join(config.output_dir, "cost.csv"), breakdown,
                    _header_lines(config, "cost"))
-    if (spec.business_units is not None
+    if (config.business_units is not None
             and all(lv.floater_wage is not None for lv in spec.levels)):
-        shares = np.broadcast_to(plan.p, spec.business_units.shape).copy()
+        shares = np.broadcast_to(plan.p, config.business_units.shape).copy()
         bu_plan = BusinessUnitPlan(
-            headcounts=spec.business_units.copy(),
+            headcounts=config.business_units,
             permanent_share=shares,
             floater_share=np.zeros_like(shares))
         base = business_unit_cost(spec, bu_plan).total
@@ -238,7 +238,7 @@ def cmd_optimize(config: ScenarioConfig, fmt: str) -> int:
     """Search for a cost-minimal plan, or evaluate the configured one."""
     spec = config.spec
     settings = config.optimizer
-    out_dir = _ensure_out(config)
+    out_dir = config.output_dir
     headers = _header_lines(config, "optimize")
     if settings.mode == "evaluate":
         plan = _effective_plan(config)
@@ -264,10 +264,7 @@ def cmd_optimize(config: ScenarioConfig, fmt: str) -> int:
         result = ga_minimize(objective, ga_config)
     except NoFeasibleCandidateError:
         print("no sampled plan kept every promotable pool positive")
-        try:
-            ratios = min_external_ratios(spec)
-        except ValueError:
-            ratios = None
+        ratios = _external_ratios(spec)
         if ratios is not None and ratios.size and np.any(ratios > 1):
             print("hiring ratios of at least "
                   + "  ".join(f"alpha_{j + 2}={r:.4f}"
@@ -341,6 +338,13 @@ def main(argv=None) -> int:
     if args.dump_config:
         print(dump_config(config))
         return EXIT_OK
+    if args.command != "steady":
+        try:
+            os.makedirs(config.output_dir, exist_ok=True)
+        except OSError as exc:
+            print(f"configuration error: output.directory: cannot create "
+                  f"{config.output_dir!r}: {exc.strerror}", file=sys.stderr)
+            return EXIT_CONFIG
     commands = {
         "steady": cmd_steady,
         "simulate": cmd_simulate,

@@ -22,7 +22,8 @@ from typing import Any
 
 import numpy as np
 
-from .costs import ConstantWage, ExponentialWage, PiecewiseLinearWage
+from .costs import (ConstantWage, ExponentialWage, PiecewiseLinearWage,
+                    _check_unit_headcounts)
 from .org import FlexPlan, LevelSpec, OrgSpec, validate
 from .transport import DEFAULT_PROMOTION_CAP, SeniorityGrid
 
@@ -196,6 +197,7 @@ class ScenarioConfig:
     """A fully validated scenario ready for any command."""
 
     spec: OrgSpec
+    business_units: np.ndarray | None
     plan: FlexPlan | None
     grid: SeniorityGrid
     horizon: float
@@ -214,9 +216,7 @@ class ScenarioConfig:
         return json.loads(json.dumps(self._normal))
 
     def override_seed(self, seed: int) -> None:
-        if seed < 0:
-            raise ConfigError("seed: must be nonnegative")
-        self.optimizer.seed = seed
+        self.optimizer.seed = _integer(seed, "optimizer.seed", minimum=0)
         self._normal["optimizer"]["seed"] = seed
 
     def override_output(self, directory: str) -> None:
@@ -354,12 +354,17 @@ def parse_config(data: Any) -> ScenarioConfig:
 
     top.done()
 
-    spec = OrgSpec(levels=levels, wage_growth=wage_growth,
-                   business_units=None if units is None else np.array(units))
+    spec = OrgSpec(levels=levels, wage_growth=wage_growth)
     try:
         validate(spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if units is not None:
+        units = np.array(units)
+        try:
+            _check_unit_headcounts(units, spec.n)
+        except ValueError as exc:
+            raise ConfigError(f"org.business_units: {exc}") from None
     try:
         grid = SeniorityGrid(ds=ds, dt=dt, s_max=s_max)
     except ValueError as exc:
@@ -386,7 +391,8 @@ def parse_config(data: Any) -> ScenarioConfig:
             f"age {float(np.max(spec.tau))}")
 
     return ScenarioConfig(
-        spec=spec, plan=plan, grid=grid, horizon=horizon, policy_mode=mode,
+        spec=spec, business_units=units, plan=plan, grid=grid,
+        horizon=horizon, policy_mode=mode,
         promotion_cap=math.inf if cap is None else cap,
         external_fraction=fraction, initial_density=initial,
         snapshot_times=tuple(snaps), temporaries=temporaries,

@@ -325,6 +325,14 @@ def floater_average_cost(spec: OrgSpec, level: int) -> float:
 # business units and floaters
 
 
+def _check_unit_headcounts(headcounts: np.ndarray, n: np.ndarray) -> None:
+    """(K, L) unit headcounts: nonnegative, each level's summing to N_j."""
+    if np.any(headcounts < 0):
+        raise ValueError("unit headcounts must be nonnegative")
+    if not np.allclose(headcounts.sum(axis=0), n, rtol=1e-9, atol=1e-9):
+        raise ValueError("unit headcounts do not sum to the level headcounts")
+
+
 @dataclass
 class BusinessUnitPlan:
     """Staffing mix of K business units sharing one level structure.
@@ -368,10 +376,7 @@ class BusinessUnitPlan:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
         if self.temp_wage is not None and self.temp_wage.shape != shape:
             raise ValueError(f"temp_wage must have shape {shape}")
-        if np.any(self.headcounts < 0):
-            raise ValueError("unit headcounts must be nonnegative")
-        if not np.allclose(self.headcounts.sum(axis=0), spec.n, rtol=1e-9):
-            raise ValueError("unit headcounts do not sum to the level headcounts")
+        _check_unit_headcounts(self.headcounts, spec.n)
         bad = (self.permanent_share < 0) | (self.floater_share < 0) \
             | (self.permanent_share + self.floater_share > 1.0 + 1e-12)
         if np.any(bad):

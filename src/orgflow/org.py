@@ -128,13 +128,10 @@ class OrgSpec:
     wage_growth is the exponential seniority premium r: a permanent worker
     hired at wage w0 costs w0 * exp(r * s) after s years in the level. It
     must stay below every attrition rate for wage bills to converge.
-    business_units optionally splits each level's headcount across K units
-    (a K x L array of headcounts summing per level to N_j).
     """
 
     levels: list[LevelSpec]
     wage_growth: float = 0.0
-    business_units: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -242,20 +239,6 @@ def validate(spec: OrgSpec) -> OrgSpec:
                 violations.append(
                     f"level {j}: temp wage {lv.temp_wage} must exceed base wage "
                     f"{lv.base_wage}"
-                )
-    if spec.business_units is not None:
-        units = np.asarray(spec.business_units, dtype=float)
-        if units.ndim != 2 or units.shape[1] != spec.size:
-            violations.append(
-                "business_units must be a K x L array of per-unit headcounts"
-            )
-        else:
-            if np.any(units < 0):
-                violations.append("business unit headcounts must be nonnegative")
-            totals = units.sum(axis=0)
-            if not np.allclose(totals, spec.n, rtol=1e-9, atol=1e-9):
-                violations.append(
-                    "business unit headcounts do not sum to the level headcounts"
                 )
     if violations:
         raise OrgValidationError(violations)

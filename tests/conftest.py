@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from orgflow import FlexPlan, LevelSpec, OrgSpec, stationary_state
 
 
-def build_org(heads, rates, ages, base=None, temp=None, growth=0.0,
-              units=None):
+def build_org(heads, rates, ages, base=None, temp=None, growth=0.0):
     levels = []
     for j, (n, mu, tau) in enumerate(zip(heads, rates, ages)):
         levels.append(LevelSpec(
@@ -16,8 +15,7 @@ def build_org(heads, rates, ages, base=None, temp=None, growth=0.0,
             base_wage=None if base is None else base[j],
             temp_wage=None if temp is None else temp[j],
         ))
-    return OrgSpec(levels=levels, wage_growth=growth,
-                   business_units=None if units is None else np.array(units))
+    return OrgSpec(levels=levels, wage_growth=growth)
 
 
 @pytest.fixture

@@ -25,6 +25,7 @@ from orgflow import (
     reduce_floaters,
     write_cost_csv,
 )
+from orgflow.config import ConfigError, parse_config
 from conftest import (
     MAX_LEVELS,
     build_org,
@@ -260,9 +261,8 @@ def test_missing_floater_curve_raises():
 def test_business_units_halved_recover_whole_org_cost():
     spec = costed_org(premium=0.2)
     half = spec.n / 2.0
-    spec.business_units = np.vstack([half, half])
     p = np.full(5, 0.8)
-    bu = BusinessUnitPlan(headcounts=spec.business_units.copy(),
+    bu = BusinessUnitPlan(headcounts=np.vstack([half, half]),
                           permanent_share=np.vstack([p, p]),
                           floater_share=np.zeros((2, 5)))
     whole = org_cost(spec, FlexPlan(alpha=np.ones(4), p=p)).total
@@ -270,15 +270,30 @@ def test_business_units_halved_recover_whole_org_cost():
     assert split == pytest.approx(whole, rel=1e-12)
 
 
+def test_unit_headcount_rule_is_the_same_in_library_and_parser():
+    # level 1's units sum to 1 - 5e-9 against a headcount of 1, beyond
+    # rtol = atol = 1e-9: the library and the parser both reject them
+    spec = build_org([1.0, 2.0], [0.2, 0.3], [1.0, 1.0])
+    rows = [[0.5, 1.0], [0.5 - 5e-9, 1.0]]
+    bu = BusinessUnitPlan(headcounts=rows, permanent_share=np.ones((2, 2)),
+                          floater_share=np.zeros((2, 2)))
+    message = "unit headcounts do not sum to the level headcounts"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bu.check(spec)
+    levels = [{"headcount": lv.headcount, "attrition": lv.attrition}
+              for lv in spec.levels]
+    with pytest.raises(ConfigError, match=f"^org.business_units: {message}$"):
+        parse_config({"org": {"levels": levels, "business_units": rows}})
+
+
 def test_business_unit_cost_needs_curves_only_where_floaters_work():
     spec = costed_org(premium=0.2)
     half = spec.n / 2.0
-    spec.business_units = np.vstack([half, half])
     spec.levels[0].floater_wage = ConstantWage(30.0)  # no curve above
     p = np.full(5, 0.8)
     g = np.zeros((2, 5))
     g[:, 0] = 0.1
-    bu = BusinessUnitPlan(headcounts=spec.business_units.copy(),
+    bu = BusinessUnitPlan(headcounts=np.vstack([half, half]),
                           permanent_share=np.vstack([p, p]), floater_share=g)
     floater = business_unit_cost(spec, bu).floater
     assert floater[0] == pytest.approx(0.1 * spec.n[0] * 30.0 / spec.mu[0],
@@ -289,9 +304,8 @@ def test_business_unit_cost_needs_curves_only_where_floaters_work():
 def test_floaters_replace_temporaries_only_when_cheaper():
     spec = costed_org(premium=0.2)
     half = spec.n / 2.0
-    spec.business_units = np.vstack([half, half])
     p = np.full(5, 0.8)
-    bu = BusinessUnitPlan(headcounts=spec.business_units.copy(),
+    bu = BusinessUnitPlan(headcounts=np.vstack([half, half]),
                           permanent_share=np.vstack([p, p]),
                           floater_share=np.zeros((2, 5)))
     for lv in spec.levels:
