@@ -34,7 +34,10 @@ checkout's, each in its own subprocess:
 - `orgflow cost` on the README scenario under a plan with permanent
   shares below 1 and hiring ratios above 1, and under p = 0.8 with two
   business units and a floater wage on every level, so that the
-  business-unit lines print (`cost-units`);
+  business-unit lines print (`cost-units`), or on level 1 only
+  (`cost-units-partial`); and at p = 1 with a floater wage on every
+  level and two units that are ill posed where the org is not
+  (`units-ill-posed`);
 - seeded `ga_minimize` runs (60 x 40) on that scenario's org, for four
   seeds, elitism 0, 0.05 and 0.2, and two objectives (every gene free,
   and hiring ratios only), plus the objective's costs of random batches
@@ -49,8 +52,9 @@ checkout's, each in its own subprocess:
   floater-wage knots 1e-310 apart, a base wage at attrition 1e-310,
   which `orgflow cost` and `orgflow optimize` also price, and
   business-unit rows that miss the top level's headcount; and
-  `orgflow optimize --seed -1`, and `simulate`, `cost` and `optimize`
-  with an output directory that names a file;
+  `orgflow optimize --seed -1`, `simulate`, `cost` and `optimize` with
+  an output directory that names a file, and `cost` and `optimize` with
+  a directory at `cost.csv` and `ga_history.csv` (`csv-is-directory`);
 - the closed-form analyses `case1_diagnostics`, `case2_residuals`,
   `min_external_ratios` and `min_permanent_share` on four wage-bearing
   orgs, under four plans each.
@@ -135,6 +139,9 @@ STEADY_PLAN = {"alpha": [1.2, 1.0, 1.1, 1.0], "p": [0.9, 0.8, 1.0, 1.0, 1.0]}
 # undercut temporaries on all levels but the top
 UNIT_SHARES = (0.3, 0.7)
 FLOATER_WAGE_SHARES = (0.05, 0.05, 0.05, 0.05, 0.5)
+# two units of the README org, each ill posed at one level (unit 1 at
+# level 2, unit 2 at level 1) though the org is well posed
+ILL_POSED_UNITS = [[5000, 200, 1900, 900, 250], [500, 5000, 1900, 900, 250]]
 ARRAYS = ("times", "density", "masses", "promotion", "hiring", "shortfall",
           "pool", "ready_ratio", "excess_wait", "l1_to_steady", "mass_error",
           "steady_density")
@@ -363,8 +370,15 @@ def dump(src: Path, out: Path) -> None:
     units["org"]["business_units"] = [[share * lv["headcount"]
                                        for lv in levels]
                                       for share in UNIT_SHARES]
+    ill_units = copy.deepcopy(units)
+    ill_units["org"]["business_units"] = ILL_POSED_UNITS
+    (inputs / "readme-units-ill-posed_00.json").write_text(
+        json.dumps(ill_units))
     units["plan"] = {"alpha": [1.0] * 4, "p": [0.8] * 5}
     (inputs / "readme-units_00.json").write_text(json.dumps(units))
+    for level in units["org"]["levels"][1:]:
+        del level["floater_wage"]
+    (inputs / "readme-units-partial_00.json").write_text(json.dumps(units))
     huge = copy.deepcopy(base)
     huge["org"]["levels"][0]["headcount"] = DEFECT_9_HEADCOUNT
     huge["optimizer"].update(DEFECT_9_GA)
@@ -376,6 +390,7 @@ def dump(src: Path, out: Path) -> None:
             ("simulate", "simulate-fine_00", "simulate"),
             ("cost", "readme-plan_00", "cost"),
             ("cost", "readme-units_00", "cost-units"),
+            ("cost", "readme-units-partial_00", "cost-units-partial"),
             ("optimize", "optimize-readme_00", "optimize"),
             ("optimize", "defect-9_00", "optimize-defect-9")):
         run_cli_over_stale([command, "--config", f"inputs/{scenario}.json",
@@ -402,7 +417,16 @@ def dump(src: Path, out: Path) -> None:
         run_cli([command, "--config", "inputs/readme-plan_00.json",
                  "--out", "taken"],
                 out / "cli" / "invalid" / f"out-is-file.{command}.txt")
+    for command, name in (("cost", "cost.csv"),
+                          ("optimize", "ga_history.csv")):
+        (out / f"blocked-{command}" / name).mkdir(parents=True)
+        run_cli([command, "--config", "inputs/readme-plan_00.json",
+                 "--out", f"blocked-{command}"],
+                out / "cli" / "invalid" / f"csv-is-directory.{command}.txt")
     # their CSV files, if any, go outside cli/: only stdout is compared
+    run_cli(["cost", "--config", "inputs/readme-units-ill-posed_00.json",
+             "--out", "priced"],
+            out / "cli" / "invalid" / "units-ill-posed.cost.txt")
     for command in ("cost", "optimize"):
         run_cli([command, "--config", "inputs/invalid/wage-tiny-attrition.json",
                  "--out", "priced"],

@@ -10,15 +10,15 @@ One scenario file drives every command. Tables go to stdout, where
 magnitude 1e15 or more in exponent notation (see _output.fixed);
 trajectory, snapshot, cost, and optimizer-history CSV files go to the
 output directory, each created new (see _output.new_csv) with the seed
-recorded in its comment header. Exit codes:
-0 success, 2 bad configuration or output directory (before any output),
+recorded in its comment header. Each command decides its exit code
+before it prints, but for the remedy lines before an exit 3. Exit codes:
+0 success, 2 bad configuration or an output path that cannot be created,
 3 ill-posed model or no feasible plan, 4 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 
@@ -30,7 +30,6 @@ from .config import ConfigError, ScenarioConfig, dump_config, load_config
 from .costs import (
     BusinessUnitPlan,
     GrowthExceedsAttritionError,
-    MissingFloaterCurveError,
     business_unit_cost,
     format_cost_table,
     format_plan_table,
@@ -70,11 +69,8 @@ EXIT_RUNTIME = 4
 def _print_rows(header: list[str], rows: list[list[str]], fmt: str) -> None:
     """Emit a summary either as an aligned table or as CSV on stdout."""
     if fmt == "csv":
-        out = io.StringIO()
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(row) + "\n")
-        sys.stdout.write(out.getvalue())
+        for row in [header, *rows]:
+            print(",".join(row))
         return
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
               for i, h in enumerate(header)]
@@ -99,6 +95,12 @@ def _external_ratios(spec: OrgSpec) -> np.ndarray | None:
         return None
 
 
+def _ratio_remedy(ratios: np.ndarray) -> str:
+    """The minimal hiring ratios as the remedy lines print them."""
+    return "  ".join(f"alpha_{j + 2}={fixed(r, 4)}"
+                     for j, r in enumerate(ratios))
+
+
 def cmd_steady(config: ScenarioConfig, fmt: str) -> int:
     """Closed-form stationary report with feasibility verdicts.
 
@@ -118,8 +120,7 @@ def cmd_steady(config: ScenarioConfig, fmt: str) -> int:
         if ratios is not None and ratios.size:
             print("  a no-temporaries organization stays well posed with "
                   "hiring ratios of at least:")
-            print("    " + "  ".join(
-                f"alpha_{j + 2}={fixed(r, 4)}" for j, r in enumerate(ratios)))
+            print("    " + _ratio_remedy(ratios))
         raise
     external = state.inflow - np.concatenate(([0.0], state.demands[1:-1]))
     floors = min_permanent_share(spec, plan)
@@ -198,10 +199,20 @@ def _effective_plan(config: ScenarioConfig) -> FlexPlan:
 
 
 def cmd_cost(config: ScenarioConfig, fmt: str) -> int:
-    """Evaluate the configured plan's hourly labor cost."""
+    """Hourly labor cost of the configured plan and of any business units."""
     spec = config.spec
     plan = _effective_plan(config)
     breakdown = org_cost(spec, plan)
+    units = config.business_units
+    if units is not None:
+        shares = np.broadcast_to(plan.p, units.shape).copy()
+        bu_plan = BusinessUnitPlan(headcounts=units, permanent_share=shares,
+                                   floater_share=np.zeros_like(shares))
+        base = business_unit_cost(spec, bu_plan).total
+        reduction = reduce_floaters(spec, bu_plan)
+        mixed = reduction.total_cost()
+    write_cost_csv(os.path.join(config.output_dir, "cost.csv"), breakdown,
+                   _header_lines(config, "cost"))
     if fmt == "csv":
         header = ["level", "permanent", "temporary", "floater", "total"]
         rows = [[str(j + 1), fixed(breakdown.permanent[j], 4),
@@ -214,20 +225,10 @@ def cmd_cost(config: ScenarioConfig, fmt: str) -> int:
         print(format_cost_table(breakdown))
     print(f"total: {fixed(breakdown.total, 2)} per hour "
           f"({fixed(breakdown.total / 1e6, 4)} M/h)")
-    write_cost_csv(os.path.join(config.output_dir, "cost.csv"), breakdown,
-                   _header_lines(config, "cost"))
-    if (config.business_units is not None
-            and all(lv.floater_wage is not None for lv in spec.levels)):
-        shares = np.broadcast_to(plan.p, config.business_units.shape).copy()
-        bu_plan = BusinessUnitPlan(
-            headcounts=config.business_units,
-            permanent_share=shares,
-            floater_share=np.zeros_like(shares))
-        base = business_unit_cost(spec, bu_plan).total
-        reduction = reduce_floaters(spec, bu_plan)
+    if units is not None:
         print(f"business units, temporaries only: {fixed(base, 2)} per hour")
-        print(f"business units, optimal floater mix: "
-              f"{fixed(reduction.total_cost(), 2)} per hour")
+        print(f"business units, optimal floater mix: {fixed(mixed, 2)} "
+              "per hour")
         for j in range(spec.size):
             mix = ", ".join(fixed(g, 2) for g in reduction.floater_share[:, j])
             print(f"  level {j + 1} floater shares by unit: {mix}")
@@ -243,8 +244,8 @@ def cmd_optimize(config: ScenarioConfig, fmt: str) -> int:
     if settings.mode == "evaluate":
         plan = _effective_plan(config)
         breakdown = org_cost(spec, plan)
-        print(format_plan_table("configured plan", plan, breakdown.total))
         write_cost_csv(os.path.join(out_dir, "cost.csv"), breakdown, headers)
+        print(format_plan_table("configured plan", plan, breakdown.total))
         return EXIT_OK
     objective = PlanObjective(
         spec,
@@ -266,13 +267,17 @@ def cmd_optimize(config: ScenarioConfig, fmt: str) -> int:
         print("no sampled plan kept every promotable pool positive")
         ratios = _external_ratios(spec)
         if ratios is not None and ratios.size and np.any(ratios > 1):
-            print("hiring ratios of at least "
-                  + "  ".join(f"alpha_{j + 2}={r:.4f}"
-                              for j, r in enumerate(ratios))
+            print("hiring ratios of at least " + _ratio_remedy(ratios)
                   + " restore well-posedness at p = 1")
         raise
     best_plan = objective.decode(result.best.genes)
     breakdown = org_cost(spec, best_plan)
+    write_ga_csv(os.path.join(out_dir, "ga_history.csv"), result, headers)
+    write_cost_csv(os.path.join(out_dir, "best_plan_cost.csv"), breakdown,
+                   headers + [
+                       "alpha = " + " ".join(f"{a:.6f}" for a in best_plan.alpha),
+                       "p = " + " ".join(f"{p:.6f}" for p in best_plan.p),
+                   ])
     print(format_plan_table(
         f"best plan (seed {settings.seed}, "
         f"{settings.population_size}x{settings.generations})",
@@ -284,12 +289,6 @@ def cmd_optimize(config: ScenarioConfig, fmt: str) -> int:
                   f"{best_plan.p[j + 1]:.6f}"]
                  for j in range(spec.size - 1)]
         _print_rows(header, rows, fmt)
-    write_ga_csv(os.path.join(out_dir, "ga_history.csv"), result, headers)
-    write_cost_csv(os.path.join(out_dir, "best_plan_cost.csv"), breakdown,
-                   headers + [
-                       "alpha = " + " ".join(f"{a:.6f}" for a in best_plan.alpha),
-                       "p = " + " ".join(f"{p:.6f}" for p in best_plan.p),
-                   ])
     return EXIT_OK
 
 
@@ -327,24 +326,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read {args.config}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        if args.seed is not None:
-            config.override_seed(args.seed)
-        if args.out is not None:
-            config.override_output(args.out)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.dump_config:
-        print(dump_config(config))
-        return EXIT_OK
-    if args.command != "steady":
-        try:
-            os.makedirs(config.output_dir, exist_ok=True)
-        except OSError as exc:
-            print(f"configuration error: output.directory: cannot create "
-                  f"{config.output_dir!r}: {exc.strerror}", file=sys.stderr)
-            return EXIT_CONFIG
     commands = {
         "steady": cmd_steady,
         "simulate": cmd_simulate,
@@ -352,16 +333,29 @@ def main(argv=None) -> int:
         "optimize": cmd_optimize,
     }
     try:
+        if args.seed is not None:
+            config.override_seed(args.seed)
+        if args.out is not None:
+            config.override_output(args.out)
+        if args.dump_config:
+            print(dump_config(config))
+            return EXIT_OK
+        if args.command != "steady":
+            os.makedirs(config.output_dir, exist_ok=True)
         return commands[args.command](config, args.format)
     except (IllPosedError, InfeasibleInitialDataError,
             NoFeasibleCandidateError) as exc:
         print(f"ill-posed model: {exc}", file=sys.stderr)
         return EXIT_ILL_POSED
-    except (MissingWageError, MissingFloaterCurveError,
+    except (ConfigError, MissingWageError,
             GrowthExceedsAttritionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except Exception as exc:  # pragma: no cover - defensive catch-all
+    except Exception as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:
+            print(f"configuration error: output.directory: cannot create "
+                  f"{exc.filename!r}: {exc.strerror}", file=sys.stderr)
+            return EXIT_CONFIG
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

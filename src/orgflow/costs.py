@@ -397,9 +397,9 @@ def business_unit_cost(spec: OrgSpec, bu_plan: BusinessUnitPlan) -> CostBreakdow
     wage bill of the unit's own stationary profile (units promote
     internally, so each is costed as an independent organization whose
     permanent mass is N_j^k p_j^k). Only levels where some unit holds
-    floaters need a floater wage curve. Fails with IllPosedError when any
-    unit is ill posed, and with GrowthExceedsAttritionError when wage
-    growth reaches any level's attrition.
+    floaters need a floater wage curve. Fails with IllPosedError naming
+    each ill-posed unit and level, and with GrowthExceedsAttritionError
+    when wage growth reaches any level's attrition.
     """
     bu_plan.check(spec)
     _check_growth(spec)
@@ -444,13 +444,15 @@ def reduce_floaters(spec: OrgSpec, bu_plan: BusinessUnitPlan) -> FloaterReductio
     For fixed permanent shares the cost is linear in each floater share
     g_j^k on [0, 1 - p_j^k], so the optimum sits at an endpoint: all
     flexible staff become floaters where the discounted floater wage
-    undercuts the temporary wage, and none otherwise. Returns the
-    equivalent temporary-only problem.
+    undercuts the temporary wage, and none otherwise; a level without a
+    floater wage curve offers none. Returns the equivalent temporary-only
+    problem.
     """
     bu_plan.check(spec)
     wt = bu_plan.resolved_temp_wage(spec)
-    wfa = np.array([floater_average_cost(spec, j + 1)
-                    for j in range(spec.size)])
+    wfa = np.array([math.inf if level.floater_wage is None
+                    else floater_average_cost(spec, j + 1)
+                    for j, level in enumerate(spec.levels)])
     flexible = 1.0 - bu_plan.permanent_share
     units = BusinessUnitPlan(
         headcounts=bu_plan.headcounts.copy(),

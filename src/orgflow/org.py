@@ -72,12 +72,13 @@ class IllPosedError(ValueError):
     """A stationary profile would need a promotable pool at or below its
     empty floor, or one too small for its promotion rate to be finite."""
 
-    def __init__(self, levels: list[int], pools: list[float]):
+    def __init__(self, levels: list[int], pools: list[float],
+                 units: list[int] | None = None):
         self.levels = list(levels)
         self.pools = list(pools)
-        detail = ", ".join(
-            f"level {j}: pool {a:.6g}" for j, a in zip(self.levels, self.pools)
-        )
+        where = [f"unit {k}, " for k in units] if units else [""] * len(levels)
+        detail = ", ".join(f"{u}level {j}: pool {a:.6g}"
+                           for u, j, a in zip(where, self.levels, self.pools))
         super().__init__(
             "no stationary profile with positive promotable pools; "
             "raise external hiring or permanent shares (" + detail + ")"
@@ -85,10 +86,12 @@ class IllPosedError(ValueError):
 
     @classmethod
     def check(cls, pools: np.ndarray, ill: np.ndarray) -> None:
-        """Raise for every level flagged in ill, across any leading axes."""
+        """Raise for every level flagged in ill; a (K, L) mask names units."""
         if ill.any():
-            raise cls([int(j) + 1 for j in np.nonzero(ill)[-1]],
-                      [float(a) for a in pools[ill]])
+            *units, levels = np.nonzero(ill)
+            raise cls([int(j) + 1 for j in levels],
+                      [float(a) for a in pools[ill]],
+                      [int(k) + 1 for k in units[0]] if units else None)
 
 
 class MassMismatchError(ValueError):

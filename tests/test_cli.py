@@ -101,6 +101,18 @@ def edge_readme(levels=None, **blocks):
     return data
 
 
+def ill_posed_units_readme():
+    # the README scenario, well posed, with a floater wage on every level
+    # and two business units that are not: unit 1 at level 2, unit 2 at
+    # level 1
+    data = edge_readme()
+    for level, wage in zip(data["org"]["levels"], BASE):
+        level["floater_wage"] = {"kind": "constant", "value": 0.05 * wage}
+    data["org"]["business_units"] = [[5000, 200, 1900, 900, 250],
+                                     [500, 5000, 1900, 900, 250]]
+    return data
+
+
 def fixed_plan_readme(p1):
     # level 1's permanent share at 0, the smallest subnormal and 1e-300,
     # under the fixed-plan policy and the evaluate mode
@@ -356,6 +368,49 @@ def test_bad_seed_or_output_directory_exits_before_output(
     assert not list(tmp_path.rglob("*.csv"))
 
 
+@pytest.mark.parametrize("command,name", [
+    ("cost", "cost.csv"),
+    ("optimize", "ga_history.csv"),
+    ("optimize", "best_plan_cost.csv"),
+    ("simulate", "trajectory.csv"),
+    ("simulate", "snapshot_t1.csv"),
+])
+def test_directory_at_an_output_file_exits_before_output(tmp_path, capsys,
+                                                         command, name):
+    # an output file whose path a directory takes is named on one stderr
+    # line, as an output directory that cannot be created is, and nothing
+    # is printed
+    path = base_scenario(
+        tmp_path, org=plain_org(wages=True), cost={"premium": 0.2},
+        policy={"mode": "max-internal", "snapshot_times": [0.0, 1.0]},
+        optimizer={"mode": "ga", "population_size": 8, "generations": 3,
+                   "seed": 1})
+    taken = tmp_path / "out" / name
+    taken.mkdir(parents=True)
+    assert cli.main([command, "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("configuration error: output.directory: cannot "
+                            f"create '{taken}': Is a directory\n")
+    assert taken.is_dir()
+
+
+def test_output_error_without_a_file_name_is_a_runtime_failure(
+        tmp_path, capsys, monkeypatch):
+    # an OSError that names no file is no output path the scenario could
+    # fix: it stays exit 4, and nothing is printed before it
+    def refuse(*args, **kwargs):
+        raise OSError()
+
+    monkeypatch.setattr(cli, "write_cost_csv", refuse)
+    path = base_scenario(tmp_path, org=plain_org(wages=True),
+                         cost={"premium": 0.2})
+    assert cli.main(["cost", "--config", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "runtime failure: OSError: \n"
+
+
 def test_cost_totals_and_csv(tmp_path, capsys):
     path = base_scenario(tmp_path, org=plain_org(wages=True), out="out_cost",
                          cost={"premium": 0.2})
@@ -393,6 +448,49 @@ def test_cost_reports_floater_mix_for_business_units(tmp_path, capsys):
     assert "business units, temporaries only:" in out
     assert "business units, optimal floater mix:" in out
     assert "level 1 floater shares by unit:" in out
+
+
+def test_cost_prices_units_where_some_levels_lack_floater_curves(
+        tmp_path, capsys):
+    # a level without a floater wage curve offers no floaters: its
+    # flexible staff stay temporary, and the units are still reported
+    org = plain_org(wages=True)
+    for j, lv in enumerate(org["levels"]):
+        lv["temp_wage"] = 1.2 * BASE[j]
+    org["levels"][0]["floater_wage"] = {"kind": "constant",
+                                        "value": 0.05 * BASE[0]}
+    org["business_units"] = [[h / 2 for h in HEADS] for _ in range(2)]
+    path = base_scenario(tmp_path, org=org,
+                         plan={"alpha": [1.0] * 4, "p": [0.8] * 5})
+    assert cli.main(["cost", "--config", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-5:] == ["  level 1 floater shares by unit: 0.20, 0.20"] + [
+        f"  level {j} floater shares by unit: 0.00, 0.00" for j in range(2, 6)]
+    base, mixed = (float(line.split(": ")[1].split()[0])
+                   for line in lines[-7:-5])
+    assert lines[-7].startswith("business units, temporaries only: ")
+    # level 1's flexible fifth moves from the temp wage 42 to the
+    # discounted floater wage 1.75 / 0.08
+    assert base - mixed == pytest.approx(
+        0.2 * HEADS[0] * (1.2 * BASE[0] - 0.05 * BASE[0] / RATES[0]),
+        abs=0.01)
+
+
+def test_ill_posed_unit_exits_before_output(tmp_path, capsys):
+    # the one stderr line names both ill-posed units and their levels,
+    # and nothing is printed or written
+    path = write_scenario(tmp_path, dict(
+        ill_posed_units_readme(), output={"directory": str(tmp_path / "o")}))
+    assert cli.main(["steady", "--config", path]) == 0
+    capsys.readouterr()
+    assert cli.main(["cost", "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "ill-posed model: no stationary profile with positive promotable "
+        "pools; raise external hiring or permanent shares (unit 1, level 2: "
+        "pool -792.71, unit 2, level 1: pool -1944.12)\n")
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_optimize_evaluate_mode(tmp_path, capsys):
@@ -443,6 +541,31 @@ def test_optimize_infeasible_search_exits_ill_posed(tmp_path, capsys):
     assert "no sampled plan kept every promotable pool positive" in captured.out
     assert "alpha_2=24.5913" in captured.out
     assert "ill-posed model:" in captured.err
+
+
+@pytest.mark.parametrize("command,line", [
+    ("steady", "    alpha_2=2.4591e+18"),
+    ("optimize", "hiring ratios of at least alpha_2=2.4591e+18 restore "
+     "well-posedness at p = 1"),
+])
+def test_remedy_ratios_print_as_the_tables_do(tmp_path, capsys, command,
+                                              line):
+    # a hiring ratio of 1e15 or more prints in exponent notation in both
+    # remedies
+    data = {
+        "org": {"wage_growth": 0.04, "levels": [
+            {"headcount": 100, "attrition": 0.1, "eligibility_age": 4.0,
+             "base_wage": 30.0},
+            {"headcount": 1e20, "attrition": 0.5, "base_wage": 60.0},
+        ]},
+        "cost": {"premium": 0.2},
+        "optimizer": {"mode": "ga", "population_size": 8, "generations": 4,
+                      "seed": 1, "optimize_p": False},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    path = write_scenario(tmp_path, data)
+    assert cli.main([command, "--config", path]) == 3
+    assert line in capsys.readouterr().out.splitlines()
 
 
 def test_infeasible_search_names_the_empty_levels(tmp_path, capsys):
@@ -539,8 +662,9 @@ _FLOATER_WAGES = (
 @st.composite
 def scenarios(draw, units_may_miss=True):
     """Well-posed scenario dicts: any subset of the optional blocks and
-    keys, levels with or without wages, and a plan, grid, policy and
-    optimizer block that fit them. With units_may_miss, business-unit
+    keys, levels with or without wages and floater wage curves, two
+    business units in proportional rows or not, and a plan, grid, policy
+    and optimizer block that fit them. With units_may_miss, business-unit
     rows may also miss the top level's headcount by 1 % or more, which
     the parser rejects (see _units_miss)."""
     size = draw(st.integers(1, 4))
@@ -563,10 +687,14 @@ def scenarios(draw, units_may_miss=True):
     if wages != "none" and draw(st.booleans()):
         org["wage_growth"] = draw(st.floats(0.0, 0.04))
     if draw(st.booleans()):
-        # two units splitting every level's headcount; the top level's
-        # column may be scaled away from it
+        # two units splitting every level's headcount, by one share or by
+        # a share per level, so that a unit can be ill posed where the org
+        # is not; the top level's column may be scaled away from it
         share = draw(st.floats(0.0, 1.0))
-        first = [lv["headcount"] * share for lv in levels]
+        shares = draw(st.just([share] * size)
+                      | st.lists(st.floats(0.0, 1.0), min_size=size,
+                                 max_size=size))
+        first = [lv["headcount"] * s for lv, s in zip(levels, shares)]
         second = [lv["headcount"] - f for lv, f in zip(levels, first)]
         if units_may_miss:
             scale = draw(st.just(1.0) | st.floats(0.0, 0.99)
@@ -684,6 +812,7 @@ _PRINTED_NUMBER = re.compile(
 @example(huge_readme())
 @example(huge_readme(heads=HEADS, wage_scale=1e298))
 @example(huge_readme(heads=HUGE_LEVEL_1))
+@example(ill_posed_units_readme())
 @edge_examples()
 def test_steady_and_cost_exit_named_or_print_finite_numbers(data):
     # every scenario the parser accepts either prints finite numbers of a
@@ -733,12 +862,19 @@ def _units_miss(data):
                                         org["levels"]))
 
 
+# the first line of the remedy block that steady and optimize print
+# before an exit 3
+_REMEDY = {"steady": "ill-posed stationary problem:\n",
+           "optimize": "no sampled plan kept every promotable pool positive\n"}
+
+
 def _run_checked(command, data, out):
     """Exit code and stdout of command on the scenario data, written into
     out, which also receives the command's files; the code must be 0, 2
     or 3, the run raise no RuntimeWarning, and a nonzero exit write one
-    stderr line, which names a key or a level (nothing on exit 0). Unit
-    rows that miss a headcount exit 2 on a line naming them."""
+    stderr line, which names a key or a level (nothing on exit 0), and
+    nothing on stdout but the remedy block of an exit 3. Unit rows that
+    miss a headcount exit 2 on a line naming them."""
     path = os.path.join(out, "scenario.json")
     with open(path, "w") as fh:
         json.dump(data, fh)
@@ -753,6 +889,9 @@ def _run_checked(command, data, out):
                 if issubclass(w.category, RuntimeWarning)], command
     lines = stderr.getvalue().splitlines()
     if code:
+        printed = stdout.getvalue()
+        assert not printed or (code == 3 and printed.startswith(
+            _REMEDY.get(command, "\0"))), (command, printed)
         assert len(lines) == 1, (command, lines)
         message = _ERROR_LINE.fullmatch(lines[0])
         assert message and _NAMED.search(message[1]), (command, lines[0])

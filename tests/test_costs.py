@@ -322,6 +322,27 @@ def test_floaters_replace_temporaries_only_when_cheaper():
     assert cheap.total_cost() < business_unit_cost(spec, bu).total
 
 
+def test_levels_without_floater_curves_offer_no_floaters():
+    # only level 1 has a floater wage curve: its flexible staff become
+    # floaters, and every other level's stay temporary
+    spec = costed_org(premium=0.2)
+    spec.levels[0].floater_wage = ConstantWage(0.5)
+    half = spec.n / 2.0
+    p = np.full(5, 0.8)
+    bu = BusinessUnitPlan(headcounts=np.vstack([half, half]),
+                          permanent_share=np.vstack([p, p]),
+                          floater_share=np.zeros((2, 5)))
+    reduction = reduce_floaters(spec, bu)
+    expected = np.zeros((2, 5))
+    expected[:, 0] = 1.0 - p[0]
+    np.testing.assert_array_equal(reduction.floater_share, expected)
+    at_shares = BusinessUnitPlan(headcounts=bu.headcounts,
+                                 permanent_share=bu.permanent_share,
+                                 floater_share=reduction.floater_share)
+    assert reduction.total_cost() == pytest.approx(
+        business_unit_cost(spec, at_shares).total, rel=1e-12)
+
+
 def test_case1_regimes_cover_floor_interior_and_ceiling():
     for wt1, regime in ((36.0, "min-share"), (40.5, "interior"),
                         (80.0, "all-permanent")):
