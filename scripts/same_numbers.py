@@ -35,9 +35,10 @@ checkout's, each in its own subprocess:
   shares below 1 and hiring ratios above 1, and under p = 0.8 with two
   business units and a floater wage on every level, so that the
   business-unit lines print (`cost-units`), or on level 1 only
-  (`cost-units-partial`); and at p = 1 with a floater wage on every
+  (`cost-units-partial`); at p = 1 with a floater wage on every
   level and two units that are ill posed where the org is not
-  (`units-ill-posed`);
+  (`units-ill-posed`); and with two units, no floater wage curve and
+  no temp wage under `cost.temporaries: false` (`cost-units-permanent`);
 - seeded `ga_minimize` runs (60 x 40) on that scenario's org, for four
   seeds, elitism 0, 0.05 and 0.2, and two objectives (every gene free,
   and hiring ratios only), plus the objective's costs of random batches
@@ -374,6 +375,12 @@ def dump(src: Path, out: Path) -> None:
     ill_units["org"]["business_units"] = ILL_POSED_UNITS
     (inputs / "readme-units-ill-posed_00.json").write_text(
         json.dumps(ill_units))
+    permanent = copy.deepcopy(units)
+    for level in permanent["org"]["levels"]:
+        del level["floater_wage"]
+    permanent["cost"] = {"temporaries": False}
+    (inputs / "readme-units-permanent_00.json").write_text(
+        json.dumps(permanent))
     units["plan"] = {"alpha": [1.0] * 4, "p": [0.8] * 5}
     (inputs / "readme-units_00.json").write_text(json.dumps(units))
     for level in units["org"]["levels"][1:]:
@@ -391,6 +398,7 @@ def dump(src: Path, out: Path) -> None:
             ("cost", "readme-plan_00", "cost"),
             ("cost", "readme-units_00", "cost-units"),
             ("cost", "readme-units-partial_00", "cost-units-partial"),
+            ("cost", "readme-units-permanent_00", "cost-units-permanent"),
             ("optimize", "optimize-readme_00", "optimize"),
             ("optimize", "defect-9_00", "optimize-defect-9")):
         run_cli_over_stale([command, "--config", f"inputs/{scenario}.json",

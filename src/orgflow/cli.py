@@ -19,6 +19,7 @@ before it prints, but for the remedy lines before an exit 3. Exit codes:
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -64,6 +65,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ILL_POSED = 3
 EXIT_RUNTIME = 4
+
+# errors of an output path that the scenario fixes by naming another; the
+# rest (a full disk, too many open files, a failing device) stay exit 4
+_PATH_ERRNOS = {errno.EEXIST, errno.EISDIR, errno.ENOTDIR, errno.ENOENT,
+                errno.EACCES, errno.EPERM, errno.EROFS, errno.ENAMETOOLONG}
 
 
 def _print_rows(header: list[str], rows: list[list[str]], fmt: str) -> None:
@@ -352,7 +358,8 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:
-        if isinstance(exc, OSError) and exc.filename is not None:
+        if isinstance(exc, OSError) and exc.filename is not None \
+                and exc.errno in _PATH_ERRNOS:
             print(f"configuration error: output.directory: cannot create "
                   f"{exc.filename!r}: {exc.strerror}", file=sys.stderr)
             return EXIT_CONFIG

@@ -342,8 +342,6 @@ class BusinessUnitPlan:
     permanent_share  (K, L) p_j^k
     floater_share    (K, L) g_j^k, with p + g <= 1 pointwise; the
                      remainder 1 - p - g is temporary
-    temp_wage        optional (K, L) per-unit temporary wages; defaults to
-                     the organization's per-level temp wages
 
     Promotions happen within a unit, so each unit behaves as an
     independent organization with a pure-internal hiring plan.
@@ -352,7 +350,6 @@ class BusinessUnitPlan:
     headcounts: np.ndarray
     permanent_share: np.ndarray
     floater_share: np.ndarray
-    temp_wage: np.ndarray | None = None
 
     def __post_init__(self):
         self.headcounts = np.atleast_2d(np.asarray(self.headcounts, dtype=float))
@@ -360,8 +357,6 @@ class BusinessUnitPlan:
             np.asarray(self.permanent_share, dtype=float))
         self.floater_share = np.atleast_2d(
             np.asarray(self.floater_share, dtype=float))
-        if self.temp_wage is not None:
-            self.temp_wage = np.atleast_2d(np.asarray(self.temp_wage, dtype=float))
 
     @property
     def units(self) -> int:
@@ -374,8 +369,6 @@ class BusinessUnitPlan:
                           ("floater_share", self.floater_share)):
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-        if self.temp_wage is not None and self.temp_wage.shape != shape:
-            raise ValueError(f"temp_wage must have shape {shape}")
         _check_unit_headcounts(self.headcounts, spec.n)
         bad = (self.permanent_share < 0) | (self.floater_share < 0) \
             | (self.permanent_share + self.floater_share > 1.0 + 1e-12)
@@ -383,38 +376,35 @@ class BusinessUnitPlan:
             raise ValueError("need 0 <= p, 0 <= g, p + g <= 1 in every cell")
         return self
 
-    def resolved_temp_wage(self, spec: OrgSpec) -> np.ndarray:
-        if self.temp_wage is not None:
-            return self.temp_wage
-        return np.broadcast_to(spec.wt, (self.units, spec.size)).copy()
-
 
 def business_unit_cost(spec: OrgSpec, bu_plan: BusinessUnitPlan) -> CostBreakdown:
     """Hourly cost of a K-unit organization with floaters.
 
-    Per unit and level: temporary staff at the unit's temp wage, floaters
+    Per unit and level: temporary staff at the level's temp wage, floaters
     at the level's seniority-discounted wage integral, and the permanent
     wage bill of the unit's own stationary profile (units promote
     internally, so each is costed as an independent organization whose
     permanent mass is N_j^k p_j^k). Only levels where some unit holds
-    floaters need a floater wage curve. Fails with IllPosedError naming
-    each ill-posed unit and level, and with GrowthExceedsAttritionError
-    when wage growth reaches any level's attrition.
+    floaters need a floater wage curve, and temp wages are read only when
+    some cell holds temporaries, as in _temporary_bill. Fails with
+    IllPosedError naming each ill-posed unit and level, and with
+    GrowthExceedsAttritionError when wage growth reaches any level's
+    attrition.
     """
     bu_plan.check(spec)
     _check_growth(spec)
-    wt = bu_plan.resolved_temp_wage(spec)
     heads, p, g = (bu_plan.headcounts, bu_plan.permanent_share,
                    bu_plan.floater_share)
+    temporary = np.maximum(1.0 - p - g, 0.0)
     # wage curves are only needed at levels where some unit deploys floaters
     wfa = np.zeros(spec.size)
     for j in np.flatnonzero((g > 0.0).any(axis=0)):
         wfa[j] = floater_average_cost(spec, j + 1)
     internal = FlexPlan(alpha=np.ones(spec.size - 1), p=p)
     c, pools, ill = stationary_pools(spec, internal, heads)
-    IllPosedError.check(pools, ill)
+    IllPosedError.check(pools, ill, units=True)
     perm = _permanent_wage_bill(_wage_terms(spec), heads * p, c[:, 1:])
-    temp = heads * np.maximum(1.0 - p - g, 0.0) * wt
+    temp = heads * temporary * (spec.wt if temporary.any() else 0.0)
     return CostBreakdown(permanent=perm.sum(axis=0), temporary=temp.sum(axis=0),
                          floater=(heads * g * wfa).sum(axis=0))
 
@@ -427,12 +417,15 @@ class FloaterReduction:
     of the temporary wage and the discounted floater wage is cheaper, so
     the mixed problem collapses to independent temporary-only unit
     problems priced at the effective wage min(w^t, w^{fa}). units holds
-    that temporary-only plan; floater_share the optimal floater shares.
+    the plan at the optimal floater shares.
     """
 
     spec: OrgSpec
     units: BusinessUnitPlan
-    floater_share: np.ndarray
+
+    @property
+    def floater_share(self) -> np.ndarray:
+        return self.units.floater_share
 
     def total_cost(self) -> float:
         return business_unit_cost(self.spec, self.units).total
@@ -445,23 +438,19 @@ def reduce_floaters(spec: OrgSpec, bu_plan: BusinessUnitPlan) -> FloaterReductio
     g_j^k on [0, 1 - p_j^k], so the optimum sits at an endpoint: all
     flexible staff become floaters where the discounted floater wage
     undercuts the temporary wage, and none otherwise; a level without a
-    floater wage curve offers none. Returns the equivalent temporary-only
-    problem.
+    floater wage curve offers none. Temp wages are read only when some
+    cell has flexible staff.
     """
     bu_plan.check(spec)
-    wt = bu_plan.resolved_temp_wage(spec)
+    flexible = 1.0 - bu_plan.permanent_share
     wfa = np.array([math.inf if level.floater_wage is None
                     else floater_average_cost(spec, j + 1)
                     for j, level in enumerate(spec.levels)])
-    flexible = 1.0 - bu_plan.permanent_share
-    units = BusinessUnitPlan(
+    cheaper = wfa < spec.wt if (flexible > 0.0).any() else False
+    return FloaterReduction(spec=spec, units=BusinessUnitPlan(
         headcounts=bu_plan.headcounts.copy(),
         permanent_share=bu_plan.permanent_share.copy(),
-        floater_share=np.zeros_like(flexible),
-        temp_wage=np.minimum(wt, wfa[np.newaxis, :]))
-    return FloaterReduction(
-        spec=spec, units=units,
-        floater_share=np.where(wfa[np.newaxis, :] < wt, flexible, 0.0))
+        floater_share=np.where(cheaper, flexible, 0.0)))
 
 
 # ---------------------------------------------------------------------------

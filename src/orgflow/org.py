@@ -85,13 +85,14 @@ class IllPosedError(ValueError):
         )
 
     @classmethod
-    def check(cls, pools: np.ndarray, ill: np.ndarray) -> None:
-        """Raise for every level flagged in ill; a (K, L) mask names units."""
+    def check(cls, pools: np.ndarray, ill: np.ndarray, units=False) -> None:
+        """Raise for every level flagged in ill, across any leading axes;
+        units names the rows of a (K, L) mask as business units."""
         if ill.any():
-            *units, levels = np.nonzero(ill)
+            *rows, levels = np.nonzero(ill)
             raise cls([int(j) + 1 for j in levels],
                       [float(a) for a in pools[ill]],
-                      [int(k) + 1 for k in units[0]] if units else None)
+                      [int(k) + 1 for k in rows[0]] if units else None)
 
 
 class MassMismatchError(ValueError):

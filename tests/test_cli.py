@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -411,6 +412,24 @@ def test_output_error_without_a_file_name_is_a_runtime_failure(
     assert captured.err == "runtime failure: OSError: \n"
 
 
+def test_output_error_the_scenario_cannot_fix_is_a_runtime_failure(
+        tmp_path, capsys, monkeypatch):
+    # a full disk names the file it failed on, but no other output path
+    # would mend it: it stays exit 4
+    def full(path, *args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+    monkeypatch.setattr(cli, "write_cost_csv", full)
+    path = base_scenario(tmp_path, org=plain_org(wages=True),
+                         cost={"premium": 0.2})
+    assert cli.main(["cost", "--config", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"runtime failure: OSError: [Errno {errno.ENOSPC}] "
+        f"{os.strerror(errno.ENOSPC)}: '{tmp_path / 'out' / 'cost.csv'}'\n")
+
+
 def test_cost_totals_and_csv(tmp_path, capsys):
     path = base_scenario(tmp_path, org=plain_org(wages=True), out="out_cost",
                          cost={"premium": 0.2})
@@ -474,6 +493,26 @@ def test_cost_prices_units_where_some_levels_lack_floater_curves(
     assert base - mixed == pytest.approx(
         0.2 * HEADS[0] * (1.2 * BASE[0] - 0.05 * BASE[0] / RATES[0]),
         abs=0.01)
+
+
+@pytest.mark.parametrize("temporaries", [False, True])
+def test_cost_prices_all_permanent_units_without_temp_wages(
+        tmp_path, capsys, temporaries):
+    # with cost.temporaries false, or the default all-internal plan, no
+    # unit holds flexible staff: no temp wage is needed, and the units
+    # cost what the org does
+    org = plain_org(wages=True)
+    org["business_units"] = [[h / 2 for h in HEADS] for _ in range(2)]
+    path = base_scenario(tmp_path, org=org,
+                         cost={"temporaries": temporaries})
+    assert cli.main(["cost", "--config", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-8:] == [
+        "total: 1150323.84 per hour (1.1503 M/h)",
+        "business units, temporaries only: 1150323.84 per hour",
+        "business units, optimal floater mix: 1150323.84 per hour"] + [
+        f"  level {j} floater shares by unit: 0.00, 0.00" for j in range(1, 6)]
+    assert (tmp_path / "out" / "cost.csv").is_file()
 
 
 def test_ill_posed_unit_exits_before_output(tmp_path, capsys):
@@ -668,7 +707,7 @@ def scenarios(draw, units_may_miss=True):
     rows may also miss the top level's headcount by 1 % or more, which
     the parser rejects (see _units_miss)."""
     size = draw(st.integers(1, 4))
-    wages = draw(st.sampled_from(["none", "temp", "premium"]))
+    wages = draw(st.sampled_from(["none", "base", "temp", "premium"]))
     levels = []
     for _ in range(size):
         level = {"headcount": draw(_numbers(1.0, 1e4)),
@@ -862,6 +901,13 @@ def _units_miss(data):
                                         org["levels"]))
 
 
+def _holds_temporaries(data):
+    """Whether cost's plan holds temporaries: a configured plan with a
+    permanent share below 1, and cost.temporaries not false."""
+    return (data.get("cost", {}).get("temporaries", True)
+            and any(p < 1.0 for p in data.get("plan", {}).get("p", [])))
+
+
 # the first line of the remedy block that steady and optimize print
 # before an exit 3
 _REMEDY = {"steady": "ill-posed stationary problem:\n",
@@ -874,7 +920,8 @@ def _run_checked(command, data, out):
     or 3, the run raise no RuntimeWarning, and a nonzero exit write one
     stderr line, which names a key or a level (nothing on exit 0), and
     nothing on stdout but the remedy block of an exit 3. Unit rows that
-    miss a headcount exit 2 on a line naming them."""
+    miss a headcount exit 2 on a line naming them, and cost names a
+    missing temp wage only where its plan holds temporaries."""
     path = os.path.join(out, "scenario.json")
     with open(path, "w") as fh:
         json.dump(data, fh)
@@ -901,6 +948,8 @@ def _run_checked(command, data, out):
         assert lines == ["configuration error: org.business_units: unit "
                          "headcounts do not sum to the level headcounts"
                          ], (command, lines)
+    if command == "cost" and not _holds_temporaries(data):
+        assert not any("temp_wage" in line for line in lines), lines
     return code, stdout.getvalue()
 
 

@@ -343,6 +343,27 @@ def test_levels_without_floater_curves_offer_no_floaters():
         business_unit_cost(spec, at_shares).total, rel=1e-12)
 
 
+def test_units_without_flexible_staff_need_no_temp_wage():
+    # all-permanent units are costed on a spec that sets no temp wages,
+    # as org_cost costs an all-permanent plan; flexible staff need them
+    spec = costed_org()
+    half = spec.n / 2.0
+    bu = BusinessUnitPlan(headcounts=np.vstack([half, half]),
+                          permanent_share=np.ones((2, 5)),
+                          floater_share=np.zeros((2, 5)))
+    total = org_cost(spec, FlexPlan.all_internal(5)).total
+    assert business_unit_cost(spec, bu).total == pytest.approx(total,
+                                                               rel=1e-12)
+    reduction = reduce_floaters(spec, bu)
+    np.testing.assert_array_equal(reduction.floater_share, np.zeros((2, 5)))
+    assert reduction.total_cost() == pytest.approx(total, rel=1e-12)
+    bu.permanent_share[1, 4] = 0.9
+    with pytest.raises(MissingWageError):
+        business_unit_cost(spec, bu)
+    with pytest.raises(MissingWageError):
+        reduce_floaters(spec, bu)
+
+
 def test_case1_regimes_cover_floor_interior_and_ceiling():
     for wt1, regime in ((36.0, "min-share"), (40.5, "interior"),
                         (80.0, "all-permanent")):

@@ -221,6 +221,18 @@ def test_ill_posed_error_names_every_bad_level():
     assert "raise external hiring" in str(err.value)
 
 
+def test_ill_posed_check_names_units_only_when_asked():
+    # the rows of a (B, L) mask are plans unless they are named as units
+    pools = np.array([[5.0, -1.0], [-2.0, 3.0]])
+    with pytest.raises(IllPosedError) as err:
+        IllPosedError.check(pools, pools <= 0.0)
+    assert str(err.value).endswith("(level 2: pool -1, level 1: pool -2)")
+    with pytest.raises(IllPosedError) as err:
+        IllPosedError.check(pools, pools <= 0.0, units=True)
+    assert str(err.value).endswith(
+        "(unit 1, level 2: pool -1, unit 2, level 1: pool -2)")
+
+
 def test_zero_eligibility_age_makes_whole_level_promotable():
     org = build_org([300.0, 200.0], [0.1, 0.2], [0.0, 0.0])
     pools = steady_promotable_pool(org)
