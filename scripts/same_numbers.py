@@ -54,8 +54,11 @@ checkout's, each in its own subprocess:
   which `orgflow cost` and `orgflow optimize` also price, and
   business-unit rows that miss the top level's headcount; and
   `orgflow optimize --seed -1`, `simulate`, `cost` and `optimize` with
-  an output directory that names a file, and `cost` and `optimize` with
-  a directory at `cost.csv` and `ga_history.csv` (`csv-is-directory`);
+  an output directory that names a file, `cost` and `optimize` with
+  a directory at `cost.csv` and `ga_history.csv` (`csv-is-directory`),
+  and `simulate` on a two-level org whose snapshot times 100000 and
+  100000.5 would share one file name (`snapshot-collision`, 200,002
+  steps where the run is not refused);
 - the closed-form analyses `case1_diagnostics`, `case2_residuals`,
   `min_external_ratios` and `min_permanent_share` on four wage-bearing
   orgs, under four plans each.
@@ -143,6 +146,14 @@ FLOATER_WAGE_SHARES = (0.05, 0.05, 0.05, 0.05, 0.5)
 # two units of the README org, each ill posed at one level (unit 1 at
 # level 2, unit 2 at level 1) though the org is well posed
 ILL_POSED_UNITS = [[5000, 200, 1900, 900, 250], [500, 5000, 1900, 900, 250]]
+# two levels whose snapshots at 100000 and 100000.5 are recorded at
+# different steps, but would both be written to snapshot_t100000.csv
+SNAPSHOT_COLLISION = {
+    "org": {"levels": [
+        {"headcount": 100.0, "attrition": 0.1, "eligibility_age": 1.0},
+        {"headcount": 50.0, "attrition": 0.2, "eligibility_age": 1.0}]},
+    "grid": {"ds": 0.5, "dt": 0.5, "s_max": 5.0, "horizon": 100001.0},
+    "policy": {"snapshot_times": [100000.0, 100000.5]}}
 ARRAYS = ("times", "density", "masses", "promotion", "hiring", "shortfall",
           "pool", "ready_ratio", "excess_wait", "l1_to_steady", "mass_error",
           "steady_density")
@@ -435,6 +446,11 @@ def dump(src: Path, out: Path) -> None:
     run_cli(["cost", "--config", "inputs/readme-units-ill-posed_00.json",
              "--out", "priced"],
             out / "cli" / "invalid" / "units-ill-posed.cost.txt")
+    (inputs / "invalid" / "snapshot-collision.json").write_text(
+        json.dumps(SNAPSHOT_COLLISION))
+    run_cli(["simulate", "--config", "inputs/invalid/snapshot-collision.json",
+             "--out", "priced"],
+            out / "cli" / "invalid" / "snapshot-collision.simulate.txt")
     for command in ("cost", "optimize"):
         run_cli([command, "--config", "inputs/invalid/wage-tiny-attrition.json",
                  "--out", "priced"],

@@ -1,5 +1,6 @@
-"""How orgflow writes its output: each file is created new, and a
-printed number switches to exponent notation at a stated magnitude.
+"""How orgflow writes its output: each file is created new, a printed
+number switches to exponent notation at a stated magnitude, and the
+simulation's CSV files format each distinct number of a block once.
 
 Every CSV writer (`transport.write_trajectory_csv`, `write_snapshot_csv`,
 `costs.write_cost_csv`, `optimize.write_ga_csv`) opens its path through
@@ -7,13 +8,23 @@ Every CSV writer (`transport.write_trajectory_csv`, `write_snapshot_csv`,
 (`costs.format_cost_table` among them), `costs.format_plan_table`'s
 total and the cells of `write_cost_csv` and `write_ga_csv` format their
 numbers through `fixed`, so each rule is decided here only.
+
+`write_trajectory_csv` and `write_snapshot_csv` produce their text
+through `write_rows`, block by block of `CSV_BLOCK` time steps or nodes.
+A settled run repeats its doubles, so in each column of a block
+`write_rows` formats each distinct 64-bit pattern once and gathers the
+strings back per cell. Keying on the bit pattern, not on float
+equality, keeps -0.0 apart from 0.0 (they print "-0" and "0"), so every
+cell's text is what formatting it alone gives.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-from typing import Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
+
+import numpy as np
 
 
 @contextlib.contextmanager
@@ -70,3 +81,25 @@ def fixed(value: float, digits: int) -> str:
     magnitude (and for nan), f"{value:.{digits}e}" from 1e15 on."""
     kind = "e" if abs(value) >= _FIXED_LIMIT else "f"
     return f"{value:.{digits}{kind}}"
+
+
+# rows (time steps, nodes) per write, each distinct number formatted once
+CSV_BLOCK = 256
+
+
+def write_rows(fh: TextIO, formats: Sequence[str], n_rows: int,
+               block: Callable[[slice], np.ndarray]) -> None:
+    """Write CSV rows "%f1,%f2,...\\r\\n" of formats, CSV_BLOCK at a time:
+    block(rows) gives their cells, one column of the file per row. Each
+    distinct bit pattern (uint64 view) of a column is formatted once, by
+    one "%" over them all split at "\\0", which no number's text holds."""
+    for start in range(0, n_rows, CSV_BLOCK):
+        patterns = block(slice(start, start + CSV_BLOCK)).view(np.uint64)
+        cells = np.empty(patterns.shape[::-1], dtype=object)
+        for j, (fmt, column) in enumerate(zip(formats, patterns)):
+            bits, inverse = np.unique(column, return_inverse=True)
+            end = "\r\n" if j == len(formats) - 1 else ","
+            text = ("\0".join([fmt + end] * bits.size)
+                    % tuple(bits.view(np.float64).tolist())).split("\0")
+            cells[:, j] = np.array(text, dtype=object)[inverse]
+        fh.write("".join(cells.ravel().tolist()))

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import __version__
 from ._output import fixed
-from .config import ConfigError, ScenarioConfig, dump_config, load_config
+from .config import (ConfigError, ScenarioConfig, dump_config, load_config,
+                     snapshot_csv_name)
 from .costs import (
     BusinessUnitPlan,
     GrowthExceedsAttritionError,
@@ -174,7 +175,7 @@ def cmd_simulate(config: ScenarioConfig, fmt: str) -> int:
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), result,
                          headers)
     for t in result.snapshots:
-        write_snapshot_csv(os.path.join(out_dir, f"snapshot_t{t:g}.csv"),
+        write_snapshot_csv(os.path.join(out_dir, snapshot_csv_name(t)),
                            result, t, headers)
     spec = config.spec
     header = ["level", "headcount", "attrition", "eligibility",

@@ -34,6 +34,7 @@ __all__ = [
     "parse_config",
     "load_config",
     "dump_config",
+    "snapshot_csv_name",
 ]
 
 _POLICY_MODES = ("max-internal", "external-fraction", "fixed-plan")
@@ -49,6 +50,11 @@ _MAX_HEADCOUNT_PER_DS = np.finfo(float).max / 4
 
 class ConfigError(ValueError):
     """A scenario file violates the schema; the message names the key."""
+
+
+def snapshot_csv_name(time: float) -> str:
+    """The file `orgflow simulate` writes the snapshot recorded at time to."""
+    return f"snapshot_t{time:g}.csv"
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +309,18 @@ def parse_config(data: Any) -> ScenarioConfig:
     snaps = policy.read("snapshot_times", [], _number_list, minimum=0.0,
                         maximum=horizon)
     policy.done()
+    # run() records a snapshot at the step nearest t, time dt * round(t / dt)
+    # (np.rint: t / dt may overflow), and simulate names its file by that
+    # time, which two recorded times may share
+    written: dict[str, tuple[float, float]] = {}
+    for t in snaps:
+        recorded = dt * float(np.rint(t / dt))
+        name = snapshot_csv_name(recorded)
+        first, first_recorded = written.setdefault(name, (t, recorded))
+        if first_recorded != recorded:
+            raise ConfigError(
+                f"policy.snapshot_times: the snapshots at {first} and {t} "
+                f"would both be written to {name}")
 
     plan = None
     plan_block = top.block("plan", optional=True)

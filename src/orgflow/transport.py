@@ -91,7 +91,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._output import new_csv
+from ._output import new_csv, write_rows
 from .org import (
     FlexPlan,
     IllPosedError,
@@ -955,55 +955,33 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
         policy=policy, cap=cap)
 
 
-# one trajectory row: t, level, six rates and ratios, the mass error, with
-# the "\r\n" ending of the csv module's rows in the other orgflow files
-_TRAJECTORY_ROW = "%.6g,%d" + ",%.8g" * 6 + ",%.3e\r\n"
-# time steps (trajectory) and nodes (snapshot) formatted per write, so
-# the text in memory stays small
-_TRAJECTORY_BLOCK = 32
-_SNAPSHOT_BLOCK = 256
-
-
 def write_trajectory_csv(path: str, result: SimulationResult,
                          header_lines: Sequence[str] = ()) -> None:
-    """One row per (time, level) with rates, pools, and error metrics,
-    written with one format per time step over its L rows."""
+    """One row per (time, level) with rates, pools, and error metrics."""
     fields = (result.promotion, result.hiring, result.shortfall, result.pool,
               result.ready_ratio, result.excess_wait, result.mass_error)
-    rows = _TRAJECTORY_ROW * result.masses.size
     # a row's cells: t, the level (a float, which %d prints alike), fields
     levels = np.arange(1.0, result.masses.size + 1)
     with new_csv(path, header_lines) as fh:
         fh.write("t,level,promotion_rate,hiring_rate,shortfall,pool,"
                  "ready_ratio,excess_wait,mass_error\r\n")
-        for k in range(0, result.times.size, _TRAJECTORY_BLOCK):
-            block = slice(k, k + _TRAJECTORY_BLOCK)
-            times = result.times[block, np.newaxis]
-            cells = np.stack(np.broadcast_arrays(
-                times, levels, *(f[block] for f in fields)), axis=2)
-            fh.write("".join([rows % tuple(step) for step in
-                              cells.reshape(times.size, -1).tolist()]))
+        write_rows(fh, ("%.6g", "%d") + ("%.8g",) * 6 + ("%.3e",),
+                   result.times.size, lambda k: np.stack(np.broadcast_arrays(
+                       result.times[k, None], levels, *(f[k] for f in fields))
+                   ).reshape(2 + len(fields), -1))
 
 
 def write_snapshot_csv(path: str, result: SimulationResult, time: float,
                        header_lines: Sequence[str] = ()) -> None:
-    """Density profile at one recorded snapshot time: s, rho_1..rho_L.
-
-    Each row is one "%.6g" + ",%.8g" * L format, with the "\r\n" ending
-    of the csv module's rows, as in write_trajectory_csv.
-    """
+    """Density profile at one recorded snapshot time: s, rho_1..rho_L."""
     key = next((t for t in result.snapshots
                 if abs(t - time) <= 0.5 * result.grid.dt), None)
     if key is None:
         raise KeyError(f"no snapshot recorded at t = {time}")
     density = result.snapshots[key]
-    size = density.shape[0]
-    row = "%.6g" + ",%.8g" * size + "\r\n"
     with new_csv(path, header_lines) as fh:
-        fh.write(",".join(["s"] + [f"rho_{j + 1}" for j in range(size)])
-                 + "\r\n")
-        for i in range(0, result.grid.n_nodes, _SNAPSHOT_BLOCK):
-            block = slice(i, i + _SNAPSHOT_BLOCK)
-            values = np.column_stack((result.grid.s[block],
-                                      density[:, block].T)).tolist()
-            fh.write("".join([row % (*cells,) for cells in values]))
+        fh.write(",".join(["s"] + [f"rho_{j + 1}" for j in
+                                   range(len(density))]) + "\r\n")
+        write_rows(fh, ("%.6g",) + ("%.8g",) * len(density),
+                   result.grid.n_nodes, lambda k: np.vstack(
+                       (result.grid.s[k], density[:, k])))

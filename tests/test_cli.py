@@ -259,6 +259,32 @@ def test_simulate_writes_csv_outputs(tmp_path, capsys):
             for p in (tmp_path / "out_sim").iterdir()} == files
 
 
+def test_snapshot_times_that_share_a_file_exit_2(tmp_path, capsys):
+    # 100000 and 100000.5 are recorded at different steps, but both print
+    # as 100000 under {t:g}: the second snapshot's file would replace the
+    # first's, so the scenario is refused before the run
+    levels = [{"headcount": 100.0, "attrition": 0.1, "eligibility_age": 1.0},
+              {"headcount": 50.0, "attrition": 0.2, "eligibility_age": 1.0}]
+    path = base_scenario(
+        tmp_path, org={"levels": levels},
+        grid={"ds": 0.5, "dt": 0.5, "s_max": 5.0, "horizon": 100001.0},
+        policy={"snapshot_times": [100000.0, 100000.5]})
+    for command in ("simulate", "steady"):
+        assert cli.main([command, "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "configuration error: policy.snapshot_times: the snapshots at "
+            "100000.0 and 100000.5 would both be written to "
+            "snapshot_t100000.csv\n")
+    assert not (tmp_path / "out").exists()
+    # two times recorded at one step share their file without a collision
+    path = base_scenario(tmp_path, policy={"snapshot_times": [0.5, 0.51]})
+    assert cli.main(["simulate", "--config", path]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").glob("snapshot_*")) == [
+        "snapshot_t0.5.csv"]
+
+
 @pytest.fixture(scope="module")
 def csv_writers():
     """Each CSV writer as write(path), on small results of the README org."""

@@ -1,6 +1,9 @@
 import csv
 import io
 import math
+import os
+import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from orgflow import (
     write_snapshot_csv,
     write_trajectory_csv,
 )
-from orgflow import transport
+from orgflow import _output, transport
 from orgflow.transport import (
     _discrete_stationary_density,
     close_policy_external_fraction,
@@ -1174,8 +1177,40 @@ def test_trajectory_csv_layout(tmp_path, low_turnover_org):
         write_snapshot_csv(str(snap), result, 0.5)
 
 
+def _trajectory_by_csv_writer(result, header_lines) -> bytes:
+    """write_trajectory_csv's bytes as the csv module writes them, each
+    cell formatted on its own."""
+    out = io.StringIO(newline="")
+    out.write("".join(f"# {line}\n" for line in header_lines))
+    writer = csv.writer(out)
+    writer.writerow(["t", "level", "promotion_rate", "hiring_rate",
+                     "shortfall", "pool", "ready_ratio", "excess_wait",
+                     "mass_error"])
+    for k, t in enumerate(result.times):
+        for j in range(result.masses.size):
+            writer.writerow([f"{t:.6g}", j + 1] + [
+                f"{getattr(result, name)[k, j]:.8g}"
+                for name in ("promotion", "hiring", "shortfall", "pool",
+                             "ready_ratio", "excess_wait")
+            ] + [f"{result.mass_error[k, j]:.3e}"])
+    return out.getvalue().encode()
+
+
+def _snapshot_by_csv_writer(result, time, header_lines) -> bytes:
+    """write_snapshot_csv's bytes as the csv module writes them, each cell
+    formatted on its own."""
+    density = result.snapshots[time]
+    out = io.StringIO(newline="")
+    out.write("".join(f"# {line}\n" for line in header_lines))
+    writer = csv.writer(out)
+    writer.writerow(["s"] + [f"rho_{j + 1}" for j in range(len(density))])
+    for i, s in enumerate(result.grid.s):
+        writer.writerow([f"{s:.6g}"] + [f"{rho[i]:.8g}" for rho in density])
+    return out.getvalue().encode()
+
+
 def test_trajectory_csv_matches_csv_writer(tmp_path, low_turnover_org):
-    # the one-format-per-row writer against the per-cell csv.writer
+    # the block-deduplicating writer against the per-cell csv.writer
     # formulation, over more time steps than one written block and with
     # NaN, infinities and signed zeros among the values
     grid = SeniorityGrid(s_max=70.0)
@@ -1186,26 +1221,13 @@ def test_trajectory_csv_matches_csv_writer(tmp_path, low_turnover_org):
     result.promotion[99, 0] = -0.0
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(str(path), result, ["seed = 0", "cap = inf"])
-
-    expected = io.StringIO(newline="")
-    expected.write("# seed = 0\n# cap = inf\n")
-    writer = csv.writer(expected)
-    writer.writerow(["t", "level", "promotion_rate", "hiring_rate",
-                     "shortfall", "pool", "ready_ratio", "excess_wait",
-                     "mass_error"])
-    for k, t in enumerate(result.times):
-        for j in range(5):
-            writer.writerow([f"{t:.6g}", j + 1] + [
-                f"{getattr(result, name)[k, j]:.8g}"
-                for name in ("promotion", "hiring", "shortfall", "pool",
-                             "ready_ratio", "excess_wait")
-            ] + [f"{result.mass_error[k, j]:.3e}"])
-    assert path.read_bytes() == expected.getvalue().encode()
+    assert path.read_bytes() == _trajectory_by_csv_writer(
+        result, ["seed = 0", "cap = inf"])
     assert b",nan," in path.read_bytes() and b",-inf," in path.read_bytes()
 
 
 def test_snapshot_csv_matches_csv_writer(tmp_path, low_turnover_org):
-    # the one-format-per-row writer against the per-cell csv.writer
+    # the block-deduplicating writer against the per-cell csv.writer
     # formulation, over more nodes than one written block and with NaN,
     # infinities, signed zeros and a subnormal among the values
     grid = SeniorityGrid(s_max=70.0)
@@ -1217,17 +1239,61 @@ def test_snapshot_csv_matches_csv_writer(tmp_path, low_turnover_org):
     density[4, -1] = -0.0
     path = tmp_path / "snap.csv"
     write_snapshot_csv(str(path), result, 1.0, ["seed = 0", "levels = 5"])
-
-    expected = io.StringIO(newline="")
-    expected.write("# seed = 0\n# levels = 5\n")
-    writer = csv.writer(expected)
-    writer.writerow(["s"] + [f"rho_{j + 1}" for j in range(5)])
-    for i, s in enumerate(grid.s):
-        writer.writerow([f"{s:.6g}"] + [f"{density[j, i]:.8g}"
-                                        for j in range(5)])
-    assert grid.n_nodes > transport._SNAPSHOT_BLOCK
-    assert path.read_bytes() == expected.getvalue().encode()
+    assert grid.n_nodes > _output.CSV_BLOCK
+    assert path.read_bytes() == _snapshot_by_csv_writer(
+        result, 1.0, ["seed = 0", "levels = 5"])
     assert b",nan," in path.read_bytes() and b",-inf," in path.read_bytes()
+
+
+# NaNs of both signs and several payloads, each printed "nan", and the
+# other values whose text a float-equality key could mix up or that sit at
+# the ends of the float range
+_SPECIAL_VALUES = np.concatenate([
+    np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+              0xFFF0000000000ABC, 0x7FF8000000000123],
+             dtype=np.uint64).view(np.float64),
+    [np.inf, -np.inf, 5e-324, -5e-324, 1e300, 0.0, -0.0]])
+
+
+@settings(max_examples=20, deadline=None)
+@given(size=st.sampled_from([1, 7]), extra=st.sampled_from([-1, 0, 1]),
+       pool=st.lists(st.floats(allow_nan=False, width=64), max_size=5),
+       seed=st.integers(0, 2**32 - 1),
+       column=st.integers(0, 7), level=st.integers(0, 6),
+       row=st.integers(0, _output.CSV_BLOCK - 3))
+def test_csv_writers_match_csv_writer_on_repeated_values(
+        size, extra, pool, seed, column, level, row):
+    # every cell drawn from a few values, so each block repeats them, and
+    # -0.0 just above 0.0 in one column of the first block: the writers
+    # format each distinct bit pattern once, and must print "-0" and "0"
+    # where a key on float equality would print one of them twice; the
+    # rows (time steps, nodes) number one block and one either way
+    n = _output.CSV_BLOCK + extra
+    rng = np.random.default_rng(seed)
+    values = np.concatenate([pool, _SPECIAL_VALUES])
+    times, s = rng.choice(values, (2, n))
+    fields = rng.choice(values, (7, n, size))
+    density = rng.choice(values, (size, n))
+    level %= size
+    for cells in (times if column == 0 else fields[column - 1][:, level],
+                  s if column == 0 else density[level]):
+        cells[row:row + 2] = -0.0, 0.0
+    result = SimpleNamespace(
+        times=times, masses=np.ones(size), **dict(zip(
+            ("promotion", "hiring", "shortfall", "pool", "ready_ratio",
+             "excess_wait", "mass_error"), fields)),
+        snapshots={1.0: density}, grid=SimpleNamespace(s=s, n_nodes=n,
+                                                       dt=1.0))
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "written.csv")
+        write_trajectory_csv(path, result, ["seed = 0"])
+        with open(path, "rb") as fh:
+            assert fh.read() == _trajectory_by_csv_writer(result,
+                                                          ["seed = 0"])
+        write_snapshot_csv(path, result, 1.0, ["seed = 0"])
+        with open(path, "rb") as fh:
+            assert fh.read() == _snapshot_by_csv_writer(result, 1.0,
+                                                        ["seed = 0"])
 
 
 def test_snapshot_past_horizon_rejected(low_turnover_org):
