@@ -25,9 +25,10 @@ and restores the mass exactly, up to the outflow dt * rho^k_last through
 the truncated end of the grid (negligible whenever the grid extends a few
 decay lengths past the eligibility ages). At unit Courant number dt = ds
 the advection is an exact shift (LeVeque, Finite Volume Methods for
-Hyperbolic Problems, 2002, ch. 4), and step makes it one copy, without the
-rounding of rho_i - (rho_i - rho_{i-1}) where neighbours differ by more
-than a factor 2.
+Hyperbolic Problems, 2002, ch. 4), without the rounding of
+rho_i - (rho_i - rho_{i-1}) where neighbours differ by more than a
+factor 2, and step makes it one pass that also adds the promotion source:
+rho^{k+1}_i (1 + dt (mu + P)) = rho^k_{i-1} + dt P 1_{s_i <= tau} rho^k_i.
 
 Promotion rates are closed after every step by a backward sweep over
 levels (Eq. balance: hiring + promotions in = attrition + promotions out),
@@ -41,14 +42,22 @@ builds its own; the pools and run()'s promotion source read only its head
 columns, where some level is still below its cut. Of what a step of run()
 computes, only one chain feeds the next step: the pool sums, the
 closure's sweep on Python floats (which also yields step's per-level
-terms) and the step. The loop runs that chain alone, and step writes each
-new head into the next slot of a tape. The metric sums (sum rho,
+terms) and the step. The loop runs that chain alone, on views built once
+per run, and step writes each new head into the next slot of a tape. At
+dt = ds the promotion source's rho 1[s <= tau], which the pool sums
+compute on the cut head, spans the columns step writes: +0 past the
+cut, which adds nothing to a finite, nonnegative density, so every step
+is one pass whatever the cut. The metric sums (sum rho,
 sum rho (s - tau)+ and, when the run has a stationary reference,
 sum |rho - steady|) feed nothing back, so they run once per block of
 steps, before a snapshot and after the last step, over the block's
 states at once, into rows of the trajectory arrays; one elementwise pass
 after the loop turns them into the ratios. numpy sums each row of a block
 as it sums one state's row, so no number depends on the block's length.
+Blocks hold 64 steps: each pass over a block's tail has a fixed cost of
+some 40 small numpy calls per segment, and 64 steps per block take the
+seed-7 sweep-capped runs from 326 segments at 32 to 207; 128 steps, with
+twice the tape, gained no more than the timings' spread.
 The excess-wait numerator sum rho (s - tau)+ is one BLAS dot product per
 level row, summed in the BLAS's blocked order: deterministic for a given
 BLAS build and thread count, and within n eps relative of the exact sum.
@@ -207,16 +216,17 @@ def _build_cuts(grid: SeniorityGrid, spec: OrgSpec) -> _Cuts:
                  weight=weight)
 
 
-def _pool_sums(density: np.ndarray, cuts: _Cuts, ds: float,
-               masses: list[float], held: np.ndarray | None = None
-               ) -> list[float]:
+def _pool_sums(density: np.ndarray, pre: np.ndarray, ds: float,
+               masses: list[float], held: np.ndarray | None = None,
+               sums: np.ndarray | None = None) -> list[float]:
     """A_j = M_j - ds * sum_i rho_ji pre_ji, as Python floats.
 
-    pre is zero past the cut head, so only the first head columns are
-    read; held, an (L, head) array, receives rho pre on them."""
-    held = np.multiply(density[:, :cuts.head], cuts.pre_head, out=held)
+    pre is zero past the cut head, so density and pre are given on its
+    columns only (cuts.pre_head); held, (L, head), receives rho pre on
+    them and sums, (L,), their row sums."""
+    held = np.multiply(density, pre, out=held)
     return [m - ds * a for m, a in
-            zip(masses, np.add.reduce(held, axis=1).tolist())]
+            zip(masses, np.add.reduce(held, axis=1, out=sums).tolist())]
 
 
 def _shares(alpha_frac, size: int, cap: float) -> list[float]:
@@ -304,7 +314,8 @@ def close_policy_external_fraction(density: np.ndarray, spec: OrgSpec,
     masses = spec.n if masses is None else masses
     share = _shares(alpha_frac, spec.size, cap)
     mass = masses.tolist()
-    pools = _pool_sums(density, _build_cuts(grid, spec), grid.ds, mass)
+    cuts = _build_cuts(grid, spec)
+    pools = _pool_sums(density[:, :cuts.head], cuts.pre_head, grid.ds, mass)
     promotion, hiring, shortfall, _ = _sweep(
         spec.mu.tolist(), mass, pools, _empty_floor(spec).tolist(), share,
         cap)
@@ -323,8 +334,10 @@ def step(density: np.ndarray, grid: SeniorityGrid, ghost: np.ndarray,
     mass (see module docstring). Levels interact only through the policy
     closure between steps, which sets the terms: ghost, the (L,) values
     mu M + P A; rate and divisor, the (L, 1) columns dt P and
-    1 + dt (mu + P); held, rho 1[s <= tau] on density's first columns (the
-    mask is zero past them), which step overwrites.
+    1 + dt (mu + P); held, rho 1[s <= tau] on density's first columns,
+    +0 past the mask, which step overwrites. At dt = ds held spans at
+    least out's columns, so that one pass shifts the density and adds the
+    source; with dt < ds the source is added on held's first columns only.
 
     The new densities are written to out, of any memory layout but not
     overlapping the columns of density that it reads, and returned; a new
@@ -339,25 +352,24 @@ def step(density: np.ndarray, grid: SeniorityGrid, ghost: np.ndarray,
     """
     if out is None:
         out = np.empty_like(density)
-    # the first node of every row takes its ghost value: at unit Courant
-    # number a shift by one node, else rho - lam (rho - rho_upwind)
     width = out.shape[1]
-    rho, shifted = density[:, :width], out[:, 1:]
-    lam = grid.dt / grid.ds
-    if lam == 1.0:
-        shifted[...] = rho[:, :-1]
-        out[:, 0] = ghost
-    else:
-        np.subtract(rho[:, 1:], rho[:, :-1], out=shifted)
-        out[:, 0] = density[:, 0] - ghost
-        out *= lam
-        np.subtract(rho, out, out=out)
-    # the promotion source dt P rho 1[s <= tau] is added only on held's
-    # columns, which run() cuts at its head; past the head it is +0, which
-    # leaves nonnegative values unchanged
-    held = held[:, :width]
+    # the promotion source dt P rho 1[s <= tau]; adding its +0 past the
+    # mask leaves the finite, nonnegative densities unchanged
     held *= rate
-    out[:, :held.shape[1]] += held
+    if grid.dt / grid.ds == 1.0:
+        # an exact shift by one node, the first node of every row taking
+        # its ghost value, and the source added in the same pass
+        np.add(density[:, :width - 1], held[:, 1:width], out=out[:, 1:])
+        np.add(ghost, held[:, 0], out=out[:, 0])
+    else:
+        # rho - lam (rho - rho_upwind), then the source on held's columns
+        rho = density[:, :width]
+        np.subtract(rho[:, 1:], rho[:, :-1], out=out[:, 1:])
+        out[:, 0] = density[:, 0] - ghost
+        out *= grid.dt / grid.ds
+        np.subtract(rho, out, out=out)
+        held = held[:, :width]
+        out[:, :held.shape[1]] += held
     out /= divisor
     return out
 
@@ -447,8 +459,9 @@ def make_initial_density(spec: OrgSpec, plan: FlexPlan | None,
         raise ValueError(
             f"unknown initial density kind {kind!r}; expected stationary, "
             "uniform, or truncated-exponential")
-    pools = np.array(_pool_sums(density, _build_cuts(grid, spec), grid.ds,
-                                masses.tolist()))
+    cuts = _build_cuts(grid, spec)
+    pools = np.array(_pool_sums(density[:, :cuts.head], cuts.pre_head,
+                                grid.ds, masses.tolist()))
     starved = [int(j) + 1 for j in np.flatnonzero(
         ill_posed(pools, promotion_demands(spec, plan), _empty_floor(spec)))]
     if starved:
@@ -597,7 +610,7 @@ _RESCALE_BELOW = 1e-100
 # run()'s steps per block: the loop writes each step's new head to the
 # next slot of a tape of this many, and the metric sums and the tail's
 # advance run once per block; any length gives the same numbers
-_BLOCK = 32
+_BLOCK = 64
 # the most values of a head tape, which shortens the blocks where a head
 # is wide (the whole grid with dt < ds)
 _TAPE_VALUES = 1 << 18
@@ -614,10 +627,13 @@ class _DelayLine:
     block: the head and the column entering the tail (width = head + 1),
     or the whole grid where the tail is empty (width = n_nodes). slots[i]
     is a read-only (L, n_nodes) view from fresh[i]'s start, rows width
-    apart, of which step reads the first width columns: run() steps
-    slots[i] into fresh[i + 1], so a wrapper of step counts L n_nodes
-    node-steps. Once per block advance brings the tail up to the last
-    slot written, and restart copies that slot's head to slot 0.
+    apart, of which step reads the first width columns; the slots are the
+    rows of one strided view of the tape, which reaches n_nodes values
+    past the last slot. run() steps slots[i] into fresh[i + 1], so a
+    wrapper of step counts L n_nodes node-steps. Once per block advance
+    brings the tail up to the last slot written, and restart copies that
+    slot's columns to slot 0, so that slot 0, like every slot step
+    writes, holds no value the line has not written.
 
     The tail lives in per-level scaled units u, rho = S u, in the columns
     start to start + tail of an (L, n_nodes + tail) ring. A step moves
@@ -658,6 +674,7 @@ class _DelayLine:
         tail = n - head
         width = head + 1 if tail else n
         self.head, self.tail, self.n, self.ds = head, tail, n, ds
+        self.width = width
         self.block = block = max(1, min(_BLOCK,
                                         _TAPE_VALUES // (size * width) - 1))
         # the slots' own columns, (block + 1, L, width), each slot's one
@@ -666,10 +683,10 @@ class _DelayLine:
         self.tape = np.empty((block + 1) * size * width + n)
         self.heads = self.tape[:-n].reshape(block + 1, size, width)
         self.fresh = list(self.heads)
-        self.slots = [np.lib.stride_tricks.as_strided(
-            fresh, (size, n), (fresh.strides[0], fresh.itemsize),
-            writeable=False) for fresh in self.fresh]
-        self.fresh[0][:, :head] = density[:, :head]
+        self.slots = list(np.lib.stride_tricks.as_strided(
+            self.tape, (block + 1, size, n), self.heads.strides[:2]
+            + (self.tape.itemsize,), writeable=False))
+        self.fresh[0][...] = density[:, :width]
         self.unit = np.ldexp(1.0, np.frexp(np.maximum(masses, 1.0))[1] - 1)
         self.floor = _RESCALE_BELOW * self.unit
         self.ring, self.start = np.empty((size, n + tail)), n
@@ -799,8 +816,8 @@ class _DelayLine:
             _l1_sum(part, rows)
 
     def restart(self, slot: int) -> None:
-        """Copy the head in slot to slot 0, where the next block starts."""
-        self.fresh[0][:, :self.head] = self.fresh[slot][:, :self.head]
+        """Copy slot's columns to slot 0, where the next block starts."""
+        self.fresh[0][...] = self.fresh[slot]
 
     def density(self, slot: int) -> np.ndarray:
         """A new array of the densities, slot's head and the current tail's
@@ -886,21 +903,27 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
     floor = _empty_floor(spec)
     mu, mass, floors = spec.mu.tolist(), masses.tolist(), floor.tolist()
     dt = grid.dt
-    # step's terms: the pool sums write rho pre into held, and each sweep's
-    # Python floats set the rows of terms in one assignment
-    held = np.empty((spec.size, cuts.head))
-    terms = np.empty((3, spec.size))
-    ghost = terms[0]
-    source, decay = terms[1:, :, np.newaxis]
+    unit = dt / grid.ds == 1.0
     # step computes each new head and the column entering the tail into the
     # line's next slot; the pools read only the head, so the loop is only
     # pool sums, sweep and step, and the metric sums and the tail's advance
     # run once per block; with dt < ds the head is the whole grid and the
     # tail empty
     line = _DelayLine(density, cuts, grid.ds, masses,
-                      cuts.head if dt / grid.ds == 1.0 else grid.n_nodes,
-                      steady)
+                      cuts.head if unit else grid.n_nodes, steady)
     head, length = line.head, line.block
+    # step's terms: the pool sums read each slot's cut head and write
+    # rho pre into held's first cut-head columns; at dt = ds held spans
+    # the line's columns, for step's one pass, and its column past the cut
+    # head, the entering column's, stays +0; each sweep's Python floats set
+    # terms, flat, in one assignment of one list
+    held = np.zeros((spec.size, line.width if unit else cuts.head))
+    held_head, totals = held[:, :cuts.head], np.empty(spec.size)
+    cut_heads = list(line.heads[:, :, :cuts.head])
+    slots, fresh, pre, ds = line.slots, line.fresh, cuts.pre_head, grid.ds
+    terms = np.empty(3 * spec.size)
+    ghost = terms[:spec.size]
+    source, decay = terms[spec.size:].reshape(2, spec.size, 1)
     weight = cuts.weight[:, :head]
     # row k of record holds step k's Python floats, the promotion, hiring
     # and shortfall rates and the pools, in one assignment, and the line's
@@ -918,7 +941,8 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
 
     slot = 0  # state k's slot
     for k in range(n_steps + 1):
-        pools = _pool_sums(line.slots[slot], cuts, grid.ds, mass, held)
+        pools = _pool_sums(cut_heads[slot], pre, ds, mass, held_head,
+                           totals)
         rates, hires, shorts, demand = _sweep(mu, mass, pools, floors, share,
                                               cap)
         rows[k] = rates + hires + shorts + pools
@@ -936,9 +960,9 @@ def run(spec: OrgSpec, plan: FlexPlan | None = None,
             line.restart(slot)
             slot = 0
         divisor = [1.0 + dt * (m + p) for m, p in zip(mu, rates)]
-        terms[...] = demand, [dt * p for p in rates], divisor
-        step(line.slots[slot], grid, ghost, source, decay, held,
-             out=line.fresh[slot + 1])
+        terms[:] = demand + [dt * p for p in rates] + divisor
+        step(slots[slot], grid, ghost, source, decay, held,
+             out=fresh[slot + 1])
         slot += 1
     density = line.density(slot)
     sums = record[:, 4:6]

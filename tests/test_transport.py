@@ -347,14 +347,19 @@ def test_recorded_trajectory_balances(case):
                       <= 1e-9 * spec.mu * result.masses)
 
 
-@pytest.mark.parametrize("dt,cap,kind", [
-    (0.05, 5.0, "uniform"),
-    (0.03, np.inf, "truncated-exponential"),
-])
+@pytest.mark.parametrize("dt,cap,kind,ages", [
+    (0.05, 5.0, "uniform", None),
+    (0.03, np.inf, "truncated-exponential", None),
+    # every eligibility age 0: the cut head has no column
+    (0.05, 5.0, "uniform", [0.0] * 5),
+], ids=["0.05-5.0-uniform", "0.03-inf-truncated-exponential",
+        "0.05-5.0-uniform-ages-0"])
 def test_buffered_step_matches_full_array_formula(high_turnover_org, dt, cap,
-                                                  kind):
+                                                  kind, ages):
     # reference: the update written over every node into fresh arrays
     org = high_turnover_org
+    if ages is not None:
+        org = build_org(org.n, org.mu, ages)
     grid = SeniorityGrid(ds=0.05, dt=dt, s_max=70.0)
     masses = org.n.astype(float)
     density = make_initial_density(org, None, grid, kind)
@@ -381,6 +386,23 @@ def test_buffered_step_matches_full_array_formula(high_turnover_org, dt, cap,
     assert step(density, grid, *terms(), out=transposed) is transposed
     np.testing.assert_array_equal(transposed, expected)
     np.testing.assert_array_equal(step(density, grid, *terms()), expected)
+    if lam != 1.0:
+        return
+    # run()'s call shape at dt = ds: the input an (L, n_nodes) view of one
+    # slot of the delay line's tape, out the next slot's cut head + 1
+    # columns, and held as wide as out, +0 past the cut
+    cuts = transport._build_cuts(grid, org)
+    line = transport._DelayLine(density, cuts, grid.ds, masses, cuts.head,
+                                None)
+    out = line.fresh[1]
+    assert line.slots[0].shape == density.shape
+    assert out.shape == (org.size, cuts.head + 1)
+    ghost, source, divisor, _ = terms()
+    held = np.zeros(out.shape)
+    held[:, :cuts.head] = density[:, :cuts.head] * cuts.pre_head
+    assert step(line.slots[0], grid, ghost, source, divisor, held,
+                out=out) is out
+    assert _bits(out) == _bits(expected[:, :cuts.head + 1])
 
 
 # the arrays of run() that the pools alone set, bit for bit whatever the
@@ -753,13 +775,67 @@ def test_block_length_changes_nothing(monkeypatch, low_turnover_org,
     assert (first.steady_density is not None) == (l1 and which == "low")
     assert len(first.snapshots) == len(times)
     for result in results[1:]:
-        for name in ("times", "density", "masses", "promotion", "hiring",
-                     "shortfall", "pool", "ready_ratio", "excess_wait",
-                     "l1_to_steady", "mass_error"):
-            assert _bits(getattr(result, name)) == _bits(
-                getattr(first, name)), name
-        for t, density in first.snapshots.items():
-            assert _bits(result.snapshots[t]) == _bits(density), t
+        _assert_same_bits(result, first)
+
+
+def _assert_same_bits(result, first) -> None:
+    for name in ("times", "density", "masses", "promotion", "hiring",
+                 "shortfall", "pool", "ready_ratio", "excess_wait",
+                 "l1_to_steady", "mass_error"):
+        assert _bits(getattr(result, name)) == _bits(
+            getattr(first, name)), name
+    assert result.snapshots.keys() == first.snapshots.keys()
+    for t, density in first.snapshots.items():
+        assert _bits(result.snapshots[t]) == _bits(density), t
+
+
+# (ds, dt, s_max, top level's eligibility age or None for the org's own)
+# of the runs that must read no value they have not written: a tail past
+# the cut head at dt = ds, the whole grid as head with dt < ds, and at
+# dt = ds a cut head that covers all 16 nodes, up to the top level's age
+_UNWRITTEN_GRIDS = {
+    "unit": (0.1, 0.1, 8.0, None),
+    "dt-below-ds": (0.1, 0.06, 8.0, None),
+    "head-covers-grid": (0.5, 0.5, 8.25, 8.0),
+}
+
+
+@pytest.mark.parametrize("which", ["low", "high", "mixed-ages"])
+@pytest.mark.parametrize("case", sorted(_UNWRITTEN_GRIDS))
+@pytest.mark.parametrize("cap", [np.inf, 2.0])
+def test_run_reads_nothing_it_has_not_written(monkeypatch, low_turnover_org,
+                                              high_turnover_org, which, case,
+                                              cap):
+    # with np.empty and np.empty_like filling their float arrays with NaN,
+    # run() gives every array and snapshot bit for bit: no value it reads
+    # was left unwritten, such as the column entering the delay line's
+    # tail in the tape's first slot; 150 steps span blocks of 64, and the
+    # snapshots fall inside them
+    org = {"low": low_turnover_org, "high": high_turnover_org,
+           "mixed-ages": build_org(high_turnover_org.n, high_turnover_org.mu,
+                                   [0.0, 2.0, 4.0, 3.0, 1.0])}[which]
+    ds, dt, s_max, top = _UNWRITTEN_GRIDS[case]
+    if top is not None:
+        org = build_org(org.n, org.mu, list(org.tau[:-1]) + [top])
+    grid = SeniorityGrid(ds=ds, dt=dt, s_max=s_max)
+    assert (transport._build_cuts(grid, org).head == grid.n_nodes) == (
+        case == "head-covers-grid")
+    kwargs = dict(grid=grid, horizon=150 * dt, cap=cap,
+                  snapshot_times=(0.0, 37 * dt, 100 * dt))
+    plain = run(org, **kwargs)
+
+    def nan_filled(make):
+        def filled(*args, **kw):
+            out = make(*args, **kw)
+            if out.dtype.kind == "f":
+                out.fill(np.nan)
+            return out
+        return filled
+
+    monkeypatch.setattr(np, "empty", nan_filled(np.empty))
+    monkeypatch.setattr(np, "empty_like", nan_filled(np.empty_like))
+    assert np.isnan(np.empty(1)[0])
+    _assert_same_bits(run(org, **kwargs), plain)
 
 
 def _per_step_delay_line(result, densities, steps):
@@ -861,7 +937,7 @@ def test_blocks_match_per_step_delay_line(low_turnover_org,
 def test_head_tape_shortens_blocks_of_wide_heads(monkeypatch,
                                                  low_turnover_org):
     # the tape holds a block's heads: the cut head's 801 columns at dt = ds
-    # fit 32 of them, the whole grid of 14,000 nodes with dt < ds only 2
+    # fit 64 of them, the whole grid of 14,000 nodes with dt < ds only 2
     lines = []
 
     class Recorded(transport._DelayLine):
