@@ -15,10 +15,18 @@ perfbench/ and src/, so give the parent as a full checkout (e.g.
 BENCH_<label>.json, written at the root of this checkout, holds
 every pair's end-to-end values and `correct` flags and, per workload and
 metric, each side's median and quartiles, the number of pairs the
-change won (ties count for neither side) and `gain_rule_met`: whether
+change won (ties count for neither side), `gain_rule_met`: whether
 the change won at least 9 in 10 of the pairs and its median beats the
 parent's by more than the parent's quartile distance, the rule a claimed
-gain must meet.
+gain must meet, and the no-regression verdict against the metric's
+`bound` in BENCHMARK.json:
+
+    worse_by       the change median's distance from the parent's over
+                   the parent's, positive when worse
+    parent_spread  the parent's quartile distance over its median
+    regression     "worse" where worse_by exceeds the bound; else
+                   "unresolved" where parent_spread exceeds it and not
+                   every change run beats every parent run; else "within"
 """
 
 from __future__ import annotations
@@ -83,13 +91,23 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
         change = [p["change"]["values"][name] for p in pairs]
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         before, after = spread(parent), spread(change)
-        gap = before["median"] - after["median"]
+        gain = (before["median"] - after["median"]) * (1 if lower else -1)
+        quartiles = before["q3"] - before["q1"]
+        worse_by = -gain / before["median"]
+        parent_spread = quartiles / before["median"]
+        beats_all = (max(change) < min(parent)) if lower else \
+            (min(change) > max(parent))
+        bound = metric["bound"]
         out[name] = {"unit": metric["unit"], "better": metric["better"],
                      "parent": before, "change": after,
                      "change_wins": wins, "pairs": len(pairs),
                      "gain_rule_met": (10 * wins >= 9 * len(pairs)
-                                       and (gap if lower else -gap)
-                                       > before["q3"] - before["q1"])}
+                                       and gain > quartiles),
+                     "worse_by": worse_by, "parent_spread": parent_spread,
+                     "regression": (
+                         "worse" if worse_by > bound else
+                         "unresolved" if parent_spread > bound and not beats_all
+                         else "within")}
     return out
 
 

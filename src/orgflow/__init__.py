@@ -32,7 +32,6 @@ from .costs import (
     ConstantWage,
     CostBreakdown,
     ExponentialWage,
-    FloaterReduction,
     GrowthExceedsAttritionError,
     MissingFloaterCurveError,
     PiecewiseLinearWage,
@@ -82,7 +81,6 @@ __all__ = [
     "ExponentialWage",
     "FEASIBILITY_MARGIN",
     "FlexPlan",
-    "FloaterReduction",
     "GaConfig",
     "GaResult",
     "GrowthExceedsAttritionError",

@@ -216,8 +216,8 @@ def cmd_cost(config: ScenarioConfig, fmt: str) -> int:
         bu_plan = BusinessUnitPlan(headcounts=units, permanent_share=shares,
                                    floater_share=np.zeros_like(shares))
         base = business_unit_cost(spec, bu_plan).total
-        reduction = reduce_floaters(spec, bu_plan)
-        mixed = reduction.total_cost()
+        reduced = reduce_floaters(spec, bu_plan)
+        mixed = business_unit_cost(spec, reduced).total
     write_cost_csv(os.path.join(config.output_dir, "cost.csv"), breakdown,
                    _header_lines(config, "cost"))
     if fmt == "csv":
@@ -237,7 +237,7 @@ def cmd_cost(config: ScenarioConfig, fmt: str) -> int:
         print(f"business units, optimal floater mix: {fixed(mixed, 2)} "
               "per hour")
         for j in range(spec.size):
-            mix = ", ".join(fixed(g, 2) for g in reduction.floater_share[:, j])
+            mix = ", ".join(fixed(g, 2) for g in reduced.floater_share[:, j])
             print(f"  level {j + 1} floater shares by unit: {mix}")
     return EXIT_OK
 

@@ -37,7 +37,6 @@ from .org import (
 __all__ = [
     "CostBreakdown",
     "BusinessUnitPlan",
-    "FloaterReduction",
     "Case1Diagnostics",
     "GrowthExceedsAttritionError",
     "MissingFloaterCurveError",
@@ -409,30 +408,8 @@ def business_unit_cost(spec: OrgSpec, bu_plan: BusinessUnitPlan) -> CostBreakdow
                          floater=(heads * g * wfa).sum(axis=0))
 
 
-@dataclass
-class FloaterReduction:
-    """Outcome of minimizing over floater shares for fixed permanent shares.
-
-    The flexible part of each (unit, level) cell goes entirely to whichever
-    of the temporary wage and the discounted floater wage is cheaper, so
-    the mixed problem collapses to independent temporary-only unit
-    problems priced at the effective wage min(w^t, w^{fa}). units holds
-    the plan at the optimal floater shares.
-    """
-
-    spec: OrgSpec
-    units: BusinessUnitPlan
-
-    @property
-    def floater_share(self) -> np.ndarray:
-        return self.units.floater_share
-
-    def total_cost(self) -> float:
-        return business_unit_cost(self.spec, self.units).total
-
-
-def reduce_floaters(spec: OrgSpec, bu_plan: BusinessUnitPlan) -> FloaterReduction:
-    """Collapse floater shares to their per-cell optimum.
+def reduce_floaters(spec: OrgSpec, bu_plan: BusinessUnitPlan) -> BusinessUnitPlan:
+    """The plan with its floater shares at their per-cell optimum.
 
     For fixed permanent shares the cost is linear in each floater share
     g_j^k on [0, 1 - p_j^k], so the optimum sits at an endpoint: all
@@ -447,10 +424,10 @@ def reduce_floaters(spec: OrgSpec, bu_plan: BusinessUnitPlan) -> FloaterReductio
                     else floater_average_cost(spec, j + 1)
                     for j, level in enumerate(spec.levels)])
     cheaper = wfa < spec.wt if (flexible > 0.0).any() else False
-    return FloaterReduction(spec=spec, units=BusinessUnitPlan(
+    return BusinessUnitPlan(
         headcounts=bu_plan.headcounts.copy(),
         permanent_share=bu_plan.permanent_share.copy(),
-        floater_share=np.where(cheaper, flexible, 0.0)))
+        floater_share=np.where(cheaper, flexible, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -834,8 +834,6 @@ def _policy_fractions(policy: str, spec: OrgSpec, plan: FlexPlan,
     if policy == "max-internal":
         return np.zeros(spec.size)
     if policy == "external-fraction":
-        if not external_fraction >= 0:
-            raise ValueError("external_fraction must be nonnegative")
         return np.full(spec.size, float(external_fraction))
     if policy == "fixed-plan":
         return np.concatenate(([0.0], plan.alpha - 1.0))

@@ -235,6 +235,20 @@ def test_simulate_from_stationary_start_on_tiny_pool(tmp_path, capsys, p1,
     assert demand / rates[0] == pytest.approx(7623.87 * p1, rel=1e-12)
 
 
+def test_simulate_from_a_starved_start_exits_3(tmp_path, capsys):
+    # no permanent staff at level 2 while level 3 demands promotions: the
+    # uniform start is refused before any output
+    path = base_scenario(tmp_path,
+                         plan={"alpha": [1.0] * 4, "p": [1, 0, 1, 1, 1]})
+    assert cli.main(["simulate", "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("ill-posed model: initial data leaves no promotable staff at "
+            "level [2] although promotions are demanded from above"
+            in captured.err)
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
 def test_simulate_writes_csv_outputs(tmp_path, capsys):
     path = base_scenario(
         tmp_path, out="out_sim",

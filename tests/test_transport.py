@@ -109,6 +109,22 @@ def test_grid_too_short_for_eligibility_age():
         make_initial_density(org, None, SeniorityGrid(s_max=20.0))
 
 
+@pytest.mark.parametrize("initial", ["uniform", "truncated-exponential",
+                                     "stationary"])
+def test_run_refuses_a_start_with_an_empty_pool_below_demand(initial):
+    # the README ladder with no permanent staff at level 2: level 3 still
+    # demands promotions from it, so every start is refused; the
+    # stationary one fails first in the closed forms
+    org = build_org([5500, 5200, 3800, 1800, 500],
+                    [0.08, 0.08, 0.08, 0.08, 0.2], [4.0] * 5)
+    plan = FlexPlan(alpha=np.ones(4), p=np.array([1.0, 0.0, 1.0, 1.0, 1.0]))
+    error, match = ((IllPosedError, None) if initial == "stationary" else
+                    (InfeasibleInitialDataError, r"at level \[2\] although"))
+    with pytest.raises(error, match=match):
+        run(org, plan=plan, grid=SeniorityGrid(s_max=70.0), horizon=1.0,
+            initial=initial)
+
+
 def test_single_level_fixed_point_is_stationary():
     org = build_org([500.0], [0.5], [4.0])
     grid = SeniorityGrid(ds=0.05, dt=0.05, s_max=50.0)
